@@ -11,14 +11,15 @@ from __future__ import annotations
 
 import hashlib
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields
 
-from .models import Hyperparams
+from .models import MODEL_KINDS, Hyperparams
 
 DEFAULT_SEED = 42
 SPLIT_KINDS = ("warm", "cold")
-MODEL_KINDS = ("almm", "forbes", "oord")
 FEATURE_KINDS = ("tfidf", "external")
+# Hyperparams fields read from a [model] key of another name; the rest use their own.
+_MODEL_KEY_NAMES = {"negatives_per_positive": "negatives"}
 
 
 def derive_seed(base_seed: int, stage: str) -> int:
@@ -154,20 +155,16 @@ def load_config(
             raise ValueError("%s: missing required key data.%s" % (path, key))
 
     cfg_seed = seed if seed is not None else int(top.get("seed", DEFAULT_SEED))
-    hyper = Hyperparams(
-        latent_dim=int(model_sec.get("latent_dim", 32)),
-        reg_user=float(model_sec.get("reg_user", 0.1)),
-        reg_last=float(model_sec.get("reg_last", 0.1)),
-        reg_next=float(model_sec.get("reg_next", 0.1)),
-        reg_mapping=float(model_sec.get("reg_mapping", 1.0)),
-        refresh_blend=float(model_sec.get("refresh_blend", 1.0)),
-        negatives_per_positive=int(model_sec.get("negatives", 4)),
-        iterations=int(model_sec.get("iterations", 15)),
-        sgd_lr=float(model_sec.get("sgd_lr", 0.01)),
-        sgd_decay=float(model_sec.get("sgd_decay", 0.9)),
-        sgd_epochs=int(model_sec.get("sgd_epochs", 30)),
-        seed=derive_seed(cfg_seed, "init"),
-    )
+    # a missing [model] key takes the Hyperparams default, cast to the field's type
+    defaults = Hyperparams()
+    model_values = {}
+    for f in fields(Hyperparams):
+        if f.name == "seed":
+            continue
+        default = getattr(defaults, f.name)
+        key = _MODEL_KEY_NAMES.get(f.name, f.name)
+        model_values[f.name] = type(default)(model_sec.get(key, default))
+    hyper = Hyperparams(**model_values, seed=derive_seed(cfg_seed, "init"))
     split_value = split.get("kind", "both")
     model_value = model if model is not None else model_sec.get("kind", "all")
     feature_value = features if features is not None else feats.get("kind", "tfidf")
@@ -192,8 +189,3 @@ def load_config(
     )
     cfg.validate()
     return cfg
-
-
-def with_seed(cfg: RunConfig, seed: int) -> RunConfig:
-    """Copy of cfg rebased on a new run seed (init substream re-derived)."""
-    return replace(cfg, seed=seed, hyper=replace(cfg.hyper, seed=derive_seed(seed, "init")))

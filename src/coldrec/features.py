@@ -67,12 +67,6 @@ class FeatureMatrix:
         idx = [self.row_index[a] for a in article_ids]
         return self.matrix[idx]
 
-    def dense_rows(self, article_ids) -> np.ndarray:
-        sub = self.rows(article_ids)
-        if sparse.issparse(sub):
-            return np.asarray(sub.todense())
-        return np.asarray(sub, dtype=np.float64)
-
 
 def tokenize(text: str, min_token_len: int = DEFAULT_MIN_TOKEN_LEN, stopwords=None):
     """Lowercase, split on non-alphanumeric runs, drop short tokens and optional stopwords."""

@@ -28,7 +28,7 @@ import numpy as np
 from scipy import sparse
 
 from .errors import DivergenceError, EmptyInputError
-from .numerics import load_matrix, ridge_solve, save_matrix
+from .numerics import cho_solve_stacked, load_matrix, ridge_factor, ridge_solve, save_matrix
 from .transitions import TripletSet
 
 MODEL_KINDS = ("almm", "forbes", "oord")
@@ -175,28 +175,69 @@ def objective(model: FactorModel, instances) -> float:
     )
 
 
-def _group_rows(indices: np.ndarray, n_rows: int):
-    groups: list[list[int]] = [[] for _ in range(n_rows)]
-    for pos, row in enumerate(indices):
-        groups[row].append(pos)
-    return [np.array(g, dtype=np.int64) for g in groups]
+def _group_rows(indices: np.ndarray):
+    """Instances grouped by factor row, computed once per trainer.
+
+    Returns (order, bounds, rows): `order` lists instance positions sorted by
+    row (stable), `rows` the distinct rows that have instances, ascending, and
+    `bounds[k]` the start of row k's run in `order`.
+    """
+    order = np.argsort(indices, kind="stable")
+    rows, bounds = np.unique(indices[order], return_index=True)
+    return order, bounds, rows
 
 
 def _als_update(target, groups, left, left_idx, right, right_idx, tt, cc, reg):
-    """Closed-form row update for one factor matrix.
+    """Closed-form row update for one factor matrix, all rows at once.
 
     Row r minimizes sum_n c_n (t_n - w.(left_n + right_n) - left_n.right_n)^2
     + reg ||w||^2 over its instances; rows with no instances keep their value.
+    With g_n = left_n + right_n and e_n = t_n - left_n.right_n, row r solves
+    (sum c_n g_n g_n' + reg I) w = sum c_n e_n g_n, the per-row closed form of
+    Hu, Koren & Volinsky (ICDM 2008). The instances are gathered in row order,
+    each row's normal matrix is one small matmul over its run, the right-hand
+    sides are one `np.add.reduceat`, and every row is factored by one stacked
+    Cholesky. Rows whose normal matrix fails to factor go through
+    `ridge_solve`, which keeps its jitter retry and SingularSystemError.
+    No row reads the matrix being updated, so this equals solving the rows
+    one by one.
     """
-    for row, members in enumerate(groups):
-        if members.size == 0:
-            continue
-        lf = left[left_idx[members]]
-        rf = right[right_idx[members]]
-        design = lf + rf
-        resid = tt[members] - _row_dots(lf, rf)
-        w = np.sqrt(cc[members])
-        target[row] = ridge_solve(design * w[:, None], resid * w, reg)
+    order, bounds, rows = groups
+    if rows.size == 0:
+        return
+    ends = np.append(bounds[1:], order.size)
+    dim = target.shape[1]
+    # Two (n, d) buffers: lf becomes the design g, rf the weighted c * g and
+    # then the right-hand-side terms c * e * g.
+    lf = np.take(left, np.take(left_idx, order), axis=0)
+    rf = np.take(right, np.take(right_idx, order), axis=0)
+    resid = np.take(tt, order) - _row_dots(lf, rf)
+    conf = np.take(cc, order)
+    design = np.add(lf, rf, out=lf)
+    weighted = np.multiply(design, conf[:, None], out=rf)
+    systems = np.empty((rows.size, dim, dim))
+    for k, (lo, hi) in enumerate(zip(bounds.tolist(), ends.tolist())):
+        systems[k] = weighted[lo:hi].T @ design[lo:hi]
+    diag = np.arange(dim)
+    systems[:, diag, diag] += reg
+    rhs = np.add.reduceat(np.multiply(weighted, resid[:, None], out=rf), bounds, axis=0)
+
+    solved = np.ones(rows.size, dtype=bool)
+    try:
+        chol = np.linalg.cholesky(systems)
+    except np.linalg.LinAlgError:
+        chol = np.empty_like(systems)
+        for k in range(rows.size):
+            try:
+                chol[k] = np.linalg.cholesky(systems[k])
+            except np.linalg.LinAlgError:
+                solved[k] = False
+                chol[k] = np.eye(dim)  # placeholder; the row is re-solved below
+    target[rows[solved]] = cho_solve_stacked(chol, rhs)[solved]
+    for k in np.flatnonzero(~solved):
+        lo, hi = bounds[k], ends[k]
+        w = np.sqrt(conf[lo:hi])
+        target[rows[k]] = ridge_solve(design[lo:hi] * w[:, None], resid[lo:hi] * w, reg)
 
 
 def _init_factors(rng: np.random.Generator, n_users: int, n_articles: int, dim: int):
@@ -249,7 +290,8 @@ def almm_train(instances, content, hyper: Hyperparams, *, user_ids=None, article
 
     Per iteration: (a) ALS half-sweeps over user, last-article and next-article
     factors (each row a weighted ridge solve with the other factors fixed),
-    (b) content mappings fit by ridge regression onto the current factors,
+    (b) content mappings fit by ridge regression onto the current factors
+    (the content Gram is factored once, before the first iteration),
     (c) article factors blended toward the mapped features by refresh_blend.
     Factors are initialized from seeded Gaussian(0, 0.1/sqrt(d)) draws in the
     order U, X, Y; negatives arrive pre-sampled inside `instances` and stay
@@ -260,20 +302,17 @@ def almm_train(instances, content, hyper: Hyperparams, *, user_ids=None, article
     arrays = _instance_arrays(instances)
     uu, ii, jj, tt, cc = arrays
     n_users, n_articles = _sizes(instances, content, user_ids)
-    groups = (
-        _group_rows(uu, n_users),
-        _group_rows(ii, n_articles),
-        _group_rows(jj, n_articles),
-    )
+    groups = (_group_rows(uu), _group_rows(ii), _group_rows(jj))
     rng = np.random.default_rng(hyper.seed)
     U, X, Y = _init_factors(rng, n_users, n_articles, hyper.latent_dim)
     trace = [("init", _full_loss(U, X, Y, uu, ii, jj, tt, cc, hyper))]
+    map_content = ridge_factor(content, hyper.reg_mapping)
     last_mapping = next_mapping = None
     for it in range(1, hyper.iterations + 1):
         label = "iter%d" % it
         _als_sweeps(U, X, Y, arrays, groups, hyper, trace, label)
-        last_mapping = ridge_solve(content, X, hyper.reg_mapping)
-        next_mapping = ridge_solve(content, Y, hyper.reg_mapping)
+        last_mapping = map_content(X)
+        next_mapping = map_content(Y)
         if hyper.refresh_blend > 0.0:
             blend = hyper.refresh_blend
             X = (1.0 - blend) * X + blend * _materialize(content, last_mapping)
@@ -342,6 +381,34 @@ def forbes_instance_gradients(user_vec, last_mapping, next_mapping, a_i, a_j, ta
     return grad_user, grad_last, grad_next
 
 
+def _sgd_epoch(order, instances, rows, U, last_mapping, next_mapping, lr, hyper):
+    """One forbes SGD pass over `instances` in `order`, updating U and the mappings in place."""
+    for pos in order:
+        inst = instances[pos]
+        row_i = rows[inst.i]
+        row_j = rows[inst.j]
+        x = _mapped(row_i, last_mapping)
+        y = _mapped(row_j, next_mapping)
+        u_old = U[inst.u].copy()
+        pred = float(np.dot(u_old, x) + np.dot(u_old, y) + np.dot(x, y))
+        err = inst.weight * (inst.target - pred)
+        U[inst.u] += lr * (err * (x + y) - hyper.reg_user * u_old)
+        if hyper.reg_last > 0.0:
+            last_mapping *= 1.0 - lr * hyper.reg_last
+        idx_i, vals_i = row_i
+        if idx_i is None:
+            last_mapping += (lr * err) * np.outer(vals_i, u_old + y)
+        else:
+            last_mapping[idx_i] += (lr * err) * np.outer(vals_i, u_old + y)
+        if hyper.reg_next > 0.0:
+            next_mapping *= 1.0 - lr * hyper.reg_next
+        idx_j, vals_j = row_j
+        if idx_j is None:
+            next_mapping += (lr * err) * np.outer(vals_j, u_old + x)
+        else:
+            next_mapping[idx_j] += (lr * err) * np.outer(vals_j, u_old + x)
+
+
 def forbes_train(instances, content, hyper: Hyperparams, *, user_ids=None, article_ids=None) -> FactorModel:
     """Single-stage SGD with article vectors defined through the content mappings.
 
@@ -352,6 +419,8 @@ def forbes_train(instances, content, hyper: Hyperparams, *, user_ids=None, artic
         Psi_Y   += lr * (e * a_j (x) (U_u + x) - reg_next * Psi_Y)
     Instances are reshuffled each epoch and the learning rate decays by
     sgd_decay per epoch; update order is part of the determinism contract.
+    A floating-point overflow or invalid operation inside an epoch raises
+    DivergenceError naming that epoch, before any non-finite value spreads.
     """
     hyper.validate()
     _check_training_inputs(instances, content)
@@ -369,30 +438,11 @@ def forbes_train(instances, content, hyper: Hyperparams, *, user_ids=None, artic
     n_inst = len(instances)
     for epoch in range(1, hyper.sgd_epochs + 1):
         order = rng.permutation(n_inst)
-        for pos in order:
-            inst = instances[pos]
-            row_i = rows[inst.i]
-            row_j = rows[inst.j]
-            x = _mapped(row_i, last_mapping)
-            y = _mapped(row_j, next_mapping)
-            u_old = U[inst.u].copy()
-            pred = float(np.dot(u_old, x) + np.dot(u_old, y) + np.dot(x, y))
-            err = inst.weight * (inst.target - pred)
-            U[inst.u] += lr * (err * (x + y) - hyper.reg_user * u_old)
-            if hyper.reg_last > 0.0:
-                last_mapping *= 1.0 - lr * hyper.reg_last
-            idx_i, vals_i = row_i
-            if idx_i is None:
-                last_mapping += (lr * err) * np.outer(vals_i, u_old + y)
-            else:
-                last_mapping[idx_i] += (lr * err) * np.outer(vals_i, u_old + y)
-            if hyper.reg_next > 0.0:
-                next_mapping *= 1.0 - lr * hyper.reg_next
-            idx_j, vals_j = row_j
-            if idx_j is None:
-                next_mapping += (lr * err) * np.outer(vals_j, u_old + x)
-            else:
-                next_mapping[idx_j] += (lr * err) * np.outer(vals_j, u_old + x)
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                _sgd_epoch(order, instances, rows, U, last_mapping, next_mapping, lr, hyper)
+        except FloatingPointError as exc:
+            raise DivergenceError("SGD diverged in epoch %d: %s" % (epoch, exc)) from None
         if not (
             np.all(np.isfinite(U))
             and np.all(np.isfinite(last_mapping))
@@ -433,11 +483,7 @@ def oord_train(instances, content, hyper: Hyperparams, *, user_ids=None, article
     arrays = _instance_arrays(instances)
     uu, ii, jj, tt, cc = arrays
     n_users, n_articles = _sizes(instances, content, user_ids)
-    groups = (
-        _group_rows(uu, n_users),
-        _group_rows(ii, n_articles),
-        _group_rows(jj, n_articles),
-    )
+    groups = (_group_rows(uu), _group_rows(ii), _group_rows(jj))
     rng = np.random.default_rng(hyper.seed)
     U, X, Y = _init_factors(rng, n_users, n_articles, hyper.latent_dim)
     trace = [("init", _full_loss(U, X, Y, uu, ii, jj, tt, cc, hyper))]
@@ -447,8 +493,9 @@ def oord_train(instances, content, hyper: Hyperparams, *, user_ids=None, article
         loss = trace[-1][1]
         if not np.isfinite(loss):
             raise DivergenceError("non-finite objective at iteration %d" % it)
-    last_mapping = ridge_solve(content, X, hyper.reg_mapping)
-    next_mapping = ridge_solve(content, Y, hyper.reg_mapping)
+    map_content = ridge_factor(content, hyper.reg_mapping)
+    last_mapping = map_content(X)
+    next_mapping = map_content(Y)
     if user_ids is None:
         user_ids = _default_ids("u", n_users)
     if article_ids is None:

@@ -1,8 +1,12 @@
 """Small dense linear-algebra core: ridge solves, triplet scoring, vector similarity.
 
-All factor updates in the models module reduce to `ridge_solve`, and both
-ranking and the diversity metric reduce to `score` / `cosine_distance`, so
-these kernels are kept in one place with strict input validation.
+The content mappings of the models module are ridge fits against a fixed
+design, factored once per trainer by `ridge_factor`. The batched ALS row
+update solves its small systems itself and falls back to `ridge_solve` only
+for rows whose normal matrix fails to factor; `ridge_solve` is also its test
+oracle. `score` is the scalar triplet affinity that ranking computes in
+batch, and the diversity metric reduces to `cosine_distance`. These kernels
+are kept in one place with strict input validation.
 """
 
 from __future__ import annotations
@@ -18,38 +22,31 @@ from .errors import FormatError, SingularSystemError
 MATRIX_MAGIC = b"CRMX"
 
 
-def ridge_solve(design: np.ndarray, targets: np.ndarray, ridge: float) -> np.ndarray:
-    """Solve the ridge problem min_W ||design @ W - targets||_F^2 + ridge * ||W||_F^2.
+def ridge_factor(design, ridge: float):
+    """Factor the ridge normal matrix of `design` once; return a solver for any targets.
 
-    Returns W = (G'G + ridge*I)^-1 G'R via a Cholesky factorization of the
-    normal matrix. `design` may be dense (n x k) or scipy-sparse; `targets`
-    may be (n,) or (n x d), and W comes back with the matching shape.
+    The returned `solve(targets)` gives W = (G'G + ridge*I)^-1 G'R for the
+    fixed design G, so a design that is refit against changing targets (the
+    content mapping of every trainer iteration) forms and factors its Gram
+    only once. `design` may be dense (n x k) or scipy-sparse; `targets` may be
+    (n,) or (n x d), and W comes back with the matching shape.
 
-    On a Cholesky failure with ridge > 0 the solve is retried once with a
-    trace-scaled jitter of 1e-10 added to the diagonal (near-singular normal
-    matrices from sparse feature blocks); at ridge = 0 a failure raises
+    On a Cholesky failure with ridge > 0 the factorization is retried once
+    with a trace-scaled jitter of 1e-10 added to the diagonal (near-singular
+    normal matrices from sparse feature blocks); at ridge = 0 a failure raises
     SingularSystemError immediately.
     """
     if ridge < 0:
         raise ValueError("ridge must be >= 0, got %r" % ridge)
-    targets = np.asarray(targets, dtype=np.float64)
-    if not np.all(np.isfinite(targets)):
-        raise ValueError("targets contain non-finite values")
     if sparse.issparse(design):
         if not np.all(np.isfinite(design.data)):
             raise ValueError("design contains non-finite values")
-        if design.shape[0] != targets.shape[0]:
-            raise ValueError("design and targets row counts differ")
         gram = np.asarray((design.T @ design).todense(), dtype=np.float64)
-        rhs = np.asarray(design.T @ targets, dtype=np.float64)
     else:
         design = np.asarray(design, dtype=np.float64)
         if not np.all(np.isfinite(design)):
             raise ValueError("design contains non-finite values")
-        if design.shape[0] != targets.shape[0]:
-            raise ValueError("design and targets row counts differ")
         gram = design.T @ design
-        rhs = design.T @ targets
 
     k = gram.shape[0]
     system = gram + ridge * np.eye(k)
@@ -67,7 +64,44 @@ def ridge_solve(design: np.ndarray, targets: np.ndarray, ridge: float) -> np.nda
             raise SingularSystemError(
                 "normal matrix stayed singular after jitter retry"
             ) from None
-    return cho_solve(factor, rhs)
+
+    def solve(targets) -> np.ndarray:
+        targets = np.asarray(targets, dtype=np.float64)
+        if not np.all(np.isfinite(targets)):
+            raise ValueError("targets contain non-finite values")
+        if design.shape[0] != targets.shape[0]:
+            raise ValueError("design and targets row counts differ")
+        return cho_solve(factor, np.asarray(design.T @ targets, dtype=np.float64))
+
+    return solve
+
+
+def ridge_solve(design, targets, ridge: float) -> np.ndarray:
+    """Solve the ridge problem min_W ||design @ W - targets||_F^2 + ridge * ||W||_F^2.
+
+    One-shot form of `ridge_factor(design, ridge)(targets)`, with the same
+    inputs, errors and bits.
+    """
+    return ridge_factor(design, ridge)(targets)
+
+
+def cho_solve_stacked(chol: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve L L' w_r = b_r for a stack of lower Cholesky factors (r, k, k) and rhs (r, k).
+
+    Forward then back substitution, one column at a time across all systems.
+    """
+    k = rhs.shape[1]
+    half = np.empty_like(rhs)
+    for c in range(k):
+        half[:, c] = (
+            rhs[:, c] - np.einsum("rj,rj->r", chol[:, c, :c], half[:, :c])
+        ) / chol[:, c, c]
+    out = np.empty_like(rhs)
+    for c in range(k - 1, -1, -1):
+        out[:, c] = (
+            half[:, c] - np.einsum("rj,rj->r", chol[:, c + 1 :, c], out[:, c + 1 :])
+        ) / chol[:, c, c]
+    return out
 
 
 def score(user_vec, last_vec, next_vec) -> float:

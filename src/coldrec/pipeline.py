@@ -263,6 +263,10 @@ def stage_train(cfg: RunConfig) -> dict:
             derive_seed(cfg.seed, "negatives"),
         )
         counters["train_%s_instances" % split_kind] = len(instances)
+        # negative slots sample_negatives dropped after 100 rejections
+        counters["train_%s_negatives_shortfall" % split_kind] = (
+            len(train_set) * (cfg.hyper.negatives_per_positive + 1) - len(instances)
+        )
         article_ids = train_set.article_ids
         content = features.rows(article_ids)
         user_ids = train_set.user_ids

@@ -5,6 +5,7 @@ import pytest
 from coldrec.cli import main
 from coldrec.config import derive_seed, load_config, parse_config_text
 from coldrec.fixture import generate_fixture
+from coldrec.models import Hyperparams
 
 CONFIG_TEMPLATE = """
 seed = 5
@@ -84,6 +85,20 @@ class TestConfigParsing:
         assert cfg.model_kinds == ["almm"]
         assert cfg.out_dir == os.path.join(workspace, "elsewhere")
 
+    def test_missing_model_keys_take_hyperparams_defaults(self, workspace, tmp_path):
+        path = os.path.join(tmp_path, "run.toml")
+        with open(path, "w") as fh:
+            fh.write('[data]\nnews = "%s"\nbehaviors = "%s"\n[model]\nnegatives = 3\n' % (
+                os.path.join(workspace, "fx", "news.tsv"),
+                os.path.join(workspace, "fx", "behaviors.tsv"),
+            ))
+        hyper = load_config(path).hyper
+        defaults = Hyperparams()
+        assert hyper.negatives_per_positive == 3
+        for name in ("latent_dim", "iterations", "sgd_epochs", "reg_mapping", "sgd_lr"):
+            assert getattr(hyper, name) == getattr(defaults, name)
+            assert type(getattr(hyper, name)) is type(getattr(defaults, name))
+
     def test_missing_data_file_names_path(self, tmp_path):
         path = os.path.join(tmp_path, "run.toml")
         with open(path, "w") as fh:
@@ -143,6 +158,15 @@ class TestCliCommands:
         assert "split_cold_train_entries = " in text
         assert "recall_almm_cold_at_5 = " in text
         assert "cold_almm_beats_forbes_recall_at_3 = " in text
+
+    def test_run_log_counts_negative_shortfall(self, workspace):
+        with open(os.path.join(workspace, "run_out", "run.log")) as fh:
+            counters = dict(line.rstrip("\n").split(" = ", 1) for line in fh)
+        for kind in ("warm", "cold"):
+            expected = 3 * int(counters["split_%s_train_entries" % kind]) - int(
+                counters["train_%s_instances" % kind]
+            )  # negatives = 2 per positive
+            assert int(counters["train_%s_negatives_shortfall" % kind]) == expected
 
     def test_rerun_is_byte_identical(self, workspace):
         config = write_config(workspace)

@@ -1,11 +1,16 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy import sparse
 
-from coldrec.errors import DivergenceError
+from coldrec import models, numerics
+from coldrec.errors import DivergenceError, SingularSystemError
 from coldrec.features import FeatureMatrix
 from coldrec.models import (
     FactorModel,
+    _als_update,
+    _group_rows,
     Hyperparams,
     TrainingInstance,
     almm_train,
@@ -20,7 +25,7 @@ from coldrec.models import (
     sample_negatives,
     save_model,
 )
-from coldrec.numerics import score
+from coldrec.numerics import ridge_solve, score
 from coldrec.transitions import Triplet, TripletSet
 
 
@@ -147,6 +152,79 @@ class TestObjective:
         expected += 0.2 * np.sum(model.last_factors**2)
         expected += 0.1 * np.sum(model.next_factors**2)
         assert objective(model, instances) == pytest.approx(expected, rel=1e-10)
+
+
+def per_row_als_oracle(target, rows_of, left, left_idx, right, right_idx, tt, cc, reg):
+    """The scalar update: one weighted ridge_solve per row that has instances."""
+    out = target.copy()
+    for row in range(out.shape[0]):
+        members = np.flatnonzero(rows_of == row)
+        if members.size == 0:
+            continue
+        lf = left[left_idx[members]]
+        rf = right[right_idx[members]]
+        w = np.sqrt(cc[members])
+        resid = tt[members] - np.einsum("nd,nd->n", lf, rf)
+        out[row] = ridge_solve((lf + rf) * w[:, None], resid * w, reg)
+    return out
+
+
+class TestBatchedAlsUpdate:
+    def test_matches_per_row_ridge_solve(self):
+        rng = np.random.default_rng(71)
+        for trial in range(20):
+            dim = int(rng.integers(1, 7))
+            # row 0 and the last two rows get no instances, row 1 exactly one,
+            # rows 2..5 many, in shuffled order
+            rows_of = np.concatenate([[1], rng.integers(2, 6, size=int(rng.integers(8, 40)))])
+            rng.shuffle(rows_of)
+            n = rows_of.size
+            left = rng.normal(size=(5, dim))
+            right = rng.normal(size=(7, dim))
+            left_idx = rng.integers(5, size=n)
+            right_idx = rng.integers(7, size=n)
+            tt = (rng.random(n) < 0.3).astype(float)
+            cc = rng.uniform(0.5, 3.0, size=n)
+            reg = float(rng.uniform(0.01, 1.0))
+            target = rng.normal(size=(8, dim))
+            expected = per_row_als_oracle(target, rows_of, left, left_idx, right, right_idx, tt, cc, reg)
+            _als_update(target, _group_rows(rows_of), left, left_idx, right, right_idx, tt, cc, reg)
+            np.testing.assert_allclose(target, expected, rtol=0, atol=1e-10)
+
+    def test_rank_deficient_row_falls_back_to_jitter(self, monkeypatch):
+        # g = (1, 1, 0) with confidence 1 for the single instance of row 1: at a
+        # ridge below rounding its normal matrix is exactly singular, so the
+        # stacked Cholesky fails and ridge_solve's jitter retry solves that
+        # row; row 0 stays on the batched path
+        left = np.array([[0.5, 0.5, 0.0]])
+        right = np.array([[0.5, 0.5, 0.0], [0.3, -0.2, 0.9], [-0.7, 0.4, 0.1], [0.2, 0.8, -0.5]])
+        rows_of = np.array([0, 1, 0, 0])
+        left_idx = np.zeros(4, dtype=np.int64)
+        right_idx = np.array([1, 0, 2, 3])
+        tt = np.array([1.0, 1.0, 0.0, 0.0])
+        cc = np.array([1.5, 1.0, 1.0, 1.0])
+        target = np.zeros((2, 3))
+        expected = per_row_als_oracle(target, rows_of, left, left_idx, right, right_idx, tt, cc, 1e-30)
+        fallback_rows = []
+
+        def recording(design, targets, ridge):
+            fallback_rows.append(design.shape[0])
+            return ridge_solve(design, targets, ridge)
+
+        monkeypatch.setattr(models, "ridge_solve", recording)
+        _als_update(target, _group_rows(rows_of), left, left_idx, right, right_idx, tt, cc, 1e-30)
+        assert fallback_rows == [1]
+        np.testing.assert_allclose(target, expected, rtol=1e-10)
+
+    def test_rank_deficient_row_at_zero_reg_raises(self):
+        left = np.array([[0.5, 0.5, 0.0]])
+        right = np.array([[0.5, 0.5, 0.0]])
+        zeros = np.zeros(1, dtype=np.int64)
+        with pytest.raises(SingularSystemError):
+            _als_update(
+                np.zeros((1, 3)), _group_rows(zeros), left, zeros, right, zeros,
+                np.ones(1), np.ones(1), 0.0,
+            )
 
 
 class TestAlmmTrain:
@@ -277,6 +355,26 @@ class TestAlmmTrain:
         for attr in ("user_factors", "last_factors", "next_factors", "last_mapping", "next_mapping"):
             np.testing.assert_array_equal(getattr(a, attr), getattr(b, attr))
 
+    def test_content_gram_factored_once_per_call(self, monkeypatch):
+        calls = {"ridge_factor": 0, "cho_factor": 0}
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(models, "ridge_factor", counting("ridge_factor", models.ridge_factor))
+        monkeypatch.setattr(numerics, "cho_factor", counting("cho_factor", numerics.cho_factor))
+        rng = np.random.default_rng(8)
+        instances = random_instances(rng, 3, 6, 8)
+        content = sparse.csr_matrix(rng.normal(size=(6, 4)) * (rng.random((6, 4)) < 0.7))
+        for train in (almm_train, oord_train):
+            calls.update(ridge_factor=0, cho_factor=0)
+            train(instances, content, Hyperparams(latent_dim=3, iterations=4, seed=1))
+            assert calls == {"ridge_factor": 1, "cho_factor": 1}, train.__name__
+
 
 class TestForbesTrain:
     def test_zero_learning_rate_keeps_parameters(self):
@@ -387,6 +485,16 @@ class TestForbesTrain:
         hyper = Hyperparams(latent_dim=2, sgd_lr=1e12, sgd_epochs=3, seed=1)
         with pytest.raises(DivergenceError):
             forbes_train(instances, content, hyper)
+
+    def test_divergence_fails_fast_naming_the_epoch(self):
+        rng = np.random.default_rng(2)
+        instances = random_instances(rng, 2, 4, 3)
+        content = rng.normal(size=(4, 2)) * 10
+        hyper = Hyperparams(latent_dim=2, sgd_lr=1e12, sgd_epochs=3, seed=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(DivergenceError, match="epoch 1"):
+                forbes_train(instances, content, hyper)
 
     def test_deterministic(self):
         rng = np.random.default_rng(44)

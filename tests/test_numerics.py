@@ -3,7 +3,14 @@ import pytest
 from scipy import sparse
 
 from coldrec.errors import FormatError, SingularSystemError
-from coldrec.numerics import cosine_distance, load_matrix, ridge_solve, save_matrix, score
+from coldrec.numerics import (
+    cosine_distance,
+    load_matrix,
+    ridge_factor,
+    ridge_solve,
+    save_matrix,
+    score,
+)
 
 
 def normal_equations_oracle(design, targets, ridge):
@@ -91,6 +98,27 @@ class TestRidgeSolve:
             delta = np.zeros_like(sol)
             delta[rng.integers(sol.shape[0]), rng.integers(sol.shape[1])] = rng.choice([-1e-4, 1e-4])
             assert objective(sol + delta) >= base - 1e-12
+
+
+class TestRidgeFactor:
+    @pytest.mark.parametrize("as_sparse", [False, True])
+    @pytest.mark.parametrize("target_shape", [(14,), (14, 3)])
+    def test_equals_ridge_solve_bit_for_bit(self, as_sparse, target_shape):
+        rng = np.random.default_rng(23)
+        dense = rng.normal(size=(14, 5)) * (rng.random(size=(14, 5)) < 0.5)
+        design = sparse.csr_matrix(dense) if as_sparse else dense
+        targets = rng.normal(size=target_shape)
+        np.testing.assert_array_equal(
+            ridge_factor(design, 0.4)(targets), ridge_solve(design, targets, 0.4)
+        )
+
+    def test_one_factor_serves_many_targets(self):
+        rng = np.random.default_rng(31)
+        design = rng.normal(size=(18, 6))
+        solve = ridge_factor(design, 0.2)
+        for _ in range(3):
+            targets = rng.normal(size=(18, 2))
+            np.testing.assert_array_equal(solve(targets), ridge_solve(design, targets, 0.2))
 
 
 class TestScore:
