@@ -21,6 +21,7 @@ unseen users score with a zero user vector.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import asdict, dataclass, field
 
@@ -69,6 +70,10 @@ class Hyperparams:
             raise ValueError("negatives_per_positive must be >= 1")
         if self.iterations < 1 or self.sgd_epochs < 1:
             raise ValueError("iterations and sgd_epochs must be >= 1")
+        if not 0.0 <= self.sgd_lr < math.inf:
+            raise ValueError("sgd_lr must be finite and >= 0")
+        if not 0.0 < self.sgd_decay <= 1.0:
+            raise ValueError("sgd_decay must be in (0, 1]")
 
 
 @dataclass(frozen=True)
@@ -339,26 +344,6 @@ def almm_train(instances, content, hyper: Hyperparams, *, user_ids=None, article
     )
 
 
-def _content_rows(content):
-    """Per-article (column indices, values) pairs; indices is None for dense rows."""
-    if sparse.issparse(content):
-        csr = content.tocsr()
-        rows = []
-        for r in range(csr.shape[0]):
-            lo, hi = csr.indptr[r], csr.indptr[r + 1]
-            rows.append((csr.indices[lo:hi], np.asarray(csr.data[lo:hi], dtype=np.float64)))
-        return rows
-    dense = np.asarray(content, dtype=np.float64)
-    return [(None, dense[r]) for r in range(dense.shape[0])]
-
-
-def _mapped(row, mapping: np.ndarray) -> np.ndarray:
-    idx, vals = row
-    if idx is None:
-        return vals @ mapping
-    return vals @ mapping[idx]
-
-
 def forbes_instance_loss(user_vec, last_mapping, next_mapping, a_i, a_j, target, weight) -> float:
     """weight * (target - score)^2 for one instance with mapped article vectors."""
     x = np.asarray(a_i, dtype=np.float64) @ last_mapping
@@ -381,32 +366,100 @@ def forbes_instance_gradients(user_vec, last_mapping, next_mapping, a_i, a_j, ta
     return grad_user, grad_last, grad_next
 
 
-def _sgd_epoch(order, instances, rows, U, last_mapping, next_mapping, lr, hyper):
-    """One forbes SGD pass over `instances` in `order`, updating U and the mappings in place."""
-    for pos in order:
-        inst = instances[pos]
-        row_i = rows[inst.i]
-        row_j = rows[inst.j]
-        x = _mapped(row_i, last_mapping)
-        y = _mapped(row_j, next_mapping)
-        u_old = U[inst.u].copy()
-        pred = float(np.dot(u_old, x) + np.dot(u_old, y) + np.dot(x, y))
-        err = inst.weight * (inst.target - pred)
-        U[inst.u] += lr * (err * (x + y) - hyper.reg_user * u_old)
-        if hyper.reg_last > 0.0:
-            last_mapping *= 1.0 - lr * hyper.reg_last
-        idx_i, vals_i = row_i
-        if idx_i is None:
-            last_mapping += (lr * err) * np.outer(vals_i, u_old + y)
-        else:
-            last_mapping[idx_i] += (lr * err) * np.outer(vals_i, u_old + y)
-        if hyper.reg_next > 0.0:
-            next_mapping *= 1.0 - lr * hyper.reg_next
-        idx_j, vals_j = row_j
-        if idx_j is None:
-            next_mapping += (lr * err) * np.outer(vals_j, u_old + x)
-        else:
-            next_mapping[idx_j] += (lr * err) * np.outer(vals_j, u_old + x)
+# Lazy weight decay keeps each mapping as scale * rows and folds the scale
+# into the rows before |scale| leaves [_SCALE_FLOOR, 1 / _SCALE_FLOOR]
+# (Bottou, "Stochastic Gradient Descent Tricks", 2012).
+_SCALE_FLOOR = 1e-9
+
+
+def _forbes_plan(instances, content):
+    """Per-instance (user, rows, selector, weight, target), built once per trainer.
+
+    `rows` indexes the stacked mappings P = [Psi_X; Psi_Y] (2m x d): the last
+    article's content columns, then the next article's offset by m, so the two
+    blocks never share a row, even when i == j. `sel` (2 x len(rows)) holds
+    a_i's values in row 0 and a_j's in row 1, so sel @ P[rows] = [a_i Psi_X;
+    a_j Psi_Y]. Dense content uses every column.
+    """
+    m = content.shape[1]
+    if sparse.issparse(content):
+        csr = content.tocsr()
+        bounds = zip(csr.indptr[:-1].tolist(), csr.indptr[1:].tolist())
+        articles = [(csr.indices[lo:hi], csr.data[lo:hi]) for lo, hi in bounds]
+    else:
+        dense = np.asarray(content, dtype=np.float64)
+        columns = np.arange(m)
+        articles = [(columns, row) for row in dense]
+    plan = []
+    for inst in instances:
+        idx_i, vals_i = articles[inst.i]
+        idx_j, vals_j = articles[inst.j]
+        rows = np.concatenate((idx_i, idx_j + m)).astype(np.intp)
+        sel = np.zeros((2, rows.size))
+        sel[0, : idx_i.size] = vals_i
+        sel[1, idx_i.size :] = vals_j
+        plan.append((inst.u, rows, sel, inst.weight, inst.target))
+    return plan
+
+
+def _fold_period(factors) -> int:
+    """Decays after which some |scale| could leave [_SCALE_FLOOR, 1 / _SCALE_FLOOR]; 0 for never."""
+    rates = [abs(math.log(abs(f))) if f else math.inf for f in factors if abs(f) != 1.0]
+    return max(1, int(-math.log(_SCALE_FLOOR) / max(rates))) if rates else 0
+
+
+def _fold(P, scale, m):
+    """Multiply each block of P by its scale and reset both scales to 1."""
+    P[:m] *= scale[0]
+    P[m:] *= scale[1]
+    scale.fill(1.0)
+
+
+def _sgd_epoch(order, plan, U, P, lr, hyper):
+    """One forbes SGD pass in `order`, updating U and the stacked mappings P in place."""
+    m = P.shape[0] // 2
+    keep_user = 1.0 - lr * hyper.reg_user
+    decay = np.array([[1.0 - lr * hyper.reg_last], [1.0 - lr * hyper.reg_next]])
+    period = _fold_period(decay.ravel().tolist())
+    scale = np.ones((2, 1))  # Psi_X = scale[0] * P[:m], Psi_Y = scale[1] * P[m:]
+    since_fold = 0
+    for pos in order.tolist():
+        u, rows, sel, weight, target = plan[pos]
+        G = P.take(rows, axis=0)
+        xy = sel.dot(G)  # ndarray.dot: less call overhead than @ on these small operands
+        xy *= scale
+        x = xy[0]
+        y = xy[1]
+        u_old = U[u]
+        xy_sum = x + y
+        err = weight * (target - float(u_old.dot(xy_sum) + x.dot(y)))
+        step = xy[::-1] + u_old  # [u + y; u + x]
+        scale *= decay
+        since_fold += 1
+        if since_fold == period:
+            _fold(P, scale, m)
+            G = P.take(rows, axis=0)
+            since_fold = 0
+        step *= (lr * err) / scale
+        G += sel.T.dot(step)
+        P[rows] = G
+        xy_sum *= lr * err
+        u_old *= keep_user
+        u_old += xy_sum
+    _fold(P, scale, m)
+
+
+def _forbes_objective(content, U, P, arrays, hyper: Hyperparams) -> float:
+    """Weighted data loss with mapped article vectors plus the U and mapping regularizers."""
+    m = P.shape[0] // 2
+    last_mapping, next_mapping = P[:m], P[m:]
+    X = _materialize(content, last_mapping)
+    Y = _materialize(content, next_mapping)
+    loss = _data_loss(U, X, Y, *arrays)
+    loss += hyper.reg_user * float(np.sum(U * U))
+    loss += hyper.reg_last * float(np.sum(last_mapping * last_mapping))
+    loss += hyper.reg_next * float(np.sum(next_mapping * next_mapping))
+    return loss
 
 
 def forbes_train(instances, content, hyper: Hyperparams, *, user_ids=None, article_ids=None) -> FactorModel:
@@ -419,6 +472,20 @@ def forbes_train(instances, content, hyper: Hyperparams, *, user_ids=None, artic
         Psi_Y   += lr * (e * a_j (x) (U_u + x) - reg_next * Psi_Y)
     Instances are reshuffled each epoch and the learning rate decays by
     sgd_decay per epoch; update order is part of the determinism contract.
+
+    Both mappings live in one stacked (2m x d) array P = [Psi_X; Psi_Y], and
+    a plan built once per call gives each instance its rows of P (a_i's
+    nonzero columns, then a_j's offset by m) and a 2-row selector holding
+    a_i's and a_j's values. An update gathers those rows once, maps them to
+    [x; y] with one matmul, adds both outer-product terms with one more and
+    writes the rows back: O(nnz * d) work. The decay is lazy: each mapping is
+    a scalar scale times its block of P, decay multiplies the scale only, and
+    the scale is folded into P at the end of every epoch and whenever its
+    magnitude would leave [1e-9, 1e9] (so lr * reg = 1 zeroes the mapping as
+    the eager decay does).
+
+    After every epoch ("epoch<k>", objective) joins loss_trace: the weighted
+    data loss plus reg_user ||U||^2 + reg_last ||Psi_X||^2 + reg_next ||Psi_Y||^2.
     A floating-point overflow or invalid operation inside an epoch raises
     DivergenceError naming that epoch, before any non-finite value spreads.
     """
@@ -430,27 +497,28 @@ def forbes_train(instances, content, hyper: Hyperparams, *, user_ids=None, artic
     rng = np.random.default_rng(hyper.seed)
     scale = 0.1 / np.sqrt(dim)
     U = rng.normal(0.0, scale, size=(n_users, dim))
-    last_mapping = rng.normal(0.0, scale, size=(m, dim))
-    next_mapping = rng.normal(0.0, scale, size=(m, dim))
-    rows = _content_rows(content)
+    P = np.empty((2 * m, dim))
+    P[:m] = rng.normal(0.0, scale, size=(m, dim))
+    P[m:] = rng.normal(0.0, scale, size=(m, dim))
+    plan = _forbes_plan(instances, content)
+    arrays = _instance_arrays(instances)
 
+    trace = []
     lr = hyper.sgd_lr
-    n_inst = len(instances)
     for epoch in range(1, hyper.sgd_epochs + 1):
-        order = rng.permutation(n_inst)
+        order = rng.permutation(len(instances))
         try:
             with np.errstate(over="raise", invalid="raise"):
-                _sgd_epoch(order, instances, rows, U, last_mapping, next_mapping, lr, hyper)
+                _sgd_epoch(order, plan, U, P, lr, hyper)
+                loss = _forbes_objective(content, U, P, arrays, hyper)
         except FloatingPointError as exc:
             raise DivergenceError("SGD diverged in epoch %d: %s" % (epoch, exc)) from None
-        if not (
-            np.all(np.isfinite(U))
-            and np.all(np.isfinite(last_mapping))
-            and np.all(np.isfinite(next_mapping))
-        ):
-            raise DivergenceError("non-finite parameters after epoch %d" % epoch)
+        if not np.isfinite(loss):
+            raise DivergenceError("non-finite objective after epoch %d" % epoch)
+        trace.append(("epoch%d" % epoch, loss))
         lr *= hyper.sgd_decay
 
+    last_mapping, next_mapping = P[:m], P[m:]
     X = _materialize(content, last_mapping)
     Y = _materialize(content, next_mapping)
     if user_ids is None:
@@ -467,7 +535,7 @@ def forbes_train(instances, content, hyper: Hyperparams, *, user_ids=None, artic
         next_mapping=next_mapping,
         users=_index_map(user_ids),
         articles=_index_map(article_ids),
-        loss_trace=[],
+        loss_trace=trace,
     )
 
 

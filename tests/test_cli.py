@@ -158,6 +158,7 @@ class TestCliCommands:
         assert "split_cold_train_entries = " in text
         assert "recall_almm_cold_at_5 = " in text
         assert "cold_almm_beats_forbes_recall_at_3 = " in text
+        assert "train_forbes_cold_final_loss = " in text
 
     def test_run_log_counts_negative_shortfall(self, workspace):
         with open(os.path.join(workspace, "run_out", "run.log")) as fh:
@@ -177,6 +178,10 @@ class TestCliCommands:
         assert rc == 0
         with open(os.path.join(workspace, "run_out_again", "metrics.csv"), "rb") as fh:
             assert fh.read() == baseline
+        with open(os.path.join(workspace, "run_out", "run.log"), "rb") as a, open(
+            os.path.join(workspace, "run_out_again", "run.log"), "rb"
+        ) as b:
+            assert a.read() == b.read()
 
     def test_stagewise_equals_single_shot(self, workspace, capsys):
         config = write_config(workspace)

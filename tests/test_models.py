@@ -376,6 +376,83 @@ class TestAlmmTrain:
             assert calls == {"ridge_factor": 1, "cho_factor": 1}, train.__name__
 
 
+def eager_forbes(instances, content, hyper):
+    """Reference forbes trainer: the per-instance loop with eager weight decay.
+
+    Same init draws, per-epoch permutation and learning-rate decay as
+    forbes_train; each update decays both full mappings and adds the
+    outer-product terms row by row. Returns (U, Psi_X, Psi_Y).
+    """
+    dim = hyper.latent_dim
+    m = content.shape[1]
+    rng = np.random.default_rng(hyper.seed)
+    scale = 0.1 / np.sqrt(dim)
+    U = rng.normal(0.0, scale, size=(max(inst.u for inst in instances) + 1, dim))
+    last_mapping = rng.normal(0.0, scale, size=(m, dim))
+    next_mapping = rng.normal(0.0, scale, size=(m, dim))
+    if sparse.issparse(content):
+        csr = content.tocsr()
+        rows = [
+            (csr.indices[csr.indptr[r] : csr.indptr[r + 1]], csr.data[csr.indptr[r] : csr.indptr[r + 1]])
+            for r in range(csr.shape[0])
+        ]
+    else:
+        rows = [(None, np.asarray(r, dtype=float)) for r in content]
+
+    def mapped(row, mapping):
+        idx, vals = row
+        return vals @ (mapping if idx is None else mapping[idx])
+
+    def add_outer(mapping, row, coef, vec):
+        idx, vals = row
+        if idx is None:
+            mapping += coef * np.outer(vals, vec)
+        else:
+            mapping[idx] += coef * np.outer(vals, vec)
+
+    lr = hyper.sgd_lr
+    for _ in range(hyper.sgd_epochs):
+        for pos in rng.permutation(len(instances)):
+            inst = instances[pos]
+            row_i, row_j = rows[inst.i], rows[inst.j]
+            x = mapped(row_i, last_mapping)
+            y = mapped(row_j, next_mapping)
+            u_old = U[inst.u].copy()
+            pred = float(np.dot(u_old, x) + np.dot(u_old, y) + np.dot(x, y))
+            err = inst.weight * (inst.target - pred)
+            U[inst.u] += lr * (err * (x + y) - hyper.reg_user * u_old)
+            if hyper.reg_last > 0.0:
+                last_mapping *= 1.0 - lr * hyper.reg_last
+            add_outer(last_mapping, row_i, lr * err, u_old + y)
+            if hyper.reg_next > 0.0:
+                next_mapping *= 1.0 - lr * hyper.reg_next
+            add_outer(next_mapping, row_j, lr * err, u_old + x)
+        lr *= hyper.sgd_decay
+    return U, last_mapping, next_mapping
+
+
+def forbes_objective_oracle(model, instances, content):
+    """Sum of forbes_instance_loss over instances plus the U and mapping regularizers."""
+    rows = content.toarray() if sparse.issparse(content) else np.asarray(content)
+    hyper = model.hyper
+    loss = sum(
+        forbes_instance_loss(
+            model.user_factors[inst.u],
+            model.last_mapping,
+            model.next_mapping,
+            rows[inst.i],
+            rows[inst.j],
+            inst.target,
+            inst.weight,
+        )
+        for inst in instances
+    )
+    loss += hyper.reg_user * np.sum(model.user_factors**2)
+    loss += hyper.reg_last * np.sum(model.last_mapping**2)
+    loss += hyper.reg_next * np.sum(model.next_mapping**2)
+    return loss
+
+
 class TestForbesTrain:
     def test_zero_learning_rate_keeps_parameters(self):
         rng = np.random.default_rng(3)
@@ -505,6 +582,114 @@ class TestForbesTrain:
         b = forbes_train(instances, content, hyper)
         for attr in ("user_factors", "last_mapping", "next_mapping"):
             np.testing.assert_array_equal(getattr(a, attr), getattr(b, attr))
+
+
+class TestForbesMatchesEagerOracle:
+    """forbes_train (stacked rows, lazy decay) against the eager reference loop."""
+
+    @staticmethod
+    def problem(seed, dense, n_users=3, n_articles=6, n_positives=8, m=5):
+        rng = np.random.default_rng(seed)
+        instances = random_instances(rng, n_users, n_articles, n_positives, negatives=2)
+        content = rng.normal(size=(n_articles, m)) * (rng.random((n_articles, m)) < 0.6)
+        content[:, 0] += 0.5  # no all-zero article row
+        return instances, (content if dense else sparse.csr_matrix(content))
+
+    @pytest.mark.parametrize(
+        "dense, overrides",
+        [
+            (False, {}),
+            (True, {}),
+            (False, {"reg_last": 0.3, "reg_next": 0.05}),
+            (True, {"reg_last": 0.0, "reg_next": 0.2}),
+            (False, {"reg_last": 0.0, "reg_next": 0.0, "reg_user": 0.0}),
+            # lr * reg_last = 1 exactly: each update first zeroes Psi_X, as the eager decay does
+            (False, {"reg_last": 4.0, "sgd_lr": 0.25, "sgd_decay": 1.0}),
+            (True, {"reg_last": 4.0, "sgd_lr": 0.25, "sgd_decay": 1.0}),
+        ],
+        ids=[
+            "sparse",
+            "dense",
+            "reg_last_ne_reg_next",
+            "reg_last_zero",
+            "no_reg",
+            "unit_lr_reg_sparse",
+            "unit_lr_reg_dense",
+        ],
+    )
+    def test_matches_eager_loop(self, dense, overrides):
+        instances, content = self.problem(7, dense)
+        params = dict(latent_dim=3, sgd_lr=0.05, sgd_decay=0.9, sgd_epochs=6, seed=4)
+        hyper = Hyperparams(**{**params, **overrides})
+        model = forbes_train(instances, content, hyper, user_ids=["u0", "u1", "u2"])
+        U, psi_x, psi_y = eager_forbes(instances, content, hyper)
+        np.testing.assert_allclose(model.user_factors, U, rtol=1e-10)
+        np.testing.assert_allclose(model.last_mapping, psi_x, rtol=1e-10)
+        np.testing.assert_allclose(model.next_mapping, psi_y, rtol=1e-10)
+
+    def test_scale_folded_inside_an_epoch(self, monkeypatch):
+        # lr * reg = 0.5: |scale| would pass 1e-9 after 30 decays, and an
+        # epoch has more instances than that
+        folds = []
+        fold = models._fold
+        monkeypatch.setattr(models, "_fold", lambda *a: folds.append(1) or fold(*a))
+        instances, content = self.problem(11, dense=False, n_users=4, n_articles=9, n_positives=30)
+        hyper = Hyperparams(
+            latent_dim=3, reg_last=10.0, reg_next=5.0, sgd_lr=0.05, sgd_decay=1.0, sgd_epochs=3, seed=8
+        )
+        model = forbes_train(instances, content, hyper)
+        assert len(folds) > 2 * hyper.sgd_epochs
+        U, psi_x, psi_y = eager_forbes(instances, content, hyper)
+        np.testing.assert_allclose(model.user_factors, U, rtol=1e-10)
+        np.testing.assert_allclose(model.last_mapping, psi_x, rtol=1e-10)
+        np.testing.assert_allclose(model.next_mapping, psi_y, rtol=1e-10)
+
+
+class TestForbesObjectiveTrace:
+    def test_one_finite_entry_per_epoch_ending_at_the_objective(self):
+        rng = np.random.default_rng(19)
+        instances = random_instances(rng, 3, 6, 6)
+        content = sparse.csr_matrix(rng.normal(size=(6, 4)) * (rng.random((6, 4)) < 0.7))
+        hyper = Hyperparams(latent_dim=3, reg_user=0.2, reg_last=0.3, reg_next=0.1, sgd_epochs=5, seed=3)
+        model = forbes_train(instances, content, hyper)
+        assert [label for label, _ in model.loss_trace] == ["epoch%d" % k for k in range(1, 6)]
+        assert all(np.isfinite(value) for _, value in model.loss_trace)
+        np.testing.assert_allclose(
+            model.loss_trace[-1][1], forbes_objective_oracle(model, instances, content), rtol=1e-10
+        )
+
+    def test_survives_save_and_load(self, tmp_path):
+        rng = np.random.default_rng(20)
+        instances = random_instances(rng, 2, 5, 4)
+        content = rng.normal(size=(5, 3))
+        model = forbes_train(instances, content, Hyperparams(latent_dim=2, sgd_epochs=4, seed=6))
+        save_model(model, tmp_path / "forbes")
+        loaded = load_model(tmp_path / "forbes")
+        assert len(loaded.loss_trace) == 4
+        assert loaded.loss_trace == model.loss_trace
+
+
+class TestHyperparamsValidate:
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("sgd_lr", -0.01),
+            ("sgd_lr", float("nan")),
+            ("sgd_lr", float("inf")),
+            ("sgd_decay", 0.0),
+            ("sgd_decay", -0.5),
+            ("sgd_decay", 1.5),
+            ("sgd_decay", float("nan")),
+            ("sgd_decay", float("inf")),
+        ],
+    )
+    def test_rejects_bad_sgd_settings(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            Hyperparams(**{field: value}).validate()
+
+    def test_accepts_sgd_boundaries(self):
+        Hyperparams(sgd_lr=0.0, sgd_decay=1.0).validate()
+        Hyperparams(sgd_lr=1e12, sgd_decay=1e-3).validate()
 
 
 class TestOordTrain:
