@@ -2,9 +2,10 @@
 
 Every test triplet (u, i, j*) is a query with a single relevant item j*,
 ranked against all articles appearing in the split (train or test side) minus
-the query's last article i. Novelty is the self-information of an item's
-click popularity; diversity is the mean pairwise cosine distance of a
-recommendation list's TF-IDF rows.
+the query's last article i. All queries of one (model, split) are ranked by
+the batched kernel `models.rank_queries`, which breaks ties as `predict` does.
+Novelty is the self-information of an item's click popularity; diversity is
+the mean pairwise cosine distance of a recommendation list's TF-IDF rows.
 """
 
 from __future__ import annotations
@@ -12,8 +13,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .errors import EmptyInputError
-from .models import FactorModel, predict
+from .models import FactorModel, rank_queries
+# perfbench/tracing.py wraps metrics.predict and metrics.cosine_distance by name
+from .models import predict  # noqa: F401
 from .numerics import cosine_distance
 from .splits import DataSplit
 
@@ -119,6 +124,42 @@ def candidate_universe(split: DataSplit) -> list[str]:
     return list(seen)
 
 
+def rank_test_queries(model: FactorModel, split: DataSplit, features, k_max: int):
+    """Per test query, the rank of j* and the top-k_max list, from one ranking kernel call.
+
+    Each query ranks the candidate universe minus its last article i, C - 1
+    candidates for a universe of C, with `predict`'s scores and tie-break.
+    The rank is j*'s position plus 1, or None when j* is not a candidate
+    (j* == i); the top list holds the first min(k_max, C - 1) candidates.
+    The universe is checked against `features` once, before any scoring.
+    """
+    universe = candidate_universe(split)
+    queries = list(split.test)
+    ordered, chunks = rank_queries(
+        model,
+        [t.user for t in queries],
+        [t.last_article for t in queries],
+        universe,
+        features,
+        exclude_last=True,
+    )
+    position = {a: p for p, a in enumerate(ordered)}
+    targets = np.array(
+        [-1 if t.next_article == t.last_article else position[t.next_article] for t in queries],
+        dtype=np.intp,
+    )
+    head = min(k_max, len(ordered) - 1)
+    ranks = []
+    top_lists = []
+    for start, _, order in chunks:
+        hits = order == targets[start : start + len(order), None]
+        found = hits.any(axis=1).tolist()
+        at = hits.argmax(axis=1).tolist()
+        ranks.extend(p + 1 if ok else None for p, ok in zip(at, found))
+        top_lists.extend([ordered[p] for p in row] for row in order[:, :head].tolist())
+    return ranks, top_lists
+
+
 def evaluate(
     model: FactorModel,
     split: DataSplit,
@@ -132,6 +173,7 @@ def evaluate(
 
     `features` drives the model's scoring; `tfidf_features` (defaulting to
     `features` when that matrix is TF-IDF) drives the diversity metric.
+    Ranks and top lists come from `rank_test_queries`.
     """
     ks = sorted(set(int(k) for k in ks))
     if not ks or ks[0] < 1:
@@ -142,22 +184,8 @@ def evaluate(
         if features.kind != "tfidf":
             raise ValueError("diversity needs TF-IDF rows: pass tfidf_features")
         tfidf_features = features
-    universe = candidate_universe(split)
     total_clicks = max(1, sum(popularity.values()))
-    k_max = max(ks)
-
-    ranks = []
-    top_lists = []
-    for t in split.test:
-        candidates = [a for a in universe if a != t.last_article]
-        ranked = predict(model, t.user, t.last_article, candidates, features)
-        ranked_ids = [article for article, _ in ranked]
-        try:
-            rank = ranked_ids.index(t.next_article) + 1
-        except ValueError:
-            rank = None
-        ranks.append(rank)
-        top_lists.append(ranked_ids[:k_max])
+    ranks, top_lists = rank_test_queries(model, split, features, max(ks))
 
     report = MetricReport(ks=ks)
     for k in ks:

@@ -15,7 +15,11 @@ Prediction scores a candidate next article as the symmetric sum of the three
 pairwise inner products among the user vector, the last article's
 last-position vector, and the candidate's next-position vector. Content-mapped
 vectors stand in for any article that was not trained on (the cold path), and
-unseen users score with a zero user vector.
+unseen users score with a zero user vector. One ranking kernel,
+`rank_queries`, scores a block of queries against all candidates as one
+matrix and ranks every row with one stable argsort over the candidates put in
+tie order once; `predict` is a one-query call into it, and evaluation calls
+it once per (model, split).
 """
 
 from __future__ import annotations
@@ -582,19 +586,107 @@ def oord_train(instances, content, hyper: Hyperparams, *, user_ids=None, article
     )
 
 
-def effective_vectors(model: FactorModel, article_id: str, features):
-    """Last- and next-position vectors used to score an article.
+def article_vectors(model: FactorModel, article_ids, features, position: str) -> np.ndarray:
+    """Last- (`position="last"`) or next-position vectors of `article_ids`, one row each.
 
-    Stored factors for trained articles (almm/forbes); content-mapped vectors
-    for cold articles and for every article under the oord kind.
+    Stored factors for trained articles (almm/forbes); content-mapped vectors,
+    from one `features.rows(ids) @ mapping`, for cold articles and for every
+    article under the oord kind.
     """
-    idx = model.articles.get(article_id)
-    if idx is None or model.kind == "oord":
-        row = features.rows([article_id])
-        x = np.asarray(row @ model.last_mapping).ravel()
-        y = np.asarray(row @ model.next_mapping).ravel()
-        return x, y
-    return np.array(model.last_factors[idx]), np.array(model.next_factors[idx])
+    factors, mapping = {
+        "last": (model.last_factors, model.last_mapping),
+        "next": (model.next_factors, model.next_mapping),
+    }[position]
+    out = np.empty((len(article_ids), model.hyper.latent_dim))
+    stored_pos, stored_rows = [], []
+    mapped_pos, mapped_ids = [], []
+    for pos, article in enumerate(article_ids):
+        idx = None if model.kind == "oord" else model.articles.get(article)
+        if idx is None:
+            mapped_pos.append(pos)
+            mapped_ids.append(article)
+        else:
+            stored_pos.append(pos)
+            stored_rows.append(idx)
+    if stored_pos:
+        out[stored_pos] = factors[stored_rows]
+    if mapped_pos:
+        out[mapped_pos] = np.asarray(features.rows(mapped_ids) @ mapping)
+    return out
+
+
+def effective_vectors(model: FactorModel, article_id: str, features):
+    """Last- and next-position vectors used to score an article (see article_vectors)."""
+    x = article_vectors(model, [article_id], features, "last")[0]
+    y = article_vectors(model, [article_id], features, "next")[0]
+    return x, y
+
+
+# Scores in one query chunk of the ranking kernel (8 MB of float64): bounds
+# its memory whatever the numbers of queries and candidates.
+_RANK_CHUNK_SCORES = 1 << 20
+
+
+def _tie_order(model: FactorModel, candidates) -> list:
+    """Candidates in predict's tie order: trained by trained index, then cold by article id."""
+    trained = model.articles
+    return sorted(candidates, key=lambda a: (0, trained[a]) if a in trained else (1, a))
+
+
+def _user_vectors(model: FactorModel, users) -> np.ndarray:
+    """Stored user factors, one row per user; zero rows for unseen users."""
+    out = np.zeros((len(users), model.hyper.latent_dim))
+    seen = [(pos, model.users[u]) for pos, u in enumerate(users) if u in model.users]
+    if seen:
+        pos, rows = zip(*seen)
+        out[list(pos)] = model.user_factors[list(rows)]
+    return out
+
+
+def rank_queries(model: FactorModel, users, last_articles, candidates, features, *, exclude_last=False):
+    """Score and rank `candidates` for every query (users[q], last_articles[q]).
+
+    Returns (ordered, chunks). `ordered` lists the candidates in predict's tie
+    order. `chunks` yields (start, neg_scores, order) per block of about
+    2^20 scores: neg_scores[r, c] is minus the score of ordered[c] for query
+    start + r, and order[r] lists positions in `ordered` by descending score,
+    ties by position, from one stable argsort per block. Each score is
+    U_u.Y_c + X_i.Y_c + U_u.X_i, as in predict. With `exclude_last`, every
+    query's last article must be a candidate; its neg_score is set to +inf so
+    it sorts last in its row, and order[r, :-1] ranks the other candidates.
+
+    Every query's last article and every candidate must have a feature row;
+    otherwise ValueError names the missing ones, before any scoring.
+    """
+    users, last_articles, candidates = list(users), list(last_articles), list(candidates)
+    if not candidates:
+        raise ValueError("candidates must be non-empty")
+    missing = {a for a in last_articles if a not in features.row_index}
+    missing.update(a for a in candidates if a not in features.row_index)
+    if missing:
+        raise ValueError("articles missing from the feature matrix: %s" % ", ".join(sorted(missing)))
+    ordered = _tie_order(model, candidates)
+    own = None
+    if exclude_last:
+        position = {a: p for p, a in enumerate(ordered)}
+        own = np.array([position[a] for a in last_articles], dtype=np.intp)
+    next_t = article_vectors(model, ordered, features, "next").T
+    return ordered, _rank_chunks(model, users, last_articles, next_t, features, own)
+
+
+def _rank_chunks(model, users, last_articles, next_t, features, own):
+    step = max(1, _RANK_CHUNK_SCORES // next_t.shape[1])
+    for start in range(0, len(users), step):
+        stop = min(start + step, len(users))
+        U = _user_vectors(model, users[start:stop])
+        X = article_vectors(model, last_articles[start:stop], features, "last")
+        neg = U @ next_t
+        neg += X @ next_t
+        neg += _row_dots(U, X)[:, None]
+        np.negative(neg, out=neg)  # exact, so ties and their stable order are kept
+        if own is not None:
+            neg[np.arange(stop - start), own[start:stop]] = np.inf
+        yield start, neg, np.argsort(neg, axis=1, kind="stable")
 
 
 def predict(model: FactorModel, user: str, last_article: str, candidates, features):
@@ -605,41 +697,9 @@ def predict(model: FactorModel, user: str, last_article: str, candidates, featur
     ranking invariant to candidate input order. Unseen users score with a zero
     user vector, reducing the score to X_i.Y_j.
     """
-    candidates = list(candidates)
-    if not candidates:
-        raise ValueError("candidates must be non-empty")
-    missing = [a for a in [last_article, *candidates] if a not in features.row_index]
-    if missing:
-        raise ValueError(
-            "articles missing from the feature matrix: %s" % ", ".join(sorted(set(missing)))
-        )
-    dim = model.hyper.latent_dim
-    user_idx = model.users.get(user)
-    u = model.user_factors[user_idx] if user_idx is not None else np.zeros(dim)
-    x_i, _ = effective_vectors(model, last_article, features)
-
-    n = len(candidates)
-    Y = np.empty((n, dim), dtype=np.float64)
-    keys = []
-    stored_pos, stored_rows = [], []
-    mapped_pos, mapped_ids = [], []
-    for pos, article in enumerate(candidates):
-        idx = model.articles.get(article)
-        keys.append((0, idx) if idx is not None else (1, article))
-        if idx is not None and model.kind != "oord":
-            stored_pos.append(pos)
-            stored_rows.append(idx)
-        else:
-            mapped_pos.append(pos)
-            mapped_ids.append(article)
-    if stored_pos:
-        Y[stored_pos] = model.next_factors[stored_rows]
-    if mapped_pos:
-        Y[mapped_pos] = np.asarray(features.rows(mapped_ids) @ model.next_mapping)
-
-    scores = Y @ u + Y @ x_i + float(np.dot(u, x_i))
-    order = sorted(range(n), key=lambda p: (-scores[p], keys[p]))
-    return [(candidates[p], float(scores[p])) for p in order]
+    ordered, chunks = rank_queries(model, [user], [last_article], candidates, features)
+    _, neg, order = next(chunks)
+    return [(ordered[p], -float(neg[0, p])) for p in order[0].tolist()]
 
 
 def save_model(model: FactorModel, dirpath) -> None:

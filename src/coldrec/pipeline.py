@@ -293,6 +293,15 @@ def stage_evaluate(cfg: RunConfig) -> dict:
     counters: dict = {}
     for split_kind in cfg.split_kinds:
         split = load_split(_path(cfg, SPLITS_DIR, split_kind))
+        # every model of a split trains on its train side, so these are per split
+        trained = split.train
+        counters["evaluate_%s_queries" % split_kind] = len(split.test)
+        counters["evaluate_%s_unseen_user_queries" % split_kind] = sum(
+            t.user not in trained.users for t in split.test
+        )
+        counters["evaluate_%s_cold_candidates" % split_kind] = sum(
+            a not in trained.articles for a in metrics_mod.candidate_universe(split)
+        )
         for model_kind in cfg.model_kinds:
             model = load_model(_model_dir(cfg, model_kind, split_kind))
             report = metrics_mod.evaluate(

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import os
 
 import pytest
@@ -5,7 +7,9 @@ import pytest
 from coldrec.cli import main
 from coldrec.config import derive_seed, load_config, parse_config_text
 from coldrec.fixture import generate_fixture
-from coldrec.models import Hyperparams
+from coldrec.metrics import candidate_universe
+from coldrec.models import MODEL_KINDS, Hyperparams, load_model
+from coldrec.splits import load_split
 
 CONFIG_TEMPLATE = """
 seed = 5
@@ -54,6 +58,19 @@ def workspace(tmp_path_factory):
     root = tmp_path_factory.mktemp("cli")
     generate_fixture(12, 40, 0.8, 3, os.path.join(root, "fx"))
     return str(root)
+
+
+@pytest.fixture(scope="module")
+def run_out(workspace):
+    """One `run` into `run_out/`, shared by every test that reads it.
+
+    Returns (exit code, captured stdout, run directory), so each such test
+    passes on its own, whatever else runs.
+    """
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        rc = main(["run", "--config", write_config(workspace), "--out", "run_out"])
+    return rc, stdout.getvalue(), os.path.join(workspace, "run_out")
 
 
 class TestConfigParsing:
@@ -132,14 +149,11 @@ class TestCliCommands:
         assert os.path.exists(tmp_path / "fx" / "news.tsv")
         assert os.path.exists(tmp_path / "fx" / "behaviors.tsv")
 
-    def test_run_writes_artifacts_and_summary(self, workspace, capsys):
-        config = write_config(workspace)
-        rc = main(["run", "--config", config, "--out", "run_out"])
-        out = capsys.readouterr().out
+    def test_run_writes_artifacts_and_summary(self, run_out):
+        rc, out, base = run_out
         assert rc == 0
         assert "Standard Evaluation" in out
         assert "Cold-Start Evaluation" in out
-        base = os.path.join(workspace, "run_out")
         for rel in (
             "metrics.csv",
             "run.log",
@@ -150,8 +164,8 @@ class TestCliCommands:
         ):
             assert os.path.exists(os.path.join(base, rel)), rel
 
-    def test_run_log_has_counters_and_comparison(self, workspace):
-        log_path = os.path.join(workspace, "run_out", "run.log")
+    def test_run_log_has_counters_and_comparison(self, run_out):
+        log_path = os.path.join(run_out[2], "run.log")
         with open(log_path) as fh:
             text = fh.read()
         assert "news_rows_read = " in text
@@ -160,8 +174,8 @@ class TestCliCommands:
         assert "cold_almm_beats_forbes_recall_at_3 = " in text
         assert "train_forbes_cold_final_loss = " in text
 
-    def test_run_log_counts_negative_shortfall(self, workspace):
-        with open(os.path.join(workspace, "run_out", "run.log")) as fh:
+    def test_run_log_counts_negative_shortfall(self, run_out):
+        with open(os.path.join(run_out[2], "run.log")) as fh:
             counters = dict(line.rstrip("\n").split(" = ", 1) for line in fh)
         for kind in ("warm", "cold"):
             expected = 3 * int(counters["split_%s_train_entries" % kind]) - int(
@@ -169,32 +183,51 @@ class TestCliCommands:
             )  # negatives = 2 per positive
             assert int(counters["train_%s_negatives_shortfall" % kind]) == expected
 
-    def test_rerun_is_byte_identical(self, workspace):
+    def test_run_log_counts_evaluation_queries(self, run_out):
+        base = run_out[2]
+        with open(os.path.join(base, "run.log")) as fh:
+            counters = dict(line.rstrip("\n").split(" = ", 1) for line in fh)
+        for kind in ("warm", "cold"):
+            split = load_split(os.path.join(base, "splits", kind))
+            universe = candidate_universe(split)
+            assert int(counters["evaluate_%s_queries" % kind]) == int(
+                counters["split_%s_test_entries" % kind]
+            )
+            for model_kind in MODEL_KINDS:  # every model of a split gives the same counts
+                model = load_model(os.path.join(base, "models", "%s-%s" % (model_kind, kind)))
+                unseen = sum(t.user not in model.users for t in split.test)
+                cold = sum(a not in model.articles for a in universe)
+                assert int(counters["evaluate_%s_unseen_user_queries" % kind]) == unseen
+                assert int(counters["evaluate_%s_cold_candidates" % kind]) == cold
+        # a cold split's test triplets all touch held-out articles, none trained on
+        assert int(counters["evaluate_cold_cold_candidates"]) >= 1
+
+    def test_rerun_is_byte_identical(self, workspace, run_out):
         config = write_config(workspace)
-        first = os.path.join(workspace, "run_out", "metrics.csv")
+        first = os.path.join(run_out[2], "metrics.csv")
         with open(first, "rb") as fh:
             baseline = fh.read()
         rc = main(["run", "--config", config, "--out", "run_out_again"])
         assert rc == 0
         with open(os.path.join(workspace, "run_out_again", "metrics.csv"), "rb") as fh:
             assert fh.read() == baseline
-        with open(os.path.join(workspace, "run_out", "run.log"), "rb") as a, open(
+        with open(os.path.join(run_out[2], "run.log"), "rb") as a, open(
             os.path.join(workspace, "run_out_again", "run.log"), "rb"
         ) as b:
             assert a.read() == b.read()
 
-    def test_stagewise_equals_single_shot(self, workspace, capsys):
+    def test_stagewise_equals_single_shot(self, workspace, run_out, capsys):
         config = write_config(workspace)
         for stage in ("ingest", "triplets", "split", "featurize", "train", "evaluate"):
             rc = main([stage, "--config", config, "--out", "stage_out"])
             assert rc == 0, stage
-        with open(os.path.join(workspace, "run_out", "metrics.csv"), "rb") as fh:
+        with open(os.path.join(run_out[2], "metrics.csv"), "rb") as fh:
             single = fh.read()
         with open(os.path.join(workspace, "stage_out", "metrics.csv"), "rb") as fh:
             staged = fh.read()
         assert staged == single
 
-    def test_report_subcommand(self, workspace, capsys):
+    def test_report_subcommand(self, workspace, run_out, capsys):
         config = write_config(workspace)
         rc = main(["report", "--config", config, "--out", "run_out"])
         out = capsys.readouterr().out

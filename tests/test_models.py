@@ -7,10 +7,12 @@ from scipy import sparse
 from coldrec import models, numerics
 from coldrec.errors import DivergenceError, SingularSystemError
 from coldrec.features import FeatureMatrix
+from coldrec.metrics import candidate_universe, rank_test_queries
 from coldrec.models import (
     FactorModel,
     _als_update,
     _group_rows,
+    MODEL_KINDS,
     Hyperparams,
     TrainingInstance,
     almm_train,
@@ -26,6 +28,7 @@ from coldrec.models import (
     save_model,
 )
 from coldrec.numerics import ridge_solve, score
+from coldrec.splits import DataSplit
 from coldrec.transitions import Triplet, TripletSet
 
 
@@ -842,6 +845,169 @@ class TestPredict:
         x, y = effective_vectors(model, "cold", features)
         np.testing.assert_allclose(x, full[3] @ model.last_mapping, atol=1e-12)
         np.testing.assert_allclose(y, full[3] @ model.next_mapping, atol=1e-12)
+
+
+def scalar_effective_vectors(model, article_id, features):
+    """effective_vectors as of e396728: the one-article stored-vs-mapped rule."""
+    idx = model.articles.get(article_id)
+    if idx is None or model.kind == "oord":
+        row = features.rows([article_id])
+        x = np.asarray(row @ model.last_mapping).ravel()
+        y = np.asarray(row @ model.next_mapping).ravel()
+        return x, y
+    return np.array(model.last_factors[idx]), np.array(model.next_factors[idx])
+
+
+def scalar_predict(model, user, last_article, candidates, features):
+    """predict as of e396728: per-candidate assembly and a Python sort; the ranking oracle."""
+    candidates = list(candidates)
+    if not candidates:
+        raise ValueError("candidates must be non-empty")
+    missing = [a for a in [last_article, *candidates] if a not in features.row_index]
+    if missing:
+        raise ValueError(
+            "articles missing from the feature matrix: %s" % ", ".join(sorted(set(missing)))
+        )
+    dim = model.hyper.latent_dim
+    user_idx = model.users.get(user)
+    u = model.user_factors[user_idx] if user_idx is not None else np.zeros(dim)
+    x_i, _ = scalar_effective_vectors(model, last_article, features)
+
+    n = len(candidates)
+    Y = np.empty((n, dim), dtype=np.float64)
+    keys = []
+    stored_pos, stored_rows = [], []
+    mapped_pos, mapped_ids = [], []
+    for pos, article in enumerate(candidates):
+        idx = model.articles.get(article)
+        keys.append((0, idx) if idx is not None else (1, article))
+        if idx is not None and model.kind != "oord":
+            stored_pos.append(pos)
+            stored_rows.append(idx)
+        else:
+            mapped_pos.append(pos)
+            mapped_ids.append(article)
+    if stored_pos:
+        Y[stored_pos] = model.next_factors[stored_rows]
+    if mapped_pos:
+        Y[mapped_pos] = np.asarray(features.rows(mapped_ids) @ model.next_mapping)
+
+    scores = Y @ u + Y @ x_i + float(np.dot(u, x_i))
+    order = sorted(range(n), key=lambda p: (-scores[p], keys[p]))
+    return [(candidates[p], float(scores[p])) for p in order]
+
+
+class TestRankingKernelMatchesScalarPredict:
+    """rank_test_queries and predict against a per-query scalar_predict loop."""
+
+    TRAINED = ["n%d" % k for k in range(8)]
+    COLD = ["c%d" % k for k in range(5)]
+    USERS = ["u0", "u1", "u2"]
+
+    @classmethod
+    def problem(cls, kind, dense):
+        rng = np.random.default_rng(41)
+        ids = cls.TRAINED + cls.COLD
+        content = rng.normal(size=(len(ids), 6)) * (rng.random((len(ids), 6)) < 0.6)
+        content[:, 0] += 0.5
+        # exact ties: cold c0 and c1 copy trained n2 and n5, c3 copies c2,
+        # and trained n7 shares n6's row; c4 is all zero
+        content[8] = content[2]
+        content[9] = content[5]
+        content[11] = content[10]
+        content[7] = content[6]
+        content[12] = 0.0
+        matrix = content if dense else sparse.csr_matrix(content)
+        features = FeatureMatrix(matrix, "external" if dense else "tfidf", {a: r for r, a in enumerate(ids)})
+        instances = random_instances(rng, len(cls.USERS), len(cls.TRAINED), 14, negatives=2)
+        hyper = Hyperparams(latent_dim=3, iterations=3, sgd_epochs=3, seed=5)
+        trainer = {"almm": almm_train, "forbes": forbes_train, "oord": oord_train}[kind]
+        model = trainer(
+            instances,
+            features.rows(cls.TRAINED),
+            hyper,
+            user_ids=cls.USERS,
+            article_ids=cls.TRAINED,
+        )
+        train = [("u0", "n%d" % k, "n%d" % (k + 1)) for k in range(7)]
+        test = [
+            ("u0", "n1", "c0"),  # cold relevant item, tied with trained n2
+            ("u1", "c2", "n3"),  # cold last article
+            ("stranger", "n4", "c3"),  # unseen user
+            ("stranger", "c4", "c1"),  # unseen user, all-zero last article
+            ("u2", "n6", "n7"),
+            ("u2", "n3", "n3"),  # j* == i: not a candidate
+            ("u1", "c1", "n5"),
+            ("u0", "n0", "c4"),
+            ("u2", "c3", "c2"),
+            ("stranger", "n2", "n2"),
+        ]
+        split = DataSplit(
+            train=TripletSet([Triplet(u, i, j, 1.0) for u, i, j in train]),
+            test=TripletSet([Triplet(u, i, j, 1.0) for u, i, j in test]),
+            holdout_articles=set(cls.COLD),
+            kind="cold",
+            seed=0,
+        )
+        return model, split, features
+
+    @staticmethod
+    def scalar_ranks(model, split, features, k_max):
+        universe = candidate_universe(split)
+        ranks, top_lists = [], []
+        for t in split.test:
+            candidates = [a for a in universe if a != t.last_article]
+            ranked = [a for a, _ in scalar_predict(model, t.user, t.last_article, candidates, features)]
+            ranks.append(ranked.index(t.next_article) + 1 if t.next_article in ranked else None)
+            top_lists.append(ranked[:k_max])
+        return ranks, top_lists
+
+    @pytest.mark.parametrize("dense", [False, True], ids=["tfidf", "external"])
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
+    @pytest.mark.parametrize("chunk_rows", [None, 3], ids=["one_chunk", "chunks_of_3"])
+    def test_ranks_and_top_lists_match(self, kind, dense, chunk_rows, monkeypatch):
+        model, split, features = self.problem(kind, dense)
+        universe = candidate_universe(split)
+        if chunk_rows is not None:
+            monkeypatch.setattr(models, "_RANK_CHUNK_SCORES", chunk_rows * len(universe))
+        for k_max in (4, len(universe) + 5):  # the second exceeds C - 1
+            want = self.scalar_ranks(model, split, features, k_max)
+            assert rank_test_queries(model, split, features, k_max) == want
+        ranks, top_lists = want
+        assert ranks[5] is None and ranks[9] is None
+        assert all(len(top) == len(universe) - 1 for top in top_lists)
+
+    def test_duplicate_rows_tie_exactly(self):
+        model, split, features = self.problem("almm", dense=False)
+        ranked = predict(model, "u0", "n1", ["c0", "n2", "c3", "c2"], features)
+        scores = dict(ranked)
+        assert scores["c0"] == scores["n2"] and scores["c2"] == scores["c3"]
+        ids = [a for a, _ in ranked]
+        assert ids.index("n2") < ids.index("c0") and ids.index("c2") < ids.index("c3")
+
+    @pytest.mark.parametrize("dense", [False, True], ids=["tfidf", "external"])
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
+    def test_predict_matches_scalar_predict(self, kind, dense):
+        model, split, features = self.problem(kind, dense)
+        rng = np.random.default_rng(3)
+        everything = self.TRAINED + self.COLD
+        for user in ("u1", "stranger"):
+            for last in ("n0", "c2"):
+                candidates = list(rng.permutation(everything))  # last article included
+                got = predict(model, user, last, candidates, features)
+                want = scalar_predict(model, user, last, candidates, features)
+                assert [a for a, _ in got] == [a for a, _ in want]
+                np.testing.assert_allclose([s for _, s in got], [s for _, s in want], rtol=1e-12)
+
+    def test_article_missing_from_features_fails_before_scoring(self, monkeypatch):
+        model, split, features = self.problem("almm", dense=False)
+        split.test.triplets.append(Triplet("u0", "n1", "ghost", 1.0))
+        calls = []
+        monkeypatch.setattr(models, "article_vectors", lambda *a: calls.append(a))
+        with pytest.raises(ValueError) as err:
+            rank_test_queries(model, split, features, 5)
+        assert "ghost" in str(err.value)
+        assert calls == []
 
 
 class TestModelPersistence:
