@@ -80,7 +80,6 @@ from .transitions import (
     build_triplets,
     load_triplets,
     save_triplets,
-    transition_sessions,
 )
 
 __version__ = "0.1.0"

@@ -8,8 +8,13 @@ weights, sampled negatives with weight 1):
   article factors with the mapped features.
 - forbes_train: article factors are defined through the mappings for the whole
   run; user factors and mappings learned jointly by SGD.
-- oord_train: stage 1 is the pure ALS loop without content, stage 2 fits the
-  mappings once by ridge; prediction always uses mapped features.
+- oord_train: stage 1 is almm's ALS loop without the per-iteration mappings
+  and refresh, stage 2 fits the mappings once by ridge from the final
+  factors; prediction always uses mapped features.
+
+almm and oord run one ALS loop, `_als_train`, steered by the model kind
+alone. All three trainers draw their initial factors through `_init_factors`
+and build their model through `_factor_model`.
 
 Prediction scores a candidate next article as the symmetric sum of the three
 pairwise inner products among the user vector, the last article's
@@ -66,8 +71,8 @@ class Hyperparams:
         if self.latent_dim < 1:
             raise ValueError("latent_dim must be >= 1")
         for name in ("reg_user", "reg_last", "reg_next", "reg_mapping"):
-            if getattr(self, name) < 0:
-                raise ValueError("%s must be >= 0" % name)
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise ValueError("%s must be finite and >= 0" % name)
         if not 0.0 <= self.refresh_blend <= 1.0:
             raise ValueError("refresh_blend must be in [0, 1]")
         if self.negatives_per_positive < 1:
@@ -250,7 +255,8 @@ def _als_update(target, groups, left, left_idx, right, right_idx, tt, cc, reg):
 
 
 def _init_factors(rng: np.random.Generator, n_users: int, n_articles: int, dim: int):
-    # Draw order (U, X, Y) is part of the determinism contract shared with oord.
+    # Draw order (U, X, Y) is part of the determinism contract: almm and oord
+    # draw their factors here, forbes its U, Psi_X and Psi_Y (m rows each).
     scale = 0.1 / np.sqrt(dim)
     U = rng.normal(0.0, scale, size=(n_users, dim))
     X = rng.normal(0.0, scale, size=(n_articles, dim))
@@ -258,12 +264,24 @@ def _init_factors(rng: np.random.Generator, n_users: int, n_articles: int, dim: 
     return U, X, Y
 
 
-def _default_ids(prefix: str, n: int):
-    return ["%s%d" % (prefix, k) for k in range(n)]
-
-
-def _index_map(ids) -> dict[str, int]:
-    return {a: k for k, a in enumerate(ids)}
+def _factor_model(kind, hyper, U, X, Y, last_mapping, next_mapping, trace, user_ids, article_ids):
+    """A trained model; missing ids default to "u<k>" per user row and "n<k>" per article row."""
+    if user_ids is None:
+        user_ids = ["u%d" % k for k in range(U.shape[0])]
+    if article_ids is None:
+        article_ids = ["n%d" % k for k in range(X.shape[0])]
+    return FactorModel(
+        kind=kind,
+        hyper=hyper,
+        user_factors=U,
+        last_factors=X,
+        next_factors=Y,
+        last_mapping=last_mapping,
+        next_mapping=next_mapping,
+        users={a: k for k, a in enumerate(user_ids)},
+        articles={a: k for k, a in enumerate(article_ids)},
+        loss_trace=trace,
+    )
 
 
 def _check_training_inputs(instances, content):
@@ -273,10 +291,8 @@ def _check_training_inputs(instances, content):
         raise EmptyInputError("empty content matrix")
 
 
-def _sizes(instances, content, user_ids):
-    n_articles = content.shape[0]
-    n_users = len(user_ids) if user_ids is not None else int(max(inst.u for inst in instances)) + 1
-    return n_users, n_articles
+def _n_users(instances, user_ids) -> int:
+    return len(user_ids) if user_ids is not None else int(max(inst.u for inst in instances)) + 1
 
 
 def _materialize(content, mapping) -> np.ndarray:
@@ -294,6 +310,45 @@ def _als_sweeps(U, X, Y, arrays, groups, hyper, trace, label):
     trace.append(("%s:next" % label, _full_loss(U, X, Y, uu, ii, jj, tt, cc, hyper)))
 
 
+def _als_train(kind, instances, content, hyper: Hyperparams, user_ids, article_ids) -> FactorModel:
+    """The ALS loop behind almm_train and oord_train; `kind` is "almm" or "oord".
+
+    Both kinds validate, group the instance rows once, draw U, X, Y through
+    _init_factors, factor the content Gram once and run the same ALS
+    half-sweeps. Under "almm" every iteration then fits the mappings,
+    refreshes the article factors when refresh_blend > 0 and logs
+    "iter<k>:refresh"; under "oord" the mappings are fit once, after the
+    loop, from the final factors. A non-finite last objective of an
+    iteration raises DivergenceError.
+    """
+    hyper.validate()
+    _check_training_inputs(instances, content)
+    arrays = _instance_arrays(instances)
+    uu, ii, jj, tt, cc = arrays
+    groups = (_group_rows(uu), _group_rows(ii), _group_rows(jj))
+    rng = np.random.default_rng(hyper.seed)
+    U, X, Y = _init_factors(rng, _n_users(instances, user_ids), content.shape[0], hyper.latent_dim)
+    trace = [("init", _full_loss(U, X, Y, uu, ii, jj, tt, cc, hyper))]
+    map_content = ridge_factor(content, hyper.reg_mapping)
+    for it in range(1, hyper.iterations + 1):
+        label = "iter%d" % it
+        _als_sweeps(U, X, Y, arrays, groups, hyper, trace, label)
+        if kind == "almm":
+            last_mapping = map_content(X)
+            next_mapping = map_content(Y)
+            if hyper.refresh_blend > 0.0:
+                blend = hyper.refresh_blend
+                X = (1.0 - blend) * X + blend * _materialize(content, last_mapping)
+                Y = (1.0 - blend) * Y + blend * _materialize(content, next_mapping)
+            trace.append(("%s:refresh" % label, _full_loss(U, X, Y, uu, ii, jj, tt, cc, hyper)))
+        if not np.isfinite(trace[-1][1]):
+            raise DivergenceError("non-finite objective at iteration %d" % it)
+    if kind == "oord":
+        last_mapping = map_content(X)
+        next_mapping = map_content(Y)
+    return _factor_model(kind, hyper, U, X, Y, last_mapping, next_mapping, trace, user_ids, article_ids)
+
+
 def almm_train(instances, content, hyper: Hyperparams, *, user_ids=None, article_ids=None) -> FactorModel:
     """Joint ALS + ridge mapping + refresh loop.
 
@@ -306,46 +361,7 @@ def almm_train(instances, content, hyper: Hyperparams, *, user_ids=None, article
     order U, X, Y; negatives arrive pre-sampled inside `instances` and stay
     fixed across iterations.
     """
-    hyper.validate()
-    _check_training_inputs(instances, content)
-    arrays = _instance_arrays(instances)
-    uu, ii, jj, tt, cc = arrays
-    n_users, n_articles = _sizes(instances, content, user_ids)
-    groups = (_group_rows(uu), _group_rows(ii), _group_rows(jj))
-    rng = np.random.default_rng(hyper.seed)
-    U, X, Y = _init_factors(rng, n_users, n_articles, hyper.latent_dim)
-    trace = [("init", _full_loss(U, X, Y, uu, ii, jj, tt, cc, hyper))]
-    map_content = ridge_factor(content, hyper.reg_mapping)
-    last_mapping = next_mapping = None
-    for it in range(1, hyper.iterations + 1):
-        label = "iter%d" % it
-        _als_sweeps(U, X, Y, arrays, groups, hyper, trace, label)
-        last_mapping = map_content(X)
-        next_mapping = map_content(Y)
-        if hyper.refresh_blend > 0.0:
-            blend = hyper.refresh_blend
-            X = (1.0 - blend) * X + blend * _materialize(content, last_mapping)
-            Y = (1.0 - blend) * Y + blend * _materialize(content, next_mapping)
-        loss = _full_loss(U, X, Y, uu, ii, jj, tt, cc, hyper)
-        trace.append(("%s:refresh" % label, loss))
-        if not np.isfinite(loss):
-            raise DivergenceError("non-finite objective at iteration %d" % it)
-    if user_ids is None:
-        user_ids = _default_ids("u", n_users)
-    if article_ids is None:
-        article_ids = _default_ids("n", n_articles)
-    return FactorModel(
-        kind="almm",
-        hyper=hyper,
-        user_factors=U,
-        last_factors=X,
-        next_factors=Y,
-        last_mapping=last_mapping,
-        next_mapping=next_mapping,
-        users=_index_map(user_ids),
-        articles=_index_map(article_ids),
-        loss_trace=trace,
-    )
+    return _als_train("almm", instances, content, hyper, user_ids, article_ids)
 
 
 def forbes_instance_loss(user_vec, last_mapping, next_mapping, a_i, a_j, target, weight) -> float:
@@ -495,15 +511,10 @@ def forbes_train(instances, content, hyper: Hyperparams, *, user_ids=None, artic
     """
     hyper.validate()
     _check_training_inputs(instances, content)
-    n_users, n_articles = _sizes(instances, content, user_ids)
-    dim = hyper.latent_dim
     m = content.shape[1]
     rng = np.random.default_rng(hyper.seed)
-    scale = 0.1 / np.sqrt(dim)
-    U = rng.normal(0.0, scale, size=(n_users, dim))
-    P = np.empty((2 * m, dim))
-    P[:m] = rng.normal(0.0, scale, size=(m, dim))
-    P[m:] = rng.normal(0.0, scale, size=(m, dim))
+    U, last_init, next_init = _init_factors(rng, _n_users(instances, user_ids), m, hyper.latent_dim)
+    P = np.concatenate((last_init, next_init))
     plan = _forbes_plan(instances, content)
     arrays = _instance_arrays(instances)
 
@@ -525,65 +536,20 @@ def forbes_train(instances, content, hyper: Hyperparams, *, user_ids=None, artic
     last_mapping, next_mapping = P[:m], P[m:]
     X = _materialize(content, last_mapping)
     Y = _materialize(content, next_mapping)
-    if user_ids is None:
-        user_ids = _default_ids("u", n_users)
-    if article_ids is None:
-        article_ids = _default_ids("n", n_articles)
-    return FactorModel(
-        kind="forbes",
-        hyper=hyper,
-        user_factors=U,
-        last_factors=X,
-        next_factors=Y,
-        last_mapping=last_mapping,
-        next_mapping=next_mapping,
-        users=_index_map(user_ids),
-        articles=_index_map(article_ids),
-        loss_trace=trace,
-    )
+    return _factor_model("forbes", hyper, U, X, Y, last_mapping, next_mapping, trace, user_ids, article_ids)
 
 
 def oord_train(instances, content, hyper: Hyperparams, *, user_ids=None, article_ids=None) -> FactorModel:
     """Two-stage trainer: pure ALS without content, then post-hoc ridge mappings.
 
-    Stage 1 shares the ALS code path (and the seeded init draw order) with
-    almm_train, so its factors are bit-identical to an almm run with
-    refresh_blend = 0. Prediction for this kind always uses mapped features.
+    Stage 1 is almm_train's loop (`_als_train`, with the same seeded init
+    draw order) less the per-iteration mappings and refresh; stage 2 fits the
+    mappings once, from the final factors. Factors, mappings and loss trace
+    are therefore bit-identical to an almm run with refresh_blend = 0, whose
+    trace only adds the "iter<k>:refresh" entries. Prediction for this kind
+    always uses mapped features.
     """
-    hyper.validate()
-    _check_training_inputs(instances, content)
-    arrays = _instance_arrays(instances)
-    uu, ii, jj, tt, cc = arrays
-    n_users, n_articles = _sizes(instances, content, user_ids)
-    groups = (_group_rows(uu), _group_rows(ii), _group_rows(jj))
-    rng = np.random.default_rng(hyper.seed)
-    U, X, Y = _init_factors(rng, n_users, n_articles, hyper.latent_dim)
-    trace = [("init", _full_loss(U, X, Y, uu, ii, jj, tt, cc, hyper))]
-    for it in range(1, hyper.iterations + 1):
-        label = "iter%d" % it
-        _als_sweeps(U, X, Y, arrays, groups, hyper, trace, label)
-        loss = trace[-1][1]
-        if not np.isfinite(loss):
-            raise DivergenceError("non-finite objective at iteration %d" % it)
-    map_content = ridge_factor(content, hyper.reg_mapping)
-    last_mapping = map_content(X)
-    next_mapping = map_content(Y)
-    if user_ids is None:
-        user_ids = _default_ids("u", n_users)
-    if article_ids is None:
-        article_ids = _default_ids("n", n_articles)
-    return FactorModel(
-        kind="oord",
-        hyper=hyper,
-        user_factors=U,
-        last_factors=X,
-        next_factors=Y,
-        last_mapping=last_mapping,
-        next_mapping=next_mapping,
-        users=_index_map(user_ids),
-        articles=_index_map(article_ids),
-        loss_trace=trace,
-    )
+    return _als_train("oord", instances, content, hyper, user_ids, article_ids)
 
 
 def article_vectors(model: FactorModel, article_ids, features, position: str) -> np.ndarray:

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import EmptyInputError
-from .mind import ClickStream
 
 DEFAULT_WINDOW_SECONDS = 1800
 
@@ -111,24 +110,6 @@ def build_triplets(tensor: TransitionTensor) -> TripletSet:
         for (user, last, nxt) in tensor.entries
     ]
     return TripletSet(triplets)
-
-
-def transition_sessions(stream: ClickStream, window_seconds: int = DEFAULT_WINDOW_SECONDS):
-    """Partition a stream into maximal runs with consecutive gaps <= window_seconds.
-
-    Runs shorter than 2 clicks are discarded (they can produce no transitions).
-    """
-    sessions = []
-    run = []
-    for event in stream.events:
-        if run and event.timestamp - run[-1].timestamp > window_seconds:
-            if len(run) >= 2:
-                sessions.append(run)
-            run = []
-        run.append(event)
-    if len(run) >= 2:
-        sessions.append(run)
-    return sessions
 
 
 def save_triplets(triplet_set: TripletSet, path) -> None:

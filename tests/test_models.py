@@ -684,6 +684,14 @@ class TestHyperparamsValidate:
             ("sgd_decay", 1.5),
             ("sgd_decay", float("nan")),
             ("sgd_decay", float("inf")),
+            ("reg_user", float("nan")),
+            ("reg_user", float("inf")),
+            ("reg_last", float("nan")),
+            ("reg_last", float("inf")),
+            ("reg_next", float("nan")),
+            ("reg_next", float("inf")),
+            ("reg_mapping", float("nan")),
+            ("reg_mapping", float("inf")),
         ],
     )
     def test_rejects_bad_sgd_settings(self, field, value):
@@ -706,6 +714,9 @@ class TestOordTrain:
         np.testing.assert_array_equal(oord.user_factors, almm.user_factors)
         np.testing.assert_array_equal(oord.last_factors, almm.last_factors)
         np.testing.assert_array_equal(oord.next_factors, almm.next_factors)
+        np.testing.assert_array_equal(oord.last_mapping, almm.last_mapping)
+        np.testing.assert_array_equal(oord.next_mapping, almm.next_mapping)
+        assert oord.loss_trace == [e for e in almm.loss_trace if not e[0].endswith(":refresh")]
 
     def test_square_nonsingular_content_interpolates_exactly(self):
         rng = np.random.default_rng(14)

@@ -9,7 +9,6 @@ from coldrec.transitions import (
     build_triplets,
     load_triplets,
     save_triplets,
-    transition_sessions,
 )
 
 
@@ -168,20 +167,6 @@ class TestOracleEquivalence:
                     (t.user, t.last_article, t.next_article): t.confidence for t in triplets
                 }
                 assert got == brute_force_triplets(expected)
-
-
-class TestTransitionSessions:
-    def test_gap_rule_and_singleton_discard(self):
-        sessions = transition_sessions(stream("u", ("A", 0), ("B", 100), ("C", 5000)), 1800)
-        assert [[e.timestamp for e in run] for run in sessions] == [[0, 100]]
-
-    def test_single_click_yields_nothing(self):
-        assert transition_sessions(stream("u", ("A", 0)), 1800) == []
-
-    def test_boundary_gap_keeps_session(self):
-        sessions = transition_sessions(stream("u", ("A", 0), ("B", 1800)), 1800)
-        assert len(sessions) == 1
-        assert len(sessions[0]) == 2
 
 
 class TestTripletPersistence:
