@@ -50,9 +50,8 @@ from .mind import (
 from .models import (
     FactorModel,
     Hyperparams,
-    TrainingInstance,
+    Instances,
     almm_train,
-    effective_vectors,
     forbes_train,
     load_model,
     objective,

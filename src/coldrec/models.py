@@ -1,7 +1,7 @@
 """Content-aware latent-factor trainers and ranking.
 
-Three trainers share one training-instance set (positives with confidence
-weights, sampled negatives with weight 1):
+Three trainers share one `Instances` record of training instances from
+`sample_negatives` (positives with confidence weights, negatives with weight 1):
 
 - almm_train: per iteration, (a) closed-form ALS row updates for user / last /
   next factors, (b) ridge-regression content mappings, (c) refresh of the
@@ -85,13 +85,31 @@ class Hyperparams:
             raise ValueError("sgd_decay must be in (0, 1]")
 
 
-@dataclass(frozen=True)
-class TrainingInstance:
-    u: int  # dense user index
-    i: int  # dense index of the last-clicked article
-    j: int  # dense index of the candidate next article
-    target: float  # 1 for observed transitions, 0 for sampled negatives
-    weight: float  # confidence for positives, 1 for negatives
+@dataclass(frozen=True, eq=False)
+class Instances:
+    """Training instances as five aligned 1-d arrays; entry n of each is instance n.
+
+    The columns are read-only copies: one record is shared by every trainer of a split.
+    """
+
+    u: np.ndarray  # int64 dense user index
+    i: np.ndarray  # int64 dense index of the last-clicked article
+    j: np.ndarray  # int64 dense index of the candidate next article
+    target: np.ndarray  # float64: 1 for observed transitions, 0 for sampled negatives
+    weight: np.ndarray  # float64: confidence for positives, 1 for negatives
+
+    def __post_init__(self):
+        dtypes = {"u": np.int64, "i": np.int64, "j": np.int64, "target": np.float64, "weight": np.float64}
+        columns = {name: np.array(getattr(self, name), dtype=dtype) for name, dtype in dtypes.items()}
+        shapes = {name: column.shape for name, column in columns.items()}
+        if any(len(shape) != 1 for shape in shapes.values()) or len(set(shapes.values())) != 1:
+            raise ValueError("instance columns must be 1-d and of one length, got shapes %s" % shapes)
+        for name, column in columns.items():
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
+
+    def __len__(self) -> int:
+        return self.u.shape[0]
 
 
 @dataclass
@@ -108,12 +126,21 @@ class FactorModel:
     loss_trace: list = field(default_factory=list)  # (stage label, objective value)
 
 
-def sample_negatives(triplet_set: TripletSet, negatives_per_positive: int, seed: int):
-    """Build the training-instance sequence: each positive followed by its negatives.
+def _uniform_draws(rng: np.random.Generator, n: int, batch: int):
+    """The values of successive rng.integers(n) calls, drawn `batch` at a time."""
+    while True:
+        yield from rng.integers(n, size=batch).tolist()
+
+
+def sample_negatives(triplet_set: TripletSet, negatives_per_positive: int, seed: int) -> Instances:
+    """Build the training instances: each positive followed by its negatives.
 
     For each positive (u, i, j), up to `negatives_per_positive` articles j' are
     drawn uniformly from the train article universe with j' != j, j' != i and
     (u, i, j') not a positive, rejection-resampling at most 100 times per slot.
+    Candidates come from batched rng.integers draws (one value per slot, refilled
+    as rejections use them up) consumed strictly in slot order; a batched draw
+    yields the same values as that many scalar draws.
     """
     if negatives_per_positive < 1:
         raise ValueError("negatives_per_positive must be >= 1")
@@ -122,71 +149,53 @@ def sample_negatives(triplet_set: TripletSet, negatives_per_positive: int, seed:
         raise ValueError(
             "article universe of size %d is too small to sample negatives" % n_articles
         )
-    positives = set()
-    encoded = []
-    for t in triplet_set:
-        u = triplet_set.users[t.user]
-        i = triplet_set.articles[t.last_article]
-        j = triplet_set.articles[t.next_article]
-        positives.add((u, i, j))
-        encoded.append((u, i, j, t.confidence))
+    users, articles = triplet_set.users, triplet_set.articles
+    encoded = [(users[t.user], articles[t.last_article], articles[t.next_article]) for t in triplet_set]
+    positives = set(encoded)
 
     rng = np.random.default_rng(seed)
-    instances = []
-    for u, i, j, confidence in encoded:
-        instances.append(TrainingInstance(u=u, i=i, j=j, target=1.0, weight=confidence))
+    draws = _uniform_draws(rng, n_articles, len(encoded) * negatives_per_positive)
+    source, jj = [], []  # per instance: its positive's position in `encoded`, its next article
+    for k, (u, i, j) in enumerate(encoded):
+        source.append(k)
+        jj.append(j)
         for _ in range(negatives_per_positive):
             for _attempt in range(100):
-                j_neg = int(rng.integers(n_articles))
+                j_neg = next(draws)
                 if j_neg != j and j_neg != i and (u, i, j_neg) not in positives:
-                    instances.append(
-                        TrainingInstance(u=u, i=i, j=j_neg, target=0.0, weight=1.0)
-                    )
+                    source.append(k)
+                    jj.append(j_neg)
                     break
-    return instances
 
-
-def _instance_arrays(instances):
-    uu = np.fromiter((inst.u for inst in instances), dtype=np.int64, count=len(instances))
-    ii = np.fromiter((inst.i for inst in instances), dtype=np.int64, count=len(instances))
-    jj = np.fromiter((inst.j for inst in instances), dtype=np.int64, count=len(instances))
-    tt = np.fromiter((inst.target for inst in instances), dtype=np.float64, count=len(instances))
-    cc = np.fromiter((inst.weight for inst in instances), dtype=np.float64, count=len(instances))
-    return uu, ii, jj, tt, cc
+    rows = np.array(encoded, dtype=np.int64).reshape(-1, 3)[source]
+    positive = rows[:, 2] == jj  # a negative's j' never equals its positive's j
+    confidence = np.array([t.confidence for t in triplet_set], dtype=np.float64)[source]
+    weight = np.where(positive, confidence, 1.0)
+    return Instances(u=rows[:, 0], i=rows[:, 1], j=jj, target=positive, weight=weight)
 
 
 def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.einsum("nd,nd->n", a, b)
 
 
-def _data_loss(U, X, Y, uu, ii, jj, tt, cc) -> float:
+def _data_loss(U, X, Y, instances: Instances) -> float:
+    uu, ii, jj = instances.u, instances.i, instances.j
     pred = _row_dots(U[uu], X[ii]) + _row_dots(U[uu], Y[jj]) + _row_dots(X[ii], Y[jj])
-    resid = tt - pred
-    return float(np.dot(cc * resid, resid))
+    resid = instances.target - pred
+    return float(np.dot(instances.weight * resid, resid))
 
 
-def _full_loss(U, X, Y, uu, ii, jj, tt, cc, hyper: Hyperparams) -> float:
-    loss = _data_loss(U, X, Y, uu, ii, jj, tt, cc)
+def _full_loss(U, X, Y, instances: Instances, hyper: Hyperparams) -> float:
+    loss = _data_loss(U, X, Y, instances)
     loss += hyper.reg_user * float(np.sum(U * U))
     loss += hyper.reg_last * float(np.sum(X * X))
     loss += hyper.reg_next * float(np.sum(Y * Y))
     return loss
 
 
-def objective(model: FactorModel, instances) -> float:
+def objective(model: FactorModel, instances: Instances) -> float:
     """Confidence-weighted squared loss over instances plus factor regularizers."""
-    uu, ii, jj, tt, cc = _instance_arrays(instances)
-    return _full_loss(
-        model.user_factors,
-        model.last_factors,
-        model.next_factors,
-        uu,
-        ii,
-        jj,
-        tt,
-        cc,
-        model.hyper,
-    )
+    return _full_loss(model.user_factors, model.last_factors, model.next_factors, instances, model.hyper)
 
 
 def _group_rows(indices: np.ndarray):
@@ -291,23 +300,23 @@ def _check_training_inputs(instances, content):
         raise EmptyInputError("empty content matrix")
 
 
-def _n_users(instances, user_ids) -> int:
-    return len(user_ids) if user_ids is not None else int(max(inst.u for inst in instances)) + 1
+def _n_users(instances: Instances, user_ids) -> int:
+    return len(user_ids) if user_ids is not None else int(instances.u.max()) + 1
 
 
 def _materialize(content, mapping) -> np.ndarray:
     return np.asarray(content @ mapping)
 
 
-def _als_sweeps(U, X, Y, arrays, groups, hyper, trace, label):
-    uu, ii, jj, tt, cc = arrays
+def _als_sweeps(U, X, Y, instances: Instances, groups, hyper, trace, label):
+    uu, ii, jj, tt, cc = instances.u, instances.i, instances.j, instances.target, instances.weight
     groups_u, groups_i, groups_j = groups
     _als_update(U, groups_u, X, ii, Y, jj, tt, cc, hyper.reg_user)
-    trace.append(("%s:users" % label, _full_loss(U, X, Y, uu, ii, jj, tt, cc, hyper)))
+    trace.append(("%s:users" % label, _full_loss(U, X, Y, instances, hyper)))
     _als_update(X, groups_i, U, uu, Y, jj, tt, cc, hyper.reg_last)
-    trace.append(("%s:last" % label, _full_loss(U, X, Y, uu, ii, jj, tt, cc, hyper)))
+    trace.append(("%s:last" % label, _full_loss(U, X, Y, instances, hyper)))
     _als_update(Y, groups_j, U, uu, X, ii, tt, cc, hyper.reg_next)
-    trace.append(("%s:next" % label, _full_loss(U, X, Y, uu, ii, jj, tt, cc, hyper)))
+    trace.append(("%s:next" % label, _full_loss(U, X, Y, instances, hyper)))
 
 
 def _als_train(kind, instances, content, hyper: Hyperparams, user_ids, article_ids) -> FactorModel:
@@ -323,16 +332,14 @@ def _als_train(kind, instances, content, hyper: Hyperparams, user_ids, article_i
     """
     hyper.validate()
     _check_training_inputs(instances, content)
-    arrays = _instance_arrays(instances)
-    uu, ii, jj, tt, cc = arrays
-    groups = (_group_rows(uu), _group_rows(ii), _group_rows(jj))
+    groups = (_group_rows(instances.u), _group_rows(instances.i), _group_rows(instances.j))
     rng = np.random.default_rng(hyper.seed)
     U, X, Y = _init_factors(rng, _n_users(instances, user_ids), content.shape[0], hyper.latent_dim)
-    trace = [("init", _full_loss(U, X, Y, uu, ii, jj, tt, cc, hyper))]
+    trace = [("init", _full_loss(U, X, Y, instances, hyper))]
     map_content = ridge_factor(content, hyper.reg_mapping)
     for it in range(1, hyper.iterations + 1):
         label = "iter%d" % it
-        _als_sweeps(U, X, Y, arrays, groups, hyper, trace, label)
+        _als_sweeps(U, X, Y, instances, groups, hyper, trace, label)
         if kind == "almm":
             last_mapping = map_content(X)
             next_mapping = map_content(Y)
@@ -340,7 +347,7 @@ def _als_train(kind, instances, content, hyper: Hyperparams, user_ids, article_i
                 blend = hyper.refresh_blend
                 X = (1.0 - blend) * X + blend * _materialize(content, last_mapping)
                 Y = (1.0 - blend) * Y + blend * _materialize(content, next_mapping)
-            trace.append(("%s:refresh" % label, _full_loss(U, X, Y, uu, ii, jj, tt, cc, hyper)))
+            trace.append(("%s:refresh" % label, _full_loss(U, X, Y, instances, hyper)))
         if not np.isfinite(trace[-1][1]):
             raise DivergenceError("non-finite objective at iteration %d" % it)
     if kind == "oord":
@@ -358,8 +365,8 @@ def almm_train(instances, content, hyper: Hyperparams, *, user_ids=None, article
     (the content Gram is factored once, before the first iteration),
     (c) article factors blended toward the mapped features by refresh_blend.
     Factors are initialized from seeded Gaussian(0, 0.1/sqrt(d)) draws in the
-    order U, X, Y; negatives arrive pre-sampled inside `instances` and stay
-    fixed across iterations.
+    order U, X, Y; `instances` is the Instances record from sample_negatives,
+    so the negatives arrive pre-sampled and stay fixed across iterations.
     """
     return _als_train("almm", instances, content, hyper, user_ids, article_ids)
 
@@ -411,14 +418,15 @@ def _forbes_plan(instances, content):
         columns = np.arange(m)
         articles = [(columns, row) for row in dense]
     plan = []
-    for inst in instances:
-        idx_i, vals_i = articles[inst.i]
-        idx_j, vals_j = articles[inst.j]
+    fields = (instances.u, instances.i, instances.j, instances.weight, instances.target)
+    for u, i, j, weight, target in zip(*(values.tolist() for values in fields)):
+        idx_i, vals_i = articles[i]
+        idx_j, vals_j = articles[j]
         rows = np.concatenate((idx_i, idx_j + m)).astype(np.intp)
         sel = np.zeros((2, rows.size))
         sel[0, : idx_i.size] = vals_i
         sel[1, idx_i.size :] = vals_j
-        plan.append((inst.u, rows, sel, inst.weight, inst.target))
+        plan.append((u, rows, sel, weight, target))
     return plan
 
 
@@ -469,13 +477,13 @@ def _sgd_epoch(order, plan, U, P, lr, hyper):
     _fold(P, scale, m)
 
 
-def _forbes_objective(content, U, P, arrays, hyper: Hyperparams) -> float:
+def _forbes_objective(content, U, P, instances: Instances, hyper: Hyperparams) -> float:
     """Weighted data loss with mapped article vectors plus the U and mapping regularizers."""
     m = P.shape[0] // 2
     last_mapping, next_mapping = P[:m], P[m:]
     X = _materialize(content, last_mapping)
     Y = _materialize(content, next_mapping)
-    loss = _data_loss(U, X, Y, *arrays)
+    loss = _data_loss(U, X, Y, instances)
     loss += hyper.reg_user * float(np.sum(U * U))
     loss += hyper.reg_last * float(np.sum(last_mapping * last_mapping))
     loss += hyper.reg_next * float(np.sum(next_mapping * next_mapping))
@@ -516,7 +524,6 @@ def forbes_train(instances, content, hyper: Hyperparams, *, user_ids=None, artic
     U, last_init, next_init = _init_factors(rng, _n_users(instances, user_ids), m, hyper.latent_dim)
     P = np.concatenate((last_init, next_init))
     plan = _forbes_plan(instances, content)
-    arrays = _instance_arrays(instances)
 
     trace = []
     lr = hyper.sgd_lr
@@ -525,7 +532,7 @@ def forbes_train(instances, content, hyper: Hyperparams, *, user_ids=None, artic
         try:
             with np.errstate(over="raise", invalid="raise"):
                 _sgd_epoch(order, plan, U, P, lr, hyper)
-                loss = _forbes_objective(content, U, P, arrays, hyper)
+                loss = _forbes_objective(content, U, P, instances, hyper)
         except FloatingPointError as exc:
             raise DivergenceError("SGD diverged in epoch %d: %s" % (epoch, exc)) from None
         if not np.isfinite(loss):
@@ -579,13 +586,6 @@ def article_vectors(model: FactorModel, article_ids, features, position: str) ->
     if mapped_pos:
         out[mapped_pos] = np.asarray(features.rows(mapped_ids) @ mapping)
     return out
-
-
-def effective_vectors(model: FactorModel, article_id: str, features):
-    """Last- and next-position vectors used to score an article (see article_vectors)."""
-    x = article_vectors(model, [article_id], features, "last")[0]
-    y = article_vectors(model, [article_id], features, "next")[0]
-    return x, y
 
 
 # Scores in one query chunk of the ranking kernel (8 MB of float64): bounds

@@ -9,6 +9,7 @@ distinct (u, i, j) becomes one training triplet whose confidence is
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import EmptyInputError
@@ -128,12 +129,12 @@ def load_triplets(path) -> TripletSet:
             cols = line.rstrip("\n").split("\t")
             if len(cols) != 4:
                 raise ValueError("%s: line %d: expected 4 columns" % (path, lineno))
-            triplets.append(
-                Triplet(
-                    user=cols[0],
-                    last_article=cols[1],
-                    next_article=cols[2],
-                    confidence=float(cols[3]),
+            confidence = float(cols[3])
+            if not 0.0 < confidence < math.inf:
+                raise ValueError(
+                    "%s: line %d: confidence must be finite and > 0, got %s" % (path, lineno, cols[3])
                 )
+            triplets.append(
+                Triplet(user=cols[0], last_article=cols[1], next_article=cols[2], confidence=confidence)
             )
     return TripletSet(triplets)

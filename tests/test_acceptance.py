@@ -24,7 +24,7 @@ from coldrec.transitions import build_tensor, build_triplets
 
 from conftest import DATA_DIR
 from test_metrics import dense_features
-from test_models import random_instances
+from test_models import make_instances, random_instances, random_rows
 from test_transitions import brute_force_tensor, brute_force_triplets, random_log
 
 CONFIG_PATH = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "fixture.toml")
@@ -105,7 +105,7 @@ def test_criterion_03_als_monotonicity():
         n_users = int(rng.integers(2, 5))
         n_articles = int(rng.integers(3, 6))
         dim = int(rng.integers(1, 5))
-        instances = random_instances(rng, n_users, n_articles, int(rng.integers(3, 9)))[:20]
+        instances = make_instances(random_rows(rng, n_users, n_articles, int(rng.integers(3, 9)))[:20])
         content = rng.normal(size=(n_articles, 3))
         hyper = Hyperparams(latent_dim=dim, refresh_blend=0.0, iterations=4, seed=trial)
         model = almm_train(instances, content, hyper)

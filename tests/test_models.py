@@ -1,4 +1,5 @@
 import warnings
+from collections import namedtuple
 
 import numpy as np
 import pytest
@@ -14,9 +15,9 @@ from coldrec.models import (
     _group_rows,
     MODEL_KINDS,
     Hyperparams,
-    TrainingInstance,
+    Instances,
     almm_train,
-    effective_vectors,
+    article_vectors,
     forbes_instance_gradients,
     forbes_instance_loss,
     forbes_train,
@@ -37,23 +38,42 @@ def make_triplets(rows):
     return TripletSet([Triplet(u, i, j, c) for u, i, j, c in rows])
 
 
-def random_instances(rng, n_users, n_articles, n_positives, negatives=1):
-    """Valid instance set plus matching dense-index bookkeeping."""
-    instances = []
+Row = namedtuple("Row", "u i j target weight")
+
+
+def make_instances(rows):
+    """An Instances record from (u, i, j, target, weight) row tuples."""
+    return Instances(*zip(*rows))
+
+
+def instance_rows(instances):
+    """The record's instances one by one, as Row tuples of Python numbers."""
+    columns = (instances.u, instances.i, instances.j, instances.target, instances.weight)
+    return [Row(*values) for values in zip(*(column.tolist() for column in columns))]
+
+
+def random_rows(rng, n_users, n_articles, n_positives, negatives=1):
+    """Valid instance rows plus matching dense-index bookkeeping."""
+    rows = []
     seen = set()
-    while sum(1 for x in instances if x.target == 1.0) < n_positives:
+    while sum(1 for x in rows if x.target == 1.0) < n_positives:
         u = int(rng.integers(n_users))
         i = int(rng.integers(n_articles))
         j = int(rng.integers(n_articles))
         if i == j or (u, i, j) in seen:
             continue
         seen.add((u, i, j))
-        instances.append(TrainingInstance(u, i, j, 1.0, 1.0 + 0.1 * int(rng.integers(1, 4))))
+        rows.append(Row(u, i, j, 1.0, 1.0 + 0.1 * int(rng.integers(1, 4))))
         for _ in range(negatives):
             j_neg = int(rng.integers(n_articles))
             if j_neg != i and j_neg != j and (u, i, j_neg) not in seen:
-                instances.append(TrainingInstance(u, i, j_neg, 0.0, 1.0))
-    return instances
+                rows.append(Row(u, i, j_neg, 0.0, 1.0))
+    return rows
+
+
+def random_instances(rng, n_users, n_articles, n_positives, negatives=1):
+    """random_rows as an Instances record."""
+    return make_instances(random_rows(rng, n_users, n_articles, n_positives, negatives))
 
 
 def zero_model(n_users, n_articles, dim, m, kind="almm", hyper=None):
@@ -79,28 +99,67 @@ def dense_features(ids, matrix):
     )
 
 
+def scalar_sample_negatives(triplet_set, negatives_per_positive, seed):
+    """sample_negatives as of 87fdada: one scalar rng.integers draw per attempt; the sampling oracle.
+
+    Returns the instances as a list of Row tuples.
+    """
+    if negatives_per_positive < 1:
+        raise ValueError("negatives_per_positive must be >= 1")
+    n_articles = len(triplet_set.articles)
+    if n_articles < 3:
+        raise ValueError(
+            "article universe of size %d is too small to sample negatives" % n_articles
+        )
+    positives = set()
+    encoded = []
+    for t in triplet_set:
+        u = triplet_set.users[t.user]
+        i = triplet_set.articles[t.last_article]
+        j = triplet_set.articles[t.next_article]
+        positives.add((u, i, j))
+        encoded.append((u, i, j, t.confidence))
+
+    rng = np.random.default_rng(seed)
+    instances = []
+    for u, i, j, confidence in encoded:
+        instances.append(Row(u=u, i=i, j=j, target=1.0, weight=confidence))
+        for _ in range(negatives_per_positive):
+            for _attempt in range(100):
+                j_neg = int(rng.integers(n_articles))
+                if j_neg != j and j_neg != i and (u, i, j_neg) not in positives:
+                    instances.append(Row(u=u, i=i, j=j_neg, target=0.0, weight=1.0))
+                    break
+    return instances
+
+
+def assert_same_instances(got, want):
+    for name in Row._fields:
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+
 class TestSampleNegatives:
     def test_constraints_hold(self):
         triplets = make_triplets(
             [("u", "N0", "N1", 1.1)] + [("z", "N%d" % k, "N%d" % (k + 1), 1.1) for k in range(1, 9)]
         )
         instances = sample_negatives(triplets, 4, seed=3)
-        positives = [x for x in instances if x.target == 1.0]
-        negatives = [x for x in instances if x.target == 0.0]
-        assert len(positives) == len(triplets)
-        first = [x for x in negatives if x.u == triplets.users["u"]]
-        assert len(first) == 4
-        pos_keys = {(x.u, x.i, x.j) for x in positives}
-        for x in negatives:
-            assert x.j != x.i
-            assert (x.u, x.i, x.j) not in pos_keys
-            assert x.weight == 1.0
+        positives = instances.target == 1.0
+        negatives = instances.target == 0.0
+        assert np.count_nonzero(positives) == len(triplets)
+        first = negatives & (instances.u == triplets.users["u"])
+        assert np.count_nonzero(first) == 4
+        keys = list(zip(instances.u.tolist(), instances.i.tolist(), instances.j.tolist()))
+        pos_keys = {key for key, pos in zip(keys, positives) if pos}
+        assert np.all(instances.j[negatives] != instances.i[negatives])
+        assert not any(key in pos_keys for key, neg in zip(keys, negatives) if neg)
+        assert np.all(instances.weight[negatives] == 1.0)
 
     def test_same_seed_is_deterministic(self):
         triplets = make_triplets(
             [("u", "N%d" % k, "N%d" % (k + 1), 1.2) for k in range(6)]
         )
-        assert sample_negatives(triplets, 3, 11) == sample_negatives(triplets, 3, 11)
+        assert_same_instances(sample_negatives(triplets, 3, 11), sample_negatives(triplets, 3, 11))
 
     def test_tiny_universe_raises(self):
         with pytest.raises(ValueError):
@@ -109,17 +168,85 @@ class TestSampleNegatives:
     def test_positives_carry_confidence(self):
         triplets = make_triplets([("u", "A", "B", 1.3), ("u", "B", "C", 1.1)])
         instances = sample_negatives(triplets, 1, 0)
-        weights = [x.weight for x in instances if x.target == 1.0]
+        weights = instances.weight[instances.target == 1.0].tolist()
         assert weights == [1.3, 1.1]
+
+
+class TestSampleNegativesMatchesScalarDraws:
+    """sample_negatives (batched draws) against scalar_sample_negatives, array for array."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 7, 2024])
+    def test_three_article_universe_with_shortfall(self, seed):
+        # u's positives (A, B) and (A, C) leave no valid negative, so their 8
+        # slots are dropped after 100 rejections each; v's positives each have
+        # exactly one valid negative
+        triplets = make_triplets(
+            [("u", "A", "B", 1.1), ("u", "A", "C", 1.2), ("v", "B", "C", 1.3), ("v", "C", "A", 1.4)]
+        )
+        got = sample_negatives(triplets, 4, seed)
+        assert len(triplets.articles) == 3
+        assert len(got) == 4 * (4 + 1) - 8
+        assert_same_instances(got, make_instances(scalar_sample_negatives(triplets, 4, seed)))
+
+    @pytest.mark.parametrize("seed", [0, 3, 11, 99])
+    def test_refill_path(self, seed, monkeypatch):
+        rng = np.random.default_rng(seed)
+        rows = []
+        while len(rows) < 30:
+            i, j = rng.choice(6, size=2, replace=False)
+            rows.append(("u%d" % rng.integers(3), "N%d" % i, "N%d" % j, 1.0 + 0.1 * int(rng.integers(1, 4))))
+        triplets = make_triplets(rows)
+        want = make_instances(scalar_sample_negatives(triplets, 3, seed))
+        sizes = []
+        default_rng = np.random.default_rng
+
+        class RecordingRng:
+            def __init__(self, seed):
+                self.rng = default_rng(seed)
+
+            def integers(self, n, size=None):
+                sizes.append(size)
+                return self.rng.integers(n, size=size)
+
+        monkeypatch.setattr(np.random, "default_rng", RecordingRng)
+        got = sample_negatives(triplets, 3, seed)
+        assert len(sizes) > 1  # rejections used up the first batch
+        assert_same_instances(got, want)
+
+
+class TestInstances:
+    def test_misaligned_columns_raise(self):
+        with pytest.raises(ValueError, match="one length"):
+            Instances(u=[0, 1], i=[0, 1], j=[1, 2], target=[1.0, 0.0], weight=[1.0])
+
+    def test_non_1d_columns_raise(self):
+        with pytest.raises(ValueError, match="1-d"):
+            Instances(u=[[0]], i=[[0]], j=[[1]], target=[[1.0]], weight=[[1.0]])
+
+    def test_columns_are_read_only_copies(self):
+        weight = np.array([1.3, 1.0])
+        instances = Instances(u=[0, 0], i=[0, 0], j=[1, 2], target=[1.0, 0.0], weight=weight)
+        with pytest.raises(ValueError):
+            instances.weight[0] = 2.0
+        weight[0] = 2.0
+        assert instances.weight.tolist() == [1.3, 1.0]
+        assert instances.u.dtype == np.int64 and instances.target.dtype == np.float64
+
+    def test_sampled_record_is_read_only(self):
+        triplets = make_triplets([("u", "A", "B", 1.3), ("u", "B", "C", 1.1)])
+        instances = sample_negatives(triplets, 1, 0)
+        for name in Row._fields:
+            with pytest.raises(ValueError):
+                getattr(instances, name)[0] = 0
 
 
 class TestObjective:
     def test_zero_factors_sum_of_positive_confidences(self):
-        instances = [
-            TrainingInstance(0, 0, 1, 1.0, 1.3),
-            TrainingInstance(0, 0, 2, 0.0, 1.0),
-            TrainingInstance(1, 1, 2, 1.0, 1.1),
-        ]
+        instances = make_instances([
+            (0, 0, 1, 1.0, 1.3),
+            (0, 0, 2, 0.0, 1.0),
+            (1, 1, 2, 1.0, 1.1),
+        ])
         model = zero_model(2, 3, 2, m=2)
         assert objective(model, instances) == pytest.approx(1.3 + 1.1, rel=1e-12)
 
@@ -129,11 +256,11 @@ class TestObjective:
         model.user_factors = rng.normal(size=(2, 2))
         model.last_factors = rng.normal(size=(3, 2))
         model.next_factors = rng.normal(size=(3, 2))
-        instances = []
+        rows = []
         for u, i, j in [(0, 0, 1), (1, 2, 0)]:
             fit = score(model.user_factors[u], model.last_factors[i], model.next_factors[j])
-            instances.append(TrainingInstance(u, i, j, fit, 1.4))
-        assert objective(model, instances) == pytest.approx(0.0, abs=1e-18)
+            rows.append((u, i, j, fit, 1.4))
+        assert objective(model, make_instances(rows)) == pytest.approx(0.0, abs=1e-18)
 
     def test_matches_hand_summed_oracle(self):
         rng = np.random.default_rng(21)
@@ -142,9 +269,9 @@ class TestObjective:
         model.user_factors = rng.normal(size=(2, 2))
         model.last_factors = rng.normal(size=(3, 2))
         model.next_factors = rng.normal(size=(3, 2))
-        instances = random_instances(rng, 2, 3, 4)
+        rows = random_rows(rng, 2, 3, 4)
         expected = 0.0
-        for inst in instances:
+        for inst in rows:
             fit = score(
                 model.user_factors[inst.u],
                 model.last_factors[inst.i],
@@ -154,7 +281,7 @@ class TestObjective:
         expected += 0.3 * np.sum(model.user_factors**2)
         expected += 0.2 * np.sum(model.last_factors**2)
         expected += 0.1 * np.sum(model.next_factors**2)
-        assert objective(model, instances) == pytest.approx(expected, rel=1e-10)
+        assert objective(model, make_instances(rows)) == pytest.approx(expected, rel=1e-10)
 
 
 def per_row_als_oracle(target, rows_of, left, left_idx, right, right_idx, tt, cc, reg):
@@ -243,10 +370,10 @@ class TestAlmmTrain:
             iterations=2,
             seed=5,
         )
-        instances = [
-            TrainingInstance(0, 0, 1, 1.0, 1.1),
-            TrainingInstance(0, 0, 2, 0.0, 1.0),
-        ]
+        instances = make_instances([
+            (0, 0, 1, 1.0, 1.1),
+            (0, 0, 2, 0.0, 1.0),
+        ])
         content = np.array([[1.0, 0.0], [0.5, 0.5], [0.0, 1.0]])
         model = almm_train(instances, content, hyper)
 
@@ -310,7 +437,7 @@ class TestAlmmTrain:
             n_users = int(rng.integers(2, 5))
             n_articles = int(rng.integers(3, 6))
             dim = int(rng.integers(1, 5))
-            instances = random_instances(rng, n_users, n_articles, int(rng.integers(3, 10)))[:20]
+            instances = make_instances(random_rows(rng, n_users, n_articles, int(rng.integers(3, 10)))[:20])
             content = rng.normal(size=(n_articles, 3))
             hyper = Hyperparams(
                 latent_dim=dim, refresh_blend=0.0, iterations=3, seed=trial
@@ -330,7 +457,7 @@ class TestAlmmTrain:
             hyper = Hyperparams(latent_dim=3, refresh_blend=0.0, iterations=1, seed=trial)
             model = almm_train(instances, content, hyper)
             base = objective(model, instances)
-            updated_rows = {inst.j for inst in instances}
+            updated_rows = set(instances.j.tolist())
             for _ in range(10):
                 row = int(rng.choice(sorted(updated_rows)))
                 perturbed = model.next_factors.copy()
@@ -386,6 +513,7 @@ def eager_forbes(instances, content, hyper):
     forbes_train; each update decays both full mappings and adds the
     outer-product terms row by row. Returns (U, Psi_X, Psi_Y).
     """
+    instances = instance_rows(instances)
     dim = hyper.latent_dim
     m = content.shape[1]
     rng = np.random.default_rng(hyper.seed)
@@ -436,6 +564,7 @@ def eager_forbes(instances, content, hyper):
 
 def forbes_objective_oracle(model, instances, content):
     """Sum of forbes_instance_loss over instances plus the U and mapping regularizers."""
+    instances = instance_rows(instances)
     rows = content.toarray() if sparse.issparse(content) else np.asarray(content)
     hyper = model.hyper
     loss = sum(
@@ -524,7 +653,7 @@ class TestForbesTrain:
 
     def test_one_epoch_single_instance_hand_update(self):
         content = np.array([[0.2, 0.7, 0.1], [0.5, 0.1, 0.4]])
-        instances = [TrainingInstance(0, 0, 1, 1.0, 1.2)]
+        instances = make_instances([(0, 0, 1, 1.0, 1.2)])
         hyper = Hyperparams(
             latent_dim=2,
             reg_user=0.3,
@@ -764,7 +893,8 @@ class TestOordTrain:
         ids = ["n%d" % k for k in range(4)]
         model = oord_train(instances, content, hyper, article_ids=ids)
         features = dense_features(ids, content)
-        x, y = effective_vectors(model, "n1", features)
+        x = article_vectors(model, ["n1"], features, "last")[0]
+        y = article_vectors(model, ["n1"], features, "next")[0]
         np.testing.assert_allclose(x, content[1] @ model.last_mapping, atol=1e-12)
         np.testing.assert_allclose(y, content[1] @ model.next_mapping, atol=1e-12)
 
@@ -791,7 +921,7 @@ class TestPredict:
         model = almm_train(
             instances, content, hyper, user_ids=["u0", "u1"], article_ids=["n0", "n1", "n2"]
         )
-        _, y_cold = effective_vectors(model, "n3", features)
+        y_cold = article_vectors(model, ["n3"], features, "next")[0]
         np.testing.assert_array_equal(y_cold, model.next_factors[1])
 
     def test_hand_set_factors_ordering(self):
@@ -853,7 +983,8 @@ class TestPredict:
         )
         full = np.vstack([content, rng.normal(size=(1, 4))])
         features = dense_features(["n0", "n1", "n2", "cold"], full)
-        x, y = effective_vectors(model, "cold", features)
+        x = article_vectors(model, ["cold"], features, "last")[0]
+        y = article_vectors(model, ["cold"], features, "next")[0]
         np.testing.assert_allclose(x, full[3] @ model.last_mapping, atol=1e-12)
         np.testing.assert_allclose(y, full[3] @ model.next_mapping, atol=1e-12)
 

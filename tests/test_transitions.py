@@ -187,3 +187,10 @@ class TestTripletPersistence:
         path.write_text("u1\tA\tB\n")
         with pytest.raises(ValueError):
             load_triplets(path)
+
+    @pytest.mark.parametrize("confidence", ["nan", "inf", "-inf", "0", "0.0", "-1.5"])
+    def test_bad_confidence_raises_naming_the_line(self, tmp_path, confidence):
+        path = tmp_path / "train.tsv"
+        path.write_text("u1\tA\tB\t1.1\nu1\tB\tC\t%s\n" % confidence)
+        with pytest.raises(ValueError, match=r"train\.tsv: line 2: confidence must be finite and > 0"):
+            load_triplets(path)
