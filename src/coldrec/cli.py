@@ -11,19 +11,11 @@ import argparse
 import sys
 
 from . import pipeline
-from .config import load_config
+from .config import FEATURE_KINDS, load_config
 from .errors import PipelineError
 from .fixture import generate_fixture
 from .metrics import format_summary, load_curves
-
-_STAGE_COMMANDS = {
-    "ingest": pipeline.stage_ingest,
-    "triplets": pipeline.stage_triplets,
-    "split": pipeline.stage_split,
-    "featurize": pipeline.stage_featurize,
-    "train": pipeline.stage_train,
-    "evaluate": pipeline.stage_evaluate,
-}
+from .models import MODEL_KINDS
 
 
 def _add_common_flags(parser: argparse.ArgumentParser) -> None:
@@ -31,13 +23,13 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=None, help="override the config seed")
     parser.add_argument(
         "--model",
-        choices=["almm", "forbes", "oord", "all"],
+        choices=MODEL_KINDS + ("all",),
         default=None,
         help="override the configured model kind",
     )
     parser.add_argument(
         "--features",
-        choices=["tfidf", "external"],
+        choices=FEATURE_KINDS,
         default=None,
         help="override the configured feature kind",
     )
@@ -51,7 +43,7 @@ def build_parser() -> argparse.ArgumentParser:
         "features, factorization models, and top-K ranking evaluation.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("run", "ingest", "triplets", "split", "featurize", "train", "evaluate", "report"):
+    for name in ("run", *(stage for stage, _ in pipeline._STAGES), "report"):
         stage_parser = sub.add_parser(name, help="%s stage" % name if name != "run" else "run all stages")
         _add_common_flags(stage_parser)
     fixture_parser = sub.add_parser("fixture", help="generate a synthetic MIND-format dataset")
@@ -96,7 +88,7 @@ def _dispatch(args) -> int:
         report = load_curves(pipeline.metrics_path(cfg))
         print(format_summary(report), end="")
         return 0
-    counters = _STAGE_COMMANDS[args.command](cfg)
+    counters = dict(pipeline._STAGES)[args.command](cfg)
     _print_counters(counters)
     return 0
 

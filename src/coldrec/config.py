@@ -1,25 +1,30 @@
-"""Run configuration: a sectioned key = value file (TOML-compatible subset) and seeding.
+"""Run configuration: a TOML file, read with the standard library's tomllib, and seeding.
 
-Supported values: integers, floats, booleans (true/false), double-quoted
-strings, and flat arrays of integers. Paths are resolved relative to the
-config file's directory. Every stage derives its random seed from the run
-seed as SHA-256("<seed>:<stage>"), first 8 bytes little-endian, mod 2^32, so
-no stage reads ambient entropy and the structure is reproducible elsewhere.
+Each `[section] key` fills one field: of `RunConfig`, of its `Hyperparams`
+(`[model]`) or of its `VectorizerConfig` (`[features]`). A key the file
+leaves out takes that dataclass's default. An unknown section or key, and a
+value whose TOML type does not fit its field, raise `ValueError` naming the
+file and `section.key`; an int is accepted where a float is expected. Paths
+are resolved relative to the config file's directory. Every stage derives its
+random seed from the run seed as SHA-256("<seed>:<stage>"), first 8 bytes
+little-endian, mod 2^32, so no stage reads ambient entropy and the structure
+is reproducible elsewhere.
 """
 
 from __future__ import annotations
 
 import hashlib
 import os
+import tomllib
 from dataclasses import dataclass, field, fields
 
+from .features import VectorizerConfig
 from .models import MODEL_KINDS, Hyperparams
+from .transitions import DEFAULT_WINDOW_SECONDS
 
 DEFAULT_SEED = 42
 SPLIT_KINDS = ("warm", "cold")
 FEATURE_KINDS = ("tfidf", "external")
-# Hyperparams fields read from a [model] key of another name; the rest use their own.
-_MODEL_KEY_NAMES = {"negatives_per_positive": "negatives"}
 
 
 def derive_seed(base_seed: int, stage: str) -> int:
@@ -28,66 +33,17 @@ def derive_seed(base_seed: int, stage: str) -> int:
     return int.from_bytes(digest[:8], "little") % (2**32)
 
 
-def _parse_value(text: str, path, lineno: int):
-    text = text.strip()
-    if text.startswith("[") and text.endswith("]"):
-        inner = text[1:-1].strip()
-        if not inner:
-            return []
-        try:
-            return [int(part.strip()) for part in inner.split(",")]
-        except ValueError:
-            raise ValueError(
-                "%s: line %d: arrays may only hold integers" % (path, lineno)
-            ) from None
-    if text.startswith('"') and text.endswith('"') and len(text) >= 2:
-        return text[1:-1]
-    if text == "true":
-        return True
-    if text == "false":
-        return False
-    try:
-        return int(text)
-    except ValueError:
-        pass
-    try:
-        return float(text)
-    except ValueError:
-        raise ValueError("%s: line %d: cannot parse value %r" % (path, lineno, text)) from None
-
-
-def parse_config_text(text: str, path="<config>") -> dict:
-    """Parse the key = value subset into {section: {key: value}}; top-level keys land in ''."""
-    sections: dict[str, dict] = {"": {}}
-    current = sections[""]
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if line.startswith("[") and line.endswith("]"):
-            name = line[1:-1].strip()
-            current = sections.setdefault(name, {})
-            continue
-        if "=" not in line:
-            raise ValueError("%s: line %d: expected key = value" % (path, lineno))
-        key, value_text = line.split("=", 1)
-        current[key.strip()] = _parse_value(value_text, path, lineno)
-    return sections
-
-
 @dataclass
 class RunConfig:
     news_path: str
     behaviors_path: str
     embeddings_path: str | None = None
-    window_seconds: int = 1800
-    split_kinds: list[str] = field(default_factory=lambda: ["warm", "cold"])
+    window_seconds: int = DEFAULT_WINDOW_SECONDS
+    split_kinds: list[str] = field(default_factory=lambda: list(SPLIT_KINDS))
     cold_fraction: float = 0.1
     warm_fraction: float = 0.2
     feature_kind: str = "tfidf"
-    max_vocab: int = 5000
-    min_token_len: int = 2
-    remove_stopwords: bool = True
+    vectorizer: VectorizerConfig = field(default_factory=VectorizerConfig)
     model_kinds: list[str] = field(default_factory=lambda: list(MODEL_KINDS))
     hyper: Hyperparams = field(default_factory=Hyperparams)
     ks: list[int] = field(default_factory=lambda: [5, 10, 20])
@@ -112,7 +68,51 @@ class RunConfig:
                 raise ValueError("unknown split kind %r" % kind)
         if not self.ks or any(k < 1 for k in self.ks):
             raise ValueError("ks must be positive integers")
+        if self.vectorizer.max_vocab < 1:
+            raise ValueError("max_vocab must be >= 1")
         self.hyper.validate()
+
+
+def _record_keys(section: str, record, renames: dict, skip=()) -> dict:
+    """`[section]` keys filling `record`, each named after its field unless renamed."""
+    return {
+        (section, renames.get(f.name, f.name)): (record, f.name, type(f.default))
+        for f in fields(record)
+        if f.name not in skip
+    }
+
+
+# (section, key) -> (owner, field, TOML type); "" is the top level. The kind
+# keys hold a token that load_config expands into the field's list.
+_KEYS = {
+    ("", "seed"): (RunConfig, "seed", int),
+    ("data", "news"): (RunConfig, "news_path", str),
+    ("data", "behaviors"): (RunConfig, "behaviors_path", str),
+    ("data", "embeddings"): (RunConfig, "embeddings_path", str),
+    ("transitions", "window_seconds"): (RunConfig, "window_seconds", int),
+    ("split", "kind"): (RunConfig, "split_kinds", str),
+    ("split", "cold_fraction"): (RunConfig, "cold_fraction", float),
+    ("split", "warm_fraction"): (RunConfig, "warm_fraction", float),
+    ("features", "kind"): (RunConfig, "feature_kind", str),
+    ("model", "kind"): (RunConfig, "model_kinds", str),
+    ("eval", "ks"): (RunConfig, "ks", list),
+    ("output", "dir"): (RunConfig, "out_dir", str),
+    **_record_keys("features", VectorizerConfig, {"remove_stopwords": "stopwords"}),
+    # the seed is a top-level key: [model] seed is unknown
+    **_record_keys("model", Hyperparams, {"negatives_per_positive": "negatives"}, skip=("seed",)),
+}
+_SECTIONS = {section for section, _ in _KEYS if section}
+_TYPE_NAMES = {int: "an integer", float: "a number", bool: "a boolean", str: "a string",
+               list: "an array of integers"}
+
+
+def _fits(value, kind) -> bool:
+    """Whether a TOML value fits a field of `kind`; bools are not ints, lists hold ints."""
+    if kind is list:
+        return isinstance(value, list) and all(_fits(v, int) for v in value)
+    if kind is float:
+        return type(value) in (int, float)
+    return type(value) is kind
 
 
 def _expand_kinds(value: str, all_token: str, known) -> list[str]:
@@ -132,60 +132,52 @@ def load_config(
     out_dir: str | None = None,
 ) -> RunConfig:
     """Read a config file and apply CLI overrides; validates referenced paths."""
-    with open(path, "r", encoding="utf-8") as fh:
-        sections = parse_config_text(fh.read(), path)
-    base_dir = os.path.dirname(os.path.abspath(path))
-
-    def resolve(p):
-        if p is None:
-            return None
-        return p if os.path.isabs(p) else os.path.normpath(os.path.join(base_dir, p))
-
-    top = sections.get("", {})
-    data = sections.get("data", {})
-    trans = sections.get("transitions", {})
-    split = sections.get("split", {})
-    feats = sections.get("features", {})
-    model_sec = sections.get("model", {})
-    eval_sec = sections.get("eval", {})
-    output = sections.get("output", {})
-
-    for key in ("news", "behaviors"):
-        if key not in data:
+    with open(path, "rb") as fh:
+        try:
+            doc = tomllib.load(fh)
+        except tomllib.TOMLDecodeError as exc:
+            raise ValueError("%s: %s" % (path, exc)) from None
+    items = []
+    for head, entry in doc.items():
+        if not isinstance(entry, dict):
+            items.append(("", head, entry))
+        elif head in _SECTIONS:
+            items += [(head, key, value) for key, value in entry.items()]
+        else:
+            raise ValueError("%s: unknown section [%s]" % (path, head))
+    values = {RunConfig: {}, Hyperparams: {}, VectorizerConfig: {}}
+    for section, key, value in items:
+        dotted = "%s.%s" % (section, key) if section else key
+        if (section, key) not in _KEYS:
+            raise ValueError("%s: unknown key %s" % (path, dotted))
+        owner, name, kind = _KEYS[section, key]
+        if not _fits(value, kind):
+            raise ValueError("%s: %s must be %s, got %r" % (path, dotted, _TYPE_NAMES[kind], value))
+        values[owner][name] = float(value) if kind is float else value
+    run = values[RunConfig]
+    for key, name in (("news", "news_path"), ("behaviors", "behaviors_path")):
+        if name not in run:
             raise ValueError("%s: missing required key data.%s" % (path, key))
-
-    cfg_seed = seed if seed is not None else int(top.get("seed", DEFAULT_SEED))
-    # a missing [model] key takes the Hyperparams default, cast to the field's type
-    defaults = Hyperparams()
-    model_values = {}
-    for f in fields(Hyperparams):
-        if f.name == "seed":
-            continue
-        default = getattr(defaults, f.name)
-        key = _MODEL_KEY_NAMES.get(f.name, f.name)
-        model_values[f.name] = type(default)(model_sec.get(key, default))
-    hyper = Hyperparams(**model_values, seed=derive_seed(cfg_seed, "init"))
-    split_value = split.get("kind", "both")
-    model_value = model if model is not None else model_sec.get("kind", "all")
-    feature_value = features if features is not None else feats.get("kind", "tfidf")
-
+    for name, override in (
+        ("seed", seed), ("model_kinds", model), ("feature_kind", features), ("out_dir", out_dir)
+    ):
+        if override is not None:
+            run[name] = override
+    for name, all_token, known in (
+        ("split_kinds", "both", SPLIT_KINDS), ("model_kinds", "all", MODEL_KINDS)
+    ):
+        if name in run:
+            run[name] = _expand_kinds(run[name], all_token, known)
+    cfg_seed = run.setdefault("seed", DEFAULT_SEED)
     cfg = RunConfig(
-        news_path=resolve(data.get("news")),
-        behaviors_path=resolve(data.get("behaviors")),
-        embeddings_path=resolve(data.get("embeddings")),
-        window_seconds=int(trans.get("window_seconds", 1800)),
-        split_kinds=_expand_kinds(split_value, "both", SPLIT_KINDS),
-        cold_fraction=float(split.get("cold_fraction", 0.1)),
-        warm_fraction=float(split.get("warm_fraction", 0.2)),
-        feature_kind=feature_value,
-        max_vocab=int(feats.get("max_vocab", 5000)),
-        min_token_len=int(feats.get("min_token_len", 2)),
-        remove_stopwords=bool(feats.get("stopwords", True)),
-        model_kinds=_expand_kinds(model_value, "all", MODEL_KINDS),
-        hyper=hyper,
-        ks=list(eval_sec.get("ks", [5, 10, 20])),
-        out_dir=resolve(out_dir if out_dir is not None else output.get("dir", "out")),
-        seed=cfg_seed,
+        **run,
+        vectorizer=VectorizerConfig(**values[VectorizerConfig]),
+        hyper=Hyperparams(**values[Hyperparams], seed=derive_seed(cfg_seed, "init")),
     )
+    base_dir = os.path.dirname(os.path.abspath(path))
+    for name in ("news_path", "behaviors_path", "embeddings_path", "out_dir"):
+        p = getattr(cfg, name)
+        if p is not None and not os.path.isabs(p):
+            setattr(cfg, name, os.path.normpath(os.path.join(base_dir, p)))
     cfg.validate()
     return cfg

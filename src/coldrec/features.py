@@ -22,14 +22,13 @@ from .mind import ArticleCatalog
 
 _TOKEN_PATTERN = re.compile(r"[^\W_]+", re.UNICODE)
 
-DEFAULT_MAX_VOCAB = 5000
 DEFAULT_MIN_TOKEN_LEN = 2
 
 
 @dataclass(frozen=True)
 class VectorizerConfig:
     min_token_len: int = DEFAULT_MIN_TOKEN_LEN
-    max_vocab: int = DEFAULT_MAX_VOCAB
+    max_vocab: int = 5000
     remove_stopwords: bool = True
 
 

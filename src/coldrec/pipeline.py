@@ -16,13 +16,7 @@ from scipy import sparse
 
 from . import metrics as metrics_mod
 from .config import RunConfig, derive_seed
-from .features import (
-    FeatureMatrix,
-    VectorizerConfig,
-    fit_tfidf,
-    load_external_embeddings,
-    transform,
-)
+from .features import FeatureMatrix, fit_tfidf, load_external_embeddings, transform
 from .mind import (
     ArticleCatalog,
     ClickEvent,
@@ -88,15 +82,20 @@ def save_streams(streams, path) -> None:
 def load_streams(path) -> list[ClickStream]:
     events_by_user: dict[str, list[ClickEvent]] = {}
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            user, news, ts, rank = line.rstrip("\n").split("\t")
+        for lineno, line in enumerate(fh, start=1):
+            cols = line.rstrip("\n").split("\t")
+            if len(cols) != 4:
+                raise ValueError("%s: line %d: expected 4 columns" % (path, lineno))
+            user, news, ts, rank = cols
+            try:
+                timestamp, within = int(ts), int(rank)
+            except ValueError:
+                raise ValueError(
+                    "%s: line %d: timestamp and rank must be integers, got %r and %r"
+                    % (path, lineno, ts, rank)
+                ) from None
             events_by_user.setdefault(user, []).append(
-                ClickEvent(
-                    user=user,
-                    news=news,
-                    timestamp=int(ts),
-                    within_impression_rank=int(rank),
-                )
+                ClickEvent(user=user, news=news, timestamp=timestamp, within_impression_rank=within)
             )
     return [ClickStream(user=user, events=events) for user, events in events_by_user.items()]
 
@@ -110,9 +109,16 @@ def save_popularity(popularity: dict[str, int], path) -> None:
 def load_popularity(path) -> dict[str, int]:
     popularity = {}
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            article, count = line.rstrip("\n").split("\t")
-            popularity[article] = int(count)
+        for lineno, line in enumerate(fh, start=1):
+            cols = line.rstrip("\n").split("\t")
+            if len(cols) != 2:
+                raise ValueError("%s: line %d: expected 2 columns" % (path, lineno))
+            try:
+                popularity[cols[0]] = int(cols[1])
+            except ValueError:
+                raise ValueError(
+                    "%s: line %d: count must be an integer, got %r" % (path, lineno, cols[1])
+                ) from None
     return popularity
 
 
@@ -222,12 +228,7 @@ def stage_featurize(cfg: RunConfig) -> dict:
     """Fit TF-IDF on the persisted catalog (always) and ingest external embeddings if configured."""
     catalog = load_catalog(_path(cfg, INGEST_DIR, "catalog.tsv"))
     os.makedirs(_path(cfg, FEATURES_DIR), exist_ok=True)
-    vec_config = VectorizerConfig(
-        min_token_len=cfg.min_token_len,
-        max_vocab=cfg.max_vocab,
-        remove_stopwords=cfg.remove_stopwords,
-    )
-    vectorizer = fit_tfidf(catalog, vec_config)
+    vectorizer = fit_tfidf(catalog, cfg.vectorizer)
     tfidf = transform(vectorizer, catalog)
     save_features(tfidf, _feature_base(cfg, "tfidf"))
     counters = {"tfidf_vocabulary": tfidf.dim}

@@ -30,7 +30,6 @@ class TransitionTensor:
     """Sparse (user, last article, next article) -> count mapping."""
 
     entries: dict[tuple[str, str, str], int]
-    window_seconds: int = DEFAULT_WINDOW_SECONDS
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -90,7 +89,7 @@ def build_tensor(streams, window_seconds: int = DEFAULT_WINDOW_SECONDS) -> Trans
                 continue
             key = (stream.user, prev.news, cur.news)
             entries[key] = entries.get(key, 0) + 1
-    return TransitionTensor(entries=entries, window_seconds=window_seconds)
+    return TransitionTensor(entries=entries)
 
 
 def build_triplets(tensor: TransitionTensor) -> TripletSet:
@@ -129,7 +128,12 @@ def load_triplets(path) -> TripletSet:
             cols = line.rstrip("\n").split("\t")
             if len(cols) != 4:
                 raise ValueError("%s: line %d: expected 4 columns" % (path, lineno))
-            confidence = float(cols[3])
+            try:
+                confidence = float(cols[3])
+            except ValueError:
+                raise ValueError(
+                    "%s: line %d: confidence must be a number, got %r" % (path, lineno, cols[3])
+                ) from None
             if not 0.0 < confidence < math.inf:
                 raise ValueError(
                     "%s: line %d: confidence must be finite and > 0, got %s" % (path, lineno, cols[3])

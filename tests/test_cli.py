@@ -1,14 +1,17 @@
+import argparse
 import contextlib
 import io
 import os
 
 import pytest
 
-from coldrec.cli import main
-from coldrec.config import derive_seed, load_config, parse_config_text
+from coldrec.cli import build_parser, main
+from coldrec.config import FEATURE_KINDS, derive_seed, load_config
+from coldrec.features import VectorizerConfig
 from coldrec.fixture import generate_fixture
 from coldrec.metrics import candidate_universe
 from coldrec.models import MODEL_KINDS, Hyperparams, load_model
+from coldrec.pipeline import _STAGES
 from coldrec.splits import load_split
 
 CONFIG_TEMPLATE = """
@@ -53,6 +56,21 @@ def write_config(dirpath, model="all", features="tfidf", extra_data=""):
     return path
 
 
+def config_at(dirpath, text):
+    path = os.path.join(dirpath, "run.toml")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+    return path
+
+
+def data_section(workspace):
+    """A [data] section naming the workspace's fixture files by absolute path."""
+    return '[data]\nnews = "%s"\nbehaviors = "%s"\n' % (
+        os.path.join(workspace, "fx", "news.tsv"),
+        os.path.join(workspace, "fx", "behaviors.tsv"),
+    )
+
+
 @pytest.fixture(scope="module")
 def workspace(tmp_path_factory):
     root = tmp_path_factory.mktemp("cli")
@@ -74,20 +92,97 @@ def run_out(workspace):
 
 
 class TestConfigParsing:
-    def test_sections_and_scalars(self):
-        sections = parse_config_text(
-            'seed = 9\n[data]\nnews = "a.tsv"\nflag = true\nratio = 0.25\nks = [1, 2]\n'
+    def test_sections_and_scalars(self, workspace, tmp_path):
+        cfg = load_config(config_at(tmp_path, "seed = 9\n" + data_section(workspace) + (
+            "[features]\nstopwords = true\n[split]\ncold_fraction = 0.25\n[eval]\nks = [1, 2]\n"
+        )))
+        assert cfg.seed == 9
+        assert cfg.news_path == os.path.join(workspace, "fx", "news.tsv")
+        assert cfg.vectorizer.remove_stopwords is True
+        assert cfg.cold_fraction == 0.25
+        assert cfg.ks == [1, 2]
+
+    def test_comments_and_blank_lines(self, workspace, tmp_path):
+        text = "# hello\n\nseed = 1  # trailing\n" + data_section(workspace)
+        cfg = load_config(config_at(tmp_path, text))
+        assert cfg.seed == 1
+
+    def test_bad_line_raises(self, tmp_path):
+        path = config_at(tmp_path, "just some words\n")
+        with pytest.raises(ValueError) as err:
+            load_config(path)
+        assert str(err.value).startswith(path + ": ")
+
+    def test_hash_inside_a_quoted_path_is_not_a_comment(self, tmp_path):
+        data_dir = tmp_path / "d#1"
+        data_dir.mkdir()
+        for name in ("news.tsv", "behaviors.tsv"):
+            (data_dir / name).write_text("")
+        text = '[data]\nnews = "d#1/news.tsv"  # the news\nbehaviors = "d#1/behaviors.tsv"\n'
+        cfg = load_config(config_at(tmp_path, text))
+        assert cfg.news_path == str(data_dir / "news.tsv")
+        assert cfg.behaviors_path == str(data_dir / "behaviors.tsv")
+
+    @pytest.mark.parametrize(
+        "text, name",
+        [
+            ('[features]\nstopwords = "false"\n', "features.stopwords"),
+            ("[model]\nnegative = 3\n", "model.negative"),
+            ("[model]\nseed = 3\n", "model.seed"),
+            ("[model]\nlatent_dim = 16.5\n", "model.latent_dim"),
+            ("[model]\niterations = true\n", "model.iterations"),
+            ("[transitions]\nwindow_seconds = 1800.0\n", "transitions.window_seconds"),
+            ("[eval]\nks = [5.5]\n", "eval.ks"),
+            ("[eval]\nks = [true]\n", "eval.ks"),
+            ("[eval]\nks = 5\n", "eval.ks"),
+            ('[split]\ncold_fraction = "0.1"\n', "split.cold_fraction"),
+            ("[nosuch]\nx = 1\n", "[nosuch]"),
+            ("[nosuch]\n", "[nosuch]"),
+            ("[output]\ndir = 3\n", "output.dir"),
+        ],
+    )
+    def test_unknown_or_mistyped_key_names_path_and_key(self, workspace, tmp_path, text, name):
+        path = config_at(tmp_path, data_section(workspace) + text)
+        with pytest.raises(ValueError) as err:
+            load_config(path)
+        assert str(err.value).startswith(path + ": ")
+        assert name in str(err.value)
+
+    def test_unknown_top_level_key_is_named(self, workspace, tmp_path):
+        path = config_at(tmp_path, "sed = 3\n" + data_section(workspace))
+        with pytest.raises(ValueError, match=r"unknown key sed$"):
+            load_config(path)
+
+    def test_duplicated_key_raises_naming_path(self, workspace, tmp_path):
+        text = data_section(workspace) + "[model]\nlatent_dim = 8\nlatent_dim = 16\n"
+        path = config_at(tmp_path, text)
+        with pytest.raises(ValueError) as err:
+            load_config(path)
+        assert str(err.value).startswith(path + ": ")
+
+    def test_int_accepted_for_float_and_stored_as_float(self, workspace, tmp_path):
+        cfg = load_config(config_at(tmp_path, data_section(workspace) + (
+            "[split]\ncold_fraction = 0\n[model]\nreg_mapping = 2\n"
+        )))
+        assert type(cfg.cold_fraction) is float and cfg.cold_fraction == 0.0
+        assert type(cfg.hyper.reg_mapping) is float and cfg.hyper.reg_mapping == 2.0
+
+    def test_features_keys_fill_the_vectorizer_config(self, workspace, tmp_path):
+        cfg = load_config(config_at(tmp_path, data_section(workspace) + (
+            "[features]\nmax_vocab = 7\nmin_token_len = 3\nstopwords = false\n"
+        )))
+        assert cfg.vectorizer == VectorizerConfig(
+            min_token_len=3, max_vocab=7, remove_stopwords=False
         )
-        assert sections[""]["seed"] == 9
-        assert sections["data"] == {"news": "a.tsv", "flag": True, "ratio": 0.25, "ks": [1, 2]}
+        defaults = load_config(config_at(tmp_path, data_section(workspace)))
+        assert defaults.vectorizer == VectorizerConfig()
 
-    def test_comments_and_blank_lines(self):
-        sections = parse_config_text("# hello\n\nseed = 1  # trailing\n")
-        assert sections[""]["seed"] == 1
-
-    def test_bad_line_raises(self):
-        with pytest.raises(ValueError):
-            parse_config_text("just some words\n")
+    @pytest.mark.parametrize("max_vocab", [0, -3])
+    def test_max_vocab_must_be_positive(self, workspace, tmp_path, max_vocab):
+        text = data_section(workspace) + "[features]\nmax_vocab = %d\n" % max_vocab
+        path = config_at(tmp_path, text)
+        with pytest.raises(ValueError, match="max_vocab must be >= 1"):
+            load_config(path)
 
     def test_relative_paths_resolved_against_config_dir(self, workspace):
         cfg = load_config(write_config(workspace))
@@ -137,6 +232,18 @@ class TestDeriveSeed:
         stages = ["split", "init", "negatives", "fixture"]
         seeds = {derive_seed(7, s) for s in stages}
         assert len(seeds) == len(stages)
+
+
+class TestCliChoices:
+    def test_subcommands_and_choices_come_from_their_sources(self):
+        parser = build_parser()
+        (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        stage_names = [name for name, _ in _STAGES]
+        assert list(commands.choices) == ["run", *stage_names, "report", "fixture"]
+        for name in ("run", "report", *stage_names):
+            flags = commands.choices[name]._option_string_actions
+            assert tuple(flags["--model"].choices) == MODEL_KINDS + ("all",)
+            assert tuple(flags["--features"].choices) == FEATURE_KINDS
 
 
 class TestCliCommands:

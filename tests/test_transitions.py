@@ -194,3 +194,10 @@ class TestTripletPersistence:
         path.write_text("u1\tA\tB\t1.1\nu1\tB\tC\t%s\n" % confidence)
         with pytest.raises(ValueError, match=r"train\.tsv: line 2: confidence must be finite and > 0"):
             load_triplets(path)
+
+    def test_non_numeric_confidence_raises_naming_the_line(self, tmp_path):
+        path = tmp_path / "train.tsv"
+        path.write_text("u1\tA\tB\t1.1\nu1\tB\tC\tabc\n")
+        message = r"train\.tsv: line 2: confidence must be a number, got 'abc'"
+        with pytest.raises(ValueError, match=message):
+            load_triplets(path)
