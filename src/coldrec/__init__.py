@@ -38,9 +38,7 @@ from .metrics import (
 )
 from .mind import (
     Article,
-    ArticleCatalog,
     ClickEvent,
-    ClickStream,
     ValidationReport,
     history_popularity,
     parse_behaviors,
@@ -64,15 +62,12 @@ from .numerics import cosine_distance, load_matrix, ridge_solve, save_matrix, sc
 from .pipeline import run_pipeline
 from .splits import (
     DataSplit,
-    SplitStats,
     load_split,
     make_cold_split,
     make_warm_split,
     save_split,
-    split_stats,
 )
 from .transitions import (
-    TransitionTensor,
     Triplet,
     TripletSet,
     build_tensor,

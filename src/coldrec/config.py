@@ -66,6 +66,13 @@ class RunConfig:
         for kind in self.split_kinds:
             if kind not in SPLIT_KINDS:
                 raise ValueError("unknown split kind %r" % kind)
+        for key, fraction in (
+            ("split.cold_fraction", self.cold_fraction), ("split.warm_fraction", self.warm_fraction)
+        ):
+            if not 0.0 < fraction < 1.0:
+                raise ValueError("%s must be in (0, 1), got %r" % (key, fraction))
+        if self.window_seconds < 1:
+            raise ValueError("transitions.window_seconds must be >= 1, got %r" % self.window_seconds)
         if not self.ks or any(k < 1 for k in self.ks):
             raise ValueError("ks must be positive integers")
         if self.vectorizer.max_vocab < 1:

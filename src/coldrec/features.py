@@ -18,7 +18,7 @@ from scipy import sparse
 
 from ._stopwords import ENGLISH_STOPWORDS
 from .errors import EmptyInputError, FormatError, MissingArticlesError
-from .mind import ArticleCatalog
+from .mind import Article
 
 _TOKEN_PATTERN = re.compile(r"[^\W_]+", re.UNICODE)
 
@@ -86,7 +86,7 @@ def _document_tokens(article, config: VectorizerConfig):
     return tokenize(text, config.min_token_len, stopwords)
 
 
-def fit_tfidf(catalog: ArticleCatalog, config: VectorizerConfig | None = None) -> Vectorizer:
+def fit_tfidf(catalog: dict[str, Article], config: VectorizerConfig | None = None) -> Vectorizer:
     """Fit the vocabulary (top max_vocab terms by document frequency) and smoothed idf.
 
     Document = title concatenated with abstract. df ties break
@@ -97,7 +97,7 @@ def fit_tfidf(catalog: ArticleCatalog, config: VectorizerConfig | None = None) -
     if len(catalog) == 0:
         raise EmptyInputError("cannot fit TF-IDF on an empty catalog")
     df: Counter[str] = Counter()
-    for article in catalog:
+    for article in catalog.values():
         df.update(set(_document_tokens(article, config)))
     ranked = sorted(df.items(), key=lambda kv: (-kv[1], kv[0]))[: config.max_vocab]
     vocabulary = {term: col for col, term in enumerate(sorted(term for term, _ in ranked))}
@@ -108,7 +108,7 @@ def fit_tfidf(catalog: ArticleCatalog, config: VectorizerConfig | None = None) -
     return Vectorizer(vocabulary=vocabulary, idf=idf, config=config)
 
 
-def transform(vectorizer: Vectorizer, catalog: ArticleCatalog) -> FeatureMatrix:
+def transform(vectorizer: Vectorizer, catalog: dict[str, Article]) -> FeatureMatrix:
     """Raw term counts times idf, L2-normalized per row; out-of-vocabulary terms ignored.
 
     Articles with no in-vocabulary tokens get an all-zero row.
@@ -119,7 +119,7 @@ def transform(vectorizer: Vectorizer, catalog: ArticleCatalog) -> FeatureMatrix:
     indices: list[int] = []
     data: list[float] = []
     row_index: dict[str, int] = {}
-    for article in catalog:
+    for article in catalog.values():
         counts: Counter[int] = Counter()
         for tok in _document_tokens(article, vectorizer.config):
             col = vocab.get(tok)
@@ -141,7 +141,7 @@ def transform(vectorizer: Vectorizer, catalog: ArticleCatalog) -> FeatureMatrix:
     return FeatureMatrix(matrix=matrix, kind="tfidf", row_index=row_index)
 
 
-def load_external_embeddings(path, catalog: ArticleCatalog) -> FeatureMatrix:
+def load_external_embeddings(path, catalog: dict[str, Article]) -> FeatureMatrix:
     """Load dense per-article vectors, aligned to catalog order.
 
     Format: first line `#dim <m>`, then one `news_id<TAB>v1 v2 ... vm` line
@@ -180,9 +180,9 @@ def load_external_embeddings(path, catalog: ArticleCatalog) -> FeatureMatrix:
             if not np.all(np.isfinite(vec)):
                 raise FormatError("%s: line %d: non-finite value" % (path, lineno))
             vectors[article_id] = vec
-    missing = [a for a in catalog.ids if a not in vectors]
+    missing = [a for a in catalog if a not in vectors]
     if missing:
         raise MissingArticlesError(missing)
-    matrix = np.vstack([vectors[a] for a in catalog.ids])
-    row_index = {a: r for r, a in enumerate(catalog.ids)}
+    matrix = np.vstack([vectors[a] for a in catalog])
+    row_index = {a: r for r, a in enumerate(catalog)}
     return FeatureMatrix(matrix=matrix, kind="external", row_index=row_index)

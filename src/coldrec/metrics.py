@@ -232,11 +232,20 @@ def load_curves(path) -> MetricReport:
         header = fh.readline().rstrip("\n")
         if header != "model,setting,k,metric,value":
             raise ValueError("%s: unexpected header %r" % (path, header))
-        for line in fh:
-            model_kind, setting, k_text, metric, value = line.rstrip("\n").split(",")
-            k = int(k_text)
+        for lineno, line in enumerate(fh, start=2):
+            cols = line.rstrip("\n").split(",")
+            if len(cols) != 5:
+                raise ValueError("%s: line %d: expected 5 columns" % (path, lineno))
+            model_kind, setting, k_text, metric, value = cols
+            try:
+                k, number = int(k_text), float(value)
+            except ValueError:
+                raise ValueError(
+                    "%s: line %d: k must be an integer and value a number, got %r and %r"
+                    % (path, lineno, k_text, value)
+                ) from None
             ks.add(k)
-            report.entries.setdefault((model_kind, setting, k), {})[metric] = float(value)
+            report.entries.setdefault((model_kind, setting, k), {})[metric] = number
     report.ks = sorted(ks)
     return report
 

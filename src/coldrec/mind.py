@@ -5,6 +5,11 @@ Both files are UTF-8 TSVs without a header row. news.tsv carries
 (impression id, user id, time, history, impressions) where the impressions
 column is space-separated `newsID-0` / `newsID-1` tokens. Timestamps use the
 MIND `M/D/YYYY H:MM:SS AM/PM` convention and are parsed as UTC epoch seconds.
+
+A catalog is a `dict[str, Article]`: news id -> article, in file order.
+Click streams are a `dict[str, list[ClickEvent]]`: user -> events, users in
+order of first appearance, each user's events sorted by (timestamp,
+within-impression rank) with ties kept in file order.
 """
 
 from __future__ import annotations
@@ -26,56 +31,12 @@ class Article:
     abstract: str
 
 
-class ArticleCatalog:
-    """Deduplicated article set keyed by news id, preserving first-appearance order."""
-
-    def __init__(self, articles=()):
-        self._articles: dict[str, Article] = {}
-        for article in articles:
-            self.add(article)
-
-    def add(self, article: Article) -> bool:
-        """Insert an article; returns False (and keeps the first copy) on a duplicate id."""
-        if article.id in self._articles:
-            return False
-        self._articles[article.id] = article
-        return True
-
-    def get(self, article_id: str) -> Article:
-        return self._articles[article_id]
-
-    @property
-    def ids(self) -> list[str]:
-        return list(self._articles)
-
-    def __contains__(self, article_id) -> bool:
-        return article_id in self._articles
-
-    def __len__(self) -> int:
-        return len(self._articles)
-
-    def __iter__(self):
-        return iter(self._articles.values())
-
-
 @dataclass(frozen=True)
 class ClickEvent:
     user: str
     news: str
     timestamp: int
     within_impression_rank: int
-
-
-@dataclass
-class ClickStream:
-    """One user's click events, sorted ascending by (timestamp, rank).
-
-    Ties across impressions with identical timestamps are resolved stably by
-    file order, which makes the ordering deterministic for a given log.
-    """
-
-    user: str
-    events: list[ClickEvent]
 
 
 @dataclass
@@ -93,14 +54,14 @@ class ValidationReport:
             self.messages.append(message)
 
 
-def parse_news(path) -> tuple[ArticleCatalog, ValidationReport]:
-    """Parse news.tsv into a deduplicated catalog.
+def parse_news(path) -> tuple[dict[str, Article], ValidationReport]:
+    """Parse news.tsv into a catalog.
 
     Rows with fewer than 5 columns or an empty id are skipped and counted as
     malformed; on a duplicate id the first occurrence wins. The url column and
     anything after it are discarded.
     """
-    catalog = ArticleCatalog()
+    catalog: dict[str, Article] = {}
     report = ValidationReport()
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -111,17 +72,17 @@ def parse_news(path) -> tuple[ArticleCatalog, ValidationReport]:
                 report.rows_skipped_malformed += 1
                 report.note("line %d: malformed news row" % lineno)
                 continue
-            article = Article(
+            if cols[0] in catalog:
+                report.duplicates_dropped += 1
+                report.note("line %d: duplicate article id %s" % (lineno, cols[0]))
+                continue
+            catalog[cols[0]] = Article(
                 id=cols[0],
                 category=cols[1],
                 subcategory=cols[2],
                 title=cols[3],
                 abstract=cols[4],
             )
-            if not catalog.add(article):
-                report.duplicates_dropped += 1
-                report.note("line %d: duplicate article id %s" % (lineno, cols[0]))
-                continue
             report.rows_kept += 1
     return catalog, report
 
@@ -131,15 +92,16 @@ def _parse_time(text: str) -> int:
     return int(stamp.replace(tzinfo=timezone.utc).timestamp())
 
 
-def parse_behaviors(path) -> tuple[list[ClickStream], ValidationReport]:
-    """Parse behaviors.tsv into per-user sorted click streams.
+def parse_behaviors(path) -> tuple[dict[str, list[ClickEvent]], ValidationReport]:
+    """Parse behaviors.tsv into click streams.
 
     Each `newsID-1` token in the impressions column becomes a ClickEvent at
     the impression timestamp, ranked by its position among that row's clicked
-    tokens. The history column carries no per-click timestamps and yields no
-    events (see history_popularity for its tally). Rows with an unparseable
-    timestamp or fewer than 5 columns are skipped and counted; impression
-    tokens without a -0/-1 suffix are skipped and counted.
+    tokens; a user whose kept rows hold no click maps to an empty list. The
+    history column carries no per-click timestamps and yields no events (see
+    history_popularity for its tally). Rows with an unparseable timestamp or
+    fewer than 5 columns are skipped and counted; impression tokens without a
+    -0/-1 suffix are skipped and counted.
     """
     report = ValidationReport()
     events_by_user: dict[str, list[ClickEvent]] = {}
@@ -182,29 +144,28 @@ def parse_behaviors(path) -> tuple[list[ClickStream], ValidationReport]:
                         )
                     )
                     clicked_rank += 1
-    streams = []
-    for user, events in events_by_user.items():
+    for events in events_by_user.values():
         events.sort(key=lambda ev: (ev.timestamp, ev.within_impression_rank))
-        streams.append(ClickStream(user=user, events=events))
-    return streams, report
+    return events_by_user, report
 
 
 def validate_clicks(
-    streams, catalog: ArticleCatalog
-) -> tuple[list[ClickStream], ValidationReport]:
-    """Drop click events whose article is absent from the catalog; drop emptied users."""
+    streams: dict[str, list[ClickEvent]], catalog: dict[str, Article]
+) -> tuple[dict[str, list[ClickEvent]], ValidationReport]:
+    """Drop click events whose article is absent from the catalog; drop emptied users.
+
+    The returned click streams keep the input's user and event order.
+    """
     report = ValidationReport()
-    kept_streams = []
-    for stream in streams:
-        kept = [ev for ev in stream.events if ev.news in catalog]
-        dropped = len(stream.events) - len(kept)
+    kept_streams: dict[str, list[ClickEvent]] = {}
+    for user, events in streams.items():
+        kept = [ev for ev in events if ev.news in catalog]
+        dropped = len(events) - len(kept)
         if dropped:
             report.clicks_dropped_unknown_article += dropped
-            report.note(
-                "user %s: dropped %d click(s) on unknown articles" % (stream.user, dropped)
-            )
+            report.note("user %s: dropped %d click(s) on unknown articles" % (user, dropped))
         if kept:
-            kept_streams.append(ClickStream(user=stream.user, events=kept))
+            kept_streams[user] = kept
     return kept_streams, report
 
 

@@ -18,9 +18,8 @@ from . import metrics as metrics_mod
 from .config import RunConfig, derive_seed
 from .features import FeatureMatrix, fit_tfidf, load_external_embeddings, transform
 from .mind import (
-    ArticleCatalog,
+    Article,
     ClickEvent,
-    ClickStream,
     history_popularity,
     parse_behaviors,
     parse_news,
@@ -28,7 +27,7 @@ from .mind import (
 )
 from .models import almm_train, forbes_train, load_model, oord_train, sample_negatives, save_model
 from .numerics import load_matrix, save_matrix
-from .splits import load_split, make_cold_split, make_warm_split, save_split, split_stats
+from .splits import load_split, make_cold_split, make_warm_split, save_split
 from .transitions import build_tensor, build_triplets, load_triplets, save_triplets
 
 _TRAINERS = {"almm": almm_train, "forbes": forbes_train, "oord": oord_train}
@@ -53,33 +52,34 @@ def metrics_path(cfg: RunConfig) -> str:
 # persistence helpers for stage intermediates
 # ---------------------------------------------------------------------------
 
-def save_catalog(catalog: ArticleCatalog, path) -> None:
+def save_catalog(catalog: dict[str, Article], path) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        for art in catalog:
+        for art in catalog.values():
             fh.write(
                 "%s\t%s\t%s\t%s\t%s\n"
                 % (art.id, art.category, art.subcategory, art.title, art.abstract)
             )
 
 
-def load_catalog(path) -> ArticleCatalog:
+def load_catalog(path) -> dict[str, Article]:
     catalog, report = parse_news(path)
     if report.rows_skipped_malformed or report.duplicates_dropped:
         raise ValueError("%s: persisted catalog failed to round-trip cleanly" % path)
     return catalog
 
 
-def save_streams(streams, path) -> None:
+def save_streams(streams: dict[str, list[ClickEvent]], path) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        for stream in streams:
-            for ev in stream.events:
+        for events in streams.values():
+            for ev in events:
                 fh.write(
                     "%s\t%s\t%d\t%d\n"
                     % (ev.user, ev.news, ev.timestamp, ev.within_impression_rank)
                 )
 
 
-def load_streams(path) -> list[ClickStream]:
+def load_streams(path) -> dict[str, list[ClickEvent]]:
+    """Read streams.tsv back into user -> events, both in file order."""
     events_by_user: dict[str, list[ClickEvent]] = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -97,7 +97,7 @@ def load_streams(path) -> list[ClickStream]:
             events_by_user.setdefault(user, []).append(
                 ClickEvent(user=user, news=news, timestamp=timestamp, within_impression_rank=within)
             )
-    return [ClickStream(user=user, events=events) for user, events in events_by_user.items()]
+    return events_by_user
 
 
 def save_popularity(popularity: dict[str, int], path) -> None:
@@ -164,8 +164,8 @@ def stage_ingest(cfg: RunConfig) -> dict:
     for article, count in history_popularity(cfg.behaviors_path).items():
         if article in catalog:
             popularity[article] = popularity.get(article, 0) + count
-    for stream in streams:
-        for ev in stream.events:
+    for events in streams.values():
+        for ev in events:
             popularity[ev.news] = popularity.get(ev.news, 0) + 1
 
     save_catalog(catalog, os.path.join(out, "catalog.tsv"))
@@ -183,7 +183,7 @@ def stage_ingest(cfg: RunConfig) -> dict:
         "clicks_dropped_unknown_article": click_report.clicks_dropped_unknown_article,
         "articles": len(catalog),
         "users_with_clicks": len(streams),
-        "clicks_kept": sum(len(s.events) for s in streams),
+        "clicks_kept": sum(len(events) for events in streams.values()),
         "popularity_total_clicks": sum(popularity.values()),
     }
 
@@ -195,7 +195,7 @@ def stage_triplets(cfg: RunConfig) -> dict:
     triplets = build_triplets(tensor)
     save_triplets(triplets, _path(cfg, "triplets.tsv"))
     return {
-        "transitions_observed": sum(tensor.entries.values()),
+        "transitions_observed": sum(tensor.values()),
         "triplets": len(triplets),
         "triplet_users": len(triplets.users),
         "triplet_articles": len(triplets.articles),
@@ -215,11 +215,10 @@ def stage_split(cfg: RunConfig) -> dict:
             split = make_warm_split(triplets, cfg.warm_fraction, split_seed)
             fraction = cfg.warm_fraction
         save_split(split, _path(cfg, SPLITS_DIR, kind), fraction)
-        stats = split_stats(split)
-        for side_name, side in (("train", stats.train), ("test", stats.test)):
-            counters["split_%s_%s_users" % (kind, side_name)] = side.n_users
-            counters["split_%s_%s_items" % (kind, side_name)] = side.n_items
-            counters["split_%s_%s_entries" % (kind, side_name)] = side.n_entries
+        for side_name, side in (("train", split.train), ("test", split.test)):
+            counters["split_%s_%s_users" % (kind, side_name)] = len(side.users)
+            counters["split_%s_%s_items" % (kind, side_name)] = len(side.articles)
+            counters["split_%s_%s_entries" % (kind, side_name)] = len(side)
         counters["split_%s_holdout_articles" % kind] = len(split.holdout_articles)
     return counters
 
@@ -268,9 +267,9 @@ def stage_train(cfg: RunConfig) -> dict:
         counters["train_%s_negatives_shortfall" % split_kind] = (
             len(train_set) * (cfg.hyper.negatives_per_positive + 1) - len(instances)
         )
-        article_ids = train_set.article_ids
+        article_ids = list(train_set.articles)
         content = features.rows(article_ids)
-        user_ids = train_set.user_ids
+        user_ids = list(train_set.users)
         for model_kind in cfg.model_kinds:
             model = _TRAINERS[model_kind](
                 instances,

@@ -1,4 +1,10 @@
-"""Warm-start and cold-start train/test partitioning of a triplet set."""
+"""Warm-start and cold-start train/test partitioning of a triplet set.
+
+Each side of a split is a `TripletSet` whose `users` and `articles` index
+maps hold exactly the users and articles of that side's triplets. Both sides
+keep the input's triplet order, except that a warm split appends to train the
+test candidates it moves back.
+"""
 
 from __future__ import annotations
 
@@ -24,19 +30,6 @@ class DataSplit:
     seed: int
 
 
-@dataclass
-class SideStats:
-    n_users: int
-    n_items: int
-    n_entries: int
-
-
-@dataclass
-class SplitStats:
-    train: SideStats
-    test: SideStats
-
-
 def make_cold_split(triplet_set: TripletSet, holdout_fraction: float, seed: int) -> DataSplit:
     """Hold out ceil(fraction * |articles|) articles; triplets touching any go to test.
 
@@ -48,7 +41,7 @@ def make_cold_split(triplet_set: TripletSet, holdout_fraction: float, seed: int)
         raise ValueError("holdout_fraction must be in (0, 1), got %r" % holdout_fraction)
     if len(triplet_set) == 0:
         raise DegenerateSplitError("cannot split an empty triplet set")
-    articles = triplet_set.article_ids
+    articles = list(triplet_set.articles)
     n_holdout = math.ceil(holdout_fraction * len(articles))
     rng = np.random.default_rng(seed)
     picked = rng.choice(len(articles), size=n_holdout, replace=False)
@@ -117,18 +110,6 @@ def make_warm_split(triplet_set: TripletSet, test_fraction: float, seed: int) ->
         kind="warm",
         seed=seed,
     )
-
-
-def _side_stats(side: TripletSet) -> SideStats:
-    return SideStats(
-        n_users=len({t.user for t in side}),
-        n_items=len({a for t in side for a in (t.last_article, t.next_article)}),
-        n_entries=len(side),
-    )
-
-
-def split_stats(split: DataSplit) -> SplitStats:
-    return SplitStats(train=_side_stats(split.train), test=_side_stats(split.test))
 
 
 def save_split(split: DataSplit, dirpath, fraction: float | None = None) -> None:

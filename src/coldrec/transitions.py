@@ -1,10 +1,11 @@
-"""Transition tensor and confidence-weighted triplet construction.
+"""Transition counts and confidence-weighted triplet construction.
 
 A transition (u, i, j) is counted when article j was clicked immediately
 after article i by user u, the gap between the two clicks is at most the
-session window (default 1800 s, boundary inclusive), and i != j. Each
-distinct (u, i, j) becomes one training triplet whose confidence is
-1.0 + 0.1 * (count of that (i, j) move summed over all users).
+session window (default 1800 s, boundary inclusive), and i != j. The counts
+form a sparse tensor, a plain `dict[(user, last, next), int]` in order of
+first occurrence. Each distinct (u, i, j) becomes one training triplet whose
+confidence is 1.0 + 0.1 * (count of that (i, j) move summed over all users).
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import EmptyInputError
+from .mind import ClickEvent
 
 DEFAULT_WINDOW_SECONDS = 1800
 
@@ -25,16 +27,6 @@ class Triplet:
     confidence: float
 
 
-@dataclass
-class TransitionTensor:
-    """Sparse (user, last article, next article) -> count mapping."""
-
-    entries: dict[tuple[str, str, str], int]
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-
 class TripletSet:
     """Triplets plus dense index maps for users and articles.
 
@@ -43,25 +35,14 @@ class TripletSet:
     triplet), so a persisted and reloaded set reproduces identical indices.
     """
 
-    def __init__(self, triplets, users=None, articles=None):
+    def __init__(self, triplets):
         self.triplets: list[Triplet] = list(triplets)
-        if users is None or articles is None:
-            users = {}
-            articles = {}
-            for t in self.triplets:
-                users.setdefault(t.user, len(users))
-                articles.setdefault(t.last_article, len(articles))
-                articles.setdefault(t.next_article, len(articles))
-        self.users: dict[str, int] = users
-        self.articles: dict[str, int] = articles
-
-    @property
-    def user_ids(self) -> list[str]:
-        return list(self.users)
-
-    @property
-    def article_ids(self) -> list[str]:
-        return list(self.articles)
+        self.users: dict[str, int] = {}
+        self.articles: dict[str, int] = {}
+        for t in self.triplets:
+            self.users.setdefault(t.user, len(self.users))
+            self.articles.setdefault(t.last_article, len(self.articles))
+            self.articles.setdefault(t.next_article, len(self.articles))
 
     def __len__(self) -> int:
         return len(self.triplets)
@@ -70,34 +51,38 @@ class TripletSet:
         return iter(self.triplets)
 
 
-def build_tensor(streams, window_seconds: int = DEFAULT_WINDOW_SECONDS) -> TransitionTensor:
+def build_tensor(
+    streams: dict[str, list[ClickEvent]], window_seconds: int = DEFAULT_WINDOW_SECONDS
+) -> dict[tuple[str, str, str], int]:
     """Count qualifying consecutive click pairs for every user.
 
-    Equal timestamps (clicks inside one impression) have gap 0 and qualify,
-    ordered by within-impression rank. Self-transitions and pairs exceeding
-    the window contribute nothing but do not break the stream.
+    Returns (user, last article, next article) -> count, keys in order of
+    first occurrence: users in stream order, then click order. Equal
+    timestamps (clicks inside one impression) have gap 0 and qualify, ordered
+    by within-impression rank. Self-transitions and pairs exceeding the window
+    contribute nothing but do not break the stream.
     """
     if window_seconds <= 0:
         raise ValueError("window_seconds must be positive, got %r" % window_seconds)
-    entries: dict[tuple[str, str, str], int] = {}
-    for stream in streams:
-        events = stream.events
+    tensor: dict[tuple[str, str, str], int] = {}
+    for user, events in streams.items():
         for prev, cur in zip(events, events[1:]):
             if cur.timestamp - prev.timestamp > window_seconds:
                 continue
             if prev.news == cur.news:
                 continue
-            key = (stream.user, prev.news, cur.news)
-            entries[key] = entries.get(key, 0) + 1
-    return TransitionTensor(entries=entries)
+            key = (user, prev.news, cur.news)
+            tensor[key] = tensor.get(key, 0) + 1
+    return tensor
 
 
-def build_triplets(tensor: TransitionTensor) -> TripletSet:
-    """One triplet per distinct tensor entry, confidence-weighted by the global (i, j) count."""
-    if not tensor.entries:
+def build_triplets(tensor: dict[tuple[str, str, str], int]) -> TripletSet:
+    """One triplet per (user, last, next) tensor key, in key order,
+    confidence-weighted by the global (last, next) count."""
+    if not tensor:
         raise EmptyInputError("transition tensor is empty")
     global_counts: dict[tuple[str, str], int] = {}
-    for (_, last, nxt), count in tensor.entries.items():
+    for (_, last, nxt), count in tensor.items():
         pair = (last, nxt)
         global_counts[pair] = global_counts.get(pair, 0) + count
     triplets = [
@@ -107,7 +92,7 @@ def build_triplets(tensor: TransitionTensor) -> TripletSet:
             next_article=nxt,
             confidence=1.0 + 0.1 * global_counts[(last, nxt)],
         )
-        for (user, last, nxt) in tensor.entries
+        for (user, last, nxt) in tensor
     ]
     return TripletSet(triplets)
 

@@ -62,7 +62,7 @@ def test_criterion_01_triplet_oracle():
         streams = random_log(rng)
         tensor = build_tensor(streams, 1800)
         expected = brute_force_tensor(streams, 1800)
-        assert tensor.entries == expected
+        assert tensor == expected
         if expected:
             got = {
                 (t.user, t.last_article, t.next_article): t.confidence
@@ -292,7 +292,7 @@ def test_criterion_10_external_embedding_path(workspace):
     emb_path = os.path.join(workspace, "embeddings.tsv")
     with open(emb_path, "w", encoding="utf-8") as fh:
         fh.write("#dim 16\n")
-        for article_id in catalog.ids:
+        for article_id in catalog:
             values = rng.normal(size=16)
             fh.write("%s\t%s\n" % (article_id, " ".join("%.6f" % v for v in values)))
 
@@ -311,7 +311,7 @@ def test_criterion_10_external_embedding_path(workspace):
     finite = metric_values and all(math.isfinite(v) for v in metric_values)
 
     # a file missing one article id must fail naming that id
-    missing_id = catalog.ids[17]
+    missing_id = list(catalog)[17]
     broken_path = os.path.join(workspace, "embeddings_missing.tsv")
     with open(emb_path) as src, open(broken_path, "w", encoding="utf-8") as dst:
         for line in src:

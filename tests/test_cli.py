@@ -161,11 +161,29 @@ class TestConfigParsing:
         assert str(err.value).startswith(path + ": ")
 
     def test_int_accepted_for_float_and_stored_as_float(self, workspace, tmp_path):
-        cfg = load_config(config_at(tmp_path, data_section(workspace) + (
-            "[split]\ncold_fraction = 0\n[model]\nreg_mapping = 2\n"
-        )))
-        assert type(cfg.cold_fraction) is float and cfg.cold_fraction == 0.0
+        cfg = load_config(config_at(tmp_path, data_section(workspace) + "[model]\nreg_mapping = 2\n"))
         assert type(cfg.hyper.reg_mapping) is float and cfg.hyper.reg_mapping == 2.0
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            # an int fraction is read as a float, then range-checked
+            ("[split]\ncold_fraction = 0\n", r"split\.cold_fraction must be in \(0, 1\), got 0\.0$"),
+            ("[split]\ncold_fraction = 1.5\n", r"split\.cold_fraction must be in \(0, 1\), got 1\.5$"),
+            ("[split]\nwarm_fraction = 1.0\n", r"split\.warm_fraction must be in \(0, 1\), got 1\.0$"),
+            ("[transitions]\nwindow_seconds = 0\n", r"transitions\.window_seconds must be >= 1, got 0$"),
+        ],
+    )
+    def test_split_and_window_out_of_range_name_the_key(self, workspace, tmp_path, text, message):
+        with pytest.raises(ValueError, match=message):
+            load_config(config_at(tmp_path, data_section(workspace) + text))
+
+    def test_shipped_split_and_window_values_load(self, workspace, tmp_path):
+        # the values configs/fixture.toml and the benchmark's run configs use
+        cfg = load_config(config_at(tmp_path, data_section(workspace) + (
+            "[transitions]\nwindow_seconds = 1800\n[split]\ncold_fraction = 0.1\nwarm_fraction = 0.2\n"
+        )))
+        assert (cfg.window_seconds, cfg.cold_fraction, cfg.warm_fraction) == (1800, 0.1, 0.2)
 
     def test_features_keys_fill_the_vectorizer_config(self, workspace, tmp_path):
         cfg = load_config(config_at(tmp_path, data_section(workspace) + (

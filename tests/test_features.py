@@ -12,12 +12,12 @@ from coldrec.features import (
     tokenize,
     transform,
 )
-from coldrec.mind import Article, ArticleCatalog
+from coldrec.mind import Article
 
 
 def catalog_from(docs):
     """docs: (id, title, abstract) tuples."""
-    return ArticleCatalog(Article(i, "cat", "sub", t, a) for i, t, a in docs)
+    return {i: Article(i, "cat", "sub", t, a) for i, t, a in docs}
 
 
 ORACLE_DOCS = [
@@ -96,7 +96,7 @@ class TestFitTfidf:
 
     def test_empty_catalog_raises(self):
         with pytest.raises(EmptyInputError):
-            fit_tfidf(ArticleCatalog(), NO_STOPWORDS)
+            fit_tfidf({}, NO_STOPWORDS)
 
     def test_deterministic(self):
         catalog = catalog_from(ORACLE_DOCS)

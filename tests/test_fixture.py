@@ -8,7 +8,7 @@ from coldrec.transitions import build_tensor
 
 
 def category_map(catalog):
-    return {art.id: art.category for art in catalog}
+    return {art.id: art.category for art in catalog.values()}
 
 
 class TestGenerateFixture:
@@ -32,8 +32,8 @@ class TestGenerateFixture:
         streams, _ = parse_behaviors(behaviors_path)
         categories = category_map(catalog)
         tensor = build_tensor(streams, 1800)
-        assert tensor.entries
-        for (_, i, j) in tensor.entries:
+        assert tensor
+        for (_, i, j) in tensor:
             assert categories[i] == categories[j]
 
     def test_zero_signal_transitions_look_independent(self, tmp_path):
@@ -43,10 +43,10 @@ class TestGenerateFixture:
         streams, _ = parse_behaviors(behaviors_path)
         categories = category_map(catalog)
         tensor = build_tensor(streams, 1800)
-        total = sum(tensor.entries.values())
+        total = sum(tensor.values())
         same = sum(
             count
-            for (_, i, j), count in tensor.entries.items()
+            for (_, i, j), count in tensor.items()
             if categories[i] == categories[j]
         )
         assert total > 100

@@ -363,6 +363,27 @@ class TestEmitCurves:
         assert loaded.ks == report.ks
         assert loaded.entries == report.entries
 
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("almm,cold,10,map", r"curves\.csv: line 3: expected 5 columns$"),
+            ("almm,cold,10,map,0.1,9", r"curves\.csv: line 3: expected 5 columns$"),
+            (
+                "almm,cold,ten,map,0.1",
+                r"curves\.csv: line 3: k must be an integer and value a number, got 'ten' and '0\.1'$",
+            ),
+            (
+                "almm,cold,10,map,high",
+                r"curves\.csv: line 3: k must be an integer and value a number, got '10' and 'high'$",
+            ),
+        ],
+    )
+    def test_load_bad_row_names_the_line(self, tmp_path, row, message):
+        path = tmp_path / "curves.csv"
+        path.write_text("model,setting,k,metric,value\nalmm,cold,10,recall,0.5\n%s\n" % row)
+        with pytest.raises(ValueError, match=message):
+            load_curves(path)
+
     def test_merge_reports(self):
         a = self.make_report()
         b = MetricReport(ks=[10])

@@ -4,9 +4,7 @@ import pytest
 
 from coldrec.mind import (
     Article,
-    ArticleCatalog,
     ClickEvent,
-    ClickStream,
     history_popularity,
     parse_behaviors,
     parse_news,
@@ -39,7 +37,7 @@ class TestParseNews:
         catalog, report = parse_news(path)
         assert len(catalog) == 2
         assert report.duplicates_dropped == 1
-        assert catalog.get("N1").title == "first title"
+        assert catalog["N1"].title == "first title"
 
     def test_empty_id_row_skipped(self, tmp_path):
         path = tmp_path / "news.tsv"
@@ -61,7 +59,7 @@ class TestParseNews:
         path = tmp_path / "news.tsv"
         write_tsv(path, [("N1", "a", "b", "t", "x", "http://example.com")])
         catalog, _ = parse_news(path)
-        art = catalog.get("N1")
+        art = catalog["N1"]
         assert not any("example.com" in str(v) for v in vars(art).values())
 
     def test_bundled_fixture_catalog_size(self):
@@ -88,7 +86,7 @@ class TestParseBehaviors:
         write_tsv(path, [("B1", "U1", "11/11/2019 9:00:00 AM", "", "N1-1 N2-0 N3-1")])
         streams, _ = parse_behaviors(path)
         assert len(streams) == 1
-        events = streams[0].events
+        events = streams["U1"]
         assert [(e.news, e.within_impression_rank) for e in events] == [("N1", 0), ("N3", 1)]
         assert events[0].timestamp == events[1].timestamp
 
@@ -102,7 +100,7 @@ class TestParseBehaviors:
             ],
         )
         streams, _ = parse_behaviors(path)
-        assert [e.news for e in streams[0].events] == ["N2", "N1"]
+        assert [e.news for e in streams["U1"]] == ["N2", "N1"]
 
     def test_bundled_fixture_counts(self):
         streams, report = parse_behaviors(BEHAVIORS_SMALL)
@@ -114,17 +112,16 @@ class TestParseBehaviors:
                 impressions = line.rstrip("\n").split("\t")[4]
                 expected_clicks += sum(1 for tok in impressions.split() if tok.endswith("-1"))
         assert expected_clicks == 11  # hand count stored beside the fixture
-        assert sum(len(s.events) for s in streams) == expected_clicks
+        assert sum(len(events) for events in streams.values()) == expected_clicks
         assert report.rows_read == 8
         assert report.rows_kept == 8
 
     def test_bundled_fixture_stream_order(self):
         streams, _ = parse_behaviors(BEHAVIORS_SMALL)
-        by_user = {s.user: s for s in streams}
         # U1's 8:45 click sorts before the 9:00 impression pair
-        assert [e.news for e in by_user["U1"].events] == ["N5", "N1", "N3", "N4"]
+        assert [e.news for e in streams["U1"]] == ["N5", "N1", "N3", "N4"]
         # ranks break the tie inside the 9:30 impression for U2
-        assert [e.news for e in by_user["U2"].events] == ["N2", "N6", "N7", "N98"]
+        assert [e.news for e in streams["U2"]] == ["N2", "N6", "N7", "N98"]
 
     def test_unparseable_timestamp_skips_row(self, tmp_path):
         path = tmp_path / "b.tsv"
@@ -137,14 +134,14 @@ class TestParseBehaviors:
         )
         streams, report = parse_behaviors(path)
         assert report.rows_skipped_malformed == 1
-        assert sum(len(s.events) for s in streams) == 1
+        assert sum(len(events) for events in streams.values()) == 1
 
     def test_bad_token_skipped_and_counted(self, tmp_path):
         path = tmp_path / "b.tsv"
         write_tsv(path, [("B1", "U1", "11/11/2019 9:00:00 AM", "", "N1-1 garbage N2-9 N3-0")])
         streams, report = parse_behaviors(path)
         assert report.tokens_skipped_malformed == 2
-        assert sum(len(s.events) for s in streams) == 1
+        assert sum(len(events) for events in streams.values()) == 1
 
     def test_conservation(self):
         _, report = parse_behaviors(BEHAVIORS_SMALL)
@@ -152,39 +149,39 @@ class TestParseBehaviors:
 
     def test_streams_strictly_ordered(self):
         streams, _ = parse_behaviors(BEHAVIORS_SMALL)
-        for stream in streams:
-            keys = [(e.timestamp, e.within_impression_rank) for e in stream.events]
+        for events in streams.values():
+            keys = [(e.timestamp, e.within_impression_rank) for e in events]
             assert keys == sorted(keys)
 
 
 class TestValidateClicks:
     def _catalog(self, *ids):
-        return ArticleCatalog(Article(i, "c", "s", "t", "a") for i in ids)
+        return {i: Article(i, "c", "s", "t", "a") for i in ids}
 
     def _stream(self, user, *news_ids):
         events = [
             ClickEvent(user=user, news=n, timestamp=100 + k, within_impression_rank=0)
             for k, n in enumerate(news_ids)
         ]
-        return ClickStream(user=user, events=events)
+        return {user: events}
 
     def test_unknown_article_dropped(self):
         streams, report = validate_clicks(
-            [self._stream("U1", "N1", "N_missing")], self._catalog("N1")
+            self._stream("U1", "N1", "N_missing"), self._catalog("N1")
         )
         assert len(streams) == 1
-        assert len(streams[0].events) == 1
+        assert len(streams["U1"]) == 1
         assert report.clicks_dropped_unknown_article == 1
 
     def test_all_known_is_identity(self):
-        inputs = [self._stream("U1", "N1", "N2")]
+        inputs = self._stream("U1", "N1", "N2")
         streams, report = validate_clicks(inputs, self._catalog("N1", "N2"))
-        assert streams[0].events == inputs[0].events
+        assert streams == inputs
         assert report.clicks_dropped_unknown_article == 0
 
     def test_emptied_user_dropped(self):
-        streams, _ = validate_clicks([self._stream("U1", "N_missing")], self._catalog("N1"))
-        assert streams == []
+        streams, _ = validate_clicks(self._stream("U1", "N_missing"), self._catalog("N1"))
+        assert streams == {}
 
     def test_planted_unknown_ids_in_fixture(self):
         catalog, _ = parse_news(NEWS_SMALL)
@@ -198,7 +195,7 @@ class TestValidateClicks:
         once, _ = validate_clicks(raw, catalog)
         twice, report = validate_clicks(once, catalog)
         assert report.clicks_dropped_unknown_article == 0
-        assert [s.events for s in twice] == [s.events for s in once]
+        assert twice == once
 
 
 class TestHistoryPopularity:

@@ -39,8 +39,9 @@ class TestIngestLoaders:
     def test_well_formed_files_load(self, tmp_path):
         streams = tmp_path / "streams.tsv"
         streams.write_text("u1\tN0\t90\t0\nu1\tN1\t100\t1\n")
-        (stream,) = load_streams(streams)
-        assert [(e.news, e.timestamp, e.within_impression_rank) for e in stream.events] == [
+        loaded = load_streams(streams)
+        assert list(loaded) == ["u1"]
+        assert [(e.news, e.timestamp, e.within_impression_rank) for e in loaded["u1"]] == [
             ("N0", 90, 0),
             ("N1", 100, 1),
         ]

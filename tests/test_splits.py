@@ -8,7 +8,6 @@ from coldrec.splits import (
     make_cold_split,
     make_warm_split,
     save_split,
-    split_stats,
 )
 from coldrec.transitions import Triplet, TripletSet
 
@@ -17,6 +16,11 @@ from conftest import synthetic_triplet_set
 
 def tset(*rows):
     return TripletSet([Triplet(u, i, j, c) for u, i, j, c in rows])
+
+
+def side_counts(side):
+    """(users, items, entries) of one split side, as stage_split logs them."""
+    return len(side.users), len(side.articles), len(side)
 
 
 def as_multiset(side):
@@ -60,10 +64,9 @@ class TestColdSplit:
 
     def test_frozen_regression_sizes(self):
         split = make_cold_split(synthetic_triplet_set(), 0.1, 7)
-        stats = split_stats(split)
         assert len(split.holdout_articles) == 3
-        assert (stats.train.n_users, stats.train.n_items, stats.train.n_entries) == (12, 27, 97)
-        assert (stats.test.n_users, stats.test.n_items, stats.test.n_entries) == (9, 19, 20)
+        assert side_counts(split.train) == (12, 27, 97)
+        assert side_counts(split.test) == (9, 19, 20)
 
     def test_cold_invariant_holds_everywhere(self):
         split = make_cold_split(synthetic_triplet_set(), 0.2, 3)
@@ -101,9 +104,8 @@ class TestWarmSplit:
 
     def test_frozen_regression_sizes(self):
         split = make_warm_split(synthetic_triplet_set(), 0.2, 7)
-        stats = split_stats(split)
-        assert (stats.train.n_users, stats.train.n_items, stats.train.n_entries) == (12, 30, 93)
-        assert (stats.test.n_users, stats.test.n_items, stats.test.n_entries) == (10, 25, 24)
+        assert side_counts(split.train) == (12, 30, 93)
+        assert side_counts(split.test) == (10, 25, 24)
 
     def test_fraction_out_of_range_raises(self):
         with pytest.raises(ValueError):
@@ -137,22 +139,15 @@ class TestSplitStats:
             0.34,
             2,
         )
-        stats = split_stats(split)
-        total_entries = stats.train.n_entries + stats.test.n_entries
+        total_entries = len(split.train) + len(split.test)
         assert total_entries == 3
 
     def test_direct_side_counts(self):
-        from coldrec.splits import _side_stats
-
         side = tset(("u1", "A", "B", 1.1), ("u2", "A", "C", 1.1))
-        stats = _side_stats(side)
-        assert (stats.n_users, stats.n_items, stats.n_entries) == (2, 3, 2)
+        assert side_counts(side) == (2, 3, 2)
 
     def test_empty_side_is_zero(self):
-        from coldrec.splits import _side_stats
-
-        stats = _side_stats(TripletSet([]))
-        assert (stats.n_users, stats.n_items, stats.n_entries) == (0, 0, 0)
+        assert side_counts(TripletSet([])) == (0, 0, 0)
 
 
 class TestSplitPersistence:

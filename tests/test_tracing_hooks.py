@@ -1,15 +1,25 @@
-"""The benchmark tracer's hooks still name attributes of the coldrec package.
+"""The benchmark's view of the coldrec package still resolves.
 
-perfbench/tracing.py wraps module-level names, and entries of module-level
-dicts such as `pipeline._TRAINERS`, by name. A refactor that renames one
-should fail here, not only when a traced benchmark run raises LookupError.
+perfbench/ drives coldrec by name: tracing.py wraps module-level names, and
+entries of module-level dicts such as `pipeline._TRAINERS`; its scripts import
+coldrec names; child.py runs `pipeline.stage_<name>` for each of its STAGES;
+layers.derive reads stage counters by key. A refactor that renames or deletes
+one of these should fail here, not only when a benchmark child process fails.
 """
 
+import ast
 import importlib
 import importlib.util
 import os
 
-TRACING_PATH = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "tracing.py")
+import pytest
+
+from coldrec import pipeline
+from coldrec.config import SPLIT_KINDS, load_config
+from coldrec.fixture import generate_fixture
+
+PERFBENCH_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench")
+TRACING_PATH = os.path.join(PERFBENCH_DIR, "tracing.py")
 
 
 def load_tracing():
@@ -17,6 +27,11 @@ def load_tracing():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def parse_perfbench(name):
+    with open(os.path.join(PERFBENCH_DIR, name), encoding="utf-8") as fh:
+        return ast.parse(fh.read(), filename=name)
 
 
 def test_every_traced_name_resolves():
@@ -34,3 +49,67 @@ def test_every_traced_name_resolves():
         if not found:
             missing.append("%s.%s" % (module_name, attr))
     assert missing == []
+
+
+def test_every_coldrec_import_in_perfbench_resolves():
+    imports = []
+    for name in sorted(os.listdir(PERFBENCH_DIR)):
+        if name.endswith(".py"):
+            for node in ast.walk(parse_perfbench(name)):
+                if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "coldrec":
+                    imports += [(name, node.module, alias.name) for alias in node.names]
+    assert imports
+    missing = []
+    for filename, module_name, attr in imports:
+        owner = importlib.import_module(module_name)
+        if not hasattr(owner, attr) and importlib.util.find_spec(module_name + "." + attr) is None:
+            missing.append("%s: %s.%s" % (filename, module_name, attr))
+    assert missing == []
+
+
+def test_child_stages_match_the_pipeline():
+    (stages,) = [
+        ast.literal_eval(node.value)
+        for node in parse_perfbench("child.py").body
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["STAGES"]
+    ]
+    assert tuple(stages) == tuple(name for name, _ in pipeline._STAGES)
+    for name, stage in pipeline._STAGES:
+        assert getattr(pipeline, "stage_" + name, None) is stage
+    assert callable(pipeline.metrics_path)
+
+
+def derive_counter_keys():
+    """Stage counter keys `layers.derive` indexes, `%s` expanded per split kind."""
+    (derive,) = [
+        node for node in parse_perfbench("layers.py").body
+        if isinstance(node, ast.FunctionDef) and node.name == "derive"
+    ]
+    keys = set()
+    for node in ast.walk(derive):
+        if isinstance(node, ast.Subscript) and getattr(node.value, "id", None) == "counters":
+            key = node.slice.left if isinstance(node.slice, ast.BinOp) else node.slice
+            keys |= {key.value.replace("%s", kind) for kind in SPLIT_KINDS}
+    return keys
+
+
+@pytest.fixture(scope="module")
+def run_log_keys(tmp_path_factory):
+    """The counter names of a small run's run.log."""
+    root = tmp_path_factory.mktemp("desk")
+    generate_fixture(12, 40, 0.8, 3, str(root / "fx"))
+    config = root / "run.toml"
+    config.write_text(
+        '[data]\nnews = "fx/news.tsv"\nbehaviors = "fx/behaviors.tsv"\n'
+        '[model]\nkind = "almm"\nlatent_dim = 4\niterations = 2\n[eval]\nks = [5]\n'
+    )
+    cfg = load_config(str(config), out_dir="out")
+    pipeline.run_pipeline(cfg)
+    with open(os.path.join(cfg.out_dir, pipeline.RUN_LOG_FILE), encoding="utf-8") as fh:
+        return {line.split(" = ", 1)[0] for line in fh}
+
+
+def test_counters_layers_derive_reads_are_logged(run_log_keys):
+    keys = derive_counter_keys()
+    assert {"clicks_kept", "triplets", "tfidf_vocabulary", "split_cold_test_entries"} <= keys
+    assert sorted(keys - run_log_keys) == []

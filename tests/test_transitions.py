@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 
 from coldrec.errors import EmptyInputError
-from coldrec.mind import ClickEvent, ClickStream
+from coldrec.mind import ClickEvent
 from coldrec.transitions import (
-    TransitionTensor,
     build_tensor,
     build_triplets,
     load_triplets,
@@ -13,7 +12,8 @@ from coldrec.transitions import (
 
 
 def stream(user, *clicks):
-    """clicks: (news, timestamp) or (news, timestamp, rank) tuples, already ordered."""
+    """Click streams of one user; clicks: (news, timestamp) or (news, timestamp, rank)
+    tuples, already ordered."""
     events = []
     for click in clicks:
         news, ts = click[0], click[1]
@@ -21,7 +21,7 @@ def stream(user, *clicks):
         events.append(
             ClickEvent(user=user, news=news, timestamp=ts, within_impression_rank=rank)
         )
-    return ClickStream(user=user, events=events)
+    return {user: events}
 
 
 def brute_force_tensor(streams, window_seconds):
@@ -29,15 +29,15 @@ def brute_force_tensor(streams, window_seconds):
     transition criteria (immediately-before, gap <= window, distinct) to every
     adjacent index pair."""
     counts = {}
-    for s in streams:
-        ordered = sorted(s.events, key=lambda e: (e.timestamp, e.within_impression_rank))
+    for user, events in streams.items():
+        ordered = sorted(events, key=lambda e: (e.timestamp, e.within_impression_rank))
         for pos in range(1, len(ordered)):
             first, second = ordered[pos - 1], ordered[pos]
             if second.timestamp - first.timestamp > window_seconds:
                 continue
             if first.news == second.news:
                 continue
-            key = (s.user, first.news, second.news)
+            key = (user, first.news, second.news)
             counts[key] = counts.get(key, 0) + 1
     return counts
 
@@ -53,7 +53,7 @@ def brute_force_triplets(tensor_entries):
 
 def random_log(rng):
     """Synthetic multi-user click log: <= 10 users, <= 50 clicks total."""
-    streams = []
+    streams = {}
     clicks_left = int(rng.integers(2, 51))
     n_users = int(rng.integers(1, 11))
     articles = ["N%d" % k for k in range(int(rng.integers(2, 9)))]
@@ -68,83 +68,77 @@ def random_log(rng):
             # mix of tiny gaps, window-boundary gaps, and session breaks
             ts += int(rng.choice([0, 10, 600, 1800, 1801, 4000]))
             events.append((articles[int(rng.integers(len(articles)))], ts, k))
-        streams.append(stream("U%d" % u, *events))
+        streams.update(stream("U%d" % u, *events))
     return streams
 
 
 class TestBuildTensor:
     def test_pair_within_window(self):
-        tensor = build_tensor([stream("u", ("A", 0), ("B", 600))], 1800)
-        assert tensor.entries == {("u", "A", "B"): 1}
+        tensor = build_tensor(stream("u", ("A", 0), ("B", 600)), 1800)
+        assert tensor == {("u", "A", "B"): 1}
 
     def test_pair_outside_window_dropped(self):
-        tensor = build_tensor([stream("u", ("A", 0), ("B", 1801))], 1800)
-        assert tensor.entries == {}
+        tensor = build_tensor(stream("u", ("A", 0), ("B", 1801)), 1800)
+        assert tensor == {}
 
     def test_window_boundary_inclusive(self):
-        tensor = build_tensor([stream("u", ("A", 0), ("B", 1800))], 1800)
-        assert tensor.entries == {("u", "A", "B"): 1}
+        tensor = build_tensor(stream("u", ("A", 0), ("B", 1800)), 1800)
+        assert tensor == {("u", "A", "B"): 1}
 
     def test_self_transition_eliminated(self):
-        tensor = build_tensor([stream("u", ("A", 0), ("A", 60), ("B", 120))], 1800)
-        assert tensor.entries == {("u", "A", "B"): 1}
+        tensor = build_tensor(stream("u", ("A", 0), ("A", 60), ("B", 120)), 1800)
+        assert tensor == {("u", "A", "B"): 1}
 
     def test_equal_timestamps_are_eligible(self):
-        tensor = build_tensor([stream("u", ("A", 50, 0), ("B", 50, 1))], 1800)
-        assert tensor.entries == {("u", "A", "B"): 1}
+        tensor = build_tensor(stream("u", ("A", 50, 0), ("B", 50, 1)), 1800)
+        assert tensor == {("u", "A", "B"): 1}
 
     def test_repeat_transition_counted(self):
-        tensor = build_tensor(
-            [stream("u", ("A", 0), ("B", 10), ("A", 20), ("B", 30))], 1800
-        )
-        assert tensor.entries == {("u", "A", "B"): 2, ("u", "B", "A"): 1}
+        tensor = build_tensor(stream("u", ("A", 0), ("B", 10), ("A", 20), ("B", 30)), 1800)
+        assert tensor == {("u", "A", "B"): 2, ("u", "B", "A"): 1}
 
     def test_bad_window_raises(self):
         with pytest.raises(ValueError):
-            build_tensor([], 0)
+            build_tensor({}, 0)
 
     def test_stream_order_invariance(self):
         rng = np.random.default_rng(99)
         streams = random_log(rng)
         forward = build_tensor(streams, 1800)
-        backward = build_tensor(list(reversed(streams)), 1800)
-        assert forward.entries == backward.entries
+        backward = build_tensor(dict(reversed(streams.items())), 1800)
+        assert forward == backward
 
 
 class TestBuildTriplets:
     def test_single_entry_confidence(self):
-        tset = build_triplets(TransitionTensor({("u", "A", "B"): 1}))
+        tset = build_triplets({("u", "A", "B"): 1})
         assert len(tset) == 1
         assert tset.triplets[0].confidence == 1.0 + 0.1 * 1
 
     def test_global_cross_user_count(self):
-        tensor = TransitionTensor({("u1", "A", "B"): 2, ("u2", "A", "B"): 1})
+        tensor = {("u1", "A", "B"): 2, ("u2", "A", "B"): 1}
         tset = build_triplets(tensor)
         assert len(tset) == 2
         for t in tset:
             assert t.confidence == 1.0 + 0.1 * 3
 
     def test_one_triplet_per_distinct_key(self):
-        tensor = TransitionTensor(
-            {("u1", "A", "B"): 1, ("u1", "B", "C"): 4, ("u2", "A", "C"): 2}
-        )
+        tensor = {("u1", "A", "B"): 1, ("u1", "B", "C"): 4, ("u2", "A", "C"): 2}
         assert len(build_triplets(tensor)) == 3
 
     def test_empty_tensor_raises(self):
         with pytest.raises(EmptyInputError):
-            build_triplets(TransitionTensor({}))
+            build_triplets({})
 
     def test_index_maps_are_bijections(self):
-        tensor = TransitionTensor(
-            {("u1", "A", "B"): 1, ("u2", "B", "C"): 1, ("u1", "C", "A"): 1}
-        )
+        tensor = {("u1", "A", "B"): 1, ("u2", "B", "C"): 1, ("u1", "C", "A"): 1}
         tset = build_triplets(tensor)
         assert sorted(tset.users.values()) == list(range(len(tset.users)))
         assert sorted(tset.articles.values()) == list(range(len(tset.articles)))
 
     def test_confidence_monotonicity(self):
-        base = TransitionTensor({("u1", "A", "B"): 2, ("u1", "B", "C"): 1})
-        bumped = TransitionTensor({("u1", "A", "B"): 2, ("u1", "B", "C"): 1, ("u2", "A", "B"): 1})
+        base = {("u1", "A", "B"): 2, ("u1", "B", "C"): 1}
+        bumped = {("u1", "A", "B"): 2, ("u1", "B", "C"): 1, ("u2", "A", "B"): 1}
         conf_base = {(t.user, t.last_article, t.next_article): t.confidence for t in build_triplets(base)}
         conf_bumped = {(t.user, t.last_article, t.next_article): t.confidence for t in build_triplets(bumped)}
         assert conf_bumped[("u1", "A", "B")] - conf_base[("u1", "A", "B")] == pytest.approx(0.1, abs=1e-12)
@@ -158,9 +152,9 @@ class TestOracleEquivalence:
             streams = random_log(rng)
             tensor = build_tensor(streams, 1800)
             expected = brute_force_tensor(streams, 1800)
-            assert tensor.entries == expected
+            assert tensor == expected
             # conservation: total count equals the number of qualifying pairs
-            assert sum(tensor.entries.values()) == sum(expected.values())
+            assert sum(tensor.values()) == sum(expected.values())
             if expected:
                 triplets = build_triplets(tensor)
                 got = {
@@ -171,9 +165,7 @@ class TestOracleEquivalence:
 
 class TestTripletPersistence:
     def test_round_trip(self, tmp_path):
-        tensor = TransitionTensor(
-            {("u1", "A", "B"): 2, ("u2", "A", "B"): 1, ("u1", "B", "C"): 1}
-        )
+        tensor = {("u1", "A", "B"): 2, ("u2", "A", "B"): 1, ("u1", "B", "C"): 1}
         tset = build_triplets(tensor)
         path = tmp_path / "triplets.tsv"
         save_triplets(tset, path)
