@@ -26,13 +26,11 @@ from .features import (
 )
 from .fixture import generate_fixture
 from .metrics import (
-    MetricReport,
     diversity_at_k,
     emit_curves,
     evaluate,
     format_summary,
     map_at_k,
-    merge_reports,
     novelty_at_k,
     recall_at_k,
 )

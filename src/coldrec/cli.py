@@ -80,13 +80,11 @@ def _dispatch(args) -> int:
     )
     if args.command == "run":
         pipeline.run_pipeline(cfg)
-        report = load_curves(pipeline.metrics_path(cfg))
-        print(format_summary(report), end="")
+        print(format_summary(load_curves(pipeline.metrics_path(cfg))), end="")
         print("metrics written to %s" % pipeline.metrics_path(cfg))
         return 0
     if args.command == "report":
-        report = load_curves(pipeline.metrics_path(cfg))
-        print(format_summary(report), end="")
+        print(format_summary(load_curves(pipeline.metrics_path(cfg))), end="")
         return 0
     counters = dict(pipeline._STAGES)[args.command](cfg)
     _print_counters(counters)

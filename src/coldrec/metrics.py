@@ -2,8 +2,10 @@
 
 Every test triplet (u, i, j*) is a query with a single relevant item j*,
 ranked against all articles appearing in the split (train or test side) minus
-the query's last article i. All queries of one (model, split) are ranked by
-the batched kernel `models.rank_queries`, which breaks ties as `predict` does.
+the query's last article i. All queries of one (model, split) are scored by
+the batched kernel `models.score_queries`; `rank_test_queries` excludes each
+query's own last article and ranks with one stable argsort, which breaks ties
+as `predict` does. Results are a dict {(model, setting, k): {metric: value}}.
 Novelty is the self-information of an item's click popularity; diversity is
 the mean pairwise cosine distance of a recommendation list's TF-IDF rows.
 """
@@ -11,26 +13,17 @@ the mean pairwise cosine distance of a recommendation list's TF-IDF rows.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import EmptyInputError
-from .models import FactorModel, rank_queries
+from .models import FactorModel, score_queries
 # perfbench/tracing.py wraps metrics.predict and metrics.cosine_distance by name
 from .models import predict  # noqa: F401
 from .numerics import cosine_distance
 from .splits import DataSplit
 
 METRIC_NAMES = ("map", "recall", "novelty", "diversity")
-
-
-@dataclass
-class MetricReport:
-    """Metric values keyed by (model kind, split kind, K)."""
-
-    ks: list[int] = field(default_factory=list)
-    entries: dict = field(default_factory=dict)
 
 
 def map_at_k(ranks, k: int) -> float:
@@ -125,25 +118,26 @@ def candidate_universe(split: DataSplit) -> list[str]:
 
 
 def rank_test_queries(model: FactorModel, split: DataSplit, features, k_max: int):
-    """Per test query, the rank of j* and the top-k_max list, from one ranking kernel call.
+    """Per test query, the rank of j* and the top-k_max list, from one scoring kernel call.
 
     Each query ranks the candidate universe minus its last article i, C - 1
-    candidates for a universe of C, with `predict`'s scores and tie-break.
-    The rank is j*'s position plus 1, or None when j* is not a candidate
-    (j* == i); the top list holds the first min(k_max, C - 1) candidates.
-    The universe is checked against `features` once, before any scoring.
+    candidates for a universe of C, with `predict`'s scores and tie-break: i's
+    negated score is set to +inf so it sorts last in its row. The rank is j*'s
+    position plus 1, or None when j* is not a candidate (j* == i); the top
+    list holds the first min(k_max, C - 1) candidates. The universe is checked
+    against `features` once, before any scoring.
     """
     universe = candidate_universe(split)
     queries = list(split.test)
-    ordered, chunks = rank_queries(
+    ordered, chunks = score_queries(
         model,
         [t.user for t in queries],
         [t.last_article for t in queries],
         universe,
         features,
-        exclude_last=True,
     )
     position = {a: p for p, a in enumerate(ordered)}
+    own = np.array([position[t.last_article] for t in queries], dtype=np.intp)
     targets = np.array(
         [-1 if t.next_article == t.last_article else position[t.next_article] for t in queries],
         dtype=np.intp,
@@ -151,8 +145,11 @@ def rank_test_queries(model: FactorModel, split: DataSplit, features, k_max: int
     head = min(k_max, len(ordered) - 1)
     ranks = []
     top_lists = []
-    for start, _, order in chunks:
-        hits = order == targets[start : start + len(order), None]
+    for start, neg in chunks:
+        rows = slice(start, start + len(neg))
+        neg[np.arange(len(neg)), own[rows]] = np.inf
+        order = np.argsort(neg, axis=1, kind="stable")
+        hits = order == targets[rows, None]
         found = hits.any(axis=1).tolist()
         at = hits.argmax(axis=1).tolist()
         ranks.extend(p + 1 if ok else None for p, ok in zip(at, found))
@@ -167,54 +164,42 @@ def evaluate(
     popularity,
     ks,
     *,
-    tfidf_features=None,
-) -> MetricReport:
+    tfidf_features,
+) -> dict:
     """Rank every test triplet's candidates and aggregate the four metrics per K.
 
-    `features` drives the model's scoring; `tfidf_features` (defaulting to
-    `features` when that matrix is TF-IDF) drives the diversity metric.
-    Ranks and top lists come from `rank_test_queries`.
+    Returns {(model kind, split kind, k): {metric: value}} for every k in `ks`.
+    `features` drives the model's scoring and `tfidf_features`, which must be
+    TF-IDF rows, the diversity metric. Ranks and top lists come from
+    `rank_test_queries`.
     """
     ks = sorted(set(int(k) for k in ks))
     if not ks or ks[0] < 1:
         raise ValueError("ks must contain positive integers")
     if len(split.test) == 0:
         raise EmptyInputError("test side of the split is empty")
-    if tfidf_features is None:
-        if features.kind != "tfidf":
-            raise ValueError("diversity needs TF-IDF rows: pass tfidf_features")
-        tfidf_features = features
+    if tfidf_features.kind != "tfidf":
+        raise ValueError("diversity needs TF-IDF rows, got %r features" % tfidf_features.kind)
     total_clicks = max(1, sum(popularity.values()))
     ranks, top_lists = rank_test_queries(model, split, features, max(ks))
-
-    report = MetricReport(ks=ks)
-    for k in ks:
-        report.entries[(model.kind, split.kind, k)] = {
+    return {
+        (model.kind, split.kind, k): {
             "map": map_at_k(ranks, k),
             "recall": recall_at_k(ranks, k),
             "novelty": novelty_at_k(top_lists, popularity, total_clicks, k),
             "diversity": diversity_at_k(top_lists, tfidf_features, k),
         }
-    return report
+        for k in ks
+    }
 
 
-def merge_reports(reports) -> MetricReport:
-    merged = MetricReport()
-    ks: set[int] = set()
-    for report in reports:
-        ks.update(report.ks)
-        merged.entries.update(report.entries)
-    merged.ks = sorted(ks)
-    return merged
-
-
-def emit_curves(report: MetricReport, path) -> None:
+def emit_curves(entries: dict, path) -> None:
     """Write `model,setting,k,metric,value` rows sorted by (model, setting, metric, k).
 
-    Output bytes are deterministic for a given report.
+    Output bytes are deterministic for given `evaluate` results.
     """
     rows = []
-    for (model_kind, setting, k), values in report.entries.items():
+    for (model_kind, setting, k), values in entries.items():
         for metric in METRIC_NAMES:
             rows.append((model_kind, setting, metric, int(k), values[metric]))
     rows.sort(key=lambda r: (r[0], r[1], r[2], r[3]))
@@ -224,10 +209,13 @@ def emit_curves(report: MetricReport, path) -> None:
             fh.write("%s,%s,%d,%s,%s\n" % (model_kind, setting, k, metric, str(value)))
 
 
-def load_curves(path) -> MetricReport:
-    """Rebuild a MetricReport from an emit_curves CSV."""
-    report = MetricReport()
-    ks: set[int] = set()
+def load_curves(path) -> dict:
+    """Read an emit_curves CSV back into {(model, setting, k): {metric: value}}.
+
+    A (model, setting, k) that lacks any of the four metrics, as a truncated
+    file leaves it, is a ValueError naming the key and its missing metrics.
+    """
+    entries: dict = {}
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().rstrip("\n")
         if header != "model,setting,k,metric,value":
@@ -244,22 +232,26 @@ def load_curves(path) -> MetricReport:
                     "%s: line %d: k must be an integer and value a number, got %r and %r"
                     % (path, lineno, k_text, value)
                 ) from None
-            ks.add(k)
-            report.entries.setdefault((model_kind, setting, k), {})[metric] = number
-    report.ks = sorted(ks)
-    return report
+            entries.setdefault((model_kind, setting, k), {})[metric] = number
+    for (model_kind, setting, k), values in entries.items():
+        missing = [m for m in METRIC_NAMES if m not in values]
+        if missing:
+            raise ValueError(
+                "%s: %s,%s,%d lacks metric rows: %s" % (path, model_kind, setting, k, ", ".join(missing))
+            )
+    return entries
 
 
 _SETTING_TITLES = {"warm": "Standard Evaluation", "cold": "Cold-Start Evaluation"}
 
 
-def format_summary(report: MetricReport) -> str:
+def format_summary(entries: dict) -> str:
     """Aligned text table: per setting, one row per model, MAP@k / Recall@k columns,
     followed by the novelty/diversity block."""
-    ks = report.ks
-    models = sorted({key[0] for key in report.entries})
-    settings = [s for s in ("warm", "cold") if any(key[1] == s for key in report.entries)]
-    settings += sorted({key[1] for key in report.entries} - set(settings))
+    ks = sorted({key[2] for key in entries})
+    models = sorted({key[0] for key in entries})
+    settings = [s for s in ("warm", "cold") if any(key[1] == s for key in entries)]
+    settings += sorted({key[1] for key in entries} - set(settings))
 
     def block(metric_pairs):
         headers = ["%s@%d" % (display, k) for k in ks for display, _ in metric_pairs]
@@ -270,7 +262,7 @@ def format_summary(report: MetricReport) -> str:
             for model_kind in models:
                 cells = []
                 for k in ks:
-                    values = report.entries.get((model_kind, setting, k))
+                    values = entries.get((model_kind, setting, k))
                     for _, key in metric_pairs:
                         cell = "%.4f" % values[key] if values else "-"
                         cells.append("%*s" % (width, cell))

@@ -20,11 +20,11 @@ Prediction scores a candidate next article as the symmetric sum of the three
 pairwise inner products among the user vector, the last article's
 last-position vector, and the candidate's next-position vector. Content-mapped
 vectors stand in for any article that was not trained on (the cold path), and
-unseen users score with a zero user vector. One ranking kernel,
-`rank_queries`, scores a block of queries against all candidates as one
-matrix and ranks every row with one stable argsort over the candidates put in
-tie order once; `predict` is a one-query call into it, and evaluation calls
-it once per (model, split).
+unseen users score with a zero user vector. One scoring kernel,
+`score_queries`, scores a block of queries against all candidates, put in tie
+order once, as one matrix; it does not rank. `predict` is a one-query call
+into it followed by one stable argsort; evaluation calls it once per
+(model, split), and `metrics` does its own ranking and own-article exclusion.
 """
 
 from __future__ import annotations
@@ -588,7 +588,7 @@ def article_vectors(model: FactorModel, article_ids, features, position: str) ->
     return out
 
 
-# Scores in one query chunk of the ranking kernel (8 MB of float64): bounds
+# Scores in one query chunk of the scoring kernel (8 MB of float64): bounds
 # its memory whatever the numbers of queries and candidates.
 _RANK_CHUNK_SCORES = 1 << 20
 
@@ -609,17 +609,14 @@ def _user_vectors(model: FactorModel, users) -> np.ndarray:
     return out
 
 
-def rank_queries(model: FactorModel, users, last_articles, candidates, features, *, exclude_last=False):
-    """Score and rank `candidates` for every query (users[q], last_articles[q]).
+def score_queries(model: FactorModel, users, last_articles, candidates, features):
+    """Score `candidates` for every query (users[q], last_articles[q]); no ranking.
 
     Returns (ordered, chunks). `ordered` lists the candidates in predict's tie
-    order. `chunks` yields (start, neg_scores, order) per block of about
-    2^20 scores: neg_scores[r, c] is minus the score of ordered[c] for query
-    start + r, and order[r] lists positions in `ordered` by descending score,
-    ties by position, from one stable argsort per block. Each score is
-    U_u.Y_c + X_i.Y_c + U_u.X_i, as in predict. With `exclude_last`, every
-    query's last article must be a candidate; its neg_score is set to +inf so
-    it sorts last in its row, and order[r, :-1] ranks the other candidates.
+    order. `chunks` yields (start, neg_scores) per block of about 2^20 scores:
+    neg_scores[r, c] is minus the score of ordered[c] for query start + r, each
+    score U_u.Y_c + X_i.Y_c + U_u.X_i as in predict. The negation is exact, so a
+    stable argsort of a row ranks by descending score with ties in tie order.
 
     Every query's last article and every candidate must have a feature row;
     otherwise ValueError names the missing ones, before any scoring.
@@ -632,27 +629,20 @@ def rank_queries(model: FactorModel, users, last_articles, candidates, features,
     if missing:
         raise ValueError("articles missing from the feature matrix: %s" % ", ".join(sorted(missing)))
     ordered = _tie_order(model, candidates)
-    own = None
-    if exclude_last:
-        position = {a: p for p, a in enumerate(ordered)}
-        own = np.array([position[a] for a in last_articles], dtype=np.intp)
     next_t = article_vectors(model, ordered, features, "next").T
-    return ordered, _rank_chunks(model, users, last_articles, next_t, features, own)
+    step = max(1, _RANK_CHUNK_SCORES // len(ordered))
 
+    def chunks():
+        for start in range(0, len(users), step):
+            U = _user_vectors(model, users[start : start + step])
+            X = article_vectors(model, last_articles[start : start + step], features, "last")
+            neg = U @ next_t
+            neg += X @ next_t
+            neg += _row_dots(U, X)[:, None]
+            np.negative(neg, out=neg)  # exact, so ties and their stable order are kept
+            yield start, neg
 
-def _rank_chunks(model, users, last_articles, next_t, features, own):
-    step = max(1, _RANK_CHUNK_SCORES // next_t.shape[1])
-    for start in range(0, len(users), step):
-        stop = min(start + step, len(users))
-        U = _user_vectors(model, users[start:stop])
-        X = article_vectors(model, last_articles[start:stop], features, "last")
-        neg = U @ next_t
-        neg += X @ next_t
-        neg += _row_dots(U, X)[:, None]
-        np.negative(neg, out=neg)  # exact, so ties and their stable order are kept
-        if own is not None:
-            neg[np.arange(stop - start), own[start:stop]] = np.inf
-        yield start, neg, np.argsort(neg, axis=1, kind="stable")
+    return ordered, chunks()
 
 
 def predict(model: FactorModel, user: str, last_article: str, candidates, features):
@@ -663,9 +653,9 @@ def predict(model: FactorModel, user: str, last_article: str, candidates, featur
     ranking invariant to candidate input order. Unseen users score with a zero
     user vector, reducing the score to X_i.Y_j.
     """
-    ordered, chunks = rank_queries(model, [user], [last_article], candidates, features)
-    _, neg, order = next(chunks)
-    return [(ordered[p], -float(neg[0, p])) for p in order[0].tolist()]
+    ordered, chunks = score_queries(model, [user], [last_article], candidates, features)
+    _, neg = next(chunks)
+    return [(ordered[p], -float(neg[0, p])) for p in np.argsort(neg[0], kind="stable").tolist()]
 
 
 def save_model(model: FactorModel, dirpath) -> None:

@@ -289,7 +289,7 @@ def stage_evaluate(cfg: RunConfig) -> dict:
     features = _model_features(cfg)
     tfidf = features if cfg.feature_kind == "tfidf" else load_features(_feature_base(cfg, "tfidf"))
     popularity = load_popularity(_path(cfg, INGEST_DIR, "popularity.tsv"))
-    reports = []
+    entries: dict = {}
     counters: dict = {}
     for split_kind in cfg.split_kinds:
         split = load_split(_path(cfg, SPLITS_DIR, split_kind))
@@ -304,31 +304,29 @@ def stage_evaluate(cfg: RunConfig) -> dict:
         )
         for model_kind in cfg.model_kinds:
             model = load_model(_model_dir(cfg, model_kind, split_kind))
-            report = metrics_mod.evaluate(
+            results = metrics_mod.evaluate(
                 model, split, features, popularity, cfg.ks, tfidf_features=tfidf
             )
-            reports.append(report)
-            for (mk, sk, k), values in sorted(report.entries.items()):
+            for (mk, sk, k), values in sorted(results.items()):
                 for metric in metrics_mod.METRIC_NAMES:
                     counters["%s_%s_%s_at_%d" % (metric, mk, sk, k)] = values[metric]
-    merged = metrics_mod.merge_reports(reports)
-    metrics_mod.emit_curves(merged, _path(cfg, METRICS_FILE))
-    counters.update(_cold_start_comparison(merged, cfg))
+            entries.update(results)
+    metrics_mod.emit_curves(entries, _path(cfg, METRICS_FILE))
+    counters.update(_cold_start_comparison(entries))
     return counters
 
 
-def _cold_start_comparison(report, cfg: RunConfig) -> dict:
+def _cold_start_comparison(entries: dict) -> dict:
     """Inspection lines: does almm beat the baselines on the cold split?"""
     out: dict = {}
-    if "cold" not in cfg.split_kinds or "almm" not in cfg.model_kinds:
+    ks = {k for mk, sk, k in entries if (mk, sk) == ("almm", "cold")}
+    if not ks:
         return out
-    k = 10 if 10 in report.ks else report.ks[0]
-    almm = report.entries.get(("almm", "cold", k))
-    if almm is None:
-        return out
+    k = 10 if 10 in ks else min(ks)
+    almm = entries[("almm", "cold", k)]
     for metric in ("map", "recall"):
         for rival in ("forbes", "oord"):
-            rival_values = report.entries.get((rival, "cold", k))
+            rival_values = entries.get((rival, "cold", k))
             if rival_values is not None:
                 out["cold_almm_beats_%s_%s_at_%d" % (rival, metric, k)] = (
                     almm[metric] > rival_values[metric]

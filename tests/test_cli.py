@@ -360,6 +360,19 @@ class TestCliCommands:
         assert "MAP@3" in out
         assert "almm" in out
 
+    def test_report_on_truncated_metrics_fails_with_message(self, workspace, run_out, capsys):
+        config = write_config(workspace)
+        with open(os.path.join(run_out[2], "metrics.csv")) as fh:
+            head = fh.readlines()[:20]  # cut at a line boundary, as a killed run leaves it
+        os.makedirs(os.path.join(workspace, "cut_out"))
+        with open(os.path.join(workspace, "cut_out", "metrics.csv"), "w") as fh:
+            fh.writelines(head)
+        rc = main(["report", "--config", config, "--out", "cut_out"])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error: ")
+        assert "forbes,cold,3 lacks metric rows: recall, novelty" in err
+
     def test_missing_input_path_fails_with_message(self, tmp_path, capsys):
         config = os.path.join(tmp_path, "bad.toml")
         with open(config, "w") as fh:

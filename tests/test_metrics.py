@@ -6,7 +6,6 @@ import pytest
 from coldrec.errors import EmptyInputError
 from coldrec.features import FeatureMatrix
 from coldrec.metrics import (
-    MetricReport,
     candidate_universe,
     diversity_at_k,
     emit_curves,
@@ -14,7 +13,6 @@ from coldrec.metrics import (
     format_summary,
     load_curves,
     map_at_k,
-    merge_reports,
     novelty_at_k,
     recall_at_k,
 )
@@ -145,8 +143,8 @@ class TestEvaluate:
         model = hand_model(["A", "B"], [[1.0], [0.0]], [[0.0], [1.0]])
         split = split_of([("u1", "A", "B")], [("u1", "A", "B")])
         fm = dense_features(["A", "B"], [[1.0, 0.0], [0.0, 1.0]])
-        report = evaluate(model, split, fm, {}, [10])
-        values = report.entries[("almm", "warm", 10)]
+        results = evaluate(model, split, fm, {}, [10], tfidf_features=fm)
+        values = results[("almm", "warm", 10)]
         assert values["map"] == 1.0
         assert values["recall"] == 1.0
 
@@ -161,9 +159,9 @@ class TestEvaluate:
         train = [("u1", "Q", "A%02d" % k) for k in range(1, 13)]
         split = split_of(train, [("u1", "Q", "A11")])
         fm = dense_features(ids, np.zeros((13, 2)))
-        report = evaluate(model, split, fm, {}, [10, 20])
-        at10 = report.entries[("almm", "warm", 10)]
-        at20 = report.entries[("almm", "warm", 20)]
+        results = evaluate(model, split, fm, {}, [10, 20], tfidf_features=fm)
+        at10 = results[("almm", "warm", 10)]
+        at20 = results[("almm", "warm", 20)]
         assert at10["map"] == 0.0
         assert at10["recall"] == 0.0
         assert at20["map"] == 1.0 / 11
@@ -180,8 +178,8 @@ class TestEvaluate:
         train = [("u1", "Q", "A%d" % k) for k in range(1, 6)]
         split = split_of(train, [("u1", "Q", "A1"), ("u1", "Q", "A4")])
         fm = dense_features(ids, np.zeros((6, 2)))
-        report = evaluate(model, split, fm, {}, [10])
-        values = report.entries[("almm", "warm", 10)]
+        results = evaluate(model, split, fm, {}, [10], tfidf_features=fm)
+        values = results[("almm", "warm", 10)]
         assert values["map"] == (1 + 0.25) / 2
         assert values["recall"] == 1.0
 
@@ -193,7 +191,7 @@ class TestEvaluate:
         split = split_of(train, test)
         rng = np.random.default_rng(0)
         fm = dense_features(ids, rng.random((5, 3)))
-        report = evaluate(model, split, fm, {"n1": 2, "n3": 6}, [2, 4])
+        results = evaluate(model, split, fm, {"n1": 2, "n3": 6}, [2, 4], tfidf_features=fm)
         # with all scores zero the ranking is the article-index order minus i
         oracle_ranks = []
         oracle_lists = []
@@ -204,7 +202,7 @@ class TestEvaluate:
             oracle_ranks.append(cands.index(j) + 1)
             oracle_lists.append(cands)
         for k in (2, 4):
-            values = report.entries[("almm", "warm", k)]
+            values = results[("almm", "warm", k)]
             assert values["map"] == map_at_k(oracle_ranks, k)
             assert values["recall"] == recall_at_k(oracle_ranks, k)
             assert values["novelty"] == novelty_at_k(oracle_lists, {"n1": 2, "n3": 6}, 8, k)
@@ -234,7 +232,7 @@ class TestEvaluate:
             fm = dense_features(ids, rng.random((n_articles, 3)))
             popularity = {a: int(rng.integers(0, 5)) for a in ids}
             total = max(1, sum(popularity.values()))
-            report = evaluate(model, split, fm, popularity, [2, 3])
+            results = evaluate(model, split, fm, popularity, [2, 3], tfidf_features=fm)
 
             # exhaustive oracle: explicit per-candidate scoring and sorting
             universe = candidate_universe(split)
@@ -260,7 +258,7 @@ class TestEvaluate:
                 ranks.append(ordered.index(j) + 1)
                 lists.append(ordered[:3])
             for k in (2, 3):
-                values = report.entries[("almm", split.kind, k)]
+                values = results[("almm", split.kind, k)]
                 assert values["map"] == map_at_k(ranks, k)
                 assert values["recall"] == recall_at_k(ranks, k)
                 assert values["novelty"] == pytest.approx(
@@ -286,10 +284,11 @@ class TestEvaluate:
         split = split_of(train, test)
         fm = dense_features(ids, rng.random((6, 4)))
         popularity = {a: int(rng.integers(0, 9)) for a in ids}
-        report = evaluate(model, split, fm, popularity, [1, 2, 3, 5])
+        results = evaluate(model, split, fm, popularity, [5, 1, 3, 2, 3], tfidf_features=fm)
+        assert list(results) == [("almm", "warm", k) for k in (1, 2, 3, 5)]
         prev_recall = -1.0
-        for k in report.ks:
-            values = report.entries[("almm", "warm", k)]
+        for k in (1, 2, 3, 5):
+            values = results[("almm", "warm", k)]
             assert 0.0 <= values["map"] <= 1.0
             assert 0.0 <= values["recall"] <= 1.0
             assert 0.0 <= values["diversity"] <= 2.0
@@ -302,66 +301,59 @@ class TestEvaluate:
         split = split_of([("u1", "A", "B")], [])
         fm = dense_features(["A", "B"], np.zeros((2, 2)))
         with pytest.raises(EmptyInputError):
-            evaluate(model, split, fm, {}, [10])
+            evaluate(model, split, fm, {}, [10], tfidf_features=fm)
 
     def test_external_features_need_tfidf_for_diversity(self):
         model = hand_model(["A", "B"], np.zeros((2, 1)), np.zeros((2, 1)))
         split = split_of([("u1", "A", "B")], [("u1", "A", "B")])
         external = dense_features(["A", "B"], np.zeros((2, 4)), kind="external")
-        with pytest.raises(ValueError):
-            evaluate(model, split, external, {}, [10])
+        with pytest.raises(ValueError, match="diversity needs TF-IDF rows, got 'external' features"):
+            evaluate(model, split, external, {}, [10], tfidf_features=external)
         tfidf = dense_features(["A", "B"], np.eye(2))
-        report = evaluate(model, split, external, {}, [10], tfidf_features=tfidf)
-        assert report.entries[("almm", "warm", 10)]["recall"] == 1.0
+        results = evaluate(model, split, external, {}, [10], tfidf_features=tfidf)
+        assert results[("almm", "warm", 10)]["recall"] == 1.0
 
 
 class TestEmitCurves:
-    def make_report(self):
-        report = MetricReport(ks=[10, 20])
-        for k in (10, 20):
-            report.entries[("almm", "cold", k)] = {
-                "map": 0.5 / k,
-                "recall": 1.0 / k,
-                "novelty": 2.0,
-                "diversity": 0.25,
-            }
-        return report
+    def make_entries(self):
+        return {
+            ("almm", "cold", k): {"map": 0.5 / k, "recall": 1.0 / k, "novelty": 2.0, "diversity": 0.25}
+            for k in (10, 20)
+        }
 
     def test_row_cardinality(self, tmp_path):
         path = tmp_path / "curves.csv"
-        emit_curves(self.make_report(), path)
+        emit_curves(self.make_entries(), path)
         lines = path.read_text().splitlines()
         assert lines[0] == "model,setting,k,metric,value"
         assert len(lines) == 1 + 8  # 1 model x 2 Ks x 4 metrics
 
     def test_byte_identical_on_reemit(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        report = self.make_report()
-        emit_curves(report, a)
-        emit_curves(report, b)
+        entries = self.make_entries()
+        emit_curves(entries, a)
+        emit_curves(entries, b)
         assert a.read_bytes() == b.read_bytes()
 
     def test_empty_grid_header_only(self, tmp_path):
         path = tmp_path / "empty.csv"
-        emit_curves(MetricReport(), path)
+        emit_curves({}, path)
         assert path.read_text() == "model,setting,k,metric,value\n"
 
     def test_rows_sorted(self, tmp_path):
-        report = self.make_report()
-        report.entries[("almm", "warm", 10)] = report.entries[("almm", "cold", 10)]
+        entries = self.make_entries()
+        entries[("almm", "warm", 10)] = entries[("almm", "cold", 10)]
         path = tmp_path / "curves.csv"
-        emit_curves(report, path)
+        emit_curves(entries, path)
         rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
         keys = [(r[0], r[1], r[3], int(r[2])) for r in rows]
         assert keys == sorted(keys)
 
     def test_load_round_trip(self, tmp_path):
         path = tmp_path / "curves.csv"
-        report = self.make_report()
-        emit_curves(report, path)
-        loaded = load_curves(path)
-        assert loaded.ks == report.ks
-        assert loaded.entries == report.entries
+        entries = self.make_entries()
+        emit_curves(entries, path)
+        assert load_curves(path) == entries
 
     @pytest.mark.parametrize(
         "row, message",
@@ -384,19 +376,17 @@ class TestEmitCurves:
         with pytest.raises(ValueError, match=message):
             load_curves(path)
 
-    def test_merge_reports(self):
-        a = self.make_report()
-        b = MetricReport(ks=[10])
-        b.entries[("forbes", "warm", 10)] = {
-            "map": 0.1, "recall": 0.2, "novelty": 1.0, "diversity": 0.5
-        }
-        merged = merge_reports([a, b])
-        assert merged.ks == [10, 20]
-        assert len(merged.entries) == 3
+    def test_load_incomplete_key_names_missing_metrics(self, tmp_path):
+        path = tmp_path / "curves.csv"
+        emit_curves(self.make_entries(), path)
+        # header plus the first five rows, as a run killed mid-write leaves it
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text("".join(lines[:6]))
+        with pytest.raises(ValueError, match=r"curves\.csv: almm,cold,10 lacks metric rows: recall$"):
+            load_curves(path)
 
     def test_format_summary_mentions_models_and_settings(self):
-        report = self.make_report()
-        text = format_summary(report)
+        text = format_summary(self.make_entries())
         assert "almm" in text
         assert "Cold-Start Evaluation" in text
         assert "MAP@10" in text

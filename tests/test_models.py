@@ -1119,6 +1119,21 @@ class TestRankingKernelMatchesScalarPredict:
         assert ranks[5] is None and ranks[9] is None
         assert all(len(top) == len(universe) - 1 for top in top_lists)
 
+    @pytest.mark.parametrize("dense", [False, True], ids=["tfidf", "external"])
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
+    def test_ties_straddling_the_k_max_cut(self, kind, dense):
+        model, split, features = self.problem(kind, dense)
+        universe = candidate_universe(split)
+        cuts = set()
+        for t in split.test:
+            candidates = [a for a in universe if a != t.last_article]
+            scores = [s for _, s in scalar_predict(model, t.user, t.last_article, candidates, features)]
+            cuts.update(k for k in range(1, len(scores)) if scores[k - 1] == scores[k])
+        assert cuts  # the problem's duplicate rows tie exactly
+        for k_max in sorted(cuts):
+            want = self.scalar_ranks(model, split, features, k_max)
+            assert rank_test_queries(model, split, features, k_max) == want
+
     def test_duplicate_rows_tie_exactly(self):
         model, split, features = self.problem("almm", dense=False)
         ranked = predict(model, "u0", "n1", ["c0", "n2", "c3", "c2"], features)
