@@ -212,8 +212,9 @@ def emit_curves(entries: dict, path) -> None:
 def load_curves(path) -> dict:
     """Read an emit_curves CSV back into {(model, setting, k): {metric: value}}.
 
-    A (model, setting, k) that lacks any of the four metrics, as a truncated
-    file leaves it, is a ValueError naming the key and its missing metrics.
+    A file with no rows after its header is a ValueError, and so is a
+    (model, setting, k) that lacks any of the four metrics, as a truncated
+    file leaves it; the message names the key and its missing metrics.
     """
     entries: dict = {}
     with open(path, "r", encoding="utf-8") as fh:
@@ -233,6 +234,8 @@ def load_curves(path) -> dict:
                     % (path, lineno, k_text, value)
                 ) from None
             entries.setdefault((model_kind, setting, k), {})[metric] = number
+    if not entries:
+        raise ValueError("%s: no metric rows" % path)
     for (model_kind, setting, k), values in entries.items():
         missing = [m for m in METRIC_NAMES if m not in values]
         if missing:

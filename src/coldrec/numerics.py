@@ -1,12 +1,15 @@
 """Small dense linear-algebra core: ridge solves, triplet scoring, vector similarity.
 
 The content mappings of the models module are ridge fits against a fixed
-design, factored once per trainer by `ridge_factor`. The batched ALS row
-update solves its small systems itself and falls back to `ridge_solve` only
-for rows whose normal matrix fails to factor; `ridge_solve` is also its test
-oracle. `score` is the scalar triplet affinity that ranking computes in
-batch, and the diversity metric reduces to `cosine_distance`. These kernels
-are kept in one place with strict input validation.
+design, factored once per trainer by `ridge_factor`, which factors the
+smaller of the two Gram matrices: the n x n GG' + ridge*I when the design
+has fewer rows than columns and ridge > 0, else the k x k G'G + ridge*I.
+The batched ALS row update solves its small systems itself and falls back
+to `ridge_solve` only for rows whose normal matrix fails to factor;
+`ridge_solve` is also its test oracle. `score` is the scalar triplet
+affinity that ranking computes in batch, and the diversity metric reduces
+to `cosine_distance`. These kernels are kept in one place with strict input
+validation.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ MATRIX_MAGIC = b"CRMX"
 
 
 def ridge_factor(design, ridge: float):
-    """Factor the ridge normal matrix of `design` once; return a solver for any targets.
+    """Factor the smaller ridge Gram of `design` once; return a solver for any targets.
 
     The returned `solve(targets)` gives W = (G'G + ridge*I)^-1 G'R for the
     fixed design G, so a design that is refit against changing targets (the
@@ -31,35 +34,45 @@ def ridge_factor(design, ridge: float):
     only once. `design` may be dense (n x k) or scipy-sparse; `targets` may be
     (n,) or (n x d), and W comes back with the matching shape.
 
-    On a Cholesky failure with ridge > 0 the factorization is retried once
-    with a trace-scaled jitter of 1e-10 added to the diagonal (near-singular
-    normal matrices from sparse feature blocks); at ridge = 0 a failure raises
-    SingularSystemError immediately.
+    With ridge > 0 and fewer rows than columns (n < k: few trained articles,
+    a wide vocabulary) the n x n Gram GG' + ridge*I is factored instead and
+    W = G'(GG' + ridge*I)^-1 R, the dual form of the same solution (Saunders,
+    Gammerman & Vovk, ICML 1998). Otherwise, and always at ridge = 0, the
+    k x k Gram G'G + ridge*I is factored.
+
+    On a Cholesky failure with ridge > 0 the factorization of that system is
+    retried once with a trace-scaled jitter of 1e-10 added to the diagonal
+    (near-singular normal matrices from sparse feature blocks); at ridge = 0
+    a failure raises SingularSystemError immediately.
     """
     if ridge < 0:
         raise ValueError("ridge must be >= 0, got %r" % ridge)
     if sparse.issparse(design):
         if not np.all(np.isfinite(design.data)):
             raise ValueError("design contains non-finite values")
-        gram = np.asarray((design.T @ design).todense(), dtype=np.float64)
     else:
         design = np.asarray(design, dtype=np.float64)
         if not np.all(np.isfinite(design)):
             raise ValueError("design contains non-finite values")
-        gram = design.T @ design
-
+    dual = ridge > 0 and design.shape[0] < design.shape[1]
+    gram = design @ design.T if dual else design.T @ design
+    if sparse.issparse(gram):
+        gram = np.asarray(gram.toarray(), dtype=np.float64)
+    # Ridge and jitter go onto the Gram's diagonal in place: cho_factor
+    # factors a copy, so after a failure `gram` still holds the ridged system.
     k = gram.shape[0]
-    system = gram + ridge * np.eye(k)
+    jitter = 1e-10 * np.trace(gram) / max(k, 1)
+    gram.flat[:: k + 1] += ridge
     try:
-        factor = cho_factor(system, lower=True)
+        factor = cho_factor(gram, lower=True)
     except np.linalg.LinAlgError:
         if ridge <= 0:
             raise SingularSystemError(
                 "normal matrix is singular and no ridge was applied"
             ) from None
-        jitter = 1e-10 * np.trace(gram) / max(k, 1)
+        gram.flat[:: k + 1] += jitter
         try:
-            factor = cho_factor(system + jitter * np.eye(k), lower=True)
+            factor = cho_factor(gram, lower=True)
         except np.linalg.LinAlgError:
             raise SingularSystemError(
                 "normal matrix stayed singular after jitter retry"
@@ -71,6 +84,8 @@ def ridge_factor(design, ridge: float):
             raise ValueError("targets contain non-finite values")
         if design.shape[0] != targets.shape[0]:
             raise ValueError("design and targets row counts differ")
+        if dual:
+            return np.asarray(design.T @ cho_solve(factor, targets), dtype=np.float64)
         return cho_solve(factor, np.asarray(design.T @ targets, dtype=np.float64))
 
     return solve

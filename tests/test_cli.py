@@ -373,6 +373,19 @@ class TestCliCommands:
         assert err.startswith("error: ")
         assert "forbes,cold,3 lacks metric rows: recall, novelty" in err
 
+    def test_report_on_header_only_metrics_fails_naming_the_path(self, workspace, run_out, capsys):
+        config = write_config(workspace)
+        with open(os.path.join(run_out[2], "metrics.csv")) as fh:
+            header = fh.readline()
+        os.makedirs(os.path.join(workspace, "header_out"))
+        path = os.path.join(workspace, "header_out", "metrics.csv")
+        with open(path, "w") as fh:
+            fh.write(header)
+        rc = main(["report", "--config", config, "--out", "header_out"])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err == "error: %s: no metric rows\n" % path
+
     def test_missing_input_path_fails_with_message(self, tmp_path, capsys):
         config = os.path.join(tmp_path, "bad.toml")
         with open(config, "w") as fh:

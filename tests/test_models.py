@@ -485,7 +485,8 @@ class TestAlmmTrain:
         for attr in ("user_factors", "last_factors", "next_factors", "last_mapping", "next_mapping"):
             np.testing.assert_array_equal(getattr(a, attr), getattr(b, attr))
 
-    def test_content_gram_factored_once_per_call(self, monkeypatch):
+    @pytest.mark.parametrize("width", [4, 10])  # 6 articles: primal Gram at m = 4, dual at m = 10
+    def test_content_gram_factored_once_per_call(self, monkeypatch, width):
         calls = {"ridge_factor": 0, "cho_factor": 0}
 
         def counting(name, fn):
@@ -499,7 +500,7 @@ class TestAlmmTrain:
         monkeypatch.setattr(numerics, "cho_factor", counting("cho_factor", numerics.cho_factor))
         rng = np.random.default_rng(8)
         instances = random_instances(rng, 3, 6, 8)
-        content = sparse.csr_matrix(rng.normal(size=(6, 4)) * (rng.random((6, 4)) < 0.7))
+        content = sparse.csr_matrix(rng.normal(size=(6, width)) * (rng.random((6, width)) < 0.7))
         for train in (almm_train, oord_train):
             calls.update(ridge_factor=0, cho_factor=0)
             train(instances, content, Hyperparams(latent_dim=3, iterations=4, seed=1))

@@ -2,6 +2,9 @@ import numpy as np
 import pytest
 from scipy import sparse
 
+from scipy.linalg import cho_factor
+
+from coldrec import numerics
 from coldrec.errors import FormatError, SingularSystemError
 from coldrec.numerics import (
     cosine_distance,
@@ -119,6 +122,86 @@ class TestRidgeFactor:
         for _ in range(3):
             targets = rng.normal(size=(18, 2))
             np.testing.assert_array_equal(solve(targets), ridge_solve(design, targets, 0.2))
+
+
+def recorded_factorizations(monkeypatch):
+    """Patch numerics.cho_factor to record (copy of the system, factor or None) per call."""
+    calls = []
+
+    def recording(a, **kwargs):
+        system = np.array(a)
+        try:
+            factor = cho_factor(a, **kwargs)
+        except np.linalg.LinAlgError:
+            calls.append((system, None))
+            raise
+        calls.append((system, factor))
+        return factor
+
+    monkeypatch.setattr(numerics, "cho_factor", recording)
+    return calls
+
+
+class TestRidgeFactorPaths:
+    @pytest.mark.parametrize("as_sparse", [False, True])
+    def test_primal_factor_equals_identity_sum(self, monkeypatch, as_sparse):
+        rng = np.random.default_rng(41)
+        dense = rng.normal(size=(16, 6)) * (rng.random(size=(16, 6)) < 0.6)
+        design = sparse.csr_matrix(dense) if as_sparse else dense
+        calls = recorded_factorizations(monkeypatch)
+        ridge_factor(design, 0.3)
+        gram = np.asarray((design.T @ design).todense()) if as_sparse else dense.T @ dense
+        expected = cho_factor(gram + 0.3 * np.eye(6), lower=True)
+        assert len(calls) == 1
+        assert np.array_equal(calls[0][1][0], expected[0]) and calls[0][1][1] is True
+
+    def test_jitter_retry_equals_identity_sum(self, monkeypatch):
+        # at a ridge below rounding the rank-1 Gram stays singular, so the
+        # factorization is retried with the trace-scaled jitter on the diagonal
+        design = np.array([[1.0, 1.0], [1.0, 1.0], [1.0, 1.0]])
+        calls = recorded_factorizations(monkeypatch)
+        solve = ridge_factor(design, 1e-300)
+        gram = design.T @ design
+        system = gram + 1e-300 * np.eye(2)
+        retried = system + 1e-10 * np.trace(gram) / 2 * np.eye(2)
+        assert len(calls) == 2 and calls[0][1] is None
+        assert np.array_equal(calls[0][0], system)
+        assert np.array_equal(calls[1][0], retried)
+        assert np.array_equal(calls[1][1][0], cho_factor(retried, lower=True)[0])
+        assert np.all(np.isfinite(solve(np.ones(3))))
+
+    @pytest.mark.parametrize("as_sparse", [False, True])
+    @pytest.mark.parametrize("target_shape", [(9,), (9, 3)])
+    def test_dual_matches_normal_equations_oracle(self, as_sparse, target_shape):
+        rng = np.random.default_rng(43)
+        for k, ridge in ((20, 0.5), (40, 1e-3), (200, 2.0)):
+            dense = rng.normal(size=(9, k)) * (rng.random(size=(9, k)) < 0.5)
+            design = sparse.csr_matrix(dense) if as_sparse else dense
+            targets = rng.normal(size=target_shape)
+            out = ridge_factor(design, ridge)(targets)
+            expected = normal_equations_oracle(dense, targets, ridge)
+            assert out.shape == expected.shape
+            assert np.linalg.norm(out - expected) / np.linalg.norm(expected) <= 1e-10
+
+    def test_wide_design_at_zero_ridge_raises(self):
+        design = np.random.default_rng(47).normal(size=(3, 7))
+        with pytest.raises(SingularSystemError):
+            ridge_factor(design, 0.0)
+
+    @pytest.mark.parametrize("as_sparse", [False, True])
+    @pytest.mark.parametrize(
+        "shape, ridge, size",
+        [((5, 9), 0.4, 5), ((12, 5), 0.4, 5), ((6, 6), 0.4, 6), ((5, 9), 0.0, 9)],
+    )
+    def test_factors_the_smaller_gram(self, monkeypatch, as_sparse, shape, ridge, size):
+        dense = np.random.default_rng(53).normal(size=shape)
+        design = sparse.csr_matrix(dense) if as_sparse else dense
+        calls = recorded_factorizations(monkeypatch)
+        try:
+            ridge_factor(design, ridge)
+        except SingularSystemError:
+            assert ridge == 0.0
+        assert [s.shape for s, _ in calls] == [(size, size)]
 
 
 class TestScore:
