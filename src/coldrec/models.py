@@ -7,7 +7,9 @@ Three trainers share one `Instances` record of training instances from
   next factors, (b) ridge-regression content mappings, (c) refresh of the
   article factors with the mapped features.
 - forbes_train: article factors are defined through the mappings for the whole
-  run; user factors and mappings learned jointly by SGD.
+  run; user factors and mappings learned jointly by SGD on one stacked state
+  S = [Psi_X; Psi_Y; U], one gather, two small matmuls and one write per
+  instance.
 - oord_train: stage 1 is almm's ALS loop without the per-iteration mappings
   and refresh, stage 2 fits the mappings once by ridge from the final
   factors; prediction always uses mapped features.
@@ -400,13 +402,14 @@ _SCALE_FLOOR = 1e-9
 
 
 def _forbes_plan(instances, content):
-    """Per-instance (user, rows, selector, weight, target), built once per trainer.
+    """Per-instance (rows, selector, weight, target), built once per trainer.
 
-    `rows` indexes the stacked mappings P = [Psi_X; Psi_Y] (2m x d): the last
-    article's content columns, then the next article's offset by m, so the two
-    blocks never share a row, even when i == j. `sel` (2 x len(rows)) holds
-    a_i's values in row 0 and a_j's in row 1, so sel @ P[rows] = [a_i Psi_X;
-    a_j Psi_Y]. Dense content uses every column.
+    `rows` indexes the stacked state S = [Psi_X; Psi_Y; U] ((2m + n_users) x d):
+    the last article's content columns, then the next article's offset by m,
+    then the user's row 2m + u, so no two blocks share a row, even when i == j.
+    `sel` (3 x len(rows)) holds a_i's values in row 0, a_j's in row 1 and a
+    single 1 for the user in row 2, so sel @ S[rows] = [a_i Psi_X; a_j Psi_Y; U_u].
+    Dense content uses every column.
     """
     m = content.shape[1]
     if sparse.issparse(content):
@@ -422,11 +425,12 @@ def _forbes_plan(instances, content):
     for u, i, j, weight, target in zip(*(values.tolist() for values in fields)):
         idx_i, vals_i = articles[i]
         idx_j, vals_j = articles[j]
-        rows = np.concatenate((idx_i, idx_j + m)).astype(np.intp)
-        sel = np.zeros((2, rows.size))
+        rows = np.concatenate((idx_i, idx_j + m, (2 * m + u,))).astype(np.intp)
+        sel = np.zeros((3, rows.size))
         sel[0, : idx_i.size] = vals_i
-        sel[1, idx_i.size :] = vals_j
-        plan.append((u, rows, sel, weight, target))
+        sel[1, idx_i.size : -1] = vals_j
+        sel[2, -1] = 1.0
+        plan.append((rows, sel, weight, target))
     return plan
 
 
@@ -436,51 +440,69 @@ def _fold_period(factors) -> int:
     return max(1, int(-math.log(_SCALE_FLOOR) / max(rates))) if rates else 0
 
 
-def _fold(P, scale, m):
-    """Multiply each block of P by its scale and reset both scales to 1."""
-    P[:m] *= scale[0]
-    P[m:] *= scale[1]
-    scale.fill(1.0)
+def _fold(S, m, scale_x, scale_y):
+    """Multiply the Psi_X and Psi_Y blocks of S by their scales; the caller resets both to 1."""
+    S[:m] *= scale_x
+    S[m : 2 * m] *= scale_y
 
 
-def _sgd_epoch(order, plan, U, P, lr, hyper):
-    """One forbes SGD pass in `order`, updating U and the stacked mappings P in place."""
-    m = P.shape[0] // 2
+def _sgd_epoch(order, plan, S, m, lr, hyper):
+    """One forbes SGD pass in `order`, updating the stacked state S = [Psi_X; Psi_Y; U] in place.
+
+    Psi_X is scale_x * S[:m] and Psi_Y is scale_y * S[m:2m] (lazy decay), with
+    both scales kept as Python floats. Per update:
+        G = S[rows];  raw = sel @ G = [x / scale_x; y / scale_y; U_u]
+        g = raw @ raw.T (3 x 3);  err = weight * (target - score) from g
+        decay both scales, folding them into S when due
+        G += sel.T @ (A @ raw);  S[rows] = G
+    With c = lr * err, the rows of A @ raw are the Psi_X step c * (U_u + y)
+    and the Psi_Y step c * (U_u + x), each over its block's new scale, and
+    the user step (keep_user - 1) * U_u + c * (x + y). A non-finite c raises
+    FloatingPointError, since Python float arithmetic traps no overflow.
+    """
     keep_user = 1.0 - lr * hyper.reg_user
-    decay = np.array([[1.0 - lr * hyper.reg_last], [1.0 - lr * hyper.reg_next]])
-    period = _fold_period(decay.ravel().tolist())
-    scale = np.ones((2, 1))  # Psi_X = scale[0] * P[:m], Psi_Y = scale[1] * P[m:]
+    decay_x = 1.0 - lr * hyper.reg_last
+    decay_y = 1.0 - lr * hyper.reg_next
+    period = _fold_period((decay_x, decay_y))
+    scale_x = scale_y = 1.0
     since_fold = 0
     for pos in order.tolist():
-        u, rows, sel, weight, target = plan[pos]
-        G = P.take(rows, axis=0)
-        xy = sel.dot(G)  # ndarray.dot: less call overhead than @ on these small operands
-        xy *= scale
-        x = xy[0]
-        y = xy[1]
-        u_old = U[u]
-        xy_sum = x + y
-        err = weight * (target - float(u_old.dot(xy_sum) + x.dot(y)))
-        step = xy[::-1] + u_old  # [u + y; u + x]
-        scale *= decay
+        rows, sel, weight, target = plan[pos]
+        G = S.take(rows, axis=0)
+        raw = sel.dot(G)  # ndarray.dot: less call overhead than @ on these small operands
+        g = raw.dot(raw.T).tolist()
+        xu, xy, yu = g[0][2], g[0][1], g[1][2]
+        err = weight * (target - (scale_x * xu + scale_y * yu + scale_x * scale_y * xy))
+        c = lr * err
+        if not math.isfinite(c):
+            raise FloatingPointError("non-finite step lr * err = %r" % c)
+        new_x = scale_x * decay_x
+        new_y = scale_y * decay_y
         since_fold += 1
         if since_fold == period:
-            _fold(P, scale, m)
-            G = P.take(rows, axis=0)
+            _fold(S, m, new_x, new_y)
+            G = S.take(rows, axis=0)
+            new_x = new_y = 1.0
             since_fold = 0
-        step *= (lr * err) / scale
-        G += sel.T.dot(step)
-        P[rows] = G
-        xy_sum *= lr * err
-        u_old *= keep_user
-        u_old += xy_sum
-    _fold(P, scale, m)
+        cx = c / new_x
+        cy = c / new_y
+        A = np.array(
+            [
+                [0.0, cx * scale_y, cx],
+                [cy * scale_x, 0.0, cy],
+                [c * scale_x, c * scale_y, keep_user - 1.0],
+            ]
+        )
+        G += sel.T.dot(A.dot(raw))
+        S[rows] = G
+        scale_x, scale_y = new_x, new_y
+    _fold(S, m, scale_x, scale_y)
 
 
-def _forbes_objective(content, U, P, instances: Instances, hyper: Hyperparams) -> float:
+def _forbes_objective(content, S, instances: Instances, hyper: Hyperparams) -> float:
     """Weighted data loss with mapped article vectors plus the U and mapping regularizers."""
-    m = P.shape[0] // 2
-    last_mapping, next_mapping = P[:m], P[m:]
+    m = content.shape[1]
+    last_mapping, next_mapping, U = S[:m], S[m : 2 * m], S[2 * m :]
     X = _materialize(content, last_mapping)
     Y = _materialize(content, next_mapping)
     loss = _data_loss(U, X, Y, instances)
@@ -501,28 +523,31 @@ def forbes_train(instances, content, hyper: Hyperparams, *, user_ids=None, artic
     Instances are reshuffled each epoch and the learning rate decays by
     sgd_decay per epoch; update order is part of the determinism contract.
 
-    Both mappings live in one stacked (2m x d) array P = [Psi_X; Psi_Y], and
-    a plan built once per call gives each instance its rows of P (a_i's
-    nonzero columns, then a_j's offset by m) and a 2-row selector holding
-    a_i's and a_j's values. An update gathers those rows once, maps them to
-    [x; y] with one matmul, adds both outer-product terms with one more and
-    writes the rows back: O(nnz * d) work. The decay is lazy: each mapping is
-    a scalar scale times its block of P, decay multiplies the scale only, and
-    the scale is folded into P at the end of every epoch and whenever its
-    magnitude would leave [1e-9, 1e9] (so lr * reg = 1 zeroes the mapping as
-    the eager decay does).
+    Both mappings and the user factors live in one stacked
+    ((2m + n_users) x d) array S = [Psi_X; Psi_Y; U], and a plan built once
+    per call gives each instance its rows of S (a_i's nonzero columns, a_j's
+    offset by m, the user's row 2m + u) and a 3-row selector holding a_i's
+    values, a_j's values and a 1 for the user. An update gathers those rows
+    once, maps them to [x; y; U_u] with one matmul, takes the error from
+    their 3 x 3 Gram, applies all three updates with one more matmul through
+    a 3 x 3 coefficient matrix and writes the rows back: O(nnz * d) work. The
+    decay is lazy: each mapping is a scalar scale times its block of S, decay
+    multiplies the scale only, and the scale is folded into S at the end of
+    every epoch and whenever its magnitude would leave [1e-9, 1e9] (so
+    lr * reg = 1 zeroes the mapping as the eager decay does).
 
     After every epoch ("epoch<k>", objective) joins loss_trace: the weighted
     data loss plus reg_user ||U||^2 + reg_last ||Psi_X||^2 + reg_next ||Psi_Y||^2.
-    A floating-point overflow or invalid operation inside an epoch raises
-    DivergenceError naming that epoch, before any non-finite value spreads.
+    A floating-point overflow or invalid operation inside an epoch, or a
+    non-finite lr * err, raises DivergenceError naming that epoch, before any
+    non-finite value spreads.
     """
     hyper.validate()
     _check_training_inputs(instances, content)
     m = content.shape[1]
     rng = np.random.default_rng(hyper.seed)
     U, last_init, next_init = _init_factors(rng, _n_users(instances, user_ids), m, hyper.latent_dim)
-    P = np.concatenate((last_init, next_init))
+    S = np.concatenate((last_init, next_init, U))
     plan = _forbes_plan(instances, content)
 
     trace = []
@@ -531,8 +556,8 @@ def forbes_train(instances, content, hyper: Hyperparams, *, user_ids=None, artic
         order = rng.permutation(len(instances))
         try:
             with np.errstate(over="raise", invalid="raise"):
-                _sgd_epoch(order, plan, U, P, lr, hyper)
-                loss = _forbes_objective(content, U, P, instances, hyper)
+                _sgd_epoch(order, plan, S, m, lr, hyper)
+                loss = _forbes_objective(content, S, instances, hyper)
         except FloatingPointError as exc:
             raise DivergenceError("SGD diverged in epoch %d: %s" % (epoch, exc)) from None
         if not np.isfinite(loss):
@@ -540,7 +565,7 @@ def forbes_train(instances, content, hyper: Hyperparams, *, user_ids=None, artic
         trace.append(("epoch%d" % epoch, loss))
         lr *= hyper.sgd_decay
 
-    last_mapping, next_mapping = P[:m], P[m:]
+    last_mapping, next_mapping, U = S[:m], S[m : 2 * m], S[2 * m :]
     X = _materialize(content, last_mapping)
     Y = _materialize(content, next_mapping)
     return _factor_model("forbes", hyper, U, X, Y, last_mapping, next_mapping, trace, user_ids, article_ids)

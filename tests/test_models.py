@@ -507,19 +507,22 @@ class TestAlmmTrain:
             assert calls == {"ridge_factor": 1, "cho_factor": 1}, train.__name__
 
 
-def eager_forbes(instances, content, hyper):
+def eager_forbes(instances, content, hyper, n_users=None):
     """Reference forbes trainer: the per-instance loop with eager weight decay.
 
     Same init draws, per-epoch permutation and learning-rate decay as
     forbes_train; each update decays both full mappings and adds the
-    outer-product terms row by row. Returns (U, Psi_X, Psi_Y).
+    outer-product terms row by row. U has n_users rows (default: max user
+    index + 1). Returns (U, Psi_X, Psi_Y).
     """
     instances = instance_rows(instances)
     dim = hyper.latent_dim
     m = content.shape[1]
     rng = np.random.default_rng(hyper.seed)
     scale = 0.1 / np.sqrt(dim)
-    U = rng.normal(0.0, scale, size=(max(inst.u for inst in instances) + 1, dim))
+    if n_users is None:
+        n_users = max(inst.u for inst in instances) + 1
+    U = rng.normal(0.0, scale, size=(n_users, dim))
     last_mapping = rng.normal(0.0, scale, size=(m, dim))
     next_mapping = rng.normal(0.0, scale, size=(m, dim))
     if sparse.issparse(content):
@@ -706,6 +709,17 @@ class TestForbesTrain:
             with pytest.raises(DivergenceError, match="epoch 1"):
                 forbes_train(instances, content, hyper)
 
+    def test_non_finite_step_fails_fast_naming_the_epoch(self):
+        # err = 1e4 * (1 - score) is finite, but lr * err overflows in Python
+        # float arithmetic, which no numpy error state traps
+        instances = make_instances([(0, 0, 1, 1.0, 1e4)])
+        content = np.eye(2)
+        hyper = Hyperparams(latent_dim=2, sgd_lr=1e305, sgd_epochs=2, seed=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(DivergenceError, match="SGD diverged in epoch 1: non-finite step"):
+                forbes_train(instances, content, hyper)
+
     def test_deterministic(self):
         rng = np.random.default_rng(44)
         instances = random_instances(rng, 2, 4, 4)
@@ -759,6 +773,46 @@ class TestForbesMatchesEagerOracle:
         np.testing.assert_allclose(model.user_factors, U, rtol=1e-10)
         np.testing.assert_allclose(model.last_mapping, psi_x, rtol=1e-10)
         np.testing.assert_allclose(model.next_mapping, psi_y, rtol=1e-10)
+
+    @staticmethod
+    def assert_matches_eager(instances, content, hyper, n_users=None):
+        user_ids = None if n_users is None else ["u%d" % k for k in range(n_users)]
+        model = forbes_train(instances, content, hyper, user_ids=user_ids)
+        U, psi_x, psi_y = eager_forbes(instances, content, hyper, n_users=n_users)
+        np.testing.assert_allclose(model.user_factors, U, rtol=1e-10)
+        np.testing.assert_allclose(model.last_mapping, psi_x, rtol=1e-10)
+        np.testing.assert_allclose(model.next_mapping, psi_y, rtol=1e-10)
+        return model
+
+    HYPER = Hyperparams(latent_dim=3, reg_last=0.3, reg_next=0.05, sgd_lr=0.05, sgd_decay=0.9, sgd_epochs=6, seed=4)
+
+    @pytest.mark.parametrize("dense", [False, True], ids=["sparse", "dense"])
+    def test_same_article_last_and_next(self, dense):
+        # i == j puts the same content columns in both blocks of the stacked state
+        instances, content = self.problem(7, dense)
+        rows = instance_rows(instances)
+        rows += [Row(0, 2, 2, 1.0, 1.2), Row(1, 4, 4, 1.0, 1.1), Row(2, 2, 2, 0.0, 1.0), Row(0, 5, 5, 0.0, 1.0)]
+        self.assert_matches_eager(make_instances(rows), content, self.HYPER)
+
+    @pytest.mark.parametrize("dense", [False, True], ids=["sparse", "dense"])
+    def test_all_zero_content_row(self, dense):
+        instances, content = self.problem(7, dense=True)
+        content[3] = 0.0
+        assert 3 in set(instances.i.tolist()) | set(instances.j.tolist())
+        if not dense:
+            content = sparse.csr_matrix(content)
+            assert content[3].nnz == 0
+        rows = instance_rows(instances) + [Row(1, 3, 3, 1.0, 1.3)]
+        self.assert_matches_eager(make_instances(rows), content, self.HYPER)
+
+    @pytest.mark.parametrize("dense", [False, True], ids=["sparse", "dense"])
+    def test_users_without_instances_keep_their_init_draws(self, dense):
+        instances, content = self.problem(7, dense)
+        assert int(instances.u.max()) == 2
+        model = self.assert_matches_eager(instances, content, self.HYPER, n_users=6)
+        init = np.random.default_rng(self.HYPER.seed).normal(0.0, 0.1 / np.sqrt(3), size=(6, 3))
+        np.testing.assert_array_equal(model.user_factors[3:], init[3:])
+        assert not np.array_equal(model.user_factors[:3], init[:3])
 
     def test_scale_folded_inside_an_epoch(self, monkeypatch):
         # lr * reg = 0.5: |scale| would pass 1e-9 after 30 decays, and an
