@@ -15,8 +15,10 @@ Three trainers share one `Instances` record of training instances from
   factors; prediction always uses mapped features.
 
 almm and oord run one ALS loop, `_als_train`, steered by the model kind
-alone. All three trainers draw their initial factors through `_init_factors`
-and build their model through `_factor_model`.
+alone. A half-sweep (`_als_update`) updates every row of one factor matrix
+with one stacked matmul per run length and returns the data loss it leaves.
+All three trainers draw their initial factors through `_init_factors` and
+build their model through `_factor_model`.
 
 Prediction scores a candidate next article as the symmetric sum of the three
 pairwise inner products among the user vector, the last article's
@@ -180,19 +182,39 @@ def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.einsum("nd,nd->n", a, b)
 
 
+# Values per gathered buffer of `_data_loss` (128 KB of float64): the three
+# buffers of a block stay in cache, and their memory does not grow with the
+# number of instances.
+_LOSS_CHUNK_VALUES = 1 << 14
+
+
 def _data_loss(U, X, Y, instances: Instances) -> float:
-    uu, ii, jj = instances.u, instances.i, instances.j
-    pred = _row_dots(U[uu], X[ii]) + _row_dots(U[uu], Y[jj]) + _row_dots(X[ii], Y[jj])
+    """Confidence-weighted squared error; U, X and Y rows are gathered once per block of instances."""
+    pred = np.empty(len(instances))
+    step = max(1, _LOSS_CHUNK_VALUES // U.shape[1])
+    for lo in range(0, len(instances), step):
+        block = slice(lo, lo + step)
+        u = np.take(U, instances.u[block], axis=0)
+        x = np.take(X, instances.i[block], axis=0)
+        y = np.take(Y, instances.j[block], axis=0)
+        pred[block] = _row_dots(u, x) + _row_dots(u, y) + _row_dots(x, y)
     resid = instances.target - pred
     return float(np.dot(instances.weight * resid, resid))
 
 
-def _full_loss(U, X, Y, instances: Instances, hyper: Hyperparams) -> float:
-    loss = _data_loss(U, X, Y, instances)
+def _regularized(loss: float, U, X, Y, hyper: Hyperparams) -> float:
+    """`loss` plus reg_user ||U||^2 + reg_last ||X||^2 + reg_next ||Y||^2.
+
+    X and Y are the last and next factors, or forbes' two content mappings.
+    """
     loss += hyper.reg_user * float(np.sum(U * U))
     loss += hyper.reg_last * float(np.sum(X * X))
     loss += hyper.reg_next * float(np.sum(Y * Y))
     return loss
+
+
+def _full_loss(U, X, Y, instances: Instances, hyper: Hyperparams) -> float:
+    return _regularized(_data_loss(U, X, Y, instances), U, X, Y, hyper)
 
 
 def objective(model: FactorModel, instances: Instances) -> float:
@@ -203,34 +225,54 @@ def objective(model: FactorModel, instances: Instances) -> float:
 def _group_rows(indices: np.ndarray):
     """Instances grouped by factor row, computed once per trainer.
 
-    Returns (order, bounds, rows): `order` lists instance positions sorted by
-    row (stable), `rows` the distinct rows that have instances, ascending, and
-    `bounds[k]` the start of row k's run in `order`.
+    Returns (order, bounds, rows, buckets). `order` lists instance positions
+    sorted by (run length, row), stably: rows with equal instance counts are
+    adjacent and each row's run keeps instance order. `rows` are the distinct
+    rows that have instances, in that order, and `bounds[k]` is the start of
+    row k's run in `order`. `buckets` holds (members, span, length) per
+    distinct run length, ascending: the rows rows[members] have `length`
+    instances each, and their runs fill order[span], so that block reshapes
+    to (rows, length, ...).
     """
-    order = np.argsort(indices, kind="stable")
-    rows, bounds = np.unique(indices[order], return_index=True)
-    return order, bounds, rows
+    distinct, inverse, counts = np.unique(indices, return_inverse=True, return_counts=True)
+    order = np.lexsort((indices, counts[inverse]))
+    by_length = np.argsort(counts, kind="stable")
+    rows, counts = distinct[by_length], counts[by_length]
+    bounds = np.cumsum(counts) - counts
+    lengths, starts = np.unique(counts, return_index=True)
+    stops = np.append(starts[1:], counts.size)
+    buckets = []
+    for start, stop, length in zip(starts.tolist(), stops.tolist(), lengths.tolist()):
+        lo = int(bounds[start])
+        buckets.append((slice(start, stop), slice(lo, lo + (stop - start) * length), length))
+    return order, bounds, rows, buckets
 
 
-def _als_update(target, groups, left, left_idx, right, right_idx, tt, cc, reg):
-    """Closed-form row update for one factor matrix, all rows at once.
+def _als_update(target, groups, left, left_idx, right, right_idx, tt, cc, reg) -> float:
+    """Closed-form row update for one factor matrix, all rows at once; returns its data loss.
 
     Row r minimizes sum_n c_n (t_n - w.(left_n + right_n) - left_n.right_n)^2
     + reg ||w||^2 over its instances; rows with no instances keep their value.
     With g_n = left_n + right_n and e_n = t_n - left_n.right_n, row r solves
     (sum c_n g_n g_n' + reg I) w = sum c_n e_n g_n, the per-row closed form of
-    Hu, Koren & Volinsky (ICDM 2008). The instances are gathered in row order,
-    each row's normal matrix is one small matmul over its run, the right-hand
-    sides are one `np.add.reduceat`, and every row is factored by one stacked
-    Cholesky. Rows whose normal matrix fails to factor go through
-    `ridge_solve`, which keeps its jitter retry and SingularSystemError.
+    Hu, Koren & Volinsky (ICDM 2008). The instances are gathered in
+    `_group_rows` order, so the rows of one run length form a bucket whose
+    instances are one contiguous block: its normal matrices are one stacked
+    matmul over (rows, length, d) views of that block, with no per-row loop.
+    The right-hand sides are one `np.add.reduceat`, and every row is factored
+    by one stacked Cholesky. Rows whose normal matrix fails to factor go
+    through `ridge_solve`, which keeps its jitter retry and SingularSystemError.
     No row reads the matrix being updated, so this equals solving the rows
     one by one.
+
+    The return value is sum_n c_n (e_n - w_row(n).g_n)^2, the weighted data
+    loss with the updated rows, from the residuals already at hand: the
+    caller adds the regularizers instead of making a second pass over the
+    instances.
     """
-    order, bounds, rows = groups
+    order, bounds, rows, buckets = groups
     if rows.size == 0:
-        return
-    ends = np.append(bounds[1:], order.size)
+        return 0.0
     dim = target.shape[1]
     # Two (n, d) buffers: lf becomes the design g, rf the weighted c * g and
     # then the right-hand-side terms c * e * g.
@@ -241,8 +283,10 @@ def _als_update(target, groups, left, left_idx, right, right_idx, tt, cc, reg):
     design = np.add(lf, rf, out=lf)
     weighted = np.multiply(design, conf[:, None], out=rf)
     systems = np.empty((rows.size, dim, dim))
-    for k, (lo, hi) in enumerate(zip(bounds.tolist(), ends.tolist())):
-        systems[k] = weighted[lo:hi].T @ design[lo:hi]
+    for members, span, length in buckets:
+        block = (-1, length, dim)
+        np.matmul(weighted[span].reshape(block).transpose(0, 2, 1), design[span].reshape(block),
+                  out=systems[members])
     diag = np.arange(dim)
     systems[:, diag, diag] += reg
     rhs = np.add.reduceat(np.multiply(weighted, resid[:, None], out=rf), bounds, axis=0)
@@ -258,11 +302,20 @@ def _als_update(target, groups, left, left_idx, right, right_idx, tt, cc, reg):
             except np.linalg.LinAlgError:
                 solved[k] = False
                 chol[k] = np.eye(dim)  # placeholder; the row is re-solved below
-    target[rows[solved]] = cho_solve_stacked(chol, rhs)[solved]
+    solution = cho_solve_stacked(chol, rhs)
+    ends = np.append(bounds[1:], order.size)
     for k in np.flatnonzero(~solved):
         lo, hi = bounds[k], ends[k]
         w = np.sqrt(conf[lo:hi])
-        target[rows[k]] = ridge_solve(design[lo:hi] * w[:, None], resid[lo:hi] * w, reg)
+        solution[k] = ridge_solve(design[lo:hi] * w[:, None], resid[lo:hi] * w, reg)
+    target[rows] = solution
+
+    fitted = np.empty_like(resid)
+    for members, span, length in buckets:
+        np.matmul(design[span].reshape(-1, length, dim), solution[members, :, None],
+                  out=fitted[span].reshape(-1, length, 1))
+    resid -= fitted
+    return float(np.dot(conf * resid, resid))
 
 
 def _init_factors(rng: np.random.Generator, n_users: int, n_articles: int, dim: int):
@@ -313,12 +366,12 @@ def _materialize(content, mapping) -> np.ndarray:
 def _als_sweeps(U, X, Y, instances: Instances, groups, hyper, trace, label):
     uu, ii, jj, tt, cc = instances.u, instances.i, instances.j, instances.target, instances.weight
     groups_u, groups_i, groups_j = groups
-    _als_update(U, groups_u, X, ii, Y, jj, tt, cc, hyper.reg_user)
-    trace.append(("%s:users" % label, _full_loss(U, X, Y, instances, hyper)))
-    _als_update(X, groups_i, U, uu, Y, jj, tt, cc, hyper.reg_last)
-    trace.append(("%s:last" % label, _full_loss(U, X, Y, instances, hyper)))
-    _als_update(Y, groups_j, U, uu, X, ii, tt, cc, hyper.reg_next)
-    trace.append(("%s:next" % label, _full_loss(U, X, Y, instances, hyper)))
+    data = _als_update(U, groups_u, X, ii, Y, jj, tt, cc, hyper.reg_user)
+    trace.append(("%s:users" % label, _regularized(data, U, X, Y, hyper)))
+    data = _als_update(X, groups_i, U, uu, Y, jj, tt, cc, hyper.reg_last)
+    trace.append(("%s:last" % label, _regularized(data, U, X, Y, hyper)))
+    data = _als_update(Y, groups_j, U, uu, X, ii, tt, cc, hyper.reg_next)
+    trace.append(("%s:next" % label, _regularized(data, U, X, Y, hyper)))
 
 
 def _als_train(kind, instances, content, hyper: Hyperparams, user_ids, article_ids) -> FactorModel:
@@ -326,11 +379,13 @@ def _als_train(kind, instances, content, hyper: Hyperparams, user_ids, article_i
 
     Both kinds validate, group the instance rows once, draw U, X, Y through
     _init_factors, factor the content Gram once and run the same ALS
-    half-sweeps. Under "almm" every iteration then fits the mappings,
-    refreshes the article factors when refresh_blend > 0 and logs
-    "iter<k>:refresh"; under "oord" the mappings are fit once, after the
-    loop, from the final factors. A non-finite last objective of an
-    iteration raises DivergenceError.
+    half-sweeps. Each half-sweep logs "iter<k>:users", ":last" or ":next"
+    with the objective it leaves: the data loss `_als_update` returns plus
+    the three regularizers. Under "almm" every iteration then fits the
+    mappings, refreshes the article factors when refresh_blend > 0 and logs
+    "iter<k>:refresh" from a full pass (`_full_loss`), as is "init"; under
+    "oord" the mappings are fit once, after the loop, from the final factors.
+    A non-finite last objective of an iteration raises DivergenceError.
     """
     hyper.validate()
     _check_training_inputs(instances, content)
@@ -505,11 +560,7 @@ def _forbes_objective(content, S, instances: Instances, hyper: Hyperparams) -> f
     last_mapping, next_mapping, U = S[:m], S[m : 2 * m], S[2 * m :]
     X = _materialize(content, last_mapping)
     Y = _materialize(content, next_mapping)
-    loss = _data_loss(U, X, Y, instances)
-    loss += hyper.reg_user * float(np.sum(U * U))
-    loss += hyper.reg_last * float(np.sum(last_mapping * last_mapping))
-    loss += hyper.reg_next * float(np.sum(next_mapping * next_mapping))
-    return loss
+    return _regularized(_data_loss(U, X, Y, instances), U, last_mapping, next_mapping, hyper)
 
 
 def forbes_train(instances, content, hyper: Hyperparams, *, user_ids=None, article_ids=None) -> FactorModel:

@@ -283,6 +283,20 @@ class TestObjective:
         expected += 0.1 * np.sum(model.next_factors**2)
         assert objective(model, make_instances(rows)) == pytest.approx(expected, rel=1e-10)
 
+    @pytest.mark.parametrize("dim", [1, 3])
+    def test_blocks_keep_the_bits_of_one_pass(self, monkeypatch, dim):
+        rng = np.random.default_rng(40 + dim)
+        U, X, Y = rng.normal(size=(4, dim)), rng.normal(size=(7, dim)), rng.normal(size=(7, dim))
+        instances = random_instances(rng, 4, 7, 12, negatives=2)
+        uu, ii, jj = instances.u, instances.i, instances.j
+        pred = sum(np.einsum("nd,nd->n", a, b) for a, b in ((U[uu], X[ii]), (U[uu], Y[jj]), (X[ii], Y[jj])))
+        resid = instances.target - pred
+        one_pass = float(np.dot(instances.weight * resid, resid))
+        assert models._data_loss(U, X, Y, instances) == one_pass
+        for block_rows in (1, 2, 5):
+            monkeypatch.setattr(models, "_LOSS_CHUNK_VALUES", block_rows * dim)
+            assert models._data_loss(U, X, Y, instances) == one_pass
+
 
 def per_row_als_oracle(target, rows_of, left, left_idx, right, right_idx, tt, cc, reg):
     """The scalar update: one weighted ridge_solve per row that has instances."""
@@ -355,6 +369,191 @@ class TestBatchedAlsUpdate:
                 np.zeros((1, 3)), _group_rows(zeros), left, zeros, right, zeros,
                 np.ones(1), np.ones(1), 0.0,
             )
+
+
+def per_row_group_rows(indices):
+    """_group_rows as of 17d3529: instances sorted by row only; the grouping of per_row_als_update."""
+    order = np.argsort(indices, kind="stable")
+    rows, bounds = np.unique(indices[order], return_index=True)
+    return order, bounds, rows
+
+
+def per_row_als_update(target, groups, left, left_idx, right, right_idx, tt, cc, reg):
+    """_als_update as of 17d3529: one small matmul per row builds its normal matrix; the exact oracle."""
+    order, bounds, rows = groups
+    if rows.size == 0:
+        return
+    ends = np.append(bounds[1:], order.size)
+    dim = target.shape[1]
+    lf = np.take(left, np.take(left_idx, order), axis=0)
+    rf = np.take(right, np.take(right_idx, order), axis=0)
+    resid = np.take(tt, order) - np.einsum("nd,nd->n", lf, rf)
+    conf = np.take(cc, order)
+    design = np.add(lf, rf, out=lf)
+    weighted = np.multiply(design, conf[:, None], out=rf)
+    systems = np.empty((rows.size, dim, dim))
+    for k, (lo, hi) in enumerate(zip(bounds.tolist(), ends.tolist())):
+        systems[k] = weighted[lo:hi].T @ design[lo:hi]
+    diag = np.arange(dim)
+    systems[:, diag, diag] += reg
+    rhs = np.add.reduceat(np.multiply(weighted, resid[:, None], out=rf), bounds, axis=0)
+
+    solved = np.ones(rows.size, dtype=bool)
+    try:
+        chol = np.linalg.cholesky(systems)
+    except np.linalg.LinAlgError:
+        chol = np.empty_like(systems)
+        for k in range(rows.size):
+            try:
+                chol[k] = np.linalg.cholesky(systems[k])
+            except np.linalg.LinAlgError:
+                solved[k] = False
+                chol[k] = np.eye(dim)
+    target[rows[solved]] = numerics.cho_solve_stacked(chol, rhs)[solved]
+    for k in np.flatnonzero(~solved):
+        lo, hi = bounds[k], ends[k]
+        w = np.sqrt(conf[lo:hi])
+        target[rows[k]] = ridge_solve(design[lo:hi] * w[:, None], resid[lo:hi] * w, reg)
+
+
+def run_lengths(groups):
+    order, bounds, rows, _ = groups
+    return np.diff(np.append(bounds, order.size))
+
+
+class TestGroupRows:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_runs_sorted_by_length_then_row(self, seed):
+        rng = np.random.default_rng(seed)
+        indices = rng.integers(int(rng.integers(1, 12)), size=int(rng.integers(1, 60)))
+        order, bounds, rows, buckets = groups = _group_rows(indices)
+        lengths = run_lengths(groups)
+        assert np.array_equal(np.sort(order), np.arange(indices.size))
+        assert sorted(rows.tolist()) == np.unique(indices).tolist()
+        for k, row in enumerate(rows.tolist()):
+            run = order[bounds[k] : bounds[k] + lengths[k]]
+            assert np.array_equal(run, np.flatnonzero(indices == row))  # contiguous, in instance order
+        keys = list(zip(lengths.tolist(), rows.tolist()))
+        assert keys == sorted(keys)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_buckets_tile_the_runs(self, seed):
+        rng = np.random.default_rng(seed)
+        indices = rng.integers(int(rng.integers(1, 12)), size=int(rng.integers(1, 60)))
+        order, bounds, rows, buckets = groups = _group_rows(indices)
+        lengths = run_lengths(groups)
+        assert [length for _, _, length in buckets] == np.unique(lengths).tolist()
+        row_pos = inst_pos = 0
+        for members, span, length in buckets:
+            assert (members.start, span.start) == (row_pos, inst_pos)
+            assert members.stop > members.start
+            assert np.all(lengths[members] == length)
+            assert span.stop - span.start == (members.stop - members.start) * length
+            assert span.start == bounds[members.start]
+            row_pos, inst_pos = members.stop, span.stop
+        assert (row_pos, inst_pos) == (rows.size, order.size)
+
+    def test_empty_indices(self):
+        order, bounds, rows, buckets = _group_rows(np.zeros(0, dtype=np.int64))
+        assert order.size == bounds.size == rows.size == 0
+        assert buckets == []
+
+
+class TestBucketedAlsUpdateMatchesPerRowLoop:
+    """_als_update against per_row_als_update (17d3529), target for target, bit for bit."""
+
+    @staticmethod
+    def rows_of(layout, rng):
+        if layout == "one_length":  # every row with instances has 3
+            rows_of = np.repeat(rng.permutation(6), 3)
+        elif layout == "distinct_lengths":  # row k has k + 1
+            rows_of = np.repeat(np.arange(6), np.arange(1, 7))
+        elif layout == "single_instance":
+            rows_of = rng.permutation(6)
+        else:  # "mixed": lengths 1 to 4, some repeated
+            rows_of = rng.integers(6, size=14)
+        rng.shuffle(rows_of)
+        return rows_of
+
+    LAYOUTS = ("one_length", "distinct_lengths", "single_instance", "mixed")
+
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    @pytest.mark.parametrize("dim", [1, 2, 5])
+    def test_target_equal_and_loss_returned(self, layout, dim):
+        rng = np.random.default_rng([self.LAYOUTS.index(layout), dim])
+        for _ in range(5):
+            rows_of = self.rows_of(layout, rng) + 1  # row 0 and rows 7, 8 get no instances
+            n = rows_of.size
+            left = rng.normal(size=(5, dim))
+            right = rng.normal(size=(7, dim))
+            left_idx = rng.integers(5, size=n)
+            right_idx = rng.integers(7, size=n)
+            tt = (rng.random(n) < 0.3).astype(float)
+            cc = rng.uniform(0.5, 3.0, size=n)
+            reg = float(rng.uniform(0.01, 1.0))
+            start = rng.normal(size=(9, dim))
+            want = start.copy()
+            groups = per_row_group_rows(rows_of)
+            per_row_als_update(want, groups, left, left_idx, right, right_idx, tt, cc, reg)
+            got = start.copy()
+            loss = _als_update(got, _group_rows(rows_of), left, left_idx, right, right_idx, tt, cc, reg)
+            assert np.array_equal(got, want)
+            lf, rf = left[left_idx], right[right_idx]
+            resid = tt - np.einsum("nd,nd->n", lf, rf)
+            scale = float(np.dot(cc * resid, resid))  # the data loss before the update
+            resid -= np.einsum("nd,nd->n", got[rows_of], lf + rf)
+            assert loss == pytest.approx(float(np.dot(cc * resid, resid)), rel=0, abs=1e-12 * scale)
+
+    def test_no_instances_leaves_target(self):
+        target = np.arange(6.0).reshape(3, 2)
+        empty = np.zeros(0, dtype=np.int64)
+        loss = _als_update(
+            target, _group_rows(empty), np.ones((2, 2)), empty, np.ones((2, 2)), empty,
+            np.zeros(0), np.zeros(0), 0.1,
+        )
+        assert loss == 0.0
+        assert np.array_equal(target, np.arange(6.0).reshape(3, 2))
+
+
+class TestAlsTraceFromTheUpdate:
+    """Each half-sweep's trace entry is the full objective at the factors it leaves."""
+
+    @staticmethod
+    def record_objectives(monkeypatch, instances, hyper):
+        seen = []
+        update = models._als_update
+
+        def recording(target, groups, left, left_idx, right, right_idx, tt, cc, reg):
+            loss = update(target, groups, left, left_idx, right, right_idx, tt, cc, reg)
+            # half-sweeps run users, last, next: the target is U, X, then Y
+            U, X, Y = [(target, left, right), (left, target, right), (left, right, target)][len(seen) % 3]
+            model = zero_model(U.shape[0], X.shape[0], U.shape[1], m=1, hyper=hyper)
+            model.user_factors, model.last_factors, model.next_factors = U.copy(), X.copy(), Y.copy()
+            seen.append(objective(model, instances))
+            return loss
+
+        monkeypatch.setattr(models, "_als_update", recording)
+        return seen
+
+    @pytest.mark.parametrize("kind, blend", [("almm", 1.0), ("almm", 0.5), ("oord", 1.0)])
+    @pytest.mark.parametrize("dim", [1, 3])
+    def test_half_sweep_entries_equal_the_objective(self, monkeypatch, kind, blend, dim):
+        rng = np.random.default_rng(31 + dim)
+        instances = random_instances(rng, 4, 7, 10, negatives=2)
+        content = rng.normal(size=(7, 3))
+        hyper = Hyperparams(
+            latent_dim=dim, reg_user=0.3, reg_last=0.2, reg_next=0.1,
+            refresh_blend=blend, iterations=3, seed=dim,
+        )
+        seen = self.record_objectives(monkeypatch, instances, hyper)
+        model = (almm_train if kind == "almm" else oord_train)(instances, content, hyper)
+        swept = [value for label, value in model.loss_trace if label.endswith((":users", ":last", ":next"))]
+        assert len(swept) == len(seen) == 3 * hyper.iterations
+        for got, want in zip(swept, seen):
+            assert got == pytest.approx(want, rel=1e-12)
+        if kind == "oord":
+            assert model.loss_trace[-1][0] == "iter3:next"
+            assert model.loss_trace[-1][1] == pytest.approx(objective(model, instances), rel=1e-12)
 
 
 class TestAlmmTrain:
