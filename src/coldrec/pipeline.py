@@ -152,8 +152,17 @@ def load_features(base: str) -> FeatureMatrix:
 # stages
 # ---------------------------------------------------------------------------
 
+def save_messages(reports, path) -> None:
+    """Write each (source, ValidationReport)'s messages, one `source: message` per line."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        for source, report in reports:
+            for message in report.messages:
+                fh.write("%s: %s\n" % (source, message))
+
+
 def stage_ingest(cfg: RunConfig) -> dict:
-    """Parse and validate the raw logs; persist catalog, streams, popularity."""
+    """Parse and validate the raw logs; persist catalog, streams, popularity and
+    the validation messages (news, then behaviors, then clicks)."""
     out = _path(cfg, INGEST_DIR)
     os.makedirs(out, exist_ok=True)
     catalog, news_report = parse_news(cfg.news_path)
@@ -171,6 +180,10 @@ def stage_ingest(cfg: RunConfig) -> dict:
     save_catalog(catalog, os.path.join(out, "catalog.tsv"))
     save_streams(streams, os.path.join(out, "streams.tsv"))
     save_popularity(popularity, os.path.join(out, "popularity.tsv"))
+    save_messages(
+        (("news", news_report), ("behaviors", beh_report), ("clicks", click_report)),
+        os.path.join(out, "messages.txt"),
+    )
     return {
         "news_rows_read": news_report.rows_read,
         "news_rows_kept": news_report.rows_kept,

@@ -1,7 +1,10 @@
 import argparse
 import contextlib
 import io
+import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -13,6 +16,22 @@ from coldrec.metrics import candidate_universe
 from coldrec.models import MODEL_KINDS, Hyperparams, load_model
 from coldrec.pipeline import _STAGES
 from coldrec.splits import load_split
+
+SRC_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+
+# Runs coldrec.cli as `python -m coldrec.cli` does and, at exit, writes the
+# scipy.linalg modules then in sys.modules to the path in COLDREC_MODULES_OUT.
+_MODULES_AT_EXIT = """
+import atexit, json, os, runpy, sys
+
+def dump():
+    loaded = sorted(m for m in sys.modules if m == "scipy.linalg" or m.startswith("scipy.linalg."))
+    with open(os.environ["COLDREC_MODULES_OUT"], "w") as fh:
+        json.dump(loaded, fh)
+
+atexit.register(dump)
+runpy.run_module("coldrec.cli", run_name="__main__", alter_sys=True)
+"""
 
 CONFIG_TEMPLATE = """
 seed = 5
@@ -346,11 +365,28 @@ class TestCliCommands:
         for stage in ("ingest", "triplets", "split", "featurize", "train", "evaluate"):
             rc = main([stage, "--config", config, "--out", "stage_out"])
             assert rc == 0, stage
-        with open(os.path.join(run_out[2], "metrics.csv"), "rb") as fh:
-            single = fh.read()
-        with open(os.path.join(workspace, "stage_out", "metrics.csv"), "rb") as fh:
-            staged = fh.read()
-        assert staged == single
+        for rel in ("metrics.csv", os.path.join("ingest", "messages.txt")):
+            with open(os.path.join(run_out[2], rel), "rb") as a, open(
+                os.path.join(workspace, "stage_out", rel), "rb"
+            ) as b:
+                assert a.read() == b.read(), rel
+
+    def test_run_never_imports_scipy_linalg(self, workspace, tmp_path):
+        # this test process has scipy.linalg loaded already, so the run goes in a child
+        modules_out = tmp_path / "modules.json"
+        env = dict(
+            os.environ,
+            PYTHONPATH=os.pathsep.join(p for p in (SRC_DIR, os.environ.get("PYTHONPATH")) if p),
+            COLDREC_MODULES_OUT=str(modules_out),
+        )
+        args = ["run", "--config", write_config(workspace), "--out", str(tmp_path / "out")]
+        proc = subprocess.run(
+            [sys.executable, "-c", _MODULES_AT_EXIT, *args],
+            env=env, capture_output=True, text=True, check=False,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert os.path.exists(tmp_path / "out" / "metrics.csv")
+        assert json.loads(modules_out.read_text()) == []
 
     def test_report_subcommand(self, workspace, run_out, capsys):
         config = write_config(workspace)

@@ -686,7 +686,7 @@ class TestAlmmTrain:
 
     @pytest.mark.parametrize("width", [4, 10])  # 6 articles: primal Gram at m = 4, dual at m = 10
     def test_content_gram_factored_once_per_call(self, monkeypatch, width):
-        calls = {"ridge_factor": 0, "cho_factor": 0}
+        calls = {"ridge_factor": 0, "cholesky": 0}
 
         def counting(name, fn):
             def wrapper(*args, **kwargs):
@@ -696,14 +696,14 @@ class TestAlmmTrain:
             return wrapper
 
         monkeypatch.setattr(models, "ridge_factor", counting("ridge_factor", models.ridge_factor))
-        monkeypatch.setattr(numerics, "cho_factor", counting("cho_factor", numerics.cho_factor))
+        monkeypatch.setattr(numerics, "cholesky", counting("cholesky", numerics.cholesky))
         rng = np.random.default_rng(8)
         instances = random_instances(rng, 3, 6, 8)
         content = sparse.csr_matrix(rng.normal(size=(6, width)) * (rng.random((6, width)) < 0.7))
         for train in (almm_train, oord_train):
-            calls.update(ridge_factor=0, cho_factor=0)
+            calls.update(ridge_factor=0, cholesky=0)
             train(instances, content, Hyperparams(latent_dim=3, iterations=4, seed=1))
-            assert calls == {"ridge_factor": 1, "cho_factor": 1}, train.__name__
+            assert calls == {"ridge_factor": 1, "cholesky": 1}, train.__name__
 
 
 def eager_forbes(instances, content, hyper, n_users=None):

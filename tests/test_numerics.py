@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 from scipy import sparse
-
-from scipy.linalg import cho_factor
+from scipy.linalg import cho_solve
 
 from coldrec import numerics
 from coldrec.errors import FormatError, SingularSystemError
@@ -125,20 +124,20 @@ class TestRidgeFactor:
 
 
 def recorded_factorizations(monkeypatch):
-    """Patch numerics.cho_factor to record (copy of the system, factor or None) per call."""
+    """Patch numerics.cholesky to record (copy of the system, factor or None) per call."""
     calls = []
 
-    def recording(a, **kwargs):
+    def recording(a):
         system = np.array(a)
         try:
-            factor = cho_factor(a, **kwargs)
+            factor = np.linalg.cholesky(a)
         except np.linalg.LinAlgError:
             calls.append((system, None))
             raise
         calls.append((system, factor))
         return factor
 
-    monkeypatch.setattr(numerics, "cho_factor", recording)
+    monkeypatch.setattr(numerics, "cholesky", recording)
     return calls
 
 
@@ -151,9 +150,10 @@ class TestRidgeFactorPaths:
         calls = recorded_factorizations(monkeypatch)
         ridge_factor(design, 0.3)
         gram = np.asarray((design.T @ design).todense()) if as_sparse else dense.T @ dense
-        expected = cho_factor(gram + 0.3 * np.eye(6), lower=True)
+        expected = np.linalg.cholesky(gram + 0.3 * np.eye(6))
         assert len(calls) == 1
-        assert np.array_equal(calls[0][1][0], expected[0]) and calls[0][1][1] is True
+        assert np.array_equal(calls[0][0], gram + 0.3 * np.eye(6))
+        assert np.array_equal(calls[0][1], expected)
 
     def test_jitter_retry_equals_identity_sum(self, monkeypatch):
         # at a ridge below rounding the rank-1 Gram stays singular, so the
@@ -167,7 +167,7 @@ class TestRidgeFactorPaths:
         assert len(calls) == 2 and calls[0][1] is None
         assert np.array_equal(calls[0][0], system)
         assert np.array_equal(calls[1][0], retried)
-        assert np.array_equal(calls[1][1][0], cho_factor(retried, lower=True)[0])
+        assert np.array_equal(calls[1][1], np.linalg.cholesky(retried))
         assert np.all(np.isfinite(solve(np.ones(3))))
 
     @pytest.mark.parametrize("as_sparse", [False, True])
@@ -202,6 +202,44 @@ class TestRidgeFactorPaths:
         except SingularSystemError:
             assert ridge == 0.0
         assert [s.shape for s, _ in calls] == [(size, size)]
+
+
+class TestBlockedSubstitution:
+    """The factor's solver against LAPACK's Cholesky solve, across the block edges."""
+
+    @pytest.mark.parametrize("k", [1, 63, 64, 65, 129, 200])
+    @pytest.mark.parametrize("rhs_cols", [None, 3])
+    def test_matches_scipy_cho_solve(self, k, rhs_cols):
+        rng = np.random.default_rng(59 + k)
+        design = rng.normal(size=(2 * k + 3, k))
+        lower = np.linalg.cholesky(design.T @ design + 0.5 * np.eye(k))
+        rhs = rng.normal(size=(k,) if rhs_cols is None else (k, rhs_cols))
+        out = numerics._blocked_substitution(lower)(rhs)
+        expected = cho_solve((lower, True), rhs)
+        assert out.shape == rhs.shape
+        # entries that cancel to near zero are held to the solution's scale
+        np.testing.assert_allclose(out, expected, rtol=1e-12, atol=1e-12 * np.abs(expected).max())
+
+    def test_leaves_rhs_untouched(self):
+        rng = np.random.default_rng(61)
+        lower = np.linalg.cholesky(np.eye(70) * 2.0 + 0.1)
+        rhs = rng.normal(size=(70, 2))
+        kept = rhs.copy()
+        numerics._blocked_substitution(lower)(rhs)
+        assert np.array_equal(rhs, kept)
+
+    @pytest.mark.parametrize("as_sparse", [False, True])
+    @pytest.mark.parametrize("size", [63, 64, 65, 129])
+    def test_ridge_factor_across_block_edge(self, as_sparse, size):
+        # primal: size features under more rows; dual: size rows under more features
+        rng = np.random.default_rng(67 + size)
+        for shape in ((size + 40, size), (size, size + 40)):
+            dense = rng.normal(size=shape) * (rng.random(size=shape) < 0.5)
+            design = sparse.csr_matrix(dense) if as_sparse else dense
+            targets = rng.normal(size=(shape[0], 4))
+            out = ridge_factor(design, 0.7)(targets)
+            expected = normal_equations_oracle(dense, targets, 0.7)
+            assert np.linalg.norm(out - expected) / np.linalg.norm(expected) <= 1e-10
 
 
 class TestScore:

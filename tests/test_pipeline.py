@@ -1,6 +1,7 @@
 import pytest
 
-from coldrec.pipeline import load_popularity, load_streams
+from coldrec.config import RunConfig
+from coldrec.pipeline import load_popularity, load_streams, stage_ingest
 
 
 class TestIngestLoaders:
@@ -48,3 +49,27 @@ class TestIngestLoaders:
         popularity = tmp_path / "popularity.tsv"
         popularity.write_text("N0\t2\nN1\t5\n")
         assert load_popularity(popularity) == {"N0": 2, "N1": 5}
+
+
+class TestIngestMessages:
+    def test_validation_messages_reach_the_file_in_source_order(self, tmp_path):
+        news = tmp_path / "news.tsv"
+        news.write_text(
+            "N1\tsports\tsoccer\tDerby draw\tLevel after a late goal.\thttp://x/1\n"
+            "N2\tsports\n"
+            "N3\tfinance\tmarkets\tStocks rally\tEarnings lifted the market.\thttp://x/3\n"
+        )
+        behaviors = tmp_path / "behaviors.tsv"
+        behaviors.write_text(
+            "B1\tU1\t11/11/2019 9:00:00 AM\t\tN1-1 N3-x N3-1\n"
+            "B2\tU2\t11/11/2019 9:05:00 AM\t\tN7-1 N1-1\n"
+        )
+        cfg = RunConfig(news_path=str(news), behaviors_path=str(behaviors), out_dir=str(tmp_path / "out"))
+        counters = stage_ingest(cfg)
+        assert counters["news_rows_skipped_malformed"] == 1
+        assert counters["behaviors_tokens_skipped_malformed"] == 1
+        assert (tmp_path / "out" / "ingest" / "messages.txt").read_text().splitlines() == [
+            "news: line 2: malformed news row",
+            "behaviors: line 1: bad impression token 'N3-x'",
+            "clicks: user U2: dropped 1 click(s) on unknown articles",
+        ]
