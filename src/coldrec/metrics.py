@@ -16,6 +16,7 @@ import math
 
 import numpy as np
 
+from .artifacts import atomic_open
 from .errors import EmptyInputError
 from .models import FactorModel, score_queries
 # perfbench/tracing.py wraps metrics.predict and metrics.cosine_distance by name
@@ -203,7 +204,7 @@ def emit_curves(entries: dict, path) -> None:
         for metric in METRIC_NAMES:
             rows.append((model_kind, setting, metric, int(k), values[metric]))
     rows.sort(key=lambda r: (r[0], r[1], r[2], r[3]))
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with atomic_open(path) as fh:
         fh.write("model,setting,k,metric,value\n")
         for model_kind, setting, metric, k, value in rows:
             fh.write("%s,%s,%d,%s,%s\n" % (model_kind, setting, k, metric, str(value)))

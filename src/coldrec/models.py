@@ -41,18 +41,19 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 from scipy import sparse
 
-from .errors import DivergenceError, EmptyInputError
-from .numerics import cho_solve_stacked, load_matrix, ridge_factor, ridge_solve, save_matrix
+from .artifacts import load_matrix, save_matrix, write_json
+from .errors import DivergenceError, EmptyInputError, FormatError
+from .numerics import cho_solve_stacked, ridge_factor, ridge_solve
 from .transitions import TripletSet
 
 MODEL_KINDS = ("almm", "forbes", "oord")
 MANIFEST_NAME = "manifest.json"
 _MATRIX_FILES = {
-    "user_factors": "U.mat",
-    "last_factors": "X.mat",
-    "next_factors": "Y.mat",
-    "last_mapping": "PsiX.mat",
-    "next_mapping": "PsiY.mat",
+    "user_factors": "U.npy",
+    "last_factors": "X.npy",
+    "next_factors": "Y.npy",
+    "last_mapping": "PsiX.npy",
+    "next_mapping": "PsiY.npy",
 }
 
 
@@ -215,11 +216,6 @@ def _regularized(loss: float, U, X, Y, hyper: Hyperparams) -> float:
 
 def _full_loss(U, X, Y, instances: Instances, hyper: Hyperparams) -> float:
     return _regularized(_data_loss(U, X, Y, instances), U, X, Y, hyper)
-
-
-def objective(model: FactorModel, instances: Instances) -> float:
-    """Confidence-weighted squared loss over instances plus factor regularizers."""
-    return _full_loss(model.user_factors, model.last_factors, model.next_factors, instances, model.hyper)
 
 
 def _group_rows(indices: np.ndarray):
@@ -426,28 +422,6 @@ def almm_train(instances, content, hyper: Hyperparams, *, user_ids=None, article
     so the negatives arrive pre-sampled and stay fixed across iterations.
     """
     return _als_train("almm", instances, content, hyper, user_ids, article_ids)
-
-
-def forbes_instance_loss(user_vec, last_mapping, next_mapping, a_i, a_j, target, weight) -> float:
-    """weight * (target - score)^2 for one instance with mapped article vectors."""
-    x = np.asarray(a_i, dtype=np.float64) @ last_mapping
-    y = np.asarray(a_j, dtype=np.float64) @ next_mapping
-    pred = float(np.dot(user_vec, x) + np.dot(user_vec, y) + np.dot(x, y))
-    return weight * (target - pred) ** 2
-
-
-def forbes_instance_gradients(user_vec, last_mapping, next_mapping, a_i, a_j, target, weight):
-    """Analytic gradients of forbes_instance_loss wrt (user_vec, last_mapping, next_mapping)."""
-    a_i = np.asarray(a_i, dtype=np.float64)
-    a_j = np.asarray(a_j, dtype=np.float64)
-    x = a_i @ last_mapping
-    y = a_j @ next_mapping
-    pred = float(np.dot(user_vec, x) + np.dot(user_vec, y) + np.dot(x, y))
-    err = weight * (target - pred)
-    grad_user = -2.0 * err * (x + y)
-    grad_last = -2.0 * err * np.outer(a_i, user_vec + y)
-    grad_next = -2.0 * err * np.outer(a_j, user_vec + x)
-    return grad_user, grad_last, grad_next
 
 
 # Lazy weight decay keeps each mapping as scale * rows and folds the scale
@@ -736,7 +710,6 @@ def predict(model: FactorModel, user: str, last_article: str, candidates, featur
 
 def save_model(model: FactorModel, dirpath) -> None:
     """Persist manifest.json plus the five factor/mapping matrices."""
-    os.makedirs(dirpath, exist_ok=True)
     manifest = {
         "kind": model.kind,
         "hyperparams": asdict(model.hyper),
@@ -744,25 +717,38 @@ def save_model(model: FactorModel, dirpath) -> None:
         "articles": model.articles,
         "loss_trace": model.loss_trace,
     }
-    with open(os.path.join(dirpath, MANIFEST_NAME), "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(manifest, os.path.join(dirpath, MANIFEST_NAME))
     for attr, filename in _MATRIX_FILES.items():
         save_matrix(getattr(model, attr), os.path.join(dirpath, filename))
 
 
 def load_model(dirpath) -> FactorModel:
-    with open(os.path.join(dirpath, MANIFEST_NAME), "r", encoding="utf-8") as fh:
+    """Read a model directory; a matrix whose shape contradicts the manifest is a FormatError.
+
+    U must have one row per manifest user, X and Y one per manifest article,
+    every matrix `latent_dim` columns, and PsiY the shape of PsiX, so a
+    directory mixed from two runs fails here rather than scoring silently.
+    """
+    manifest_path = os.path.join(dirpath, MANIFEST_NAME)
+    with open(manifest_path, "r", encoding="utf-8") as fh:
         manifest = json.load(fh)
-    matrices = {
-        attr: load_matrix(os.path.join(dirpath, filename))
-        for attr, filename in _MATRIX_FILES.items()
-    }
-    return FactorModel(
-        kind=manifest["kind"],
-        hyper=Hyperparams(**manifest["hyperparams"]),
-        users={str(k): int(v) for k, v in manifest["users"].items()},
-        articles={str(k): int(v) for k, v in manifest["articles"].items()},
-        loss_trace=[(str(a), float(b)) for a, b in manifest.get("loss_trace", [])],
-        **matrices,
-    )
+    matrices = {attr: load_matrix(os.path.join(dirpath, name)) for attr, name in _MATRIX_FILES.items()}
+    try:
+        model = FactorModel(
+            kind=manifest["kind"],
+            hyper=Hyperparams(**manifest["hyperparams"]),
+            users={str(k): int(v) for k, v in manifest["users"].items()},
+            articles={str(k): int(v) for k, v in manifest["articles"].items()},
+            loss_trace=[(str(a), float(b)) for a, b in manifest.get("loss_trace", [])],
+            **matrices,
+        )
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise FormatError("%s: malformed manifest: %r" % (manifest_path, exc)) from None
+    n_articles, m = len(model.articles), len(model.last_mapping)  # PsiY takes PsiX's rows
+    rows = dict(user_factors=len(model.users), last_factors=n_articles, next_factors=n_articles,
+                last_mapping=m, next_mapping=m)
+    for attr, name in _MATRIX_FILES.items():
+        shape, expected = matrices[attr].shape, (rows[attr], model.hyper.latent_dim)
+        if shape != expected:
+            raise FormatError("%s: shape %s, expected %s" % (os.path.join(dirpath, name), shape, expected))
+    return model

@@ -1,4 +1,4 @@
-"""Small dense linear-algebra core: ridge solves, triplet scoring, vector similarity.
+"""Small dense linear-algebra core: ridge solves and vector similarity.
 
 The content mappings of the models module are ridge fits against a fixed
 design, factored once per trainer by `ridge_factor`, which factors the
@@ -8,23 +8,19 @@ It factors with numpy's Cholesky and solves by a blocked triangular
 substitution, so a run never imports scipy.linalg (scipy is used for its
 sparse matrices only). The batched ALS row update solves its small systems
 itself and falls back to `ridge_solve` only for rows whose normal matrix
-fails to factor; `ridge_solve` is also its test oracle. `score` is the
-scalar triplet affinity that ranking computes in batch, and the diversity
+fails to factor; `ridge_solve` is also its test oracle. The diversity
 metric reduces to `cosine_distance`. These kernels are kept in one place
-with strict input validation.
+with strict input validation; the module opens no files.
 """
 
 from __future__ import annotations
-
-import struct
 
 import numpy as np
 from numpy.linalg import cholesky
 from scipy import sparse
 
-from .errors import FormatError, SingularSystemError
+from .errors import SingularSystemError
 
-MATRIX_MAGIC = b"CRMX"
 # Rows per diagonal block of the blocked triangular substitution in `ridge_factor`.
 SOLVE_BLOCK = 64
 
@@ -161,19 +157,6 @@ def cho_solve_stacked(chol: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return out
 
 
-def score(user_vec, last_vec, next_vec) -> float:
-    """Triplet affinity: the symmetric sum of the three pairwise inner products."""
-    u = np.asarray(user_vec, dtype=np.float64)
-    x = np.asarray(last_vec, dtype=np.float64)
-    y = np.asarray(next_vec, dtype=np.float64)
-    if not (u.shape == x.shape == y.shape) or u.ndim != 1:
-        raise ValueError(
-            "score expects three 1-d vectors of equal length, got shapes %s %s %s"
-            % (u.shape, x.shape, y.shape)
-        )
-    return float(np.dot(u, x) + np.dot(u, y) + np.dot(x, y))
-
-
 def cosine_distance(a, b) -> float:
     """1 - cos(a, b), in [0, 2]. Zero-norm vectors are treated as distance 1."""
     a = np.asarray(a, dtype=np.float64)
@@ -184,30 +167,3 @@ def cosine_distance(a, b) -> float:
         return 1.0
     return float(1.0 - np.dot(a, b) / (norm_a * norm_b))
 
-
-def save_matrix(values: np.ndarray, path) -> None:
-    """Write a 2-d float64 matrix: b"CRMX", two little-endian uint64 dims, row-major data."""
-    arr = np.ascontiguousarray(values, dtype="<f8")
-    if arr.ndim != 2:
-        raise ValueError("save_matrix expects a 2-d array, got ndim=%d" % arr.ndim)
-    with open(path, "wb") as fh:
-        fh.write(MATRIX_MAGIC)
-        fh.write(struct.pack("<QQ", arr.shape[0], arr.shape[1]))
-        fh.write(arr.tobytes())
-
-
-def load_matrix(path) -> np.ndarray:
-    """Read a matrix written by save_matrix."""
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[:4] != MATRIX_MAGIC:
-        raise FormatError("%s: bad magic bytes, expected CRMX" % path)
-    if len(blob) < 20:
-        raise FormatError("%s: truncated header" % path)
-    rows, cols = struct.unpack_from("<QQ", blob, 4)
-    if len(blob) != 20 + 8 * rows * cols:
-        raise FormatError(
-            "%s: payload size mismatch for %dx%d matrix" % (path, rows, cols)
-        )
-    data = np.frombuffer(blob, dtype="<f8", offset=20, count=rows * cols)
-    return data.reshape(rows, cols).copy()

@@ -15,6 +15,7 @@ import os
 from scipy import sparse
 
 from . import metrics as metrics_mod
+from .artifacts import atomic_open, load_matrix, read_rows, save_matrix, write_json
 from .config import RunConfig, derive_seed
 from .features import FeatureMatrix, fit_tfidf, load_external_embeddings, transform
 from .mind import (
@@ -26,7 +27,6 @@ from .mind import (
     validate_clicks,
 )
 from .models import almm_train, forbes_train, load_model, oord_train, sample_negatives, save_model
-from .numerics import load_matrix, save_matrix
 from .splits import load_split, make_cold_split, make_warm_split, save_split
 from .transitions import build_tensor, build_triplets, load_triplets, save_triplets
 
@@ -53,7 +53,7 @@ def metrics_path(cfg: RunConfig) -> str:
 # ---------------------------------------------------------------------------
 
 def save_catalog(catalog: dict[str, Article], path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with atomic_open(path) as fh:
         for art in catalog.values():
             fh.write(
                 "%s\t%s\t%s\t%s\t%s\n"
@@ -69,7 +69,7 @@ def load_catalog(path) -> dict[str, Article]:
 
 
 def save_streams(streams: dict[str, list[ClickEvent]], path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with atomic_open(path) as fh:
         for events in streams.values():
             for ev in events:
                 fh.write(
@@ -81,44 +81,35 @@ def save_streams(streams: dict[str, list[ClickEvent]], path) -> None:
 def load_streams(path) -> dict[str, list[ClickEvent]]:
     """Read streams.tsv back into user -> events, both in file order."""
     events_by_user: dict[str, list[ClickEvent]] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            cols = line.rstrip("\n").split("\t")
-            if len(cols) != 4:
-                raise ValueError("%s: line %d: expected 4 columns" % (path, lineno))
-            user, news, ts, rank = cols
-            try:
-                timestamp, within = int(ts), int(rank)
-            except ValueError:
-                raise ValueError(
-                    "%s: line %d: timestamp and rank must be integers, got %r and %r"
-                    % (path, lineno, ts, rank)
-                ) from None
-            events_by_user.setdefault(user, []).append(
-                ClickEvent(user=user, news=news, timestamp=timestamp, within_impression_rank=within)
-            )
+    for lineno, (user, news, ts, rank) in read_rows(path, 4):
+        try:
+            timestamp, within = int(ts), int(rank)
+        except ValueError:
+            raise ValueError(
+                "%s: line %d: timestamp and rank must be integers, got %r and %r"
+                % (path, lineno, ts, rank)
+            ) from None
+        events_by_user.setdefault(user, []).append(
+            ClickEvent(user=user, news=news, timestamp=timestamp, within_impression_rank=within)
+        )
     return events_by_user
 
 
 def save_popularity(popularity: dict[str, int], path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with atomic_open(path) as fh:
         for article in sorted(popularity):
             fh.write("%s\t%d\n" % (article, popularity[article]))
 
 
 def load_popularity(path) -> dict[str, int]:
     popularity = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            cols = line.rstrip("\n").split("\t")
-            if len(cols) != 2:
-                raise ValueError("%s: line %d: expected 2 columns" % (path, lineno))
-            try:
-                popularity[cols[0]] = int(cols[1])
-            except ValueError:
-                raise ValueError(
-                    "%s: line %d: count must be an integer, got %r" % (path, lineno, cols[1])
-                ) from None
+    for lineno, (article, count) in read_rows(path, 2):
+        try:
+            popularity[article] = int(count)
+        except ValueError:
+            raise ValueError(
+                "%s: line %d: count must be an integer, got %r" % (path, lineno, count)
+            ) from None
     return popularity
 
 
@@ -128,13 +119,12 @@ def _feature_base(cfg: RunConfig, kind: str) -> str:
 
 def save_features(features: FeatureMatrix, base: str) -> None:
     meta = {"kind": features.kind, "dim": features.dim, "ids": list(features.row_index)}
-    with open(base + ".meta.json", "w", encoding="utf-8") as fh:
-        json.dump(meta, fh, sort_keys=True)
-        fh.write("\n")
+    write_json(meta, base + ".meta.json")
     if sparse.issparse(features.matrix):
-        sparse.save_npz(base + ".npz", features.matrix.tocsr())
+        with atomic_open(base + ".npz", "wb") as fh:
+            sparse.save_npz(fh, features.matrix.tocsr())
     else:
-        save_matrix(features.matrix, base + ".mat")
+        save_matrix(features.matrix, base + ".npy")
 
 
 def load_features(base: str) -> FeatureMatrix:
@@ -143,7 +133,7 @@ def load_features(base: str) -> FeatureMatrix:
     if os.path.exists(base + ".npz"):
         matrix = sparse.load_npz(base + ".npz")
     else:
-        matrix = load_matrix(base + ".mat")
+        matrix = load_matrix(base + ".npy")
     row_index = {a: r for r, a in enumerate(meta["ids"])}
     return FeatureMatrix(matrix=matrix, kind=meta["kind"], row_index=row_index)
 
@@ -154,7 +144,7 @@ def load_features(base: str) -> FeatureMatrix:
 
 def save_messages(reports, path) -> None:
     """Write each (source, ValidationReport)'s messages, one `source: message` per line."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with atomic_open(path) as fh:
         for source, report in reports:
             for message in report.messages:
                 fh.write("%s: %s\n" % (source, message))
@@ -164,7 +154,6 @@ def stage_ingest(cfg: RunConfig) -> dict:
     """Parse and validate the raw logs; persist catalog, streams, popularity and
     the validation messages (news, then behaviors, then clicks)."""
     out = _path(cfg, INGEST_DIR)
-    os.makedirs(out, exist_ok=True)
     catalog, news_report = parse_news(cfg.news_path)
     raw_streams, beh_report = parse_behaviors(cfg.behaviors_path)
     streams, click_report = validate_clicks(raw_streams, catalog)
@@ -239,7 +228,6 @@ def stage_split(cfg: RunConfig) -> dict:
 def stage_featurize(cfg: RunConfig) -> dict:
     """Fit TF-IDF on the persisted catalog (always) and ingest external embeddings if configured."""
     catalog = load_catalog(_path(cfg, INGEST_DIR, "catalog.tsv"))
-    os.makedirs(_path(cfg, FEATURES_DIR), exist_ok=True)
     vectorizer = fit_tfidf(catalog, cfg.vectorizer)
     tfidf = transform(vectorizer, catalog)
     save_features(tfidf, _feature_base(cfg, "tfidf"))
@@ -359,11 +347,10 @@ _STAGES = (
 
 def run_pipeline(cfg: RunConfig) -> dict:
     """Run all stages in order; write run.log with every counter; return the counters."""
-    os.makedirs(cfg.out_dir, exist_ok=True)
     counters: dict = {"seed": cfg.seed}
     for name, stage in _STAGES:
         counters.update(stage(cfg))
-    with open(_path(cfg, RUN_LOG_FILE), "w", encoding="utf-8", newline="") as fh:
+    with atomic_open(_path(cfg, RUN_LOG_FILE)) as fh:
         for key, value in counters.items():
             fh.write("%s = %s\n" % (key, value))
     return counters

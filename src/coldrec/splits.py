@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .artifacts import write_json
 from .errors import DegenerateSplitError
 from .transitions import TripletSet, load_triplets, save_triplets
 
@@ -114,7 +115,6 @@ def make_warm_split(triplet_set: TripletSet, test_fraction: float, seed: int) ->
 
 def save_split(split: DataSplit, dirpath, fraction: float | None = None) -> None:
     """Persist a split as two triplet TSVs plus a manifest."""
-    os.makedirs(dirpath, exist_ok=True)
     save_triplets(split.train, os.path.join(dirpath, "train.tsv"))
     save_triplets(split.test, os.path.join(dirpath, "test.tsv"))
     manifest = {
@@ -123,9 +123,7 @@ def save_split(split: DataSplit, dirpath, fraction: float | None = None) -> None
         "fraction": fraction,
         "holdout_articles": sorted(split.holdout_articles),
     }
-    with open(os.path.join(dirpath, MANIFEST_NAME), "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(manifest, os.path.join(dirpath, MANIFEST_NAME))
 
 
 def load_split(dirpath) -> DataSplit:

@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .artifacts import atomic_open, read_rows
 from .errors import EmptyInputError
 from .mind import ClickEvent
 
@@ -99,7 +100,7 @@ def build_triplets(tensor: dict[tuple[str, str, str], int]) -> TripletSet:
 
 def save_triplets(triplet_set: TripletSet, path) -> None:
     """Dump one `user<TAB>i<TAB>j<TAB>confidence` line per triplet."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with atomic_open(path) as fh:
         for t in triplet_set:
             fh.write(
                 "%s\t%s\t%s\t%s\n" % (t.user, t.last_article, t.next_article, repr(t.confidence))
@@ -108,22 +109,16 @@ def save_triplets(triplet_set: TripletSet, path) -> None:
 
 def load_triplets(path) -> TripletSet:
     triplets = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            cols = line.rstrip("\n").split("\t")
-            if len(cols) != 4:
-                raise ValueError("%s: line %d: expected 4 columns" % (path, lineno))
-            try:
-                confidence = float(cols[3])
-            except ValueError:
-                raise ValueError(
-                    "%s: line %d: confidence must be a number, got %r" % (path, lineno, cols[3])
-                ) from None
-            if not 0.0 < confidence < math.inf:
-                raise ValueError(
-                    "%s: line %d: confidence must be finite and > 0, got %s" % (path, lineno, cols[3])
-                )
-            triplets.append(
-                Triplet(user=cols[0], last_article=cols[1], next_article=cols[2], confidence=confidence)
+    for lineno, (user, last, nxt, text) in read_rows(path, 4):
+        try:
+            confidence = float(text)
+        except ValueError:
+            raise ValueError(
+                "%s: line %d: confidence must be a number, got %r" % (path, lineno, text)
+            ) from None
+        if not 0.0 < confidence < math.inf:
+            raise ValueError(
+                "%s: line %d: confidence must be finite and > 0, got %s" % (path, lineno, text)
             )
+        triplets.append(Triplet(user=user, last_article=last, next_article=nxt, confidence=confidence))
     return TripletSet(triplets)

@@ -16,13 +16,14 @@ from coldrec.features import load_external_embeddings
 from coldrec.fixture import generate_fixture
 from coldrec.metrics import candidate_universe, diversity_at_k, map_at_k, novelty_at_k, recall_at_k
 from coldrec.mind import parse_news
-from coldrec.models import Hyperparams, almm_train, forbes_instance_gradients, forbes_instance_loss, oord_train
+from coldrec.models import Hyperparams, almm_train, oord_train
 from coldrec.numerics import ridge_solve
 from coldrec.pipeline import run_pipeline
 from coldrec.splits import load_split
 from coldrec.transitions import build_tensor, build_triplets
 
 from conftest import DATA_DIR
+from oracles import forbes_instance_gradients, forbes_instance_loss
 from test_metrics import dense_features
 from test_models import make_instances, random_instances, random_rows
 from test_transitions import brute_force_tensor, brute_force_triplets, random_log

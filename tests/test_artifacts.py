@@ -1,0 +1,137 @@
+import io
+import json
+
+import numpy as np
+import pytest
+
+from coldrec.artifacts import atomic_open, load_matrix, save_matrix, write_json
+from coldrec.errors import FormatError
+
+
+def saved_blob(tmp_path, values):
+    path = tmp_path / "m.npy"
+    save_matrix(values, path)
+    return path.read_bytes()
+
+
+def assert_format_error_names(path):
+    with pytest.raises(FormatError) as err:
+        load_matrix(path)
+    assert str(err.value).startswith(str(path) + ": ")
+
+
+class TestMatrixRoundTrip:
+    def test_round_trip_is_bit_exact(self, tmp_path):
+        rng = np.random.default_rng(41)
+        mat = rng.normal(size=(7, 3))
+        mat[0] = [-0.0, 5e-324, np.inf]
+        mat[1, 0] = np.nan
+        path = tmp_path / "m.npy"
+        save_matrix(np.asfortranarray(mat), path)
+        loaded = load_matrix(path)
+        assert loaded.dtype == np.float64 and loaded.shape == (7, 3)
+        assert loaded.flags.c_contiguous
+        assert loaded.tobytes() == mat.tobytes()
+
+    def test_file_is_plain_npy(self, tmp_path):
+        mat = np.arange(6.0).reshape(2, 3)
+        blob = saved_blob(tmp_path, mat)
+        assert blob.startswith(b"\x93NUMPY")
+        np.testing.assert_array_equal(np.load(io.BytesIO(blob), allow_pickle=False), mat)
+
+    def test_non_npy_file_raises(self, tmp_path):
+        path = tmp_path / "bad.npy"
+        path.write_bytes(b"CRMX" + b"\x00" * 32)
+        assert_format_error_names(path)
+
+    def test_truncated_header_raises(self, tmp_path):
+        path = tmp_path / "trunc.npy"
+        path.write_bytes(saved_blob(tmp_path, np.ones((2, 2)))[:20])
+        assert_format_error_names(path)
+
+    def test_truncated_payload_raises(self, tmp_path):
+        path = tmp_path / "trunc.npy"
+        path.write_bytes(saved_blob(tmp_path, np.ones((2, 2)))[:-8])
+        assert_format_error_names(path)
+
+    def test_empty_file_raises(self, tmp_path):
+        path = tmp_path / "empty.npy"
+        path.write_bytes(b"")
+        assert_format_error_names(path)
+
+    def test_pickled_object_array_is_refused(self, tmp_path):
+        path = tmp_path / "obj.npy"
+        np.save(path, np.array([[{"a": 1}]], dtype=object), allow_pickle=True)
+        assert_format_error_names(path)
+
+    @pytest.mark.parametrize(
+        "values",
+        [np.ones(3), np.ones((2, 2), dtype=np.int64), np.ones((1, 2, 2))],
+        ids=["1-d", "int64", "3-d"],
+    )
+    def test_not_a_2d_float64_array_is_rejected(self, tmp_path, values):
+        path = tmp_path / "other.npy"
+        np.save(path, values, allow_pickle=False)
+        assert_format_error_names(path)
+
+    def test_npz_archive_is_rejected(self, tmp_path):
+        path = tmp_path / "archive.npy"
+        with open(path, "wb") as fh:
+            np.savez(fh, m=np.ones((2, 2)))
+        assert_format_error_names(path)
+
+    def test_saving_non_2d_raises(self, tmp_path):
+        with pytest.raises(ValueError):
+            save_matrix(np.ones(3), tmp_path / "v.npy")
+        assert list(tmp_path.iterdir()) == []
+
+
+class TestAtomicOpen:
+    def test_clean_exit_publishes_and_leaves_no_temp(self, tmp_path):
+        path = tmp_path / "out.tsv"
+        with atomic_open(path) as fh:
+            fh.write("a\tb\r\n")
+            assert not path.exists()
+        assert path.read_bytes() == b"a\tb\r\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out.tsv"]
+
+    @pytest.mark.parametrize("mode, payload", [("w", "partial row"), ("wb", b"\x93NUMPY")])
+    @pytest.mark.parametrize("error", [OSError, KeyboardInterrupt])
+    def test_failed_writer_keeps_the_old_file_and_no_temp(self, tmp_path, mode, payload, error):
+        path = tmp_path / "artifact"
+        path.write_bytes(b"old contents\n")
+        with pytest.raises(error):
+            with atomic_open(path, mode) as fh:
+                fh.write(payload)
+                raise error("interrupted mid-write")
+        assert path.read_bytes() == b"old contents\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["artifact"]
+
+    def test_failed_writer_creates_no_file(self, tmp_path):
+        with pytest.raises(ValueError):
+            with atomic_open(tmp_path / "new.csv") as fh:
+                fh.write("header\n")
+                raise ValueError("bad row")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failed_matrix_write_keeps_the_old_matrix(self, tmp_path, monkeypatch):
+        path = tmp_path / "U.npy"
+        save_matrix(np.ones((2, 2)), path)
+        before = path.read_bytes()
+
+        def failing_save(fh, arr, allow_pickle):
+            fh.write(b"\x93NUMPY")
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(np, "save", failing_save)
+        with pytest.raises(OSError):
+            save_matrix(np.zeros((3, 3)), path)
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["U.npy"]
+
+
+def test_write_json_is_sorted_indented_and_newline_terminated(tmp_path):
+    path = tmp_path / "manifest.json"
+    write_json({"b": [1, 2], "a": "x"}, path)
+    text = path.read_text(encoding="utf-8")
+    assert text == json.dumps({"a": "x", "b": [1, 2]}, indent=2) + "\n"

@@ -1,13 +1,16 @@
 import argparse
 import contextlib
+import errno
 import io
 import json
 import os
+import shutil
 import subprocess
 import sys
 
 import pytest
 
+from coldrec import metrics as metrics_mod
 from coldrec.cli import build_parser, main
 from coldrec.config import FEATURE_KINDS, derive_seed, load_config
 from coldrec.features import VectorizerConfig
@@ -304,7 +307,7 @@ class TestCliCommands:
             "triplets.tsv",
             os.path.join("ingest", "catalog.tsv"),
             os.path.join("splits", "cold", "manifest.json"),
-            os.path.join("models", "almm-cold", "U.mat"),
+            os.path.join("models", "almm-cold", "U.npy"),
         ):
             assert os.path.exists(os.path.join(base, rel)), rel
 
@@ -421,6 +424,50 @@ class TestCliCommands:
         err = capsys.readouterr().err
         assert rc == 1
         assert err == "error: %s: no metric rows\n" % path
+
+    def test_evaluate_rejects_a_model_dir_mixed_across_splits(self, workspace, run_out, capsys):
+        shutil.copytree(run_out[2], os.path.join(workspace, "mixed_out"))
+        models_dir = os.path.join(workspace, "mixed_out", "models")
+        warm_x = load_model(os.path.join(models_dir, "almm-warm")).last_factors
+        cold = load_model(os.path.join(models_dir, "almm-cold"))
+        assert warm_x.shape[0] != len(cold.articles)
+        shutil.copy(os.path.join(models_dir, "almm-warm", "X.npy"), os.path.join(models_dir, "almm-cold"))
+        rc = main(["evaluate", "--config", write_config(workspace), "--out", "mixed_out"])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error: %s: shape " % os.path.join(models_dir, "almm-cold", "X.npy"))
+
+    def test_failed_evaluate_keeps_the_earlier_metrics(self, workspace, run_out, capsys, monkeypatch):
+        shutil.copytree(run_out[2], os.path.join(workspace, "failed_out"))
+        config = write_config(workspace)
+        metrics_path = os.path.join(workspace, "failed_out", "metrics.csv")
+        with open(metrics_path, "rb") as fh:
+            before = fh.read()
+        assert main(["report", "--config", config, "--out", "failed_out"]) == 0
+        summary = capsys.readouterr().out
+
+        class DiskFull(float):
+            def __str__(self):
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+        evaluate = metrics_mod.evaluate
+
+        def evaluate_then_fill_the_disk(*args, **kwargs):
+            results = evaluate(*args, **kwargs)
+            if args[0].kind == "oord":  # a late row: emit_curves has written most of the file
+                for values in results.values():
+                    values["map"] = DiskFull(values["map"])
+            return results
+
+        monkeypatch.setattr(metrics_mod, "evaluate", evaluate_then_fill_the_disk)
+        rc = main(["evaluate", "--config", config, "--out", "failed_out"])
+        assert rc == 1
+        assert "No space left on device" in capsys.readouterr().err
+        with open(metrics_path, "rb") as fh:
+            assert fh.read() == before
+        assert not os.path.exists(metrics_path + ".tmp")
+        assert main(["report", "--config", config, "--out", "failed_out"]) == 0
+        assert capsys.readouterr().out == summary
 
     def test_missing_input_path_fails_with_message(self, tmp_path, capsys):
         config = os.path.join(tmp_path, "bad.toml")

@@ -17,9 +17,10 @@ from coldrec.metrics import (
     recall_at_k,
 )
 from coldrec.models import FactorModel, Hyperparams
-from coldrec.numerics import cosine_distance, score
 from coldrec.splits import DataSplit
 from coldrec.transitions import Triplet, TripletSet
+
+from oracles import score
 
 
 def dense_features(ids, matrix, kind="tfidf"):

@@ -1,3 +1,4 @@
+import json
 import warnings
 from collections import namedtuple
 
@@ -6,7 +7,8 @@ import pytest
 from scipy import sparse
 
 from coldrec import models, numerics
-from coldrec.errors import DivergenceError, SingularSystemError
+from coldrec.artifacts import save_matrix
+from coldrec.errors import DivergenceError, FormatError, SingularSystemError
 from coldrec.features import FeatureMatrix
 from coldrec.metrics import candidate_universe, rank_test_queries
 from coldrec.models import (
@@ -18,19 +20,18 @@ from coldrec.models import (
     Instances,
     almm_train,
     article_vectors,
-    forbes_instance_gradients,
-    forbes_instance_loss,
     forbes_train,
     load_model,
-    objective,
     oord_train,
     predict,
     sample_negatives,
     save_model,
 )
-from coldrec.numerics import ridge_solve, score
+from coldrec.numerics import ridge_solve
 from coldrec.splits import DataSplit
 from coldrec.transitions import Triplet, TripletSet
+
+from oracles import forbes_instance_gradients, forbes_instance_loss, objective, score
 
 
 def make_triplets(rows):
@@ -1438,3 +1439,46 @@ class TestModelPersistence:
         assert loaded.hyper == model.hyper
         for attr in ("user_factors", "last_factors", "next_factors", "last_mapping", "next_mapping"):
             np.testing.assert_array_equal(getattr(loaded, attr), getattr(model, attr))
+
+    @staticmethod
+    def saved_zero_model(tmp_path):
+        path = tmp_path / "model"
+        save_model(zero_model(3, 5, 2, m=4), path)
+        return path
+
+    @pytest.mark.parametrize(
+        "filename, shape",
+        [
+            ("U.npy", (4, 2)),  # a user row the manifest does not list
+            ("U.npy", (3, 3)),  # latent_dim columns
+            ("X.npy", (6, 2)),  # another run's article rows
+            ("Y.npy", (4, 2)),
+            ("PsiX.npy", (4, 3)),
+            ("PsiY.npy", (5, 2)),  # not PsiX's shape
+        ],
+    )
+    def test_matrix_contradicting_the_manifest_is_named(self, tmp_path, filename, shape):
+        path = self.saved_zero_model(tmp_path)
+        save_matrix(np.zeros(shape), path / filename)
+        with pytest.raises(FormatError) as err:
+            load_model(path)
+        assert str(err.value).startswith(str(path / filename) + ": shape %s" % (shape,))
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda manifest: manifest.pop("kind"),
+            lambda manifest: manifest.pop("articles"),
+            lambda manifest: manifest["hyperparams"].update(latent_size=2),
+            lambda manifest: manifest.update(users=["u0", "u1", "u2"]),
+        ],
+        ids=["missing kind", "missing articles", "unknown hyperparameter", "users not a mapping"],
+    )
+    def test_malformed_manifest_is_named(self, tmp_path, edit):
+        path = self.saved_zero_model(tmp_path)
+        manifest = json.loads((path / "manifest.json").read_text(encoding="utf-8"))
+        edit(manifest)
+        (path / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+        with pytest.raises(FormatError) as err:
+            load_model(path)
+        assert str(err.value).startswith(str(path / "manifest.json") + ": malformed manifest: ")

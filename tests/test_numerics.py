@@ -4,15 +4,10 @@ from scipy import sparse
 from scipy.linalg import cho_solve
 
 from coldrec import numerics
-from coldrec.errors import FormatError, SingularSystemError
-from coldrec.numerics import (
-    cosine_distance,
-    load_matrix,
-    ridge_factor,
-    ridge_solve,
-    save_matrix,
-    score,
-)
+from coldrec.errors import SingularSystemError
+from coldrec.numerics import cosine_distance, ridge_factor, ridge_solve
+
+from oracles import score
 
 
 def normal_equations_oracle(design, targets, ridge):
@@ -293,29 +288,3 @@ class TestCosineDistance:
             d = cosine_distance(rng.normal(size=4), rng.normal(size=4))
             assert 0.0 <= d <= 2.0 + 1e-12
 
-
-class TestMatrixRoundTrip:
-    def test_round_trip(self, tmp_path):
-        rng = np.random.default_rng(41)
-        mat = rng.normal(size=(7, 3))
-        path = tmp_path / "m.mat"
-        save_matrix(mat, path)
-        np.testing.assert_array_equal(load_matrix(path), mat)
-
-    def test_bad_magic_raises(self, tmp_path):
-        path = tmp_path / "bad.mat"
-        path.write_bytes(b"NOPE" + b"\x00" * 32)
-        with pytest.raises(FormatError):
-            load_matrix(path)
-
-    def test_truncated_payload_raises(self, tmp_path):
-        path = tmp_path / "trunc.mat"
-        save_matrix(np.ones((2, 2)), path)
-        blob = path.read_bytes()
-        path.write_bytes(blob[:-8])
-        with pytest.raises(FormatError):
-            load_matrix(path)
-
-    def test_non_2d_raises(self, tmp_path):
-        with pytest.raises(ValueError):
-            save_matrix(np.ones(3), tmp_path / "v.mat")
