@@ -2,10 +2,12 @@
 
 Every test triplet (u, i, j*) is a query with a single relevant item j*,
 ranked against all articles appearing in the split (train or test side) minus
-the query's last article i. All queries of one (model, split) are scored by
-the batched kernel `models.score_queries`; `rank_test_queries` excludes each
-query's own last article and ranks with one stable argsort, which breaks ties
-as `predict` does. Results are a dict {(model, setting, k): {metric: value}}.
+the query's last article i: the union, in order, of the two sides' article
+index maps. Queries are read off the test side's u/i/j code columns. All
+queries of one (model, split) are scored by the batched kernel
+`models.score_queries`; `rank_test_queries` excludes each query's own last
+article and ranks with one stable argsort, which breaks ties as `predict`
+does. Results are a dict {(model, setting, k): {metric: value}}.
 Novelty is the self-information of an item's click popularity; diversity is
 the mean pairwise cosine distance of a recommendation list's TF-IDF rows.
 """
@@ -110,12 +112,7 @@ def diversity_at_k(top_lists, tfidf_features, k: int) -> float:
 
 def candidate_universe(split: DataSplit) -> list[str]:
     """All articles referenced by either side, in first-appearance order."""
-    seen: dict[str, None] = {}
-    for side in (split.train, split.test):
-        for t in side:
-            seen.setdefault(t.last_article, None)
-            seen.setdefault(t.next_article, None)
-    return list(seen)
+    return list(dict.fromkeys([*split.train.articles, *split.test.articles]))
 
 
 def rank_test_queries(model: FactorModel, split: DataSplit, features, k_max: int):
@@ -128,21 +125,19 @@ def rank_test_queries(model: FactorModel, split: DataSplit, features, k_max: int
     list holds the first min(k_max, C - 1) candidates. The universe is checked
     against `features` once, before any scoring.
     """
-    universe = candidate_universe(split)
-    queries = list(split.test)
+    test = split.test
+    users, articles = list(test.users), list(test.articles)
     ordered, chunks = score_queries(
         model,
-        [t.user for t in queries],
-        [t.last_article for t in queries],
-        universe,
+        [users[u] for u in test.u.tolist()],
+        [articles[i] for i in test.i.tolist()],
+        candidate_universe(split),
         features,
     )
     position = {a: p for p, a in enumerate(ordered)}
-    own = np.array([position[t.last_article] for t in queries], dtype=np.intp)
-    targets = np.array(
-        [-1 if t.next_article == t.last_article else position[t.next_article] for t in queries],
-        dtype=np.intp,
-    )
+    code_position = np.array([position[a] for a in articles], dtype=np.intp)  # test code -> position
+    own = code_position[test.i]
+    targets = np.where(test.i == test.j, -1, code_position[test.j])
     head = min(k_max, len(ordered) - 1)
     ranks = []
     top_lists = []

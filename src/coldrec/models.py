@@ -145,7 +145,8 @@ def sample_negatives(triplet_set: TripletSet, negatives_per_positive: int, seed:
     (u, i, j') not a positive, rejection-resampling at most 100 times per slot.
     Candidates come from batched rng.integers draws (one value per slot, refilled
     as rejections use them up) consumed strictly in slot order; a batched draw
-    yields the same values as that many scalar draws.
+    yields the same values as that many scalar draws. Positives and their
+    confidences are read off the set's u/i/j/confidence columns.
     """
     if negatives_per_positive < 1:
         raise ValueError("negatives_per_positive must be >= 1")
@@ -154,8 +155,7 @@ def sample_negatives(triplet_set: TripletSet, negatives_per_positive: int, seed:
         raise ValueError(
             "article universe of size %d is too small to sample negatives" % n_articles
         )
-    users, articles = triplet_set.users, triplet_set.articles
-    encoded = [(users[t.user], articles[t.last_article], articles[t.next_article]) for t in triplet_set]
+    encoded = list(zip(triplet_set.u.tolist(), triplet_set.i.tolist(), triplet_set.j.tolist()))
     positives = set(encoded)
 
     rng = np.random.default_rng(seed)
@@ -172,11 +172,9 @@ def sample_negatives(triplet_set: TripletSet, negatives_per_positive: int, seed:
                     jj.append(j_neg)
                     break
 
-    rows = np.array(encoded, dtype=np.int64).reshape(-1, 3)[source]
-    positive = rows[:, 2] == jj  # a negative's j' never equals its positive's j
-    confidence = np.array([t.confidence for t in triplet_set], dtype=np.float64)[source]
-    weight = np.where(positive, confidence, 1.0)
-    return Instances(u=rows[:, 0], i=rows[:, 1], j=jj, target=positive, weight=weight)
+    positive = triplet_set.j[source] == jj  # a negative's j' never equals its positive's j
+    weight = np.where(positive, triplet_set.confidence[source], 1.0)
+    return Instances(u=triplet_set.u[source], i=triplet_set.i[source], j=jj, target=positive, weight=weight)
 
 
 def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import os
 
+import numpy as np
 from scipy import sparse
 
 from . import metrics as metrics_mod
@@ -294,15 +295,13 @@ def stage_evaluate(cfg: RunConfig) -> dict:
     counters: dict = {}
     for split_kind in cfg.split_kinds:
         split = load_split(_path(cfg, SPLITS_DIR, split_kind))
-        # every model of a split trains on its train side, so these are per split
-        trained = split.train
-        counters["evaluate_%s_queries" % split_kind] = len(split.test)
-        counters["evaluate_%s_unseen_user_queries" % split_kind] = sum(
-            t.user not in trained.users for t in split.test
-        )
-        counters["evaluate_%s_cold_candidates" % split_kind] = sum(
-            a not in trained.articles for a in metrics_mod.candidate_universe(split)
-        )
+        # every model of a split trains on its train side, so these are per split;
+        # the cold candidates are the test side's articles that train lacks
+        trained, test = split.train, split.test
+        counters["evaluate_%s_queries" % split_kind] = len(test)
+        unseen = np.array([u not in trained.users for u in test.users], dtype=bool)
+        counters["evaluate_%s_unseen_user_queries" % split_kind] = int(unseen[test.u].sum())
+        counters["evaluate_%s_cold_candidates" % split_kind] = len(test.articles.keys() - trained.articles)
         for model_kind in cfg.model_kinds:
             model = load_model(_model_dir(cfg, model_kind, split_kind))
             results = metrics_mod.evaluate(

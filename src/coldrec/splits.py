@@ -1,9 +1,9 @@
 """Warm-start and cold-start train/test partitioning of a triplet set.
 
-Each side of a split is a `TripletSet` whose `users` and `articles` index
-maps hold exactly the users and articles of that side's triplets. Both sides
-keep the input's triplet order, except that a warm split appends to train the
-test candidates it moves back.
+Each side of a split is the input `TripletSet`'s `take` of its rows, so its
+`users` and `articles` index maps hold exactly that side's users and articles
+and its code columns are renumbered to match. Both sides keep the input's row
+order, except that a warm split appends to train the candidates it moves back.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .artifacts import write_json
-from .errors import DegenerateSplitError
+from .errors import DegenerateSplitError, FormatError
 from .transitions import TripletSet, load_triplets, save_triplets
 
 MANIFEST_NAME = "manifest.json"
@@ -46,24 +46,15 @@ def make_cold_split(triplet_set: TripletSet, holdout_fraction: float, seed: int)
     n_holdout = math.ceil(holdout_fraction * len(articles))
     rng = np.random.default_rng(seed)
     picked = rng.choice(len(articles), size=n_holdout, replace=False)
-    holdout = {articles[k] for k in picked}
-    train, test = [], []
-    for t in triplet_set:
-        if t.last_article in holdout or t.next_article in holdout:
-            test.append(t)
-        else:
-            train.append(t)
-    if not test or not train:
+    held = np.isin(triplet_set.i, picked) | np.isin(triplet_set.j, picked)
+    train = triplet_set.take(np.flatnonzero(~held))
+    test = triplet_set.take(np.flatnonzero(held))
+    if not len(test) or not len(train):
         raise DegenerateSplitError(
             "cold split degenerate: %d train / %d test triplets" % (len(train), len(test))
         )
-    return DataSplit(
-        train=TripletSet(train),
-        test=TripletSet(test),
-        holdout_articles=holdout,
-        kind="cold",
-        seed=seed,
-    )
+    holdout = {articles[k] for k in picked.tolist()}
+    return DataSplit(train=train, test=test, holdout_articles=holdout, kind="cold", seed=seed)
 
 
 def make_warm_split(triplet_set: TripletSet, test_fraction: float, seed: int) -> DataSplit:
@@ -78,39 +69,24 @@ def make_warm_split(triplet_set: TripletSet, test_fraction: float, seed: int) ->
     if len(triplet_set) == 0:
         raise DegenerateSplitError("cannot split an empty triplet set")
     n = len(triplet_set)
-    n_test = math.ceil(test_fraction * n)
     rng = np.random.default_rng(seed)
-    candidate_positions = set(rng.choice(n, size=n_test, replace=False).tolist())
-
-    train, candidates = [], []
-    train_articles: set[str] = set()
-    for pos, t in enumerate(triplet_set):
-        if pos in candidate_positions:
-            candidates.append(t)
-        else:
-            train.append(t)
-            train_articles.add(t.last_article)
-            train_articles.add(t.next_article)
-
-    test = []
-    for t in candidates:
-        if t.last_article in train_articles and t.next_article in train_articles:
-            test.append(t)
-        else:
-            train.append(t)
-            train_articles.add(t.last_article)
-            train_articles.add(t.next_article)
-    if not test or not train:
+    sampled = np.zeros(n, dtype=bool)
+    sampled[rng.choice(n, size=math.ceil(test_fraction * n), replace=False)] = True
+    trained = np.zeros(len(triplet_set.articles), dtype=bool)  # per article code
+    trained[triplet_set.i[~sampled]] = trained[triplet_set.j[~sampled]] = True
+    candidates = np.flatnonzero(sampled)
+    stays = []  # per candidate, in position order: both articles trained on before it
+    for i, j in zip(triplet_set.i[candidates].tolist(), triplet_set.j[candidates].tolist()):
+        stays.append(bool(trained[i] and trained[j]))
+        trained[i] = trained[j] = True
+    stays = np.array(stays, dtype=bool)
+    train = triplet_set.take(np.concatenate((np.flatnonzero(~sampled), candidates[~stays])))
+    test = triplet_set.take(candidates[stays])
+    if not len(test) or not len(train):
         raise DegenerateSplitError(
             "warm split degenerate: %d train / %d test triplets" % (len(train), len(test))
         )
-    return DataSplit(
-        train=TripletSet(train),
-        test=TripletSet(test),
-        holdout_articles=set(),
-        kind="warm",
-        seed=seed,
-    )
+    return DataSplit(train=train, test=test, holdout_articles=set(), kind="warm", seed=seed)
 
 
 def save_split(split: DataSplit, dirpath, fraction: float | None = None) -> None:
@@ -127,12 +103,22 @@ def save_split(split: DataSplit, dirpath, fraction: float | None = None) -> None
 
 
 def load_split(dirpath) -> DataSplit:
-    with open(os.path.join(dirpath, MANIFEST_NAME), "r", encoding="utf-8") as fh:
+    """Read a split directory; a bad manifest, or a side that breaks the split's
+    invariant (see the split makers), is a FormatError naming the path."""
+    manifest_path = os.path.join(dirpath, MANIFEST_NAME)
+    with open(manifest_path, "r", encoding="utf-8") as fh:
         manifest = json.load(fh)
-    return DataSplit(
-        train=load_triplets(os.path.join(dirpath, "train.tsv")),
-        test=load_triplets(os.path.join(dirpath, "test.tsv")),
-        holdout_articles=set(manifest["holdout_articles"]),
-        kind=manifest["kind"],
-        seed=manifest["seed"],
-    )
+    try:
+        kind, seed, holdout = manifest["kind"], manifest["seed"], set(manifest["holdout_articles"])
+    except (KeyError, TypeError) as exc:
+        raise FormatError("%s: malformed manifest: %r" % (manifest_path, exc)) from None
+    if kind not in ("warm", "cold"):
+        raise FormatError("%s: kind must be 'warm' or 'cold', got %r" % (manifest_path, kind))
+    train, test = (load_triplets(os.path.join(dirpath, side + ".tsv")) for side in ("train", "test"))
+    if kind == "cold":
+        stray, problem = holdout & train.articles.keys(), "holdout articles on the train side"
+    else:
+        stray, problem = test.articles.keys() - train.articles.keys(), "test articles not trained on"
+    if stray:
+        raise FormatError("%s: %s split: %s: %s" % (dirpath, kind, problem, ", ".join(sorted(stray))))
+    return DataSplit(train=train, test=test, holdout_articles=holdout, kind=kind, seed=seed)

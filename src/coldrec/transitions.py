@@ -6,12 +6,18 @@ session window (default 1800 s, boundary inclusive), and i != j. The counts
 form a sparse tensor, a plain `dict[(user, last, next), int]` in order of
 first occurrence. Each distinct (u, i, j) becomes one training triplet whose
 confidence is 1.0 + 0.1 * (count of that (i, j) move summed over all users).
+
+A `TripletSet` encodes its rows once, into int64 code columns `u`, `i`, `j`
+over its `users` / `articles` index maps plus a float64 `confidence` column;
+consumers read the columns, and only iteration decodes `Triplet` rows.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
+
+import numpy as np
 
 from .artifacts import atomic_open, read_rows
 from .errors import EmptyInputError
@@ -20,8 +26,7 @@ from .mind import ClickEvent
 DEFAULT_WINDOW_SECONDS = 1800
 
 
-@dataclass(frozen=True)
-class Triplet:
+class Triplet(NamedTuple):
     user: str
     last_article: str
     next_article: str
@@ -29,27 +34,52 @@ class Triplet:
 
 
 class TripletSet:
-    """Triplets plus dense index maps for users and articles.
+    """Triplets as aligned columns plus dense index maps for users and articles.
 
     Index maps are bijections onto 0..n-1 assigned in first-appearance order
     over the triplet sequence (last article before next article within each
     triplet), so a persisted and reloaded set reproduces identical indices.
+    Row k is (users[u[k]], articles[i[k]], articles[j[k]], confidence[k]).
     """
 
-    def __init__(self, triplets):
-        self.triplets: list[Triplet] = list(triplets)
+    def __init__(self, rows=()):
+        """Encode (user, last article, next article, confidence) rows, in order."""
         self.users: dict[str, int] = {}
         self.articles: dict[str, int] = {}
-        for t in self.triplets:
-            self.users.setdefault(t.user, len(self.users))
-            self.articles.setdefault(t.last_article, len(self.articles))
-            self.articles.setdefault(t.next_article, len(self.articles))
+        users, articles, codes, confidence = self.users, self.articles, [], []
+        for user, last, nxt, conf in rows:
+            u = users.setdefault(user, len(users))
+            i = articles.setdefault(last, len(articles))  # last before next: first-appearance order
+            codes.append((u, i, articles.setdefault(nxt, len(articles))))
+            confidence.append(conf)
+        self.u, self.i, self.j = np.array(codes, dtype=np.int64).reshape(-1, 3).T.copy()
+        self.confidence = np.array(confidence, dtype=np.float64)
+
+    def take(self, positions) -> TripletSet:
+        """The rows at `positions`, in that order, with index maps rebuilt for them alone."""
+        side = TripletSet()
+        side.u, side.users = _reindex(self.u[positions], self.users)
+        pairs, side.articles = _reindex(np.column_stack((self.i, self.j))[positions], self.articles)
+        side.i, side.j = pairs.T.copy()
+        side.confidence = self.confidence[positions]
+        return side
 
     def __len__(self) -> int:
-        return len(self.triplets)
+        return len(self.confidence)
 
     def __iter__(self):
-        return iter(self.triplets)
+        users, articles = list(self.users), list(self.articles)
+        rows = zip(self.u.tolist(), self.i.tolist(), self.j.tolist(), self.confidence.tolist())
+        return (Triplet(users[u], articles[i], articles[j], conf) for u, i, j, conf in rows)
+
+
+def _reindex(codes: np.ndarray, index: dict[str, int]):
+    """Renumber `codes` 0..n-1 in first-appearance order (row-major); returns (codes, index map)."""
+    kept = list(dict.fromkeys(codes.ravel().tolist()))
+    renumber = np.zeros(len(index), dtype=np.int64)
+    renumber[kept] = np.arange(len(kept))
+    names = list(index)
+    return renumber[codes], {names[c]: n for n, c in enumerate(kept)}
 
 
 def build_tensor(
@@ -86,29 +116,20 @@ def build_triplets(tensor: dict[tuple[str, str, str], int]) -> TripletSet:
     for (_, last, nxt), count in tensor.items():
         pair = (last, nxt)
         global_counts[pair] = global_counts.get(pair, 0) + count
-    triplets = [
-        Triplet(
-            user=user,
-            last_article=last,
-            next_article=nxt,
-            confidence=1.0 + 0.1 * global_counts[(last, nxt)],
-        )
-        for (user, last, nxt) in tensor
-    ]
-    return TripletSet(triplets)
+    return TripletSet(
+        (user, last, nxt, 1.0 + 0.1 * global_counts[(last, nxt)]) for (user, last, nxt) in tensor
+    )
 
 
 def save_triplets(triplet_set: TripletSet, path) -> None:
-    """Dump one `user<TAB>i<TAB>j<TAB>confidence` line per triplet."""
+    """Dump one `user<TAB>i<TAB>j<TAB>confidence` line per triplet, confidence by repr."""
     with atomic_open(path) as fh:
         for t in triplet_set:
-            fh.write(
-                "%s\t%s\t%s\t%s\n" % (t.user, t.last_article, t.next_article, repr(t.confidence))
-            )
+            fh.write("%s\t%s\t%s\t%r\n" % t)
 
 
 def load_triplets(path) -> TripletSet:
-    triplets = []
+    rows = []
     for lineno, (user, last, nxt, text) in read_rows(path, 4):
         try:
             confidence = float(text)
@@ -120,5 +141,5 @@ def load_triplets(path) -> TripletSet:
             raise ValueError(
                 "%s: line %d: confidence must be finite and > 0, got %s" % (path, lineno, text)
             )
-        triplets.append(Triplet(user=user, last_article=last, next_article=nxt, confidence=confidence))
-    return TripletSet(triplets)
+        rows.append((user, last, nxt, confidence))
+    return TripletSet(rows)

@@ -1413,7 +1413,7 @@ class TestRankingKernelMatchesScalarPredict:
 
     def test_article_missing_from_features_fails_before_scoring(self, monkeypatch):
         model, split, features = self.problem("almm", dense=False)
-        split.test.triplets.append(Triplet("u0", "n1", "ghost", 1.0))
+        split.test = TripletSet([*split.test, Triplet("u0", "n1", "ghost", 1.0)])
         calls = []
         monkeypatch.setattr(models, "article_vectors", lambda *a: calls.append(a))
         with pytest.raises(ValueError) as err:

@@ -1,7 +1,20 @@
+import hashlib
+import os
+import shutil
+
 import pytest
 
-from coldrec.config import RunConfig
-from coldrec.pipeline import load_popularity, load_streams, stage_ingest
+from coldrec.config import RunConfig, load_config
+from coldrec.fixture import generate_fixture
+from coldrec.pipeline import (
+    load_popularity,
+    load_streams,
+    stage_ingest,
+    stage_split,
+    stage_triplets,
+)
+
+CONFIG_PATH = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "fixture.toml")
 
 
 class TestIngestLoaders:
@@ -73,3 +86,34 @@ class TestIngestMessages:
             "behaviors: line 1: bad impression token 'N3-x'",
             "clicks: user U2: dropped 1 click(s) on unknown articles",
         ]
+
+
+class TestSetupArtifacts:
+    def test_frozen_checksums(self, tmp_path):
+        """The desk fixture's triplets and splits, byte for byte."""
+        generate_fixture(50, 200, 0.8, 7, tmp_path / "fixture")
+        shutil.copy(CONFIG_PATH, tmp_path / "fixture.toml")
+        cfg = load_config(str(tmp_path / "fixture.toml"), out_dir="out")
+        for stage in (stage_ingest, stage_triplets, stage_split):
+            stage(cfg)
+        digests = {}
+        for name in (
+            "triplets.tsv",
+            "splits/warm/train.tsv",
+            "splits/warm/test.tsv",
+            "splits/warm/manifest.json",
+            "splits/cold/train.tsv",
+            "splits/cold/test.tsv",
+            "splits/cold/manifest.json",
+        ):
+            with open(os.path.join(cfg.out_dir, name), "rb") as fh:
+                digests[name] = hashlib.sha256(fh.read()).hexdigest()
+        assert digests == {
+            "triplets.tsv": "1b9d77040ba8ecf291adfea10bb7a2ddd3f504e152634f8845c3af96359b74a0",
+            "splits/warm/train.tsv": "a0689ab713e27a4cf276f6f315791582345033b26735c13297dea5c25c695e4e",
+            "splits/warm/test.tsv": "730a10e9509f37b7b10518dd5cc045ff7583e423acac5b6e83c5b0ed89290a7d",
+            "splits/warm/manifest.json": "9af3a956e9d7a1cea1cdbde5b645a8bddbe90812b84fdf8657e040dda8ec160e",
+            "splits/cold/train.tsv": "40151a62ad54e45d81371d1dd1e1dbbdcff10a3a423f9c729d048761079f871f",
+            "splits/cold/test.tsv": "c9c59d6e45860af09ee5413da58155a78496a3dc882229bead60941cffbb15c6",
+            "splits/cold/manifest.json": "ea8f75d69091fe681b45ba4c30b9b38c04073576c5f2c8445dce52d1f7ec986f",
+        }

@@ -1,9 +1,11 @@
+import json
 from collections import Counter
 
 import pytest
 
-from coldrec.errors import DegenerateSplitError
+from coldrec.errors import DegenerateSplitError, FormatError
 from coldrec.splits import (
+    DataSplit,
     load_split,
     make_cold_split,
     make_warm_split,
@@ -163,6 +165,56 @@ class TestSplitPersistence:
         assert loaded.kind == split.kind
         assert loaded.seed == split.seed
         assert loaded.holdout_articles == split.holdout_articles
-        assert loaded.train.triplets == split.train.triplets
-        assert loaded.test.triplets == split.test.triplets
+        assert list(loaded.train) == list(split.train)
+        assert list(loaded.test) == list(split.test)
         assert loaded.train.articles == split.train.articles
+
+
+class TestLoadSplitErrors:
+    """A split directory that breaks its manifest's layout or its kind's
+    invariant fails to load with a FormatError naming the path."""
+
+    def saved(self, tmp_path, kind):
+        triplets = synthetic_triplet_set()
+        split = make_cold_split(triplets, 0.1, 7) if kind == "cold" else make_warm_split(triplets, 0.2, 7)
+        save_split(split, tmp_path / kind, 0.1)
+        return split, tmp_path / kind
+
+    def edit_manifest(self, dirpath, edit):
+        path = dirpath / "manifest.json"
+        manifest = json.loads(path.read_text())
+        edit(manifest)
+        path.write_text(json.dumps(manifest))
+
+    def test_manifest_without_kind(self, tmp_path):
+        _, dirpath = self.saved(tmp_path, "cold")
+        self.edit_manifest(dirpath, lambda m: m.pop("kind"))
+        with pytest.raises(FormatError, match=r"manifest\.json: malformed manifest: KeyError\('kind'\)"):
+            load_split(dirpath)
+
+    def test_manifest_with_unknown_kind(self, tmp_path):
+        _, dirpath = self.saved(tmp_path, "warm")
+        self.edit_manifest(dirpath, lambda m: m.update(kind="lukewarm"))
+        with pytest.raises(FormatError, match=r"manifest\.json: kind must be 'warm' or 'cold', got 'lukewarm'"):
+            load_split(dirpath)
+
+    def test_cold_train_side_referencing_a_holdout_article(self, tmp_path):
+        split, dirpath = self.saved(tmp_path, "cold")
+        trained = next(iter(split.train)).last_article
+        self.edit_manifest(dirpath, lambda m: m["holdout_articles"].append(trained))
+        with pytest.raises(FormatError) as err:
+            load_split(dirpath)
+        assert str(err.value) == "%s: cold split: holdout articles on the train side: %s" % (dirpath, trained)
+
+    def test_warm_test_article_absent_from_train(self, tmp_path):
+        split = DataSplit(
+            train=tset(("u1", "A", "B", 1.1)),
+            test=tset(("u1", "A", "ghost", 1.1)),
+            holdout_articles=set(),
+            kind="warm",
+            seed=3,
+        )
+        save_split(split, tmp_path / "warm", 0.2)
+        with pytest.raises(FormatError) as err:
+            load_split(tmp_path / "warm")
+        assert str(err.value) == "%s: warm split: test articles not trained on: ghost" % (tmp_path / "warm")

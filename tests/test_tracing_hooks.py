@@ -3,8 +3,10 @@
 perfbench/ drives coldrec by name: tracing.py wraps module-level names, and
 entries of module-level dicts such as `pipeline._TRAINERS`; its scripts import
 coldrec names; child.py runs `pipeline.stage_<name>` for each of its STAGES;
-layers.derive reads stage counters by key. A refactor that renames or deletes
-one of these should fail here, not only when a benchmark child process fails.
+layers.derive reads stage counters by key; check.py and layers.py take the
+len() of a loaded split side and iterate it as rows with `.user`,
+`.last_article` and `.next_article`. A refactor that renames or deletes one of
+these should fail here, not only when a benchmark child process fails.
 """
 
 import ast
@@ -17,6 +19,9 @@ import pytest
 from coldrec import pipeline
 from coldrec.config import SPLIT_KINDS, load_config
 from coldrec.fixture import generate_fixture
+from coldrec.splits import load_split, make_cold_split, save_split
+
+from conftest import synthetic_triplet_set
 
 PERFBENCH_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench")
 TRACING_PATH = os.path.join(PERFBENCH_DIR, "tracing.py")
@@ -113,3 +118,14 @@ def test_counters_layers_derive_reads_are_logged(run_log_keys):
     keys = derive_counter_keys()
     assert {"clicks_kept", "triplets", "tfidf_vocabulary", "split_cold_test_entries"} <= keys
     assert sorted(keys - run_log_keys) == []
+
+
+def test_loaded_split_sides_iterate_as_named_rows_in_file_order(tmp_path):
+    save_split(make_cold_split(synthetic_triplet_set(), 0.1, 7), str(tmp_path), 0.1)
+    split = load_split(str(tmp_path))
+    for name, side in (("train", split.train), ("test", split.test)):
+        with open(tmp_path / (name + ".tsv"), encoding="utf-8") as fh:
+            columns = [line.rstrip("\n").split("\t") for line in fh]
+        assert len(side) == len(columns) > 0
+        rows = [(t.user, t.last_article, t.next_article, t.confidence) for t in side]
+        assert rows == [(u, i, j, float(c)) for u, i, j, c in columns]

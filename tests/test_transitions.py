@@ -4,6 +4,8 @@ import pytest
 from coldrec.errors import EmptyInputError
 from coldrec.mind import ClickEvent
 from coldrec.transitions import (
+    Triplet,
+    TripletSet,
     build_tensor,
     build_triplets,
     load_triplets,
@@ -113,7 +115,7 @@ class TestBuildTriplets:
     def test_single_entry_confidence(self):
         tset = build_triplets({("u", "A", "B"): 1})
         assert len(tset) == 1
-        assert tset.triplets[0].confidence == 1.0 + 0.1 * 1
+        assert list(tset)[0].confidence == 1.0 + 0.1 * 1
 
     def test_global_cross_user_count(self):
         tensor = {("u1", "A", "B"): 2, ("u2", "A", "B"): 1}
@@ -170,9 +172,17 @@ class TestTripletPersistence:
         path = tmp_path / "triplets.tsv"
         save_triplets(tset, path)
         loaded = load_triplets(path)
-        assert loaded.triplets == tset.triplets
+        assert list(loaded) == list(tset)
         assert loaded.users == tset.users
         assert loaded.articles == tset.articles
+
+    def test_confidence_written_as_a_python_float_repr(self, tmp_path):
+        # a numpy float64 would print as np.float64(...) under numpy 2; the
+        # shortest round-tripping repr keeps 1.0 + 0.1 * 7's trailing digits
+        path = tmp_path / "triplets.tsv"
+        rows = [Triplet("u1", "A", "B", 1.0 + 0.1 * 3), Triplet("u1", "B", "C", 1.0 + 0.1 * 7)]
+        save_triplets(TripletSet(rows), path)
+        assert path.read_text() == "u1\tA\tB\t1.3\nu1\tB\tC\t1.7000000000000002\n"
 
     def test_malformed_line_raises(self, tmp_path):
         path = tmp_path / "bad.tsv"
