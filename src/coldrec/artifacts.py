@@ -2,7 +2,9 @@
 
 Every file a stage writes goes through `atomic_open`, so a stage that raises,
 or a process killed mid-write, leaves the previous file (or none) at the
-final path, never a truncated one. Dense matrices are `.npy` files.
+final path, never a truncated one. Dense matrices are `.npy` files; CSR
+matrices are `.npz` archives with the keys of scipy.sparse's `save_npz`, so
+either side can read what the other writes.
 """
 
 from __future__ import annotations
@@ -14,6 +16,9 @@ import os
 import numpy as np
 
 from .errors import FormatError
+from .numerics import CSRMatrix
+
+_CSR_KEYS = ("data", "indices", "indptr", "shape", "format")
 
 
 @contextlib.contextmanager
@@ -71,6 +76,66 @@ def load_matrix(path) -> np.ndarray:
         arr = np.load(path, allow_pickle=False)
     except (ValueError, EOFError) as exc:
         raise FormatError("%s: not a .npy matrix: %s" % (path, exc)) from None
-    if not (isinstance(arr, np.ndarray) and arr.ndim == 2 and arr.dtype == np.float64):
+    if not isinstance(arr, np.ndarray):  # an .npz archive, which holds its file open
+        arr.close()
+        raise FormatError("%s: expected a 2-d float64 matrix, got an .npz archive" % path)
+    if not (arr.ndim == 2 and arr.dtype == np.float64):
         raise FormatError("%s: expected a 2-d float64 matrix" % path)
     return arr
+
+
+def save_csr(matrix: CSRMatrix, path) -> None:
+    """Write a CSRMatrix as an uncompressed `.npz` that scipy.sparse.load_npz reads as csr."""
+    with atomic_open(path, "wb") as fh:
+        np.savez(
+            fh,
+            data=matrix.data,
+            indices=matrix.indices,
+            indptr=matrix.indptr,
+            shape=np.array(matrix.shape, dtype=np.int64),
+            format=b"csr",
+        )
+
+
+def load_csr(path) -> CSRMatrix:
+    """Read a csr `.npz` written by save_csr or scipy.sparse.save_npz.
+
+    A missing key, another sparse format, an indptr that does not run from 0
+    to len(data) without decreasing over shape[0] + 1 entries, or a column
+    outside [0, shape[1]) is a FormatError naming `path`.
+    """
+    try:
+        archive = np.load(path, allow_pickle=False)
+    except (ValueError, EOFError) as exc:
+        raise FormatError("%s: not an .npz archive: %s" % (path, exc)) from None
+    if isinstance(archive, np.ndarray):
+        raise FormatError("%s: expected an .npz archive, got a .npy array" % path)
+    with archive:
+        missing = [key for key in _CSR_KEYS if key not in archive.files]
+        if missing:
+            raise FormatError("%s: missing key(s) %s" % (path, ", ".join(missing)))
+        try:
+            arrays = {key: archive[key] for key in _CSR_KEYS}
+        except ValueError as exc:
+            raise FormatError("%s: unreadable array: %s" % (path, exc)) from None
+    fmt = arrays["format"]
+    if not (fmt.shape == () and fmt.item() in (b"csr", "csr")):
+        raise FormatError("%s: expected csr format, got %r" % (path, fmt))
+    shape, data, indices, indptr = (arrays[key] for key in ("shape", "data", "indices", "indptr"))
+    if not (shape.shape == (2,) and shape.dtype.kind in "iu" and np.all(shape >= 0)):
+        raise FormatError("%s: shape must be two non-negative integers, got %r" % (path, shape))
+    n, m = (int(v) for v in shape)
+    if indices.dtype.kind not in "iu" or indptr.dtype.kind not in "iu" or data.dtype.kind != "f":
+        raise FormatError("%s: expected float data and integer indices and indptr" % path)
+    if data.ndim != 1 or indices.shape != data.shape:
+        raise FormatError("%s: data and indices must be 1-d of one length" % path)
+    if not (
+        indptr.shape == (n + 1,) and indptr[0] == 0 and indptr[-1] == data.size and np.all(np.diff(indptr) >= 0)
+    ):
+        raise FormatError(
+            "%s: indptr must run from 0 to len(data) = %d without decreasing, over %d entries"
+            % (path, data.size, n + 1)
+        )
+    if indices.size and not (indices.min() >= 0 and indices.max() < m):
+        raise FormatError("%s: column index outside [0, %d)" % (path, m))
+    return CSRMatrix(data, indices, indptr, (n, m))

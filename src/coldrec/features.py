@@ -14,11 +14,11 @@ from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 
 from ._stopwords import ENGLISH_STOPWORDS
 from .errors import EmptyInputError, FormatError, MissingArticlesError
 from .mind import Article
+from .numerics import CSRMatrix
 
 _TOKEN_PATTERN = re.compile(r"[^\W_]+", re.UNICODE)
 
@@ -40,7 +40,7 @@ class Vectorizer:
 
 
 class FeatureMatrix:
-    """Article-aligned content vectors, sparse (tfidf) or dense (external)."""
+    """Article-aligned content vectors: a CSRMatrix (tfidf) or a dense ndarray (external)."""
 
     def __init__(self, matrix, kind: str, row_index: dict[str, int]):
         self.matrix = matrix
@@ -57,13 +57,15 @@ class FeatureMatrix:
     def row(self, article_id: str) -> np.ndarray:
         """Dense 1-d copy of one article's vector."""
         r = self.row_index[article_id]
-        if sparse.issparse(self.matrix):
-            return np.asarray(self.matrix[r].todense()).ravel()
+        if isinstance(self.matrix, CSRMatrix):
+            return self.matrix.row(r)
         return np.array(self.matrix[r], dtype=np.float64)
 
     def rows(self, article_ids):
-        """Row submatrix in the given id order; stays sparse for tfidf matrices."""
+        """Row submatrix in the given id order; a CSRMatrix for tfidf matrices."""
         idx = [self.row_index[a] for a in article_ids]
+        if isinstance(self.matrix, CSRMatrix):
+            return self.matrix.take_rows(idx)
         return self.matrix[idx]
 
 
@@ -134,10 +136,7 @@ def transform(vectorizer: Vectorizer, catalog: dict[str, Article]) -> FeatureMat
         data.extend(vals.tolist())
         indptr.append(len(indices))
         row_index[article.id] = len(row_index)
-    matrix = sparse.csr_matrix(
-        (np.array(data, dtype=np.float64), np.array(indices, dtype=np.int64), np.array(indptr, dtype=np.int64)),
-        shape=(len(catalog), len(vocab)),
-    )
+    matrix = CSRMatrix(data, indices, indptr, (len(catalog), len(vocab)))
     return FeatureMatrix(matrix=matrix, kind="tfidf", row_index=row_index)
 
 

@@ -39,11 +39,10 @@ import os
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
-from scipy import sparse
 
 from .artifacts import load_matrix, save_matrix, write_json
 from .errors import DivergenceError, EmptyInputError, FormatError
-from .numerics import cho_solve_stacked, ridge_factor, ridge_solve
+from .numerics import CSRMatrix, cho_solve_stacked, ridge_factor, ridge_solve
 from .transitions import TripletSet
 
 MODEL_KINDS = ("almm", "forbes", "oord")
@@ -439,10 +438,9 @@ def _forbes_plan(instances, content):
     Dense content uses every column.
     """
     m = content.shape[1]
-    if sparse.issparse(content):
-        csr = content.tocsr()
-        bounds = zip(csr.indptr[:-1].tolist(), csr.indptr[1:].tolist())
-        articles = [(csr.indices[lo:hi], csr.data[lo:hi]) for lo, hi in bounds]
+    if isinstance(content, CSRMatrix):
+        bounds = zip(content.indptr[:-1].tolist(), content.indptr[1:].tolist())
+        articles = [(content.indices[lo:hi], content.data[lo:hi]) for lo, hi in bounds]
     else:
         dense = np.asarray(content, dtype=np.float64)
         columns = np.arange(m)

@@ -13,11 +13,11 @@ import json
 import os
 
 import numpy as np
-from scipy import sparse
 
 from . import metrics as metrics_mod
-from .artifacts import atomic_open, load_matrix, read_rows, save_matrix, write_json
+from .artifacts import atomic_open, load_csr, load_matrix, read_rows, save_csr, save_matrix, write_json
 from .config import RunConfig, derive_seed
+from .errors import FormatError
 from .features import FeatureMatrix, fit_tfidf, load_external_embeddings, transform
 from .mind import (
     Article,
@@ -28,6 +28,7 @@ from .mind import (
     validate_clicks,
 )
 from .models import almm_train, forbes_train, load_model, oord_train, sample_negatives, save_model
+from .numerics import CSRMatrix
 from .splits import load_split, make_cold_split, make_warm_split, save_split
 from .transitions import build_tensor, build_triplets, load_triplets, save_triplets
 
@@ -121,20 +122,28 @@ def _feature_base(cfg: RunConfig, kind: str) -> str:
 def save_features(features: FeatureMatrix, base: str) -> None:
     meta = {"kind": features.kind, "dim": features.dim, "ids": list(features.row_index)}
     write_json(meta, base + ".meta.json")
-    if sparse.issparse(features.matrix):
-        with atomic_open(base + ".npz", "wb") as fh:
-            sparse.save_npz(fh, features.matrix.tocsr())
+    if isinstance(features.matrix, CSRMatrix):
+        save_csr(features.matrix, base + ".npz")
     else:
         save_matrix(features.matrix, base + ".npy")
 
 
 def load_features(base: str) -> FeatureMatrix:
+    """Read what save_features wrote; a matrix whose shape contradicts the meta file is a FormatError."""
     with open(base + ".meta.json", "r", encoding="utf-8") as fh:
         meta = json.load(fh)
-    if os.path.exists(base + ".npz"):
-        matrix = sparse.load_npz(base + ".npz")
+    path = base + ".npz"
+    if os.path.exists(path):
+        matrix = load_csr(path)
     else:
-        matrix = load_matrix(base + ".npy")
+        path = base + ".npy"
+        matrix = load_matrix(path)
+    expected = (len(meta["ids"]), meta["dim"])
+    if tuple(matrix.shape) != expected:
+        raise FormatError(
+            "%s: shape %s contradicts %s (%d ids, dim %d)"
+            % (path, tuple(matrix.shape), base + ".meta.json", *expected)
+        )
     row_index = {a: r for r, a in enumerate(meta["ids"])}
     return FeatureMatrix(matrix=matrix, kind=meta["kind"], row_index=row_index)
 

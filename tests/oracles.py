@@ -7,8 +7,16 @@ without forming per-instance gradients.
 """
 
 import numpy as np
+from scipy import sparse
 
 from coldrec.models import FactorModel, Instances, _full_loss
+from coldrec.numerics import CSRMatrix
+
+
+def as_csr(matrix) -> CSRMatrix:
+    """A CSRMatrix over the data, indices and indptr of scipy.sparse.csr_matrix(matrix)."""
+    ref = sparse.csr_matrix(matrix)
+    return CSRMatrix(ref.data, ref.indices, ref.indptr, ref.shape)
 
 
 def score(user_vec, last_vec, next_vec) -> float:

@@ -1,11 +1,16 @@
+import gc
 import io
 import json
+import sys
+import warnings
 
 import numpy as np
 import pytest
+from scipy import sparse
 
-from coldrec.artifacts import atomic_open, load_matrix, save_matrix, write_json
+from coldrec.artifacts import atomic_open, load_csr, load_matrix, save_csr, save_matrix, write_json
 from coldrec.errors import FormatError
+from coldrec.numerics import CSRMatrix
 
 
 def saved_blob(tmp_path, values):
@@ -14,10 +19,22 @@ def saved_blob(tmp_path, values):
     return path.read_bytes()
 
 
-def assert_format_error_names(path):
+def assert_format_error_names(path, load=load_matrix):
     with pytest.raises(FormatError) as err:
-        load_matrix(path)
+        load(path)
     assert str(err.value).startswith(str(path) + ": ")
+
+
+def assert_rejection_closes_its_file(monkeypatch, path, load):
+    """The FormatError leaves no file for the garbage collector to close (and warn about)."""
+    unraisable = []
+    monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", ResourceWarning)
+        # the helper's frame and its exception form a cycle that only the collector frees
+        assert_format_error_names(path, load)
+        gc.collect()
+    assert [str(u.exc_value) for u in unraisable] == []
 
 
 class TestMatrixRoundTrip:
@@ -80,10 +97,99 @@ class TestMatrixRoundTrip:
             np.savez(fh, m=np.ones((2, 2)))
         assert_format_error_names(path)
 
+    def test_npz_rejection_closes_the_archive(self, tmp_path, monkeypatch):
+        path = tmp_path / "archive.npy"
+        with open(path, "wb") as fh:
+            np.savez(fh, m=np.ones((2, 2)))
+        assert_rejection_closes_its_file(monkeypatch, path, load_matrix)
+
     def test_saving_non_2d_raises(self, tmp_path):
         with pytest.raises(ValueError):
             save_matrix(np.ones(3), tmp_path / "v.npy")
         assert list(tmp_path.iterdir()) == []
+
+
+# 4 x 5 with an all-zero row (row 1) and an all-zero column (column 0)
+CSR_DENSE = np.array(
+    [[0.0, 0.5, 0.0, 0.0, 2.0], [0.0] * 5, [0.0, 0.0, -1.5, 0.25, 0.0], [0.0, 1.0, 0.0, 0.0, 3.0]]
+)
+
+
+def csr_arrays(**changes):
+    """The scipy save_npz keys of CSR_DENSE, with `changes` applied (None drops a key)."""
+    ref = sparse.csr_matrix(CSR_DENSE)
+    arrays = {"data": ref.data, "indices": ref.indices, "indptr": ref.indptr,
+              "shape": np.array(ref.shape), "format": b"csr"}
+    arrays.update(changes)
+    return {key: value for key, value in arrays.items() if value is not None}
+
+
+def write_npz(path, **arrays):
+    with open(path, "wb") as fh:
+        np.savez(fh, **arrays)
+    return path
+
+
+class TestCSRFiles:
+    def test_round_trip(self, tmp_path):
+        ref = sparse.csr_matrix(CSR_DENSE)
+        path = tmp_path / "m.npz"
+        save_csr(CSRMatrix(ref.data, ref.indices, ref.indptr, ref.shape), path)
+        loaded = load_csr(path)
+        assert loaded.shape == (4, 5) and loaded.nnz == ref.nnz
+        for key in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(loaded, key), getattr(ref, key))
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["m.npz"]
+
+    @pytest.mark.parametrize("compressed", [True, False])
+    def test_reads_scipy_save_npz(self, tmp_path, compressed):
+        path = tmp_path / "scipy.npz"
+        sparse.save_npz(path, sparse.csr_matrix(CSR_DENSE), compressed=compressed)
+        assert np.array_equal(load_csr(path).toarray(), CSR_DENSE)
+
+    def test_scipy_load_npz_reads_it(self, tmp_path):
+        ref = sparse.csr_matrix(CSR_DENSE)
+        path = tmp_path / "ours.npz"
+        save_csr(CSRMatrix(ref.data, ref.indices, ref.indptr, ref.shape), path)
+        loaded = sparse.load_npz(path)
+        assert loaded.format == "csr" and loaded.shape == (4, 5)
+        assert np.array_equal(loaded.toarray(), CSR_DENSE)
+
+    @pytest.mark.parametrize("key", ["data", "indices", "indptr", "shape", "format"])
+    def test_missing_key(self, tmp_path, key):
+        path = write_npz(tmp_path / "m.npz", **csr_arrays(**{key: None}))
+        assert_format_error_names(path, load_csr)
+
+    @pytest.mark.parametrize(
+        "indptr",
+        [[1, 2, 2, 4, 6], [0, 2, 2, 4, 5], [0, 2, 2, 4, 7], [0, 3, 2, 4, 6], [0, 2, 4, 6], [0, 2, 2, 4, 6, 6]],
+        ids=["not_from_0", "short_of_len_data", "past_len_data", "decreasing", "too_few_rows", "too_many_rows"],
+    )
+    def test_bad_indptr(self, tmp_path, indptr):
+        path = write_npz(tmp_path / "m.npz", **csr_arrays(indptr=np.array(indptr)))
+        assert_format_error_names(path, load_csr)
+
+    @pytest.mark.parametrize("column", [-1, 5])
+    def test_column_outside_the_shape(self, tmp_path, column):
+        indices = sparse.csr_matrix(CSR_DENSE).indices.copy()
+        indices[2] = column
+        path = write_npz(tmp_path / "m.npz", **csr_arrays(indices=indices))
+        assert_format_error_names(path, load_csr)
+
+    def test_other_sparse_format(self, tmp_path):
+        path = tmp_path / "m.npz"
+        sparse.save_npz(path, sparse.csc_matrix(CSR_DENSE))
+        assert_format_error_names(path, load_csr)
+
+    def test_plain_npy_is_rejected(self, tmp_path):
+        path = tmp_path / "m.npz"
+        with open(path, "wb") as fh:
+            np.save(fh, CSR_DENSE)
+        assert_format_error_names(path, load_csr)
+
+    def test_rejection_closes_the_archive(self, tmp_path, monkeypatch):
+        path = write_npz(tmp_path / "m.npz", **csr_arrays(indptr=None))
+        assert_rejection_closes_its_file(monkeypatch, path, load_csr)
 
 
 class TestAtomicOpen:

@@ -22,13 +22,19 @@ from coldrec.splits import load_split
 
 SRC_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
 
-# Runs coldrec.cli as `python -m coldrec.cli` does and, at exit, writes the
-# scipy.linalg modules then in sys.modules to the path in COLDREC_MODULES_OUT.
+# Runs coldrec.cli as `python -m coldrec.cli` does, with scipy blocked (any
+# scipy import raises ImportError), and at exit writes the scipy modules then
+# loaded in sys.modules to the path in COLDREC_MODULES_OUT.
 _MODULES_AT_EXIT = """
 import atexit, json, os, runpy, sys
 
+sys.modules["scipy"] = None
+
 def dump():
-    loaded = sorted(m for m in sys.modules if m == "scipy.linalg" or m.startswith("scipy.linalg."))
+    loaded = sorted(
+        m for m, module in sys.modules.items()
+        if (m == "scipy" or m.startswith("scipy.")) and module is not None
+    )
     with open(os.environ["COLDREC_MODULES_OUT"], "w") as fh:
         json.dump(loaded, fh)
 
@@ -374,21 +380,25 @@ class TestCliCommands:
             ) as b:
                 assert a.read() == b.read(), rel
 
-    def test_run_never_imports_scipy_linalg(self, workspace, tmp_path):
-        # this test process has scipy.linalg loaded already, so the run goes in a child
+    @pytest.mark.parametrize("command", ["run", "fixture"])
+    def test_run_never_imports_scipy(self, workspace, tmp_path, command):
+        # the tests import scipy as an oracle, so the command runs in a child
         modules_out = tmp_path / "modules.json"
         env = dict(
             os.environ,
             PYTHONPATH=os.pathsep.join(p for p in (SRC_DIR, os.environ.get("PYTHONPATH")) if p),
             COLDREC_MODULES_OUT=str(modules_out),
         )
-        args = ["run", "--config", write_config(workspace), "--out", str(tmp_path / "out")]
+        args, output = {
+            "run": (["run", "--config", write_config(workspace), "--out", str(tmp_path / "out")], "metrics.csv"),
+            "fixture": (["fixture", "--users", "5", "--articles", "16", "--out", str(tmp_path / "out")], "news.tsv"),
+        }[command]
         proc = subprocess.run(
             [sys.executable, "-c", _MODULES_AT_EXIT, *args],
             env=env, capture_output=True, text=True, check=False,
         )
         assert proc.returncode == 0, proc.stderr
-        assert os.path.exists(tmp_path / "out" / "metrics.csv")
+        assert os.path.exists(tmp_path / "out" / output)
         assert json.loads(modules_out.read_text()) == []
 
     def test_report_subcommand(self, workspace, run_out, capsys):

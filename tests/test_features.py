@@ -143,21 +143,21 @@ class TestTransform:
         fm = transform(vec, catalog)
         oracle_vocab, oracle_rows = brute_force_tfidf(ORACLE_DOCS)
         assert sorted(vec.vocabulary) == oracle_vocab
-        dense = np.asarray(fm.matrix.todense())
+        dense = np.asarray(fm.matrix.toarray())
         reorder = [vec.vocabulary[t] for t in oracle_vocab]
         np.testing.assert_allclose(dense[:, reorder], np.array(oracle_rows), atol=1e-12)
 
     def test_frozen_matrix_checksum(self):
         catalog = catalog_from(ORACLE_DOCS)
         fm = transform(fit_tfidf(catalog, NO_STOPWORDS), catalog)
-        dense = np.ascontiguousarray(np.asarray(fm.matrix.todense()), dtype="<f8")
+        dense = np.ascontiguousarray(np.asarray(fm.matrix.toarray()), dtype="<f8")
         digest = hashlib.sha256(dense.tobytes()).hexdigest()
         assert digest == "01050456d8fee7121153ac6adf5e88c562b9cb2f09e06c26e6e3dc4b269125a8"
 
     def test_nonzero_rows_have_unit_norm(self):
         catalog = catalog_from(ORACLE_DOCS)
         fm = transform(fit_tfidf(catalog, NO_STOPWORDS), catalog)
-        dense = np.asarray(fm.matrix.todense())
+        dense = np.asarray(fm.matrix.toarray())
         for row in dense:
             norm = np.linalg.norm(row)
             if norm > 0:

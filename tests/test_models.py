@@ -4,7 +4,6 @@ from collections import namedtuple
 
 import numpy as np
 import pytest
-from scipy import sparse
 
 from coldrec import models, numerics
 from coldrec.artifacts import save_matrix
@@ -27,11 +26,11 @@ from coldrec.models import (
     sample_negatives,
     save_model,
 )
-from coldrec.numerics import ridge_solve
+from coldrec.numerics import CSRMatrix, ridge_solve
 from coldrec.splits import DataSplit
 from coldrec.transitions import Triplet, TripletSet
 
-from oracles import forbes_instance_gradients, forbes_instance_loss, objective, score
+from oracles import as_csr, forbes_instance_gradients, forbes_instance_loss, objective, score
 
 
 def make_triplets(rows):
@@ -700,7 +699,7 @@ class TestAlmmTrain:
         monkeypatch.setattr(numerics, "cholesky", counting("cholesky", numerics.cholesky))
         rng = np.random.default_rng(8)
         instances = random_instances(rng, 3, 6, 8)
-        content = sparse.csr_matrix(rng.normal(size=(6, width)) * (rng.random((6, width)) < 0.7))
+        content = as_csr(rng.normal(size=(6, width)) * (rng.random((6, width)) < 0.7))
         for train in (almm_train, oord_train):
             calls.update(ridge_factor=0, cholesky=0)
             train(instances, content, Hyperparams(latent_dim=3, iterations=4, seed=1))
@@ -725,11 +724,11 @@ def eager_forbes(instances, content, hyper, n_users=None):
     U = rng.normal(0.0, scale, size=(n_users, dim))
     last_mapping = rng.normal(0.0, scale, size=(m, dim))
     next_mapping = rng.normal(0.0, scale, size=(m, dim))
-    if sparse.issparse(content):
-        csr = content.tocsr()
+    if isinstance(content, CSRMatrix):
+        bounds = content.indptr
         rows = [
-            (csr.indices[csr.indptr[r] : csr.indptr[r + 1]], csr.data[csr.indptr[r] : csr.indptr[r + 1]])
-            for r in range(csr.shape[0])
+            (content.indices[bounds[r] : bounds[r + 1]], content.data[bounds[r] : bounds[r + 1]])
+            for r in range(content.shape[0])
         ]
     else:
         rows = [(None, np.asarray(r, dtype=float)) for r in content]
@@ -769,7 +768,7 @@ def eager_forbes(instances, content, hyper, n_users=None):
 def forbes_objective_oracle(model, instances, content):
     """Sum of forbes_instance_loss over instances plus the U and mapping regularizers."""
     instances = instance_rows(instances)
-    rows = content.toarray() if sparse.issparse(content) else np.asarray(content)
+    rows = content.toarray() if isinstance(content, CSRMatrix) else np.asarray(content)
     hyper = model.hyper
     loss = sum(
         forbes_instance_loss(
@@ -923,7 +922,7 @@ class TestForbesTrain:
     def test_deterministic(self):
         rng = np.random.default_rng(44)
         instances = random_instances(rng, 2, 4, 4)
-        content = sparse.csr_matrix(rng.normal(size=(4, 3)) * (rng.random((4, 3)) < 0.6))
+        content = as_csr(rng.normal(size=(4, 3)) * (rng.random((4, 3)) < 0.6))
         hyper = Hyperparams(latent_dim=2, sgd_epochs=3, seed=12)
         a = forbes_train(instances, content, hyper)
         b = forbes_train(instances, content, hyper)
@@ -940,7 +939,7 @@ class TestForbesMatchesEagerOracle:
         instances = random_instances(rng, n_users, n_articles, n_positives, negatives=2)
         content = rng.normal(size=(n_articles, m)) * (rng.random((n_articles, m)) < 0.6)
         content[:, 0] += 0.5  # no all-zero article row
-        return instances, (content if dense else sparse.csr_matrix(content))
+        return instances, (content if dense else as_csr(content))
 
     @pytest.mark.parametrize(
         "dense, overrides",
@@ -1000,8 +999,8 @@ class TestForbesMatchesEagerOracle:
         content[3] = 0.0
         assert 3 in set(instances.i.tolist()) | set(instances.j.tolist())
         if not dense:
-            content = sparse.csr_matrix(content)
-            assert content[3].nnz == 0
+            content = as_csr(content)
+            assert content.take_rows([3]).nnz == 0
         rows = instance_rows(instances) + [Row(1, 3, 3, 1.0, 1.3)]
         self.assert_matches_eager(make_instances(rows), content, self.HYPER)
 
@@ -1036,7 +1035,7 @@ class TestForbesObjectiveTrace:
     def test_one_finite_entry_per_epoch_ending_at_the_objective(self):
         rng = np.random.default_rng(19)
         instances = random_instances(rng, 3, 6, 6)
-        content = sparse.csr_matrix(rng.normal(size=(6, 4)) * (rng.random((6, 4)) < 0.7))
+        content = as_csr(rng.normal(size=(6, 4)) * (rng.random((6, 4)) < 0.7))
         hyper = Hyperparams(latent_dim=3, reg_user=0.2, reg_last=0.3, reg_next=0.1, sgd_epochs=5, seed=3)
         model = forbes_train(instances, content, hyper)
         assert [label for label, _ in model.loss_trace] == ["epoch%d" % k for k in range(1, 6)]
@@ -1169,7 +1168,7 @@ class TestPredict:
         instances = random_instances(rng, 2, 3, 3)
         dense = rng.normal(size=(4, 3)) * (rng.random((4, 3)) < 0.7)
         dense[3] = dense[1]  # cold article shares trained article n1's content
-        full = sparse.csr_matrix(dense)
+        full = as_csr(dense)
         features = FeatureMatrix(full, "tfidf", {"n%d" % k: k for k in range(4)})
         content = features.rows(["n0", "n1", "n2"])
         hyper = Hyperparams(latent_dim=2, refresh_blend=1.0, iterations=2, seed=6)
@@ -1314,7 +1313,7 @@ class TestRankingKernelMatchesScalarPredict:
         content[11] = content[10]
         content[7] = content[6]
         content[12] = 0.0
-        matrix = content if dense else sparse.csr_matrix(content)
+        matrix = content if dense else as_csr(content)
         features = FeatureMatrix(matrix, "external" if dense else "tfidf", {a: r for r, a in enumerate(ids)})
         instances = random_instances(rng, len(cls.USERS), len(cls.TRAINED), 14, negatives=2)
         hyper = Hyperparams(latent_dim=3, iterations=3, sgd_epochs=3, seed=5)

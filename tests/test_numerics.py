@@ -7,7 +7,7 @@ from coldrec import numerics
 from coldrec.errors import SingularSystemError
 from coldrec.numerics import cosine_distance, ridge_factor, ridge_solve
 
-from oracles import score
+from oracles import as_csr, score
 
 
 def normal_equations_oracle(design, targets, ridge):
@@ -55,7 +55,7 @@ class TestRidgeSolve:
         rng = np.random.default_rng(5)
         dense = rng.normal(size=(12, 4)) * (rng.random(size=(12, 4)) < 0.4)
         targets = rng.normal(size=(12, 2))
-        out_sparse = ridge_solve(sparse.csr_matrix(dense), targets, 0.3)
+        out_sparse = ridge_solve(as_csr(dense), targets, 0.3)
         out_dense = ridge_solve(dense, targets, 0.3)
         np.testing.assert_allclose(out_sparse, out_dense, atol=1e-12)
 
@@ -103,7 +103,7 @@ class TestRidgeFactor:
     def test_equals_ridge_solve_bit_for_bit(self, as_sparse, target_shape):
         rng = np.random.default_rng(23)
         dense = rng.normal(size=(14, 5)) * (rng.random(size=(14, 5)) < 0.5)
-        design = sparse.csr_matrix(dense) if as_sparse else dense
+        design = as_csr(dense) if as_sparse else dense
         targets = rng.normal(size=target_shape)
         np.testing.assert_array_equal(
             ridge_factor(design, 0.4)(targets), ridge_solve(design, targets, 0.4)
@@ -141,10 +141,11 @@ class TestRidgeFactorPaths:
     def test_primal_factor_equals_identity_sum(self, monkeypatch, as_sparse):
         rng = np.random.default_rng(41)
         dense = rng.normal(size=(16, 6)) * (rng.random(size=(16, 6)) < 0.6)
-        design = sparse.csr_matrix(dense) if as_sparse else dense
+        design = as_csr(dense) if as_sparse else dense
         calls = recorded_factorizations(monkeypatch)
         ridge_factor(design, 0.3)
-        gram = np.asarray((design.T @ design).todense()) if as_sparse else dense.T @ dense
+        ref = sparse.csr_matrix(dense)
+        gram = (ref.T @ ref).toarray() if as_sparse else dense.T @ dense
         expected = np.linalg.cholesky(gram + 0.3 * np.eye(6))
         assert len(calls) == 1
         assert np.array_equal(calls[0][0], gram + 0.3 * np.eye(6))
@@ -171,7 +172,7 @@ class TestRidgeFactorPaths:
         rng = np.random.default_rng(43)
         for k, ridge in ((20, 0.5), (40, 1e-3), (200, 2.0)):
             dense = rng.normal(size=(9, k)) * (rng.random(size=(9, k)) < 0.5)
-            design = sparse.csr_matrix(dense) if as_sparse else dense
+            design = as_csr(dense) if as_sparse else dense
             targets = rng.normal(size=target_shape)
             out = ridge_factor(design, ridge)(targets)
             expected = normal_equations_oracle(dense, targets, ridge)
@@ -190,7 +191,7 @@ class TestRidgeFactorPaths:
     )
     def test_factors_the_smaller_gram(self, monkeypatch, as_sparse, shape, ridge, size):
         dense = np.random.default_rng(53).normal(size=shape)
-        design = sparse.csr_matrix(dense) if as_sparse else dense
+        design = as_csr(dense) if as_sparse else dense
         calls = recorded_factorizations(monkeypatch)
         try:
             ridge_factor(design, ridge)
@@ -230,11 +231,94 @@ class TestBlockedSubstitution:
         rng = np.random.default_rng(67 + size)
         for shape in ((size + 40, size), (size, size + 40)):
             dense = rng.normal(size=shape) * (rng.random(size=shape) < 0.5)
-            design = sparse.csr_matrix(dense) if as_sparse else dense
+            design = as_csr(dense) if as_sparse else dense
             targets = rng.normal(size=(shape[0], 4))
             out = ridge_factor(design, 0.7)(targets)
             expected = normal_equations_oracle(dense, targets, 0.7)
             assert np.linalg.norm(out - expected) / np.linalg.norm(expected) <= 1e-10
+
+
+def csr_pair(dense):
+    """The same matrix as a scipy csr_matrix (the oracle) and as a CSRMatrix over its arrays."""
+    ref = sparse.csr_matrix(dense)
+    return ref, as_csr(dense)
+
+
+def sparse_dense(rng, shape, density):
+    """A random matrix with roughly `density` nonzeros and an all-zero first column and, past one row, first row."""
+    dense = rng.normal(size=shape) * (rng.random(size=shape) < density)
+    dense[:, :1] = 0.0
+    if shape[0] > 1:
+        dense[:1] = 0.0
+    return dense
+
+
+# (rows, columns, density): a tall and a wide design, wide_vocab's shape
+# (90 x 1152, about 27 nonzeros per row), and degenerate ones.
+CSR_SHAPES = [(40, 12, 0.3), (9, 60, 0.2), (90, 1152, 27 / 1152), (5, 4, 0.0), (1, 3, 1.0), (0, 4, 0.5)]
+
+
+@pytest.mark.parametrize("shape, density", [((n, m), p) for n, m, p in CSR_SHAPES],
+                         ids=["tall", "wide", "wide_vocab", "all_zero", "one_row", "no_rows"])
+class TestCSRMatrixMatchesScipy:
+    """Every CSRMatrix kernel against scipy.sparse, bit for bit where both sum in one order."""
+
+    def test_nnz_shape_and_toarray(self, shape, density):
+        ref, ours = csr_pair(sparse_dense(np.random.default_rng(71), shape, density))
+        assert ours.nnz == ref.nnz and ours.shape == ref.shape
+        assert np.array_equal(ours.toarray(), ref.toarray())
+
+    def test_row_gather_with_repeats_and_empty_rows(self, shape, density):
+        rng = np.random.default_rng(73)
+        ref, ours = csr_pair(sparse_dense(rng, shape, density))
+        picks = [list(rng.integers(0, shape[0], size=2 * shape[0])), [0, 0], []] if shape[0] else [[]]
+        for rows in picks:
+            taken = ours.take_rows(rows)
+            expected = ref[rows] if rows else sparse.csr_matrix((0, shape[1]))
+            assert taken.shape == expected.shape and taken.nnz == expected.nnz
+            assert np.array_equal(taken.indptr, expected.indptr)
+            assert np.array_equal(taken.toarray(), expected.toarray())
+
+    def test_row(self, shape, density):
+        ref, ours = csr_pair(sparse_dense(np.random.default_rng(79), shape, density))
+        for r in range(shape[0]):
+            assert np.array_equal(ours.row(r), ref[r].toarray().ravel())
+
+    @pytest.mark.parametrize("width", [None, 1, 16])
+    def test_matmul(self, shape, density, width):
+        rng = np.random.default_rng(83)
+        ref, ours = csr_pair(sparse_dense(rng, shape, density))
+        operand = rng.normal(size=(shape[1],) if width is None else (shape[1], width))
+        for _ in range(2):  # the second call runs on the kept keys
+            out = ours @ operand
+            assert out.shape == (ref @ operand).shape
+            assert np.array_equal(out, ref @ operand)
+
+    @pytest.mark.parametrize("width", [None, 1, 16])
+    def test_transposed_matmul(self, shape, density, width):
+        rng = np.random.default_rng(89)
+        ref, ours = csr_pair(sparse_dense(rng, shape, density))
+        operand = rng.normal(size=(shape[0],) if width is None else (shape[0], width))
+        for _ in range(2):
+            out = ours.transposed_matmul(operand)
+            assert out.shape == (ref.T @ operand).shape
+            assert np.array_equal(out, ref.T @ operand)
+
+    @pytest.mark.parametrize("chunk", [1 << 18, 5, 1])
+    def test_grams(self, monkeypatch, shape, density, chunk):
+        # small chunks split the pair buffer over many output-row blocks
+        monkeypatch.setattr(numerics, "GRAM_CHUNK", chunk)
+        ref, ours = csr_pair(sparse_dense(np.random.default_rng(97), shape, density))
+        assert np.array_equal(ours.gram_columns(), (ref.T @ ref).toarray())
+        assert np.array_equal(ours.gram_rows(), (ref @ ref.T).toarray())
+
+
+def test_csr_matmul_rejects_a_mismatched_operand():
+    ours = as_csr(np.eye(3, 4))
+    with pytest.raises(ValueError):
+        ours @ np.ones(3)
+    with pytest.raises(ValueError):
+        ours.transposed_matmul(np.ones((4, 2)))
 
 
 class TestScore:

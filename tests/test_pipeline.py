@@ -1,17 +1,24 @@
 import hashlib
+import json
 import os
 import shutil
 
+import numpy as np
 import pytest
 
 from coldrec.config import RunConfig, load_config
+from coldrec.errors import FormatError
+from coldrec.features import FeatureMatrix
 from coldrec.fixture import generate_fixture
+from coldrec.numerics import CSRMatrix
 from coldrec.pipeline import (
+    load_features,
     load_popularity,
     load_streams,
     stage_ingest,
     stage_split,
     stage_triplets,
+    save_features,
 )
 
 CONFIG_PATH = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "fixture.toml")
@@ -117,3 +124,31 @@ class TestSetupArtifacts:
             "splits/cold/test.tsv": "c9c59d6e45860af09ee5413da58155a78496a3dc882229bead60941cffbb15c6",
             "splits/cold/manifest.json": "ea8f75d69091fe681b45ba4c30b9b38c04073576c5f2c8445dce52d1f7ec986f",
         }
+
+
+class TestFeatureFiles:
+    TFIDF = CSRMatrix([0.6, 0.8, 1.0], [0, 2, 1], [0, 2, 2, 3], (3, 4))
+
+    @pytest.mark.parametrize("kind", ["tfidf", "external"])
+    def test_round_trip(self, tmp_path, kind):
+        matrix = self.TFIDF if kind == "tfidf" else self.TFIDF.toarray()
+        save_features(FeatureMatrix(matrix, kind, {"a": 0, "b": 1, "c": 2}), str(tmp_path / kind))
+        loaded = load_features(str(tmp_path / kind))
+        assert loaded.kind == kind and loaded.row_index == {"a": 0, "b": 1, "c": 2}
+        assert isinstance(loaded.matrix, CSRMatrix if kind == "tfidf" else np.ndarray)
+        assert np.array_equal(loaded.rows(["c", "a"]) @ np.eye(4), self.TFIDF.toarray()[[2, 0]])
+
+    @pytest.mark.parametrize("kind", ["tfidf", "external"])
+    @pytest.mark.parametrize("meta_change", [{"dim": 5}, {"ids": ["a", "b"]}], ids=["dim", "ids"])
+    def test_shape_contradicting_the_meta_file(self, tmp_path, kind, meta_change):
+        base = str(tmp_path / kind)
+        matrix = self.TFIDF if kind == "tfidf" else self.TFIDF.toarray()
+        save_features(FeatureMatrix(matrix, kind, {"a": 0, "b": 1, "c": 2}), base)
+        with open(base + ".meta.json") as fh:
+            meta = json.load(fh)
+        with open(base + ".meta.json", "w") as fh:
+            json.dump({**meta, **meta_change}, fh)
+        with pytest.raises(FormatError) as err:
+            load_features(base)
+        path = base + (".npz" if kind == "tfidf" else ".npy")
+        assert str(err.value).startswith(path + ": ") and "meta.json" in str(err.value)
