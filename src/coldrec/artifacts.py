@@ -48,6 +48,15 @@ def write_json(obj, path) -> None:
         fh.write("\n")
 
 
+def read_json(path):
+    """Read what write_json wrote; a file that is not JSON is a FormatError naming `path`."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except ValueError as exc:
+            raise FormatError("%s: not JSON: %s" % (path, exc)) from None
+
+
 def read_rows(path, columns: int):
     """Yield (line number, fields) per line of a tab-separated artifact of `columns` fields.
 

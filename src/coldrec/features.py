@@ -51,9 +51,6 @@ class FeatureMatrix:
     def dim(self) -> int:
         return self.matrix.shape[1]
 
-    def __len__(self) -> int:
-        return self.matrix.shape[0]
-
     def row(self, article_id: str) -> np.ndarray:
         """Dense 1-d copy of one article's vector."""
         r = self.row_index[article_id]

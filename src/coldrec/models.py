@@ -33,14 +33,13 @@ into it followed by one stable argsort; evaluation calls it once per
 
 from __future__ import annotations
 
-import json
 import math
 import os
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .artifacts import load_matrix, save_matrix, write_json
+from .artifacts import load_matrix, read_json, save_matrix, write_json
 from .errors import DivergenceError, EmptyInputError, FormatError
 from .numerics import CSRMatrix, cho_solve_stacked, ridge_factor, ridge_solve
 from .transitions import TripletSet
@@ -726,8 +725,7 @@ def load_model(dirpath) -> FactorModel:
     directory mixed from two runs fails here rather than scoring silently.
     """
     manifest_path = os.path.join(dirpath, MANIFEST_NAME)
-    with open(manifest_path, "r", encoding="utf-8") as fh:
-        manifest = json.load(fh)
+    manifest = read_json(manifest_path)
     matrices = {attr: load_matrix(os.path.join(dirpath, name)) for attr, name in _MATRIX_FILES.items()}
     try:
         model = FactorModel(

@@ -7,11 +7,12 @@ design, factored once per trainer by `ridge_factor`, which factors the
 smaller of the two Gram matrices: the n x n GG' + ridge*I when the design
 has fewer rows than columns and ridge > 0, else the k x k G'G + ridge*I.
 It factors with numpy's Cholesky and solves by a blocked triangular
-substitution, so a run imports no scipy at all. The batched ALS row update
-solves its small systems itself and falls back to `ridge_solve` only for
-rows whose normal matrix fails to factor; `ridge_solve` is also its test
-oracle. The diversity metric reduces to `cosine_distance`. These kernels are
-kept in one place with strict input validation; the module opens no files.
+substitution that reads the factor where it lies, so a run imports no
+scipy at all. The batched ALS row update solves its small systems itself
+and falls back to `ridge_solve` only for rows whose normal matrix fails to
+factor; `ridge_solve` is also its test oracle. The diversity metric reduces
+to `cosine_distance`. These kernels are kept in one place with strict input
+validation; the module opens no files.
 """
 
 from __future__ import annotations
@@ -245,27 +246,23 @@ def _blocked_substitution(lower: np.ndarray):
     """Return `substitute(rhs)` solving L L' x = rhs for the lower Cholesky factor L.
 
     L is cut into diagonal blocks of SOLVE_BLOCK rows, each inverted once
-    here. Block row i of the forward pass is then the one matrix
-    [-inv(L_ii) L_i,<i | inv(L_ii)], and block row i of the back pass
-    [inv(L_ii)' | -inv(L_ii)' L_>i,i'], so a solve is one matmul per block
-    and pass, 2 * ceil(k / SOLVE_BLOCK) in all. Together the block rows hold
-    about as many numbers as the dense L. `rhs` may be (k,) or (k x d).
+    here; the solve reads the off-diagonal blocks where they lie in L. Block
+    i of the forward pass is inv(L_ii) (rhs_i - L_i,<i y_<i), and of the
+    back pass inv(L_ii)' (y_i - L_>i,i' x_>i), so the solver holds only L
+    and the inverse diagonal blocks. `rhs` may be (k,) or (k x d).
     """
     k = lower.shape[0]
-    forward, backward = [], []
+    blocks = []
     for start in range(0, k, SOLVE_BLOCK):
         stop = min(start + SOLVE_BLOCK, k)
-        inv = np.tril(np.linalg.inv(lower[start:stop, start:stop]))
-        forward.append((start, stop, np.hstack([-(inv @ lower[start:stop, :start]), inv])))
-        backward.append((start, stop, np.hstack([inv.T, -(lower[stop:, start:stop] @ inv).T])))
-    backward.reverse()
+        blocks.append((start, stop, np.tril(np.linalg.inv(lower[start:stop, start:stop]))))
 
     def substitute(rhs) -> np.ndarray:
         out = np.array(rhs, dtype=np.float64)
-        for start, stop, block_row in forward:
-            out[start:stop] = block_row @ out[:stop]
-        for start, stop, block_row in backward:
-            out[start:stop] = block_row @ out[start:]
+        for start, stop, inv in blocks:
+            out[start:stop] = inv @ (out[start:stop] - lower[start:stop, :start] @ out[:start])
+        for start, stop, inv in reversed(blocks):
+            out[start:stop] = inv.T @ (out[start:stop] - lower[stop:, start:stop].T @ out[stop:])
         return out
 
     return substitute

@@ -9,13 +9,13 @@ through named substreams (split, init, negatives).
 
 from __future__ import annotations
 
-import json
 import os
 
 import numpy as np
 
 from . import metrics as metrics_mod
-from .artifacts import atomic_open, load_csr, load_matrix, read_rows, save_csr, save_matrix, write_json
+from .artifacts import (atomic_open, load_csr, load_matrix, read_json, read_rows, save_csr, save_matrix,
+                        write_json)
 from .config import RunConfig, derive_seed
 from .errors import FormatError
 from .features import FeatureMatrix, fit_tfidf, load_external_embeddings, transform
@@ -129,23 +129,29 @@ def save_features(features: FeatureMatrix, base: str) -> None:
 
 
 def load_features(base: str) -> FeatureMatrix:
-    """Read what save_features wrote; a matrix whose shape contradicts the meta file is a FormatError."""
-    with open(base + ".meta.json", "r", encoding="utf-8") as fh:
-        meta = json.load(fh)
+    """Read what save_features wrote; a malformed meta file, or a matrix whose
+    shape contradicts it, is a FormatError naming the path."""
+    meta_path = base + ".meta.json"
+    meta = read_json(meta_path)
+    try:
+        kind, dim, ids = meta["kind"], meta["dim"], meta["ids"]
+    except (KeyError, TypeError) as exc:
+        raise FormatError("%s: malformed meta file: %r" % (meta_path, exc)) from None
+    if not isinstance(ids, list) or not all(isinstance(a, str) for a in ids):
+        raise FormatError("%s: ids must be a list of article ids" % meta_path)
     path = base + ".npz"
     if os.path.exists(path):
         matrix = load_csr(path)
     else:
         path = base + ".npy"
         matrix = load_matrix(path)
-    expected = (len(meta["ids"]), meta["dim"])
+    expected = (len(ids), dim)
     if tuple(matrix.shape) != expected:
         raise FormatError(
-            "%s: shape %s contradicts %s (%d ids, dim %d)"
-            % (path, tuple(matrix.shape), base + ".meta.json", *expected)
+            "%s: shape %s contradicts %s (%d ids, dim %r)" % (path, tuple(matrix.shape), meta_path, *expected)
         )
-    row_index = {a: r for r, a in enumerate(meta["ids"])}
-    return FeatureMatrix(matrix=matrix, kind=meta["kind"], row_index=row_index)
+    row_index = {a: r for r, a in enumerate(ids)}
+    return FeatureMatrix(matrix=matrix, kind=kind, row_index=row_index)
 
 
 # ---------------------------------------------------------------------------

@@ -8,14 +8,13 @@ order, except that a warm split appends to train the candidates it moves back.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .artifacts import write_json
+from .artifacts import read_json, write_json
 from .errors import DegenerateSplitError, FormatError
 from .transitions import TripletSet, load_triplets, save_triplets
 
@@ -106,8 +105,7 @@ def load_split(dirpath) -> DataSplit:
     """Read a split directory; a bad manifest, or a side that breaks the split's
     invariant (see the split makers), is a FormatError naming the path."""
     manifest_path = os.path.join(dirpath, MANIFEST_NAME)
-    with open(manifest_path, "r", encoding="utf-8") as fh:
-        manifest = json.load(fh)
+    manifest = read_json(manifest_path)
     try:
         kind, seed, holdout = manifest["kind"], manifest["seed"], set(manifest["holdout_articles"])
     except (KeyError, TypeError) as exc:

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from coldrec.artifacts import atomic_open, load_csr, load_matrix, save_csr, save_matrix, write_json
+from coldrec.artifacts import atomic_open, load_csr, load_matrix, read_json, save_csr, save_matrix, write_json
 from coldrec.errors import FormatError
 from coldrec.numerics import CSRMatrix
 
@@ -241,3 +241,18 @@ def test_write_json_is_sorted_indented_and_newline_terminated(tmp_path):
     write_json({"b": [1, 2], "a": "x"}, path)
     text = path.read_text(encoding="utf-8")
     assert text == json.dumps({"a": "x", "b": [1, 2]}, indent=2) + "\n"
+
+
+def test_read_json_round_trips_write_json(tmp_path):
+    path = tmp_path / "manifest.json"
+    write_json({"b": [1, 2], "a": "x"}, path)
+    assert read_json(path) == {"a": "x", "b": [1, 2]}
+
+
+@pytest.mark.parametrize("text", ["", '{"kind": "warm",', "not json"], ids=["empty", "cut", "text"])
+def test_read_json_rejects_a_file_that_is_not_json(tmp_path, text):
+    path = tmp_path / "manifest.json"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(FormatError) as err:
+        read_json(path)
+    assert str(err.value).startswith("%s: not JSON: " % path)

@@ -447,6 +447,19 @@ class TestCliCommands:
         assert rc == 1
         assert err.startswith("error: %s: shape " % os.path.join(models_dir, "almm-cold", "X.npy"))
 
+    def test_evaluate_rejects_a_malformed_feature_meta_file(self, workspace, run_out, capsys):
+        shutil.copytree(run_out[2], os.path.join(workspace, "meta_out"))
+        meta_path = os.path.join(workspace, "meta_out", "features", "tfidf.meta.json")
+        with open(meta_path) as fh:
+            meta = json.load(fh)
+        del meta["ids"]
+        with open(meta_path, "w") as fh:
+            json.dump(meta, fh)
+        rc = main(["evaluate", "--config", write_config(workspace), "--out", "meta_out"])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error: %s: " % meta_path)
+
     def test_failed_evaluate_keeps_the_earlier_metrics(self, workspace, run_out, capsys, monkeypatch):
         shutil.copytree(run_out[2], os.path.join(workspace, "failed_out"))
         config = write_config(workspace)

@@ -1,6 +1,5 @@
 import json
 import warnings
-from collections import namedtuple
 
 import numpy as np
 import pytest
@@ -26,11 +25,23 @@ from coldrec.models import (
     sample_negatives,
     save_model,
 )
-from coldrec.numerics import CSRMatrix, ridge_solve
+from coldrec.numerics import ridge_solve
 from coldrec.splits import DataSplit
 from coldrec.transitions import Triplet, TripletSet
 
-from oracles import as_csr, forbes_instance_gradients, forbes_instance_loss, objective, score
+from oracles import (
+    Row,
+    as_csr,
+    eager_forbes,
+    forbes_instance_gradients,
+    forbes_instance_loss,
+    forbes_objective_oracle,
+    instance_rows,
+    objective,
+    scalar_predict,
+    scalar_sample_negatives,
+    score,
+)
 
 
 def make_triplets(rows):
@@ -38,18 +49,9 @@ def make_triplets(rows):
     return TripletSet([Triplet(u, i, j, c) for u, i, j, c in rows])
 
 
-Row = namedtuple("Row", "u i j target weight")
-
-
 def make_instances(rows):
     """An Instances record from (u, i, j, target, weight) row tuples."""
     return Instances(*zip(*rows))
-
-
-def instance_rows(instances):
-    """The record's instances one by one, as Row tuples of Python numbers."""
-    columns = (instances.u, instances.i, instances.j, instances.target, instances.weight)
-    return [Row(*values) for values in zip(*(column.tolist() for column in columns))]
 
 
 def random_rows(rng, n_users, n_articles, n_positives, negatives=1):
@@ -97,40 +99,6 @@ def dense_features(ids, matrix):
         kind="external",
         row_index={a: r for r, a in enumerate(ids)},
     )
-
-
-def scalar_sample_negatives(triplet_set, negatives_per_positive, seed):
-    """sample_negatives as of 87fdada: one scalar rng.integers draw per attempt; the sampling oracle.
-
-    Returns the instances as a list of Row tuples.
-    """
-    if negatives_per_positive < 1:
-        raise ValueError("negatives_per_positive must be >= 1")
-    n_articles = len(triplet_set.articles)
-    if n_articles < 3:
-        raise ValueError(
-            "article universe of size %d is too small to sample negatives" % n_articles
-        )
-    positives = set()
-    encoded = []
-    for t in triplet_set:
-        u = triplet_set.users[t.user]
-        i = triplet_set.articles[t.last_article]
-        j = triplet_set.articles[t.next_article]
-        positives.add((u, i, j))
-        encoded.append((u, i, j, t.confidence))
-
-    rng = np.random.default_rng(seed)
-    instances = []
-    for u, i, j, confidence in encoded:
-        instances.append(Row(u=u, i=i, j=j, target=1.0, weight=confidence))
-        for _ in range(negatives_per_positive):
-            for _attempt in range(100):
-                j_neg = int(rng.integers(n_articles))
-                if j_neg != j and j_neg != i and (u, i, j_neg) not in positives:
-                    instances.append(Row(u=u, i=i, j=j_neg, target=0.0, weight=1.0))
-                    break
-    return instances
 
 
 def assert_same_instances(got, want):
@@ -706,88 +674,6 @@ class TestAlmmTrain:
             assert calls == {"ridge_factor": 1, "cholesky": 1}, train.__name__
 
 
-def eager_forbes(instances, content, hyper, n_users=None):
-    """Reference forbes trainer: the per-instance loop with eager weight decay.
-
-    Same init draws, per-epoch permutation and learning-rate decay as
-    forbes_train; each update decays both full mappings and adds the
-    outer-product terms row by row. U has n_users rows (default: max user
-    index + 1). Returns (U, Psi_X, Psi_Y).
-    """
-    instances = instance_rows(instances)
-    dim = hyper.latent_dim
-    m = content.shape[1]
-    rng = np.random.default_rng(hyper.seed)
-    scale = 0.1 / np.sqrt(dim)
-    if n_users is None:
-        n_users = max(inst.u for inst in instances) + 1
-    U = rng.normal(0.0, scale, size=(n_users, dim))
-    last_mapping = rng.normal(0.0, scale, size=(m, dim))
-    next_mapping = rng.normal(0.0, scale, size=(m, dim))
-    if isinstance(content, CSRMatrix):
-        bounds = content.indptr
-        rows = [
-            (content.indices[bounds[r] : bounds[r + 1]], content.data[bounds[r] : bounds[r + 1]])
-            for r in range(content.shape[0])
-        ]
-    else:
-        rows = [(None, np.asarray(r, dtype=float)) for r in content]
-
-    def mapped(row, mapping):
-        idx, vals = row
-        return vals @ (mapping if idx is None else mapping[idx])
-
-    def add_outer(mapping, row, coef, vec):
-        idx, vals = row
-        if idx is None:
-            mapping += coef * np.outer(vals, vec)
-        else:
-            mapping[idx] += coef * np.outer(vals, vec)
-
-    lr = hyper.sgd_lr
-    for _ in range(hyper.sgd_epochs):
-        for pos in rng.permutation(len(instances)):
-            inst = instances[pos]
-            row_i, row_j = rows[inst.i], rows[inst.j]
-            x = mapped(row_i, last_mapping)
-            y = mapped(row_j, next_mapping)
-            u_old = U[inst.u].copy()
-            pred = float(np.dot(u_old, x) + np.dot(u_old, y) + np.dot(x, y))
-            err = inst.weight * (inst.target - pred)
-            U[inst.u] += lr * (err * (x + y) - hyper.reg_user * u_old)
-            if hyper.reg_last > 0.0:
-                last_mapping *= 1.0 - lr * hyper.reg_last
-            add_outer(last_mapping, row_i, lr * err, u_old + y)
-            if hyper.reg_next > 0.0:
-                next_mapping *= 1.0 - lr * hyper.reg_next
-            add_outer(next_mapping, row_j, lr * err, u_old + x)
-        lr *= hyper.sgd_decay
-    return U, last_mapping, next_mapping
-
-
-def forbes_objective_oracle(model, instances, content):
-    """Sum of forbes_instance_loss over instances plus the U and mapping regularizers."""
-    instances = instance_rows(instances)
-    rows = content.toarray() if isinstance(content, CSRMatrix) else np.asarray(content)
-    hyper = model.hyper
-    loss = sum(
-        forbes_instance_loss(
-            model.user_factors[inst.u],
-            model.last_mapping,
-            model.next_mapping,
-            rows[inst.i],
-            rows[inst.j],
-            inst.target,
-            inst.weight,
-        )
-        for inst in instances
-    )
-    loss += hyper.reg_user * np.sum(model.user_factors**2)
-    loss += hyper.reg_last * np.sum(model.last_mapping**2)
-    loss += hyper.reg_next * np.sum(model.next_mapping**2)
-    return loss
-
-
 class TestForbesTrain:
     def test_zero_learning_rate_keeps_parameters(self):
         rng = np.random.default_rng(3)
@@ -1241,56 +1127,6 @@ class TestPredict:
         y = article_vectors(model, ["cold"], features, "next")[0]
         np.testing.assert_allclose(x, full[3] @ model.last_mapping, atol=1e-12)
         np.testing.assert_allclose(y, full[3] @ model.next_mapping, atol=1e-12)
-
-
-def scalar_effective_vectors(model, article_id, features):
-    """effective_vectors as of e396728: the one-article stored-vs-mapped rule."""
-    idx = model.articles.get(article_id)
-    if idx is None or model.kind == "oord":
-        row = features.rows([article_id])
-        x = np.asarray(row @ model.last_mapping).ravel()
-        y = np.asarray(row @ model.next_mapping).ravel()
-        return x, y
-    return np.array(model.last_factors[idx]), np.array(model.next_factors[idx])
-
-
-def scalar_predict(model, user, last_article, candidates, features):
-    """predict as of e396728: per-candidate assembly and a Python sort; the ranking oracle."""
-    candidates = list(candidates)
-    if not candidates:
-        raise ValueError("candidates must be non-empty")
-    missing = [a for a in [last_article, *candidates] if a not in features.row_index]
-    if missing:
-        raise ValueError(
-            "articles missing from the feature matrix: %s" % ", ".join(sorted(set(missing)))
-        )
-    dim = model.hyper.latent_dim
-    user_idx = model.users.get(user)
-    u = model.user_factors[user_idx] if user_idx is not None else np.zeros(dim)
-    x_i, _ = scalar_effective_vectors(model, last_article, features)
-
-    n = len(candidates)
-    Y = np.empty((n, dim), dtype=np.float64)
-    keys = []
-    stored_pos, stored_rows = [], []
-    mapped_pos, mapped_ids = [], []
-    for pos, article in enumerate(candidates):
-        idx = model.articles.get(article)
-        keys.append((0, idx) if idx is not None else (1, article))
-        if idx is not None and model.kind != "oord":
-            stored_pos.append(pos)
-            stored_rows.append(idx)
-        else:
-            mapped_pos.append(pos)
-            mapped_ids.append(article)
-    if stored_pos:
-        Y[stored_pos] = model.next_factors[stored_rows]
-    if mapped_pos:
-        Y[mapped_pos] = np.asarray(features.rows(mapped_ids) @ model.next_mapping)
-
-    scores = Y @ u + Y @ x_i + float(np.dot(u, x_i))
-    order = sorted(range(n), key=lambda p: (-scores[p], keys[p]))
-    return [(candidates[p], float(scores[p])) for p in order]
 
 
 class TestRankingKernelMatchesScalarPredict:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import sparse
@@ -215,6 +217,36 @@ class TestBlockedSubstitution:
         assert out.shape == rhs.shape
         # entries that cancel to near zero are held to the solution's scale
         np.testing.assert_allclose(out, expected, rtol=1e-12, atol=1e-12 * np.abs(expected).max())
+
+    @pytest.mark.parametrize("k", [1, 63, 64])
+    @pytest.mark.parametrize("rhs_cols", [None, 3])
+    def test_one_block_solve_is_two_products(self, k, rhs_cols):
+        # a system of at most SOLVE_BLOCK rows is one block: inv(L)' (inv(L) rhs), bit for bit
+        rng = np.random.default_rng(71 + k)
+        design = rng.normal(size=(2 * k + 3, k))
+        lower = np.linalg.cholesky(design.T @ design + 0.5 * np.eye(k))
+        rhs = rng.normal(size=(k,) if rhs_cols is None else (k, rhs_cols))
+        inv = np.tril(np.linalg.inv(lower))
+        assert np.array_equal(numerics._blocked_substitution(lower)(rhs), inv.T @ (inv @ rhs))
+
+    def test_solver_holds_only_the_inverse_diagonal_blocks(self):
+        # the array data held is at most k * SOLVE_BLOCK numbers; block-row copies of L would hold about k^2
+        k = 1000
+        rng = np.random.default_rng(73)
+        design = rng.normal(size=(k + 10, k))
+        lower = np.linalg.cholesky(design.T @ design + np.eye(k))
+        tracemalloc.start()
+        try:
+            substitute = numerics._blocked_substitution(lower)
+            peak = tracemalloc.get_traced_memory()[1]
+            arrays = tracemalloc.take_snapshot().filter_traces(
+                [tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)])
+        finally:
+            tracemalloc.stop()
+        held = sum(trace.size for trace in arrays.traces)
+        assert held <= k * numerics.SOLVE_BLOCK * 8
+        assert peak <= 2 * k * numerics.SOLVE_BLOCK * 8
+        assert substitute(np.ones(k)).shape == (k,)
 
     def test_leaves_rhs_untouched(self):
         rng = np.random.default_rng(61)

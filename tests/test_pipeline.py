@@ -152,3 +152,24 @@ class TestFeatureFiles:
             load_features(base)
         path = base + (".npz" if kind == "tfidf" else ".npy")
         assert str(err.value).startswith(path + ": ") and "meta.json" in str(err.value)
+
+    @pytest.mark.parametrize(
+        "meta",
+        [
+            ["tfidf", 4, ["a", "b", "c"]],
+            {"dim": 4, "ids": ["a", "b", "c"]},
+            {"kind": "tfidf", "ids": ["a", "b", "c"]},
+            {"kind": "tfidf", "dim": 4},
+            {"kind": "tfidf", "dim": 4, "ids": "abc"},
+            {"kind": "tfidf", "dim": 4, "ids": [["a"], ["b"], ["c"]]},
+        ],
+        ids=["list", "no_kind", "no_dim", "no_ids", "ids_not_list", "ids_not_strings"],
+    )
+    def test_malformed_meta_file(self, tmp_path, meta):
+        base = str(tmp_path / "tfidf")
+        save_features(FeatureMatrix(self.TFIDF, "tfidf", {"a": 0, "b": 1, "c": 2}), base)
+        with open(base + ".meta.json", "w") as fh:
+            json.dump(meta, fh)
+        with pytest.raises(FormatError) as err:
+            load_features(base)
+        assert str(err.value).startswith(base + ".meta.json: ")
