@@ -94,13 +94,18 @@ def load_matrix(path) -> np.ndarray:
 
 
 def save_csr(matrix: CSRMatrix, path) -> None:
-    """Write a CSRMatrix as an uncompressed `.npz` that scipy.sparse.load_npz reads as csr."""
+    """Write a CSRMatrix as an uncompressed `.npz` that scipy.sparse.load_npz reads as csr.
+
+    `indices` and `indptr` are int32 when every column and nnz fit, as
+    scipy.sparse.save_npz writes them; `load_csr` widens them again.
+    """
+    index_dtype = np.int32 if max(matrix.shape[1], matrix.nnz) <= np.iinfo(np.int32).max else np.int64
     with atomic_open(path, "wb") as fh:
         np.savez(
             fh,
             data=matrix.data,
-            indices=matrix.indices,
-            indptr=matrix.indptr,
+            indices=matrix.indices.astype(index_dtype),
+            indptr=matrix.indptr.astype(index_dtype),
             shape=np.array(matrix.shape, dtype=np.int64),
             format=b"csr",
         )

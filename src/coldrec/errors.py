@@ -26,11 +26,10 @@ class DivergenceError(PipelineError):
 
 
 class MissingArticlesError(PipelineError):
-    """An external embedding file is missing required article ids."""
+    """Article ids that an embedding file or a feature matrix lacks."""
 
-    def __init__(self, missing):
+    def __init__(self, missing, source: str = "embedding file"):
         self.missing = list(missing)
         super().__init__(
-            "embedding file is missing %d article id(s): %s"
-            % (len(self.missing), ", ".join(self.missing))
+            "%s is missing %d article id(s): %s" % (source, len(self.missing), ", ".join(self.missing))
         )

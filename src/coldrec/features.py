@@ -51,16 +51,14 @@ class FeatureMatrix:
     def dim(self) -> int:
         return self.matrix.shape[1]
 
-    def row(self, article_id: str) -> np.ndarray:
-        """Dense 1-d copy of one article's vector."""
-        r = self.row_index[article_id]
-        if isinstance(self.matrix, CSRMatrix):
-            return self.matrix.row(r)
-        return np.array(self.matrix[r], dtype=np.float64)
-
     def rows(self, article_ids):
-        """Row submatrix in the given id order; a CSRMatrix for tfidf matrices."""
-        idx = [self.row_index[a] for a in article_ids]
+        """Rows in the given id order (a CSRMatrix for tfidf); an id without a row is a MissingArticlesError."""
+        index = self.row_index
+        try:
+            idx = [index[a] for a in article_ids]
+        except KeyError:
+            missing = [a for a in dict.fromkeys(article_ids) if a not in index]
+            raise MissingArticlesError(missing, "%s feature matrix" % self.kind) from None
         if isinstance(self.matrix, CSRMatrix):
             return self.matrix.take_rows(idx)
         return self.matrix[idx]

@@ -3,13 +3,15 @@
 Every test triplet (u, i, j*) is a query with a single relevant item j*,
 ranked against all articles appearing in the split (train or test side) minus
 the query's last article i: the union, in order, of the two sides' article
-index maps. Queries are read off the test side's u/i/j code columns. All
-queries of one (model, split) are scored by the batched kernel
-`models.score_queries`; `rank_test_queries` excludes each query's own last
-article and ranks with one stable argsort, which breaks ties as `predict`
-does. Results are a dict {(model, setting, k): {metric: value}}.
-Novelty is the self-information of an item's click popularity; diversity is
-the mean pairwise cosine distance of a recommendation list's TF-IDF rows.
+index maps. `rank_test_queries` scores all queries of one (model, split) with
+`models.score_queries`, straight from the test side's code columns, excludes
+each query's own last article and ranks with one stable argsort, which breaks
+ties as `predict` does. It returns integer arrays: one rank per query and one
+row of top candidate positions per query. The metrics reduce those arrays,
+summing in the order a per-query loop would. Results are a dict
+{(model, setting, k): {metric: value}}. Novelty is the self-information of
+an item's click popularity; diversity is the mean pairwise cosine distance
+of a recommendation list's TF-IDF rows.
 """
 
 from __future__ import annotations
@@ -29,85 +31,78 @@ from .splits import DataSplit
 METRIC_NAMES = ("map", "recall", "novelty", "diversity")
 
 
-def map_at_k(ranks, k: int) -> float:
-    """Mean over queries of 1/rank when rank <= k, else 0 (single relevant item).
+def _ordered_sum(values: np.ndarray) -> np.ndarray:
+    """Sums over the last axis with the bits of a Python `total = 0.0; total += v` loop.
 
-    A rank of None means the relevant item was not in the candidate set.
+    np.sum adds pairwise, which moves the last bits; a cumulative sum from 0.0 does not.
     """
+    start = np.zeros(values.shape[:-1] + (1,))
+    return np.cumsum(np.concatenate((start, values), axis=-1), axis=-1)[..., -1]
+
+
+def _hits(ranks, k: int) -> np.ndarray:
     if k < 1:
         raise ValueError("k must be >= 1")
-    ranks = list(ranks)
-    if not ranks:
-        return 0.0
-    total = 0.0
-    for rank in ranks:
-        if rank is not None and rank <= k:
-            total += 1.0 / rank
-    return total / len(ranks)
+    ranks = np.asarray(ranks, dtype=np.int64)
+    return ranks[(ranks >= 1) & (ranks <= k)]
+
+
+def map_at_k(ranks, k: int) -> float:
+    """Mean over queries of 1/rank when 1 <= rank <= k, else 0 (single relevant item).
+
+    A rank of 0 means the relevant item was not in the candidate set.
+    """
+    return float(_ordered_sum(1.0 / _hits(ranks, k))) / max(1, len(ranks))
 
 
 def recall_at_k(ranks, k: int) -> float:
     """Fraction of queries whose relevant item landed within the top k."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    ranks = list(ranks)
-    if not ranks:
-        return 0.0
-    hits = sum(1 for rank in ranks if rank is not None and rank <= k)
-    return hits / len(ranks)
+    return len(_hits(ranks, k)) / max(1, len(ranks))
 
 
-def novelty_at_k(top_lists, popularity, total_clicks: int, k: int) -> float:
-    """Mean self-information -log2(pop/total) over each query's top-k list.
+def self_information(ordered, popularity) -> np.ndarray:
+    """-log2(clicks / total clicks) per article of `ordered`, the novelty of recommending it.
 
     Articles never clicked (popularity 0) are clamped to one click so cold
     recommendations cannot contribute infinite novelty.
     """
+    total_clicks = max(1, sum(popularity.values()))
+    return np.array([-math.log2(max(popularity.get(a, 0), 1) / total_clicks) for a in ordered])
+
+
+def novelty_at_k(top, information, k: int) -> float:
+    """Mean over queries of the mean self-information of the query's first k top positions.
+
+    `information[p]` is that of candidate position p; an empty list contributes 0.
+    """
     if k < 1:
         raise ValueError("k must be >= 1")
-    if total_clicks < 1:
-        raise ValueError("total_clicks must be >= 1")
-    per_query = []
-    for items in top_lists:
-        head = items[:k]
-        if not head:
-            per_query.append(0.0)
-            continue
-        total = 0.0
-        for article in head:
-            clicks = max(popularity.get(article, 0), 1)
-            total += -math.log2(clicks / total_clicks)
-        per_query.append(total / len(head))
-    if not per_query:
-        return 0.0
-    return sum(per_query) / len(per_query)
+    head = np.asarray(top)[:, :k]
+    per_query = _ordered_sum(information[head]) / max(1, head.shape[1])
+    return float(_ordered_sum(per_query)) / max(1, len(per_query))
 
 
-def diversity_at_k(top_lists, tfidf_features, k: int) -> float:
-    """Mean pairwise cosine distance over each query's top-k TF-IDF rows.
+def diversity_at_k(top, rows, k: int) -> float:
+    """Mean pairwise cosine distance over each query's first k top positions.
 
-    Lists with fewer than two items contribute 0. Diversity is always computed
-    on TF-IDF rows, even when the model was trained on external embeddings.
+    `rows` is a CSRMatrix of TF-IDF rows, one per candidate position. Lists
+    with fewer than two items contribute 0. Diversity is always computed on
+    TF-IDF rows, even when the model was trained on external embeddings.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     per_query = []
-    for items in top_lists:
-        head = items[:k]
+    for head in np.asarray(top)[:, :k].tolist():
         if len(head) < 2:
             per_query.append(0.0)
             continue
-        rows = [tfidf_features.row(article) for article in head]
+        vectors = [rows.row(p) for p in head]
         total = 0.0
-        pairs = 0
-        for p in range(len(rows)):
-            for q in range(p + 1, len(rows)):
-                total += cosine_distance(rows[p], rows[q])
-                pairs += 1
-        per_query.append(total / pairs)
-    if not per_query:
-        return 0.0
-    return sum(per_query) / len(per_query)
+        for p in range(len(vectors)):
+            for q in range(p + 1, len(vectors)):
+                total += cosine_distance(vectors[p], vectors[q])
+        per_query.append(total / (len(head) * (len(head) - 1) // 2))
+    return sum(per_query) / max(1, len(per_query))
 
 
 def candidate_universe(split: DataSplit) -> list[str]:
@@ -116,57 +111,42 @@ def candidate_universe(split: DataSplit) -> list[str]:
 
 
 def rank_test_queries(model: FactorModel, split: DataSplit, features, k_max: int):
-    """Per test query, the rank of j* and the top-k_max list, from one scoring kernel call.
+    """Per test query, the rank of j* and the top-k_max positions, from one scoring kernel call.
 
-    Each query ranks the candidate universe minus its last article i, C - 1
+    Returns (ordered, ranks, top). `ordered` is the candidate universe in
+    predict's tie order. Each query ranks it minus its last article i, C - 1
     candidates for a universe of C, with `predict`'s scores and tie-break: i's
-    negated score is set to +inf so it sorts last in its row. The rank is j*'s
-    position plus 1, or None when j* is not a candidate (j* == i); the top
-    list holds the first min(k_max, C - 1) candidates. The universe is checked
-    against `features` once, before any scoring.
+    negated score is set to +inf so it sorts last in its row. `ranks` holds one
+    int64 per query, j*'s position plus 1, or 0 when j* is not a candidate
+    (j* == i). `top` is a queries x min(k_max, C - 1) int64 array of the first
+    candidates' positions in `ordered`. The universe and the test side's
+    articles are checked against `features` once, before any scoring.
     """
     test = split.test
-    users, articles = list(test.users), list(test.articles)
-    ordered, chunks = score_queries(
-        model,
-        [users[u] for u in test.u.tolist()],
-        [articles[i] for i in test.i.tolist()],
-        candidate_universe(split),
-        features,
-    )
+    universe = candidate_universe(split)
+    ordered, chunks = score_queries(model, test.users, test.articles, test.u, test.i, universe, features)
     position = {a: p for p, a in enumerate(ordered)}
-    code_position = np.array([position[a] for a in articles], dtype=np.intp)  # test code -> position
+    code_position = np.array([position[a] for a in test.articles], dtype=np.int64)  # test code -> position
     own = code_position[test.i]
     targets = np.where(test.i == test.j, -1, code_position[test.j])
-    head = min(k_max, len(ordered) - 1)
-    ranks = []
-    top_lists = []
+    ranks = np.zeros(len(test), dtype=np.int64)
+    top = np.empty((len(test), min(k_max, len(ordered) - 1)), dtype=np.int64)
     for start, neg in chunks:
         rows = slice(start, start + len(neg))
         neg[np.arange(len(neg)), own[rows]] = np.inf
         order = np.argsort(neg, axis=1, kind="stable")
         hits = order == targets[rows, None]
-        found = hits.any(axis=1).tolist()
-        at = hits.argmax(axis=1).tolist()
-        ranks.extend(p + 1 if ok else None for p, ok in zip(at, found))
-        top_lists.extend([ordered[p] for p in row] for row in order[:, :head].tolist())
-    return ranks, top_lists
+        ranks[rows] = np.where(hits.any(axis=1), hits.argmax(axis=1) + 1, 0)
+        top[rows] = order[:, : top.shape[1]]
+    return ordered, ranks, top
 
 
-def evaluate(
-    model: FactorModel,
-    split: DataSplit,
-    features,
-    popularity,
-    ks,
-    *,
-    tfidf_features,
-) -> dict:
+def evaluate(model: FactorModel, split: DataSplit, features, popularity, ks, *, tfidf_features) -> dict:
     """Rank every test triplet's candidates and aggregate the four metrics per K.
 
     Returns {(model kind, split kind, k): {metric: value}} for every k in `ks`.
     `features` drives the model's scoring and `tfidf_features`, which must be
-    TF-IDF rows, the diversity metric. Ranks and top lists come from
+    TF-IDF rows, the diversity metric. Ranks and top positions come from
     `rank_test_queries`.
     """
     ks = sorted(set(int(k) for k in ks))
@@ -176,14 +156,15 @@ def evaluate(
         raise EmptyInputError("test side of the split is empty")
     if tfidf_features.kind != "tfidf":
         raise ValueError("diversity needs TF-IDF rows, got %r features" % tfidf_features.kind)
-    total_clicks = max(1, sum(popularity.values()))
-    ranks, top_lists = rank_test_queries(model, split, features, max(ks))
+    ordered, ranks, top = rank_test_queries(model, split, features, max(ks))
+    information = self_information(ordered, popularity)
+    rows = tfidf_features.rows(ordered)
     return {
         (model.kind, split.kind, k): {
             "map": map_at_k(ranks, k),
             "recall": recall_at_k(ranks, k),
-            "novelty": novelty_at_k(top_lists, popularity, total_clicks, k),
-            "diversity": diversity_at_k(top_lists, tfidf_features, k),
+            "novelty": novelty_at_k(top, information, k),
+            "diversity": diversity_at_k(top, rows, k),
         }
         for k in ks
     }

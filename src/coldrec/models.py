@@ -26,9 +26,11 @@ last-position vector, and the candidate's next-position vector. Content-mapped
 vectors stand in for any article that was not trained on (the cold path), and
 unseen users score with a zero user vector. One scoring kernel,
 `score_queries`, scores a block of queries against all candidates, put in tie
-order once, as one matrix; it does not rank. `predict` is a one-query call
-into it followed by one stable argsort; evaluation calls it once per
-(model, split), and `metrics` does its own ranking and own-article exclusion.
+order once, as one matrix; it does not rank. It takes the queries as a triplet
+side's user and article id lists plus its u/i code columns, so each user and
+article is resolved to a vector once. `predict` is a one-query call into it
+followed by one stable argsort; evaluation calls it once per (model, split),
+and `metrics` ranks into integer arrays and excludes each query's own article.
 """
 
 from __future__ import annotations
@@ -654,33 +656,38 @@ def _user_vectors(model: FactorModel, users) -> np.ndarray:
     return out
 
 
-def score_queries(model: FactorModel, users, last_articles, candidates, features):
-    """Score `candidates` for every query (users[q], last_articles[q]); no ranking.
+def score_queries(model: FactorModel, users, articles, u, i, candidates, features):
+    """Score `candidates` for every query (users[u[q]], articles[i[q]]); no ranking.
 
-    Returns (ordered, chunks). `ordered` lists the candidates in predict's tie
-    order. `chunks` yields (start, neg_scores) per block of about 2^20 scores:
-    neg_scores[r, c] is minus the score of ordered[c] for query start + r, each
-    score U_u.Y_c + X_i.Y_c + U_u.X_i as in predict. The negation is exact, so a
-    stable argsort of a row ranks by descending score with ties in tie order.
+    The queries are a triplet side's id lists and code columns: each listed
+    user and article is resolved to a vector once, and a query gathers its
+    vectors by code. Returns (ordered, chunks). `ordered` lists the candidates
+    in predict's tie order. `chunks` yields (start, neg_scores) per block of
+    about 2^20 scores: neg_scores[r, c] is minus the score of ordered[c] for
+    query start + r, each score U_u.Y_c + X_i.Y_c + U_u.X_i as in predict. The
+    negation is exact, so a stable argsort of a row ranks by descending score
+    with ties in tie order.
 
-    Every query's last article and every candidate must have a feature row;
+    Every listed article and every candidate must have a feature row;
     otherwise ValueError names the missing ones, before any scoring.
     """
-    users, last_articles, candidates = list(users), list(last_articles), list(candidates)
+    articles, candidates = list(articles), list(candidates)
     if not candidates:
         raise ValueError("candidates must be non-empty")
-    missing = {a for a in last_articles if a not in features.row_index}
+    missing = {a for a in articles if a not in features.row_index}
     missing.update(a for a in candidates if a not in features.row_index)
     if missing:
         raise ValueError("articles missing from the feature matrix: %s" % ", ".join(sorted(missing)))
     ordered = _tie_order(model, candidates)
     next_t = article_vectors(model, ordered, features, "next").T
+    user_rows = _user_vectors(model, users)
+    last_rows = article_vectors(model, articles, features, "last")
     step = max(1, _RANK_CHUNK_SCORES // len(ordered))
 
     def chunks():
-        for start in range(0, len(users), step):
-            U = _user_vectors(model, users[start : start + step])
-            X = article_vectors(model, last_articles[start : start + step], features, "last")
+        for start in range(0, len(u), step):
+            U = user_rows[u[start : start + step]]
+            X = last_rows[i[start : start + step]]
             neg = U @ next_t
             neg += X @ next_t
             neg += _row_dots(U, X)[:, None]
@@ -698,7 +705,7 @@ def predict(model: FactorModel, user: str, last_article: str, candidates, featur
     ranking invariant to candidate input order. Unseen users score with a zero
     user vector, reducing the score to X_i.Y_j.
     """
-    ordered, chunks = score_queries(model, [user], [last_article], candidates, features)
+    ordered, chunks = score_queries(model, [user], [last_article], [0], [0], candidates, features)
     _, neg = next(chunks)
     return [(ordered[p], -float(neg[0, p])) for p in np.argsort(neg[0], kind="stable").tolist()]
 

@@ -129,8 +129,8 @@ def save_features(features: FeatureMatrix, base: str) -> None:
 
 
 def load_features(base: str) -> FeatureMatrix:
-    """Read what save_features wrote; a malformed meta file, or a matrix whose
-    shape contradicts it, is a FormatError naming the path."""
+    """Read what save_features wrote; a malformed meta file, a matrix whose
+    shape contradicts it, or tfidf rows in a dense `.npy`, is a FormatError naming the path."""
     meta_path = base + ".meta.json"
     meta = read_json(meta_path)
     try:
@@ -145,6 +145,8 @@ def load_features(base: str) -> FeatureMatrix:
     else:
         path = base + ".npy"
         matrix = load_matrix(path)
+        if kind == "tfidf":  # TF-IDF rows are sparse; diversity reads them as a CSRMatrix
+            raise FormatError("%s: tfidf features must be a csr .npz archive" % path)
     expected = (len(ids), dim)
     if tuple(matrix.shape) != expected:
         raise FormatError(

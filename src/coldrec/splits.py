@@ -107,9 +107,12 @@ def load_split(dirpath) -> DataSplit:
     manifest_path = os.path.join(dirpath, MANIFEST_NAME)
     manifest = read_json(manifest_path)
     try:
-        kind, seed, holdout = manifest["kind"], manifest["seed"], set(manifest["holdout_articles"])
+        kind, seed, holdout = manifest["kind"], manifest["seed"], manifest["holdout_articles"]
     except (KeyError, TypeError) as exc:
         raise FormatError("%s: malformed manifest: %r" % (manifest_path, exc)) from None
+    if not isinstance(holdout, list) or not all(isinstance(a, str) for a in holdout):
+        raise FormatError("%s: holdout_articles must be a list of article ids" % manifest_path)
+    holdout = set(holdout)
     if kind not in ("warm", "cold"):
         raise FormatError("%s: kind must be 'warm' or 'cold', got %r" % (manifest_path, kind))
     train, test = (load_triplets(os.path.join(dirpath, side + ".tsv")) for side in ("train", "test"))

@@ -4,17 +4,21 @@ None of these runs in a pipeline: ranking scores triplets in batch
 (`models.score_queries`, checked against `scalar_predict`), the trainers
 log their objective from the half-sweeps and `_forbes_objective`, forbes
 updates its stacked state without forming per-instance gradients (checked
-against `eager_forbes`), and negatives are drawn in batches (checked
-against `scalar_sample_negatives`).
+against `eager_forbes`), negatives are drawn in batches (checked
+against `scalar_sample_negatives`), and the metrics reduce integer rank and
+top-position arrays (checked against the per-query loops `map_at_k`,
+`recall_at_k`, `novelty_at_k` and `diversity_at_k`, which take ranks with
+None for a missing one and top lists of article ids).
 """
 
+import math
 from collections import namedtuple
 
 import numpy as np
 from scipy import sparse
 
 from coldrec.models import FactorModel, Instances, _full_loss
-from coldrec.numerics import CSRMatrix
+from coldrec.numerics import CSRMatrix, cosine_distance
 
 
 def as_csr(matrix) -> CSRMatrix:
@@ -236,3 +240,94 @@ def scalar_predict(model, user, last_article, candidates, features):
     scores = Y @ u + Y @ x_i + float(np.dot(u, x_i))
     order = sorted(range(n), key=lambda p: (-scores[p], keys[p]))
     return [(candidates[p], float(scores[p])) for p in order]
+
+
+def map_at_k(ranks, k: int) -> float:
+    """Mean over queries of 1/rank when rank <= k, else 0 (single relevant item).
+
+    A rank of None means the relevant item was not in the candidate set.
+    """
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    ranks = list(ranks)
+    if not ranks:
+        return 0.0
+    total = 0.0
+    for rank in ranks:
+        if rank is not None and rank <= k:
+            total += 1.0 / rank
+    return total / len(ranks)
+
+
+def recall_at_k(ranks, k: int) -> float:
+    """Fraction of queries whose relevant item landed within the top k."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    ranks = list(ranks)
+    if not ranks:
+        return 0.0
+    hits = sum(1 for rank in ranks if rank is not None and rank <= k)
+    return hits / len(ranks)
+
+
+def novelty_at_k(top_lists, popularity, total_clicks: int, k: int) -> float:
+    """Mean self-information -log2(pop/total) over each query's top-k list.
+
+    Articles never clicked (popularity 0) are clamped to one click so cold
+    recommendations cannot contribute infinite novelty.
+    """
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    if total_clicks < 1:
+        raise ValueError("total_clicks must be >= 1")
+    per_query = []
+    for items in top_lists:
+        head = items[:k]
+        if not head:
+            per_query.append(0.0)
+            continue
+        total = 0.0
+        for article in head:
+            clicks = max(popularity.get(article, 0), 1)
+            total += -math.log2(clicks / total_clicks)
+        per_query.append(total / len(head))
+    if not per_query:
+        return 0.0
+    return sum(per_query) / len(per_query)
+
+
+def diversity_at_k(top_lists, tfidf_features, k: int) -> float:
+    """Mean pairwise cosine distance over each query's top-k TF-IDF rows.
+
+    Lists with fewer than two items contribute 0. `tfidf_features` holds its
+    rows as a CSRMatrix, as every TF-IDF FeatureMatrix does.
+    """
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    per_query = []
+    for items in top_lists:
+        head = items[:k]
+        if len(head) < 2:
+            per_query.append(0.0)
+            continue
+        rows = [tfidf_features.matrix.row(tfidf_features.row_index[article]) for article in head]
+        total = 0.0
+        pairs = 0
+        for p in range(len(rows)):
+            for q in range(p + 1, len(rows)):
+                total += cosine_distance(rows[p], rows[q])
+                pairs += 1
+        per_query.append(total / pairs)
+    if not per_query:
+        return 0.0
+    return sum(per_query) / len(per_query)
+
+
+def scalar_ranks(ranks):
+    """An integer rank array as the oracles read it: None where the rank is 0."""
+    return [rank or None for rank in np.asarray(ranks).tolist()]
+
+
+def top_lists(ordered, top):
+    """A top-position array as the oracles read it: each row's article ids."""
+    return [[ordered[p] for p in row] for row in np.asarray(top).tolist()]

@@ -14,7 +14,8 @@ from coldrec.config import load_config
 from coldrec.errors import MissingArticlesError
 from coldrec.features import load_external_embeddings
 from coldrec.fixture import generate_fixture
-from coldrec.metrics import candidate_universe, diversity_at_k, map_at_k, novelty_at_k, recall_at_k
+from coldrec.metrics import (candidate_universe, diversity_at_k, map_at_k, novelty_at_k, recall_at_k,
+                             self_information)
 from coldrec.mind import parse_news
 from coldrec.models import Hyperparams, almm_train, oord_train
 from coldrec.numerics import ridge_solve
@@ -23,8 +24,7 @@ from coldrec.splits import load_split
 from coldrec.transitions import build_tensor, build_triplets
 
 from conftest import DATA_DIR
-from oracles import forbes_instance_gradients, forbes_instance_loss
-from test_metrics import dense_features
+from oracles import as_csr, forbes_instance_gradients, forbes_instance_loss
 from test_models import make_instances, random_instances, random_rows
 from test_transitions import brute_force_tensor, brute_force_triplets, random_log
 
@@ -210,32 +210,33 @@ def test_criterion_06_cold_split_invariant(full_run):
 
 def test_criterion_07_metric_unit_suite():
     ok = True
-    # closed-form ranking metric cases
+    # closed-form ranking metric cases; a missing rank (j* not a candidate) is 0
     ok &= map_at_k([1], 10) == 1.0 and recall_at_k([1], 10) == 1.0
     ok &= map_at_k([11], 10) == 0.0 and recall_at_k([11], 10) == 0.0
     ok &= map_at_k([11], 20) == 1.0 / 11 and recall_at_k([11], 20) == 1.0
     ok &= map_at_k([1, 4], 10) == (1 + 0.25) / 2 and recall_at_k([1, 4], 10) == 1.0
     ok &= map_at_k([2], 10) == 0.5
-    ok &= map_at_k([None], 10) == 0.0
+    ok &= map_at_k([0], 10) == 0.0
     ok &= map_at_k([1, 2, 4], 3) == (1 + 0.5 + 0) / 3
     ok &= recall_at_k([1, 4, 12], 10) == 2 / 3
     ok &= recall_at_k([1, 4, 12], 12) == 1.0
     ok &= recall_at_k([30], 10) == 0.0
     # novelty closed forms
-    ok &= novelty_at_k([["A", "B"]], {"A": 50, "B": 50}, 100, 10) == 1.0
-    ok &= novelty_at_k([["A"]], {"A": 64}, 64, 10) == 0.0
-    ok &= novelty_at_k([["N0"]], {"N%d" % k: 1 for k in range(8)}, 8, 10) == 3.0
-    # diversity closed forms
-    same = dense_features(["A", "B"], [[3.0, 4.0], [3.0, 4.0]])
-    orth = dense_features(["A", "B"], [[1.0, 0.0], [0.0, 1.0]])
-    ok &= diversity_at_k([["A", "B"]], same, 10) == 0.0
-    ok &= diversity_at_k([["A", "B"]], orth, 2) == 1.0
-    ok &= diversity_at_k([["A", "B"]], orth, 1) == 0.0
+    ok &= novelty_at_k([[0, 1]], self_information(["A", "B"], {"A": 50, "B": 50}), 10) == 1.0
+    ok &= novelty_at_k([[0]], self_information(["A"], {"A": 64}), 10) == 0.0
+    eight = ["N%d" % k for k in range(8)]
+    ok &= novelty_at_k([[0]], self_information(eight, {a: 1 for a in eight}), 10) == 3.0
+    # diversity closed forms, over TF-IDF rows held as a CSRMatrix
+    same = as_csr([[3.0, 4.0], [3.0, 4.0]])
+    orth = as_csr([[1.0, 0.0], [0.0, 1.0]])
+    ok &= diversity_at_k([[0, 1]], same, 10) == 0.0
+    ok &= diversity_at_k([[0, 1]], orth, 2) == 1.0
+    ok &= diversity_at_k([[0, 1]], orth, 1) == 0.0
     # monotonicity over 20 random rank multisets
     rng = np.random.default_rng(123)
     for _ in range(20):
         ranks = [
-            None if rng.random() < 0.25 else int(rng.integers(1, 50))
+            0 if rng.random() < 0.25 else int(rng.integers(1, 50))
             for _ in range(int(rng.integers(1, 15)))
         ]
         maps = [map_at_k(ranks, k) for k in range(1, 55)]

@@ -141,6 +141,28 @@ class TestCSRFiles:
             assert np.array_equal(getattr(loaded, key), getattr(ref, key))
         assert sorted(p.name for p in tmp_path.iterdir()) == ["m.npz"]
 
+    def test_indices_are_int32_on_disk_and_int64_after_loading(self, tmp_path):
+        ref = sparse.csr_matrix(CSR_DENSE)
+        ours = CSRMatrix(ref.data, ref.indices, ref.indptr, ref.shape)
+        path = tmp_path / "m.npz"
+        save_csr(ours, path)
+        with np.load(path) as archive:
+            assert archive["indices"].dtype == archive["indptr"].dtype == np.int32
+            assert archive["data"].dtype == np.float64
+        loaded = load_csr(path)
+        assert loaded.indices.dtype == loaded.indptr.dtype == np.int64
+        for key in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(loaded, key), getattr(ours, key))
+
+    def test_columns_beyond_int32_keep_int64_indices(self, tmp_path):
+        wide = CSRMatrix([1.5], [2**31], [0, 1], (1, 2**31 + 1))
+        path = tmp_path / "wide.npz"
+        save_csr(wide, path)
+        with np.load(path) as archive:
+            assert archive["indices"].dtype == archive["indptr"].dtype == np.int64
+        loaded = load_csr(path)
+        assert loaded.shape == wide.shape and loaded.indices.tolist() == [2**31]
+
     @pytest.mark.parametrize("compressed", [True, False])
     def test_reads_scipy_save_npz(self, tmp_path, compressed):
         path = tmp_path / "scipy.npz"

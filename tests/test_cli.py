@@ -13,11 +13,11 @@ import pytest
 from coldrec import metrics as metrics_mod
 from coldrec.cli import build_parser, main
 from coldrec.config import FEATURE_KINDS, derive_seed, load_config
-from coldrec.features import VectorizerConfig
+from coldrec.features import FeatureMatrix, VectorizerConfig
 from coldrec.fixture import generate_fixture
 from coldrec.metrics import candidate_universe
 from coldrec.models import MODEL_KINDS, Hyperparams, load_model
-from coldrec.pipeline import _STAGES
+from coldrec.pipeline import _STAGES, load_features, save_features
 from coldrec.splits import load_split
 
 SRC_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
@@ -459,6 +459,20 @@ class TestCliCommands:
         err = capsys.readouterr().err
         assert rc == 1
         assert err.startswith("error: %s: " % meta_path)
+
+    def test_train_names_the_train_articles_the_features_lack(self, workspace, run_out, capsys):
+        out = os.path.join(workspace, "short_features_out")
+        shutil.copytree(run_out[2], out)
+        base = os.path.join(out, "features", "tfidf")
+        features = load_features(base)
+        trains = [load_split(os.path.join(out, "splits", kind)).train.articles for kind in ("warm", "cold")]
+        dropped = [a for a in trains[0] if a in trains[1]][:2]
+        kept = [a for a in features.row_index if a not in dropped]
+        save_features(FeatureMatrix(features.rows(kept), "tfidf", {a: r for r, a in enumerate(kept)}), base)
+        rc = main(["train", "--config", write_config(workspace), "--out", "short_features_out"])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err == "error: tfidf feature matrix is missing 2 article id(s): %s\n" % ", ".join(dropped)
 
     def test_failed_evaluate_keeps_the_earlier_metrics(self, workspace, run_out, capsys, monkeypatch):
         shutil.copytree(run_out[2], os.path.join(workspace, "failed_out"))

@@ -124,7 +124,7 @@ class TestTransform:
         catalog = catalog_from([("D1", "aa aa bb", "")])
         vec = fit_tfidf(catalog, NO_STOPWORDS)  # idf == 1 everywhere
         fm = transform(vec, catalog)
-        row = fm.row("D1")
+        row = fm.rows(["D1"]).toarray()[0]
         expected = np.array([2.0, 1.0]) / math.sqrt(5.0)
         np.testing.assert_allclose(
             sorted(row, reverse=True), sorted(expected, reverse=True), atol=1e-12
@@ -135,7 +135,7 @@ class TestTransform:
         vec = fit_tfidf(catalog, NO_STOPWORDS)
         other = catalog_from([("D2", "zz yy", "")])
         fm = transform(vec, other)
-        assert np.all(fm.row("D2") == 0.0)
+        assert np.all(fm.rows(["D2"]).toarray() == 0.0)
 
     def test_matches_brute_force_oracle(self):
         catalog = catalog_from(ORACLE_DOCS)
@@ -153,6 +153,14 @@ class TestTransform:
         dense = np.ascontiguousarray(np.asarray(fm.matrix.toarray()), dtype="<f8")
         digest = hashlib.sha256(dense.tobytes()).hexdigest()
         assert digest == "01050456d8fee7121153ac6adf5e88c562b9cb2f09e06c26e6e3dc4b269125a8"
+
+    def test_rows_without_a_feature_row_name_every_missing_id(self):
+        catalog = catalog_from([("D1", "aa bb", ""), ("D2", "bb cc", "")])
+        fm = transform(fit_tfidf(catalog, NO_STOPWORDS), catalog)
+        with pytest.raises(MissingArticlesError) as err:
+            fm.rows(["D1", "N9", "D2", "N7", "N9"])
+        assert err.value.missing == ["N9", "N7"]
+        assert str(err.value) == "tfidf feature matrix is missing 2 article id(s): N9, N7"
 
     def test_nonzero_rows_have_unit_norm(self):
         catalog = catalog_from(ORACLE_DOCS)
@@ -180,8 +188,7 @@ class TestExternalEmbeddings:
         fm = load_external_embeddings(path, catalog)
         assert fm.kind == "external"
         assert fm.matrix.shape == (3, 4)
-        np.testing.assert_array_equal(fm.row("A1"), [5.0, 6.0, 7.0, 8.0])
-        np.testing.assert_array_equal(fm.row("A2"), [1.0, 2.0, 3.0, 4.0])
+        np.testing.assert_array_equal(fm.rows(["A1", "A2"]), [[5.0, 6.0, 7.0, 8.0], [1.0, 2.0, 3.0, 4.0]])
 
     def test_missing_article_error_names_it(self, tmp_path):
         catalog = catalog_from([("A1", "t", ""), ("A2", "t", "")])

@@ -1,8 +1,7 @@
-import math
-
 import numpy as np
 import pytest
 
+import oracles
 from coldrec.errors import EmptyInputError
 from coldrec.features import FeatureMatrix
 from coldrec.metrics import (
@@ -15,17 +14,20 @@ from coldrec.metrics import (
     map_at_k,
     novelty_at_k,
     recall_at_k,
+    self_information,
 )
 from coldrec.models import FactorModel, Hyperparams
 from coldrec.splits import DataSplit
 from coldrec.transitions import Triplet, TripletSet
 
-from oracles import score
+from oracles import as_csr, score, scalar_ranks, top_lists
 
 
-def dense_features(ids, matrix, kind="tfidf"):
+def feature_matrix(ids, matrix, kind="tfidf"):
+    """Features over `ids`: TF-IDF rows as a CSRMatrix, as `transform` builds them; other kinds dense."""
+    matrix = np.asarray(matrix, dtype=float)
     return FeatureMatrix(
-        matrix=np.asarray(matrix, dtype=float),
+        matrix=as_csr(matrix) if kind == "tfidf" else matrix,
         kind=kind,
         row_index={a: r for r, a in enumerate(ids)},
     )
@@ -57,8 +59,8 @@ class TestMapAtK:
     def test_single_rank_two(self):
         assert map_at_k([2], 10) == 0.5
 
-    def test_none_rank_scores_zero(self):
-        assert map_at_k([None], 10) == 0.0
+    def test_zero_rank_scores_zero(self):
+        assert map_at_k([0], 10) == 0.0
 
     def test_mixed_ranks_with_cutoff(self):
         assert map_at_k([1, 2, 4], 3) == (1 + 0.5 + 0) / 3
@@ -80,7 +82,11 @@ class TestRecallAtK:
         assert recall_at_k([1, 4, 12], 12) == 1.0
 
     def test_no_overlap(self):
-        assert recall_at_k([11, None], 10) == 0.0
+        assert recall_at_k([11, 0], 10) == 0.0
+
+    def test_k_must_be_positive(self):
+        with pytest.raises(ValueError):
+            recall_at_k([1], 0)
 
 
 class TestMonotonicity:
@@ -88,9 +94,7 @@ class TestMonotonicity:
         rng = np.random.default_rng(55)
         for _ in range(20):
             n = int(rng.integers(1, 12))
-            ranks = [
-                None if rng.random() < 0.2 else int(rng.integers(1, 40)) for _ in range(n)
-            ]
+            ranks = np.where(rng.random(n) < 0.2, 0, rng.integers(1, 40, size=n))
             prev_map = prev_recall = -1.0
             for k in range(1, 45):
                 cur_map = map_at_k(ranks, k)
@@ -102,48 +106,107 @@ class TestMonotonicity:
 
 class TestNoveltyAtK:
     def test_half_total_popularity(self):
-        pop = {"A": 50, "B": 50}
-        assert novelty_at_k([["A", "B"]], pop, 100, 10) == 1.0
+        information = self_information(["A", "B"], {"A": 50, "B": 50})
+        assert novelty_at_k([[0, 1]], information, 10) == 1.0
 
     def test_full_popularity_is_zero(self):
-        assert novelty_at_k([["A"]], {"A": 100}, 100, 10) == 0.0
+        assert novelty_at_k([[0]], self_information(["A"], {"A": 100}), 10) == 0.0
 
     def test_uniform_eight_articles(self):
-        pop = {"N%d" % k: 1 for k in range(8)}
-        lists = [["N0", "N1", "N2"]]
-        assert novelty_at_k(lists, pop, 8, 10) == 3.0
+        ordered = ["N%d" % k for k in range(8)]
+        information = self_information(ordered, {a: 1 for a in ordered})
+        assert novelty_at_k([[0, 1, 2]], information, 10) == 3.0
 
     def test_zero_popularity_clamped(self):
-        assert novelty_at_k([["ghost"]], {}, 8, 10) == 3.0
+        information = self_information(["ghost", "A"], {"A": 8})
+        assert information.tolist() == [3.0, 0.0]
+        assert novelty_at_k([[0]], information, 10) == 3.0
 
-    def test_total_clicks_must_be_positive(self):
+    def test_no_clicks_at_all_read_as_one(self):
+        assert self_information(["A", "B"], {}).tolist() == [0.0, 0.0]
+
+    def test_empty_lists_and_no_queries_are_zero(self):
+        information = np.array([1.0, 2.0])
+        assert novelty_at_k(np.zeros((3, 0), dtype=np.int64), information, 5) == 0.0
+        assert novelty_at_k(np.zeros((0, 2), dtype=np.int64), information, 5) == 0.0
+
+    def test_k_must_be_positive(self):
         with pytest.raises(ValueError):
-            novelty_at_k([["A"]], {}, 0, 10)
+            novelty_at_k([[0]], np.array([1.0]), 0)
 
 
 class TestDiversityAtK:
     def test_identical_rows_zero(self):
-        fm = dense_features(["A", "B", "C"], [[3.0, 4.0], [3.0, 4.0], [3.0, 4.0]])
-        assert diversity_at_k([["A", "B", "C"]], fm, 10) == 0.0
+        rows = as_csr([[3.0, 4.0], [3.0, 4.0], [3.0, 4.0]])
+        assert diversity_at_k([[0, 1, 2]], rows, 10) == 0.0
 
     def test_orthogonal_unit_rows(self):
-        fm = dense_features(["A", "B"], [[1.0, 0.0], [0.0, 1.0]])
-        assert diversity_at_k([["A", "B"]], fm, 2) == 1.0
+        assert diversity_at_k([[0, 1]], as_csr(np.eye(2)), 2) == 1.0
 
     def test_k_one_is_zero_by_convention(self):
-        fm = dense_features(["A", "B"], [[1.0, 0.0], [0.0, 1.0]])
-        assert diversity_at_k([["A", "B"]], fm, 1) == 0.0
+        assert diversity_at_k([[0, 1]], as_csr(np.eye(2)), 1) == 0.0
 
     def test_zero_rows_use_distance_one(self):
-        fm = dense_features(["A", "B"], [[0.0, 0.0], [1.0, 0.0]])
-        assert diversity_at_k([["A", "B"]], fm, 2) == 1.0
+        assert diversity_at_k([[0, 1]], as_csr([[0.0, 0.0], [1.0, 0.0]]), 2) == 1.0
+
+    def test_k_must_be_positive(self):
+        with pytest.raises(ValueError):
+            diversity_at_k([[0, 1]], as_csr(np.eye(2)), 0)
+
+
+class TestArrayMetricsEqualScalarOracles:
+    """The four metrics against the per-query loops of tests/oracles.py, compared with ==."""
+
+    @staticmethod
+    def case(rng, queries, width, n_candidates):
+        ordered = ["a%d" % p for p in rng.permutation(n_candidates)]
+        ranks = np.where(rng.random(queries) < 0.3, 0, rng.integers(1, n_candidates + 3, size=queries))
+        # positions drawn with replacement, so a list may repeat a candidate
+        top = rng.integers(0, n_candidates, size=(queries, width))
+        content = rng.random((n_candidates, 5)) * (rng.random((n_candidates, 5)) < 0.5)
+        content[rng.random(n_candidates) < 0.3] = 0.0  # all-zero TF-IDF rows
+        content[1] = content[0]  # two candidates with one row
+        ids = sorted(ordered)  # the feature rows in another order than `ordered`
+        features = feature_matrix(ids, content)
+        popularity = {a: int(rng.integers(0, 6)) for a in ordered if rng.random() < 0.7}
+        return ordered, ranks, top, features, popularity
+
+    @pytest.mark.parametrize("width", [0, 1, 2, 7])
+    def test_every_k_equals_the_oracles(self, width):
+        rng = np.random.default_rng(17 + width)
+        for queries in (1, 2, 9):
+            ordered, ranks, top, features, popularity = self.case(rng, queries, width, 6)
+            information = self_information(ordered, popularity)
+            rows = features.rows(ordered)
+            lists = top_lists(ordered, top)
+            total = max(1, sum(popularity.values()))
+            for k in range(1, width + 3):
+                assert map_at_k(ranks, k) == oracles.map_at_k(scalar_ranks(ranks), k)
+                assert recall_at_k(ranks, k) == oracles.recall_at_k(scalar_ranks(ranks), k)
+                assert novelty_at_k(top, information, k) == oracles.novelty_at_k(lists, popularity, total, k)
+                assert diversity_at_k(top, rows, k) == oracles.diversity_at_k(lists, features, k)
+
+    def test_long_rank_arrays_sum_in_query_order(self):
+        rng = np.random.default_rng(5)
+        ranks = np.where(rng.random(5000) < 0.1, 0, rng.integers(1, 400, size=5000))
+        for k in (1, 10, 399):
+            assert map_at_k(ranks, k) == oracles.map_at_k(scalar_ranks(ranks), k)
+            assert recall_at_k(ranks, k) == oracles.recall_at_k(scalar_ranks(ranks), k)
+        ordered = ["a%d" % p for p in range(300)]
+        popularity = {a: int(c) for a, c in zip(ordered, rng.integers(0, 50, size=300))}
+        top = rng.integers(0, 300, size=(2000, 20))
+        information = self_information(ordered, popularity)
+        total = sum(popularity.values())
+        for k in (1, 7, 20):
+            want = oracles.novelty_at_k(top_lists(ordered, top), popularity, total, k)
+            assert novelty_at_k(top, information, k) == want
 
 
 class TestEvaluate:
     def test_single_query_relevant_first(self):
         model = hand_model(["A", "B"], [[1.0], [0.0]], [[0.0], [1.0]])
         split = split_of([("u1", "A", "B")], [("u1", "A", "B")])
-        fm = dense_features(["A", "B"], [[1.0, 0.0], [0.0, 1.0]])
+        fm = feature_matrix(["A", "B"], [[1.0, 0.0], [0.0, 1.0]])
         results = evaluate(model, split, fm, {}, [10], tfidf_features=fm)
         values = results[("almm", "warm", 10)]
         assert values["map"] == 1.0
@@ -159,7 +222,7 @@ class TestEvaluate:
         model = hand_model(ids, last, nxt)
         train = [("u1", "Q", "A%02d" % k) for k in range(1, 13)]
         split = split_of(train, [("u1", "Q", "A11")])
-        fm = dense_features(ids, np.zeros((13, 2)))
+        fm = feature_matrix(ids, np.zeros((13, 2)))
         results = evaluate(model, split, fm, {}, [10, 20], tfidf_features=fm)
         at10 = results[("almm", "warm", 10)]
         at20 = results[("almm", "warm", 20)]
@@ -178,7 +241,7 @@ class TestEvaluate:
         model = hand_model(ids, last, nxt)
         train = [("u1", "Q", "A%d" % k) for k in range(1, 6)]
         split = split_of(train, [("u1", "Q", "A1"), ("u1", "Q", "A4")])
-        fm = dense_features(ids, np.zeros((6, 2)))
+        fm = feature_matrix(ids, np.zeros((6, 2)))
         results = evaluate(model, split, fm, {}, [10], tfidf_features=fm)
         values = results[("almm", "warm", 10)]
         assert values["map"] == (1 + 0.25) / 2
@@ -191,7 +254,7 @@ class TestEvaluate:
         test = [("u1", "n0", "n3"), ("u1", "n2", "n1")]
         split = split_of(train, test)
         rng = np.random.default_rng(0)
-        fm = dense_features(ids, rng.random((5, 3)))
+        fm = feature_matrix(ids, rng.random((5, 3)))
         results = evaluate(model, split, fm, {"n1": 2, "n3": 6}, [2, 4], tfidf_features=fm)
         # with all scores zero the ranking is the article-index order minus i
         oracle_ranks = []
@@ -204,10 +267,10 @@ class TestEvaluate:
             oracle_lists.append(cands)
         for k in (2, 4):
             values = results[("almm", "warm", k)]
-            assert values["map"] == map_at_k(oracle_ranks, k)
-            assert values["recall"] == recall_at_k(oracle_ranks, k)
-            assert values["novelty"] == novelty_at_k(oracle_lists, {"n1": 2, "n3": 6}, 8, k)
-            assert values["diversity"] == diversity_at_k(oracle_lists, fm, k)
+            assert values["map"] == oracles.map_at_k(oracle_ranks, k)
+            assert values["recall"] == oracles.recall_at_k(oracle_ranks, k)
+            assert values["novelty"] == oracles.novelty_at_k(oracle_lists, {"n1": 2, "n3": 6}, 8, k)
+            assert values["diversity"] == oracles.diversity_at_k(oracle_lists, fm, k)
 
     def test_matches_brute_force_oracle_on_tiny_problems(self):
         rng = np.random.default_rng(91)
@@ -230,7 +293,7 @@ class TestEvaluate:
             if not test:
                 continue
             split = split_of(train, test)
-            fm = dense_features(ids, rng.random((n_articles, 3)))
+            fm = feature_matrix(ids, rng.random((n_articles, 3)))
             popularity = {a: int(rng.integers(0, 5)) for a in ids}
             total = max(1, sum(popularity.values()))
             results = evaluate(model, split, fm, popularity, [2, 3], tfidf_features=fm)
@@ -260,13 +323,13 @@ class TestEvaluate:
                 lists.append(ordered[:3])
             for k in (2, 3):
                 values = results[("almm", split.kind, k)]
-                assert values["map"] == map_at_k(ranks, k)
-                assert values["recall"] == recall_at_k(ranks, k)
+                assert values["map"] == oracles.map_at_k(ranks, k)
+                assert values["recall"] == oracles.recall_at_k(ranks, k)
                 assert values["novelty"] == pytest.approx(
-                    novelty_at_k(lists, popularity, total, k), abs=0
+                    oracles.novelty_at_k(lists, popularity, total, k), abs=0
                 )
                 assert values["diversity"] == pytest.approx(
-                    diversity_at_k(lists, fm, k), abs=0
+                    oracles.diversity_at_k(lists, fm, k), abs=0
                 )
 
     def test_metric_values_within_declared_ranges(self):
@@ -283,7 +346,7 @@ class TestEvaluate:
         train = [("u1", ids[k], ids[(k + 1) % 6]) for k in range(6)]
         test = [("u1", "n0", "n2"), ("u1", "n3", "n5")]
         split = split_of(train, test)
-        fm = dense_features(ids, rng.random((6, 4)))
+        fm = feature_matrix(ids, rng.random((6, 4)))
         popularity = {a: int(rng.integers(0, 9)) for a in ids}
         results = evaluate(model, split, fm, popularity, [5, 1, 3, 2, 3], tfidf_features=fm)
         assert list(results) == [("almm", "warm", k) for k in (1, 2, 3, 5)]
@@ -300,17 +363,17 @@ class TestEvaluate:
     def test_empty_test_raises(self):
         model = hand_model(["A", "B"], np.zeros((2, 1)), np.zeros((2, 1)))
         split = split_of([("u1", "A", "B")], [])
-        fm = dense_features(["A", "B"], np.zeros((2, 2)))
+        fm = feature_matrix(["A", "B"], np.zeros((2, 2)))
         with pytest.raises(EmptyInputError):
             evaluate(model, split, fm, {}, [10], tfidf_features=fm)
 
     def test_external_features_need_tfidf_for_diversity(self):
         model = hand_model(["A", "B"], np.zeros((2, 1)), np.zeros((2, 1)))
         split = split_of([("u1", "A", "B")], [("u1", "A", "B")])
-        external = dense_features(["A", "B"], np.zeros((2, 4)), kind="external")
+        external = feature_matrix(["A", "B"], np.zeros((2, 4)), kind="external")
         with pytest.raises(ValueError, match="diversity needs TF-IDF rows, got 'external' features"):
             evaluate(model, split, external, {}, [10], tfidf_features=external)
-        tfidf = dense_features(["A", "B"], np.eye(2))
+        tfidf = feature_matrix(["A", "B"], np.eye(2))
         results = evaluate(model, split, external, {}, [10], tfidf_features=tfidf)
         assert results[("almm", "warm", 10)]["recall"] == 1.0
 

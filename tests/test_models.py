@@ -39,8 +39,10 @@ from oracles import (
     instance_rows,
     objective,
     scalar_predict,
+    scalar_ranks,
     scalar_sample_negatives,
     score,
+    top_lists,
 )
 
 
@@ -1194,6 +1196,14 @@ class TestRankingKernelMatchesScalarPredict:
             top_lists.append(ranked[:k_max])
         return ranks, top_lists
 
+    @staticmethod
+    def kernel_ranks(model, split, features, k_max):
+        """rank_test_queries' integer arrays, decoded as scalar_ranks returns them."""
+        ordered, ranks, top = rank_test_queries(model, split, features, k_max)
+        assert ranks.dtype == top.dtype == np.int64
+        assert top.shape == (len(split.test), min(k_max, len(ordered) - 1))
+        return scalar_ranks(ranks), top_lists(ordered, top)
+
     @pytest.mark.parametrize("dense", [False, True], ids=["tfidf", "external"])
     @pytest.mark.parametrize("kind", MODEL_KINDS)
     @pytest.mark.parametrize("chunk_rows", [None, 3], ids=["one_chunk", "chunks_of_3"])
@@ -1204,10 +1214,12 @@ class TestRankingKernelMatchesScalarPredict:
             monkeypatch.setattr(models, "_RANK_CHUNK_SCORES", chunk_rows * len(universe))
         for k_max in (4, len(universe) + 5):  # the second exceeds C - 1
             want = self.scalar_ranks(model, split, features, k_max)
-            assert rank_test_queries(model, split, features, k_max) == want
-        ranks, top_lists = want
+            assert self.kernel_ranks(model, split, features, k_max) == want
+        ranks, lists = want
         assert ranks[5] is None and ranks[9] is None
-        assert all(len(top) == len(universe) - 1 for top in top_lists)
+        assert all(len(top) == len(universe) - 1 for top in lists)
+        _, raw_ranks, _ = rank_test_queries(model, split, features, 4)
+        assert raw_ranks[5] == raw_ranks[9] == 0
 
     @pytest.mark.parametrize("dense", [False, True], ids=["tfidf", "external"])
     @pytest.mark.parametrize("kind", MODEL_KINDS)
@@ -1222,7 +1234,7 @@ class TestRankingKernelMatchesScalarPredict:
         assert cuts  # the problem's duplicate rows tie exactly
         for k_max in sorted(cuts):
             want = self.scalar_ranks(model, split, features, k_max)
-            assert rank_test_queries(model, split, features, k_max) == want
+            assert self.kernel_ranks(model, split, features, k_max) == want
 
     def test_duplicate_rows_tie_exactly(self):
         model, split, features = self.problem("almm", dense=False)

@@ -138,6 +138,13 @@ class TestFeatureFiles:
         assert isinstance(loaded.matrix, CSRMatrix if kind == "tfidf" else np.ndarray)
         assert np.array_equal(loaded.rows(["c", "a"]) @ np.eye(4), self.TFIDF.toarray()[[2, 0]])
 
+    def test_dense_tfidf_rows_are_rejected(self, tmp_path):
+        base = str(tmp_path / "tfidf")
+        save_features(FeatureMatrix(self.TFIDF.toarray(), "tfidf", {"a": 0, "b": 1, "c": 2}), base)
+        with pytest.raises(FormatError) as err:
+            load_features(base)
+        assert str(err.value) == base + ".npy: tfidf features must be a csr .npz archive"
+
     @pytest.mark.parametrize("kind", ["tfidf", "external"])
     @pytest.mark.parametrize("meta_change", [{"dim": 5}, {"ids": ["a", "b"]}], ids=["dim", "ids"])
     def test_shape_contradicting_the_meta_file(self, tmp_path, kind, meta_change):

@@ -198,6 +198,15 @@ class TestLoadSplitErrors:
         with pytest.raises(FormatError, match=r"manifest\.json: kind must be 'warm' or 'cold', got 'lukewarm'"):
             load_split(dirpath)
 
+    @pytest.mark.parametrize("holdout", ["N0000", None, {"N0000": 1}, ["N0000", 7]])
+    def test_holdout_articles_must_be_a_list_of_ids(self, tmp_path, holdout):
+        _, dirpath = self.saved(tmp_path, "cold")
+        self.edit_manifest(dirpath, lambda m: m.update(holdout_articles=holdout))
+        with pytest.raises(FormatError) as err:
+            load_split(dirpath)
+        manifest = dirpath / "manifest.json"
+        assert str(err.value) == "%s: holdout_articles must be a list of article ids" % manifest
+
     def test_cold_train_side_referencing_a_holdout_article(self, tmp_path):
         split, dirpath = self.saved(tmp_path, "cold")
         trained = next(iter(split.train)).last_article
