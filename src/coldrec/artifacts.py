@@ -12,6 +12,8 @@ from __future__ import annotations
 import contextlib
 import json
 import os
+import zipfile
+import zlib
 
 import numpy as np
 
@@ -19,6 +21,12 @@ from .errors import FormatError
 from .numerics import CSRMatrix
 
 _CSR_KEYS = ("data", "indices", "indptr", "shape", "format")
+# What np.load raises for a damaged file or archive member: a bad header, a
+# truncated file, a missing or damaged zip directory, a bad CRC, a corrupt
+# deflate stream (scipy.sparse.save_npz compresses by default). The readers
+# open the file themselves: np.load given a path leaves it open when the zip
+# directory is unreadable.
+_UNREADABLE = (ValueError, EOFError, zipfile.BadZipFile, zlib.error)
 
 
 @contextlib.contextmanager
@@ -81,13 +89,14 @@ def save_matrix(values, path) -> None:
 
 def load_matrix(path) -> np.ndarray:
     """Read a matrix written by save_matrix; anything else is a FormatError naming `path`."""
-    try:
-        arr = np.load(path, allow_pickle=False)
-    except (ValueError, EOFError) as exc:
-        raise FormatError("%s: not a .npy matrix: %s" % (path, exc)) from None
-    if not isinstance(arr, np.ndarray):  # an .npz archive, which holds its file open
-        arr.close()
-        raise FormatError("%s: expected a 2-d float64 matrix, got an .npz archive" % path)
+    with open(path, "rb") as fh:
+        try:
+            arr = np.load(fh, allow_pickle=False)
+        except _UNREADABLE as exc:
+            raise FormatError("%s: not a .npy matrix: %s" % (path, exc)) from None
+        if not isinstance(arr, np.ndarray):  # an .npz archive
+            arr.close()
+            raise FormatError("%s: expected a 2-d float64 matrix, got an .npz archive" % path)
     if not (arr.ndim == 2 and arr.dtype == np.float64):
         raise FormatError("%s: expected a 2-d float64 matrix" % path)
     return arr
@@ -114,24 +123,26 @@ def save_csr(matrix: CSRMatrix, path) -> None:
 def load_csr(path) -> CSRMatrix:
     """Read a csr `.npz` written by save_csr or scipy.sparse.save_npz.
 
-    A missing key, another sparse format, an indptr that does not run from 0
-    to len(data) without decreasing over shape[0] + 1 entries, or a column
-    outside [0, shape[1]) is a FormatError naming `path`.
+    An archive that cannot be read (truncated, or a member that fails its
+    CRC), a missing key, another sparse format, an indptr that does not run
+    from 0 to len(data) without decreasing over shape[0] + 1 entries, or a
+    column outside [0, shape[1]) is a FormatError naming `path`.
     """
-    try:
-        archive = np.load(path, allow_pickle=False)
-    except (ValueError, EOFError) as exc:
-        raise FormatError("%s: not an .npz archive: %s" % (path, exc)) from None
-    if isinstance(archive, np.ndarray):
-        raise FormatError("%s: expected an .npz archive, got a .npy array" % path)
-    with archive:
-        missing = [key for key in _CSR_KEYS if key not in archive.files]
-        if missing:
-            raise FormatError("%s: missing key(s) %s" % (path, ", ".join(missing)))
+    with open(path, "rb") as fh:
         try:
-            arrays = {key: archive[key] for key in _CSR_KEYS}
-        except ValueError as exc:
-            raise FormatError("%s: unreadable array: %s" % (path, exc)) from None
+            archive = np.load(fh, allow_pickle=False)
+        except _UNREADABLE as exc:
+            raise FormatError("%s: not an .npz archive: %s" % (path, exc)) from None
+        if isinstance(archive, np.ndarray):
+            raise FormatError("%s: expected an .npz archive, got a .npy array" % path)
+        with archive:
+            missing = [key for key in _CSR_KEYS if key not in archive.files]
+            if missing:
+                raise FormatError("%s: missing key(s) %s" % (path, ", ".join(missing)))
+            try:
+                arrays = {key: archive[key] for key in _CSR_KEYS}
+            except _UNREADABLE as exc:
+                raise FormatError("%s: unreadable array: %s" % (path, exc)) from None
     fmt = arrays["format"]
     if not (fmt.shape == () and fmt.item() in (b"csr", "csr")):
         raise FormatError("%s: expected csr format, got %r" % (path, fmt))

@@ -17,8 +17,17 @@ Three trainers share one `Instances` record of training instances from
 almm and oord run one ALS loop, `_als_train`, steered by the model kind
 alone. A half-sweep (`_als_update`) updates every row of one factor matrix
 with one stacked matmul per run length and returns the data loss it leaves.
-All three trainers draw their initial factors through `_init_factors` and
-build their model through `_factor_model`.
+The instances' grouping by user, last and next row is a property of the
+`Instances` record (`Instances.groups`): computed once, shared by almm and
+oord on a split, and released with the record. Each ALS trainer call
+allocates one `_AlsWorkspace` and every half-sweep writes its size-n
+intermediates there, so no half-sweep allocates memory that grows with the
+number of instances. A half-sweep gathers with `np.take(..., mode="clip")`:
+with `out=`, numpy's default `mode="raise"` gathers into a temporary first.
+The range check therefore lives in `_check_training_inputs`, where all
+three trainers check every instance code against their factor rows before
+the first sweep. They draw their initial factors through `_init_factors`
+and build their model through `_factor_model`.
 
 Prediction scores a candidate next article as the symmetric sum of the three
 pairwise inner products among the user vector, the last article's
@@ -38,11 +47,13 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import asdict, dataclass, field
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
 from .artifacts import load_matrix, read_json, save_matrix, write_json
-from .errors import DivergenceError, EmptyInputError, FormatError
+from .errors import DivergenceError, EmptyInputError, FormatError, MissingArticlesError
 from .numerics import CSRMatrix, cho_solve_stacked, ridge_factor, ridge_solve
 from .transitions import TripletSet
 
@@ -115,6 +126,19 @@ class Instances:
 
     def __len__(self) -> int:
         return self.u.shape[0]
+
+    @cached_property
+    def groups(self):
+        """`_group_rows` of u, i and j, computed on first use and kept with the record.
+
+        Every ALS trainer of the record reads these three groupings, which are
+        read-only like the columns they group.
+        """
+        groupings = tuple(_group_rows(codes) for codes in (self.u, self.i, self.j))
+        for grouping in groupings:
+            for array in grouping[:3]:
+                array.flags.writeable = False
+        return groupings
 
 
 @dataclass
@@ -217,7 +241,7 @@ def _full_loss(U, X, Y, instances: Instances, hyper: Hyperparams) -> float:
 
 
 def _group_rows(indices: np.ndarray):
-    """Instances grouped by factor row, computed once per trainer.
+    """Instances grouped by factor row; `Instances.groups` computes it once per record.
 
     Returns (order, bounds, rows, buckets). `order` lists instance positions
     sorted by (run length, row), stably: rows with equal instance counts are
@@ -242,7 +266,26 @@ def _group_rows(indices: np.ndarray):
     return order, bounds, rows, buckets
 
 
-def _als_update(target, groups, left, left_idx, right, right_idx, tt, cc, reg) -> float:
+class _AlsWorkspace(NamedTuple):
+    """The buffers one ALS trainer call's half-sweeps write into, allocated once."""
+
+    left: np.ndarray  # (n, d): gathered left factors, then the design g
+    right: np.ndarray  # (n, d): gathered right factors, then c * g, then c * e * g
+    index: np.ndarray  # (n,): factor rows of the gather in progress
+    resid: np.ndarray  # (n,): e, then the residual the update leaves
+    conf: np.ndarray  # (n,): confidences c in group order
+    fitted: np.ndarray  # (n,): left.right, then w_row(n).g_n, then c * resid
+    systems: np.ndarray  # (max rows, d, d): normal matrices of the rows updated
+
+
+def _als_workspace(n: int, dim: int, max_rows: int) -> _AlsWorkspace:
+    """Buffers for half-sweeps over up to `n` instances that update up to `max_rows` rows."""
+    return _AlsWorkspace(left=np.empty((n, dim)), right=np.empty((n, dim)), index=np.empty(n, dtype=np.intp),
+                         resid=np.empty(n), conf=np.empty(n), fitted=np.empty(n),
+                         systems=np.empty((max_rows, dim, dim)))
+
+
+def _als_update(target, groups, left, left_idx, right, right_idx, tt, cc, reg, workspace=None) -> float:
     """Closed-form row update for one factor matrix, all rows at once; returns its data loss.
 
     Row r minimizes sum_n c_n (t_n - w.(left_n + right_n) - left_n.right_n)^2
@@ -250,14 +293,22 @@ def _als_update(target, groups, left, left_idx, right, right_idx, tt, cc, reg) -
     With g_n = left_n + right_n and e_n = t_n - left_n.right_n, row r solves
     (sum c_n g_n g_n' + reg I) w = sum c_n e_n g_n, the per-row closed form of
     Hu, Koren & Volinsky (ICDM 2008). The instances are gathered in
-    `_group_rows` order, so the rows of one run length form a bucket whose
-    instances are one contiguous block: its normal matrices are one stacked
-    matmul over (rows, length, d) views of that block, with no per-row loop.
-    The right-hand sides are one `np.add.reduceat`, and every row is factored
-    by one stacked Cholesky. Rows whose normal matrix fails to factor go
-    through `ridge_solve`, which keeps its jitter retry and SingularSystemError.
-    No row reads the matrix being updated, so this equals solving the rows
-    one by one.
+    `_group_rows` order (`groups`, from `Instances.groups`), so the rows of
+    one run length form a bucket whose instances are one contiguous block:
+    its normal matrices are one stacked matmul over (rows, length, d) views
+    of that block, with no per-row loop. The right-hand sides are one
+    `np.add.reduceat`, and every row is factored by one stacked Cholesky.
+    Rows whose normal matrix fails to factor go through `ridge_solve`, which
+    keeps its jitter retry and SingularSystemError. No row reads the matrix
+    being updated, so this equals solving the rows one by one.
+
+    Every size-n intermediate lives in `workspace`, which `_als_train`
+    allocates once per call (one is allocated here when none is given), so
+    a half-sweep allocates nothing that grows with the number of instances.
+    The gathers use `mode="clip"`: under the default `mode="raise"` numpy
+    gathers into a temporary and copies it to `out`, which made a take twice
+    as slow. Clipping never fires on valid codes: `_check_training_inputs`
+    checks every u/i/j code against its factor rows before the first sweep.
 
     The return value is sum_n c_n (e_n - w_row(n).g_n)^2, the weighted data
     loss with the updated rows, from the residuals already at hand: the
@@ -267,16 +318,20 @@ def _als_update(target, groups, left, left_idx, right, right_idx, tt, cc, reg) -
     order, bounds, rows, buckets = groups
     if rows.size == 0:
         return 0.0
-    dim = target.shape[1]
-    # Two (n, d) buffers: lf becomes the design g, rf the weighted c * g and
-    # then the right-hand-side terms c * e * g.
-    lf = np.take(left, np.take(left_idx, order), axis=0)
-    rf = np.take(right, np.take(right_idx, order), axis=0)
-    resid = np.take(tt, order) - _row_dots(lf, rf)
-    conf = np.take(cc, order)
+    n, dim = order.size, target.shape[1]
+    if workspace is None:
+        workspace = _als_workspace(n, dim, rows.size)
+    index, fitted = workspace.index[:n], workspace.fitted[:n]
+    lf = np.take(left, np.take(left_idx, order, out=index, mode="clip"), axis=0,
+                 out=workspace.left[:n], mode="clip")
+    rf = np.take(right, np.take(right_idx, order, out=index, mode="clip"), axis=0,
+                 out=workspace.right[:n], mode="clip")
+    resid = np.take(tt, order, out=workspace.resid[:n], mode="clip")
+    resid -= np.einsum("nd,nd->n", lf, rf, out=fitted)
+    conf = np.take(cc, order, out=workspace.conf[:n], mode="clip")
     design = np.add(lf, rf, out=lf)
     weighted = np.multiply(design, conf[:, None], out=rf)
-    systems = np.empty((rows.size, dim, dim))
+    systems = workspace.systems[: rows.size]
     for members, span, length in buckets:
         block = (-1, length, dim)
         np.matmul(weighted[span].reshape(block).transpose(0, 2, 1), design[span].reshape(block),
@@ -297,19 +352,18 @@ def _als_update(target, groups, left, left_idx, right, right_idx, tt, cc, reg) -
                 solved[k] = False
                 chol[k] = np.eye(dim)  # placeholder; the row is re-solved below
     solution = cho_solve_stacked(chol, rhs)
-    ends = np.append(bounds[1:], order.size)
+    ends = np.append(bounds[1:], n)
     for k in np.flatnonzero(~solved):
         lo, hi = bounds[k], ends[k]
         w = np.sqrt(conf[lo:hi])
         solution[k] = ridge_solve(design[lo:hi] * w[:, None], resid[lo:hi] * w, reg)
     target[rows] = solution
 
-    fitted = np.empty_like(resid)
     for members, span, length in buckets:
         np.matmul(design[span].reshape(-1, length, dim), solution[members, :, None],
                   out=fitted[span].reshape(-1, length, 1))
     resid -= fitted
-    return float(np.dot(conf * resid, resid))
+    return float(np.dot(np.multiply(conf, resid, out=fitted), resid))
 
 
 def _init_factors(rng: np.random.Generator, n_users: int, n_articles: int, dim: int):
@@ -342,55 +396,68 @@ def _factor_model(kind, hyper, U, X, Y, last_mapping, next_mapping, trace, user_
     )
 
 
-def _check_training_inputs(instances, content):
+def _check_training_inputs(instances, content, user_ids) -> int:
+    """The number of user rows, once the instances are non-empty and every code has its row.
+
+    There are len(user_ids) user rows, or max(u) + 1 without user_ids, and
+    one article row per content row. A code outside its rows is a ValueError
+    naming it, raised before any factor is drawn.
+    """
     if not instances:
         raise EmptyInputError("no training instances")
-    if content.shape[0] < 1:
+    n_articles = content.shape[0]
+    if n_articles < 1:
         raise EmptyInputError("empty content matrix")
-
-
-def _n_users(instances: Instances, user_ids) -> int:
-    return len(user_ids) if user_ids is not None else int(instances.u.max()) + 1
+    n_users = len(user_ids) if user_ids is not None else int(instances.u.max()) + 1
+    columns = (("user", instances.u, n_users), ("last article", instances.i, n_articles),
+               ("next article", instances.j, n_articles))
+    for name, codes, n_rows in columns:
+        low, high = int(codes.min()), int(codes.max())
+        if low < 0 or high >= n_rows:
+            raise ValueError("%s code %d outside [0, %d)" % (name, low if low < 0 else high, n_rows))
+    return n_users
 
 
 def _materialize(content, mapping) -> np.ndarray:
     return np.asarray(content @ mapping)
 
 
-def _als_sweeps(U, X, Y, instances: Instances, groups, hyper, trace, label):
+def _als_sweeps(U, X, Y, instances: Instances, workspace, hyper, trace, label):
     uu, ii, jj, tt, cc = instances.u, instances.i, instances.j, instances.target, instances.weight
-    groups_u, groups_i, groups_j = groups
-    data = _als_update(U, groups_u, X, ii, Y, jj, tt, cc, hyper.reg_user)
+    groups_u, groups_i, groups_j = instances.groups
+    data = _als_update(U, groups_u, X, ii, Y, jj, tt, cc, hyper.reg_user, workspace=workspace)
     trace.append(("%s:users" % label, _regularized(data, U, X, Y, hyper)))
-    data = _als_update(X, groups_i, U, uu, Y, jj, tt, cc, hyper.reg_last)
+    data = _als_update(X, groups_i, U, uu, Y, jj, tt, cc, hyper.reg_last, workspace=workspace)
     trace.append(("%s:last" % label, _regularized(data, U, X, Y, hyper)))
-    data = _als_update(Y, groups_j, U, uu, X, ii, tt, cc, hyper.reg_next)
+    data = _als_update(Y, groups_j, U, uu, X, ii, tt, cc, hyper.reg_next, workspace=workspace)
     trace.append(("%s:next" % label, _regularized(data, U, X, Y, hyper)))
 
 
 def _als_train(kind, instances, content, hyper: Hyperparams, user_ids, article_ids) -> FactorModel:
     """The ALS loop behind almm_train and oord_train; `kind` is "almm" or "oord".
 
-    Both kinds validate, group the instance rows once, draw U, X, Y through
-    _init_factors, factor the content Gram once and run the same ALS
-    half-sweeps. Each half-sweep logs "iter<k>:users", ":last" or ":next"
-    with the objective it leaves: the data loss `_als_update` returns plus
-    the three regularizers. Under "almm" every iteration then fits the
+    Both kinds validate, draw U, X, Y through _init_factors, factor the
+    content Gram once and run the same ALS half-sweeps over the record's
+    shared `groups`, through one `_AlsWorkspace` allocated here. Each
+    half-sweep logs "iter<k>:users", ":last" or ":next" with the objective
+    it leaves: the data loss `_als_update` returns plus the three
+    regularizers. Under "almm" every iteration then fits the
     mappings, refreshes the article factors when refresh_blend > 0 and logs
     "iter<k>:refresh" from a full pass (`_full_loss`), as is "init"; under
     "oord" the mappings are fit once, after the loop, from the final factors.
     A non-finite last objective of an iteration raises DivergenceError.
     """
     hyper.validate()
-    _check_training_inputs(instances, content)
-    groups = (_group_rows(instances.u), _group_rows(instances.i), _group_rows(instances.j))
+    n_users = _check_training_inputs(instances, content, user_ids)
     rng = np.random.default_rng(hyper.seed)
-    U, X, Y = _init_factors(rng, _n_users(instances, user_ids), content.shape[0], hyper.latent_dim)
+    U, X, Y = _init_factors(rng, n_users, content.shape[0], hyper.latent_dim)
+    max_rows = max(rows.size for _, _, rows, _ in instances.groups)
+    workspace = _als_workspace(len(instances), hyper.latent_dim, max_rows)
     trace = [("init", _full_loss(U, X, Y, instances, hyper))]
     map_content = ridge_factor(content, hyper.reg_mapping)
     for it in range(1, hyper.iterations + 1):
         label = "iter%d" % it
-        _als_sweeps(U, X, Y, instances, groups, hyper, trace, label)
+        _als_sweeps(U, X, Y, instances, workspace, hyper, trace, label)
         if kind == "almm":
             last_mapping = map_content(X)
             next_mapping = map_content(Y)
@@ -565,10 +632,10 @@ def forbes_train(instances, content, hyper: Hyperparams, *, user_ids=None, artic
     non-finite value spreads.
     """
     hyper.validate()
-    _check_training_inputs(instances, content)
+    n_users = _check_training_inputs(instances, content, user_ids)
     m = content.shape[1]
     rng = np.random.default_rng(hyper.seed)
-    U, last_init, next_init = _init_factors(rng, _n_users(instances, user_ids), m, hyper.latent_dim)
+    U, last_init, next_init = _init_factors(rng, n_users, m, hyper.latent_dim)
     S = np.concatenate((last_init, next_init, U))
     plan = _forbes_plan(instances, content)
 
@@ -669,7 +736,8 @@ def score_queries(model: FactorModel, users, articles, u, i, candidates, feature
     with ties in tie order.
 
     Every listed article and every candidate must have a feature row;
-    otherwise ValueError names the missing ones, before any scoring.
+    otherwise MissingArticlesError names the missing ones, before any
+    scoring, as `FeatureMatrix.rows` does.
     """
     articles, candidates = list(articles), list(candidates)
     if not candidates:
@@ -677,7 +745,7 @@ def score_queries(model: FactorModel, users, articles, u, i, candidates, feature
     missing = {a for a in articles if a not in features.row_index}
     missing.update(a for a in candidates if a not in features.row_index)
     if missing:
-        raise ValueError("articles missing from the feature matrix: %s" % ", ".join(sorted(missing)))
+        raise MissingArticlesError(sorted(missing), "feature matrix")
     ordered = _tie_order(model, candidates)
     next_t = article_vectors(model, ordered, features, "next").T
     user_rows = _user_vectors(model, users)
@@ -730,6 +798,7 @@ def load_model(dirpath) -> FactorModel:
     U must have one row per manifest user, X and Y one per manifest article,
     every matrix `latent_dim` columns, and PsiY the shape of PsiX, so a
     directory mixed from two runs fails here rather than scoring silently.
+    A NaN or infinite value in any matrix is a FormatError naming its file.
     """
     manifest_path = os.path.join(dirpath, MANIFEST_NAME)
     manifest = read_json(manifest_path)
@@ -749,7 +818,10 @@ def load_model(dirpath) -> FactorModel:
     rows = dict(user_factors=len(model.users), last_factors=n_articles, next_factors=n_articles,
                 last_mapping=m, next_mapping=m)
     for attr, name in _MATRIX_FILES.items():
-        shape, expected = matrices[attr].shape, (rows[attr], model.hyper.latent_dim)
+        path, matrix = os.path.join(dirpath, name), matrices[attr]
+        shape, expected = matrix.shape, (rows[attr], model.hyper.latent_dim)
         if shape != expected:
-            raise FormatError("%s: shape %s, expected %s" % (os.path.join(dirpath, name), shape, expected))
+            raise FormatError("%s: shape %s, expected %s" % (path, shape, expected))
+        if not np.isfinite(matrix).all():
+            raise FormatError("%s: non-finite values" % path)
     return model

@@ -129,8 +129,9 @@ def save_features(features: FeatureMatrix, base: str) -> None:
 
 
 def load_features(base: str) -> FeatureMatrix:
-    """Read what save_features wrote; a malformed meta file, a matrix whose
-    shape contradicts it, or tfidf rows in a dense `.npy`, is a FormatError naming the path."""
+    """Read what save_features wrote; a malformed meta file, a matrix whose shape
+    contradicts it, tfidf rows in a dense `.npy`, or a NaN or infinite feature
+    value is a FormatError naming the path."""
     meta_path = base + ".meta.json"
     meta = read_json(meta_path)
     try:
@@ -152,6 +153,9 @@ def load_features(base: str) -> FeatureMatrix:
         raise FormatError(
             "%s: shape %s contradicts %s (%d ids, dim %r)" % (path, tuple(matrix.shape), meta_path, *expected)
         )
+    values = matrix.data if isinstance(matrix, CSRMatrix) else matrix
+    if not np.isfinite(values).all():
+        raise FormatError("%s: non-finite feature values" % path)
     row_index = {a: r for r, a in enumerate(ids)}
     return FeatureMatrix(matrix=matrix, kind=kind, row_index=row_index)
 

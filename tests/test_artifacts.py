@@ -3,6 +3,7 @@ import io
 import json
 import sys
 import warnings
+import zipfile
 
 import numpy as np
 import pytest
@@ -101,6 +102,13 @@ class TestMatrixRoundTrip:
         path = tmp_path / "archive.npy"
         with open(path, "wb") as fh:
             np.savez(fh, m=np.ones((2, 2)))
+        assert_rejection_closes_its_file(monkeypatch, path, load_matrix)
+
+    def test_truncated_npz_archive_is_rejected_and_closed(self, tmp_path, monkeypatch):
+        path = tmp_path / "archive.npy"
+        with open(path, "wb") as fh:
+            np.savez(fh, m=np.ones((20, 20)))
+        path.write_bytes(path.read_bytes()[:500])  # zip magic, no zip directory
         assert_rejection_closes_its_file(monkeypatch, path, load_matrix)
 
     def test_saving_non_2d_raises(self, tmp_path):
@@ -211,6 +219,38 @@ class TestCSRFiles:
 
     def test_rejection_closes_the_archive(self, tmp_path, monkeypatch):
         path = write_npz(tmp_path / "m.npz", **csr_arrays(indptr=None))
+        assert_rejection_closes_its_file(monkeypatch, path, load_csr)
+
+    @staticmethod
+    def saved_archive(tmp_path):
+        """A save_csr archive of a 30 x 40 matrix, large enough to cut at 500 bytes."""
+        dense = np.random.default_rng(5).random((30, 40))
+        dense[dense < 0.7] = 0.0
+        ref = sparse.csr_matrix(dense)
+        path = tmp_path / "m.npz"
+        save_csr(CSRMatrix(ref.data, ref.indices, ref.indptr, ref.shape), path)
+        return path
+
+    @pytest.mark.parametrize("cut", ["500_bytes", "half", "30_short"])
+    def test_truncated_archive(self, tmp_path, monkeypatch, cut):
+        path = self.saved_archive(tmp_path)
+        blob = path.read_bytes()
+        keep = {"500_bytes": 500, "half": len(blob) // 2, "30_short": len(blob) - 30}[cut]
+        assert keep < len(blob)
+        path.write_bytes(blob[:keep])
+        assert_rejection_closes_its_file(monkeypatch, path, load_csr)
+
+    @pytest.mark.parametrize("compressed", [True, False])
+    def test_member_failing_its_crc(self, tmp_path, monkeypatch, compressed):
+        path = tmp_path / "m.npz"
+        sparse.save_npz(path, sparse.csr_matrix(np.random.default_rng(6).random((30, 40))), compressed=compressed)
+        with zipfile.ZipFile(path) as archive:
+            info = archive.getinfo("data.npy")
+            payload = info.header_offset + 30 + len(info.filename) + len(info.extra)
+            assert info.compress_size > 200
+        blob = bytearray(path.read_bytes())
+        blob[payload + info.compress_size // 2] ^= 0xFF
+        path.write_bytes(bytes(blob))
         assert_rejection_closes_its_file(monkeypatch, path, load_csr)
 
 

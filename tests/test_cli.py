@@ -8,9 +8,11 @@ import shutil
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from coldrec import metrics as metrics_mod
+from coldrec.artifacts import load_matrix, save_matrix
 from coldrec.cli import build_parser, main
 from coldrec.config import FEATURE_KINDS, derive_seed, load_config
 from coldrec.features import FeatureMatrix, VectorizerConfig
@@ -459,6 +461,30 @@ class TestCliCommands:
         err = capsys.readouterr().err
         assert rc == 1
         assert err.startswith("error: %s: " % meta_path)
+
+    @pytest.mark.parametrize("cut", ["500_bytes", "half", "30_short"])
+    def test_evaluate_rejects_a_truncated_feature_archive(self, workspace, run_out, capsys, cut):
+        out = "truncated_npz_out_%s" % cut
+        shutil.copytree(run_out[2], os.path.join(workspace, out))
+        path = os.path.join(workspace, out, "features", "tfidf.npz")
+        with open(path, "rb") as fh:
+            blob = fh.read()
+        with open(path, "wb") as fh:
+            fh.write(blob[: {"500_bytes": 500, "half": len(blob) // 2, "30_short": len(blob) - 30}[cut]])
+        rc = main(["evaluate", "--config", write_config(workspace), "--out", out])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error: %s: not an .npz archive: " % path)
+        assert err.count("\n") == 1
+
+    def test_evaluate_rejects_non_finite_model_factors(self, workspace, run_out, capsys):
+        shutil.copytree(run_out[2], os.path.join(workspace, "nan_out"))
+        path = os.path.join(workspace, "nan_out", "models", "almm-cold", "U.npy")
+        save_matrix(np.full_like(load_matrix(path), np.nan), path)
+        rc = main(["evaluate", "--config", write_config(workspace), "--out", "nan_out"])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err == "error: %s: non-finite values\n" % path
 
     def test_train_names_the_train_articles_the_features_lack(self, workspace, run_out, capsys):
         out = os.path.join(workspace, "short_features_out")

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from coldrec import models, numerics
-from coldrec.artifacts import save_matrix
-from coldrec.errors import DivergenceError, FormatError, SingularSystemError
+from coldrec.artifacts import load_matrix, save_matrix
+from coldrec.errors import DivergenceError, FormatError, MissingArticlesError, SingularSystemError
 from coldrec.features import FeatureMatrix
 from coldrec.metrics import candidate_universe, rank_test_queries
 from coldrec.models import (
@@ -485,6 +485,103 @@ class TestBucketedAlsUpdateMatchesPerRowLoop:
         assert np.array_equal(target, np.arange(6.0).reshape(3, 2))
 
 
+class TestAlsWorkspaceAndSharedGroups:
+    """One buffer set per ALS trainer call, one row grouping per Instances record."""
+
+    @staticmethod
+    def spoiled_workspace(n, dim, max_rows):
+        """A workspace whose every entry is NaN (or -1 for the index), so a read before a write shows."""
+        workspace = models._als_workspace(n, dim, max_rows)
+        for buffer in workspace:
+            buffer[...] = np.nan if buffer.dtype.kind == "f" else -1
+        return workspace
+
+    def test_half_sweeps_through_one_workspace_match_the_per_row_loop(self):
+        rng = np.random.default_rng(83)
+        dim = 3
+        layouts = TestBucketedAlsUpdateMatchesPerRowLoop.LAYOUTS
+        cases = [TestBucketedAlsUpdateMatchesPerRowLoop.rows_of(layout, rng) + 1 for layout in layouts]
+        # fewer and more rows and instances than the layouts, largest first
+        cases += [rng.integers(n_rows, size=int(rng.integers(1, 30))) for n_rows in (9, 2, 1, 8, 4)]
+        cases.sort(key=lambda rows_of: -np.unique(rows_of).size)
+        row_counts = [np.unique(rows_of).size for rows_of in cases]
+        assert len(set(row_counts)) >= 4
+        workspace = self.spoiled_workspace(max(c.size for c in cases), dim, max(row_counts))
+        for rows_of in cases:
+            n = rows_of.size
+            left = rng.normal(size=(5, dim))
+            right = rng.normal(size=(7, dim))
+            left_idx = rng.integers(5, size=n)
+            right_idx = rng.integers(7, size=n)
+            tt = (rng.random(n) < 0.3).astype(float)
+            cc = rng.uniform(0.5, 3.0, size=n)
+            reg = float(rng.uniform(0.01, 1.0))
+            start = rng.normal(size=(10, dim))
+            want = start.copy()
+            per_row_als_update(want, per_row_group_rows(rows_of), left, left_idx, right, right_idx, tt, cc, reg)
+            alone = start.copy()
+            loss = _als_update(alone, _group_rows(rows_of), left, left_idx, right, right_idx, tt, cc, reg)
+            got = start.copy()
+            shared = _als_update(got, _group_rows(rows_of), left, left_idx, right, right_idx, tt, cc, reg,
+                                 workspace=workspace)
+            assert np.array_equal(got, want)
+            assert shared == loss
+
+    @staticmethod
+    def problem(seed=41):
+        rng = np.random.default_rng(seed)
+        instances = random_instances(rng, 4, 7, 12, negatives=2)
+        content = rng.normal(size=(7, 3))
+        hyper = Hyperparams(latent_dim=3, iterations=3, seed=seed)
+        return instances, content, hyper
+
+    def test_almm_and_oord_group_a_record_once(self, monkeypatch):
+        instances, content, hyper = self.problem()
+        grouped = []
+        group_rows = models._group_rows
+        monkeypatch.setattr(models, "_group_rows", lambda codes: grouped.append(codes) or group_rows(codes))
+        almm_train(instances, content, hyper)
+        oord_train(instances, content, hyper)
+        assert [id(codes) for codes in grouped] == [id(instances.u), id(instances.i), id(instances.j)]
+        for grouping in instances.groups:
+            assert not any(array.flags.writeable for array in grouping[:3])
+
+    def test_oord_is_byte_identical_before_and_after_almm_on_one_record(self):
+        instances, content, hyper = self.problem()
+        first = oord_train(instances, content, hyper)
+        almm_train(instances, content, hyper)
+        again = oord_train(instances, content, hyper)
+        fresh = oord_train(Instances(instances.u, instances.i, instances.j, instances.target, instances.weight),
+                           content, hyper)
+        for model in (again, fresh):
+            for attr in ("user_factors", "last_factors", "next_factors", "last_mapping", "next_mapping"):
+                assert getattr(model, attr).tobytes() == getattr(first, attr).tobytes()
+            assert model.loss_trace == first.loss_trace
+
+    @pytest.mark.parametrize("trainer", [almm_train, oord_train, forbes_train], ids=["almm", "oord", "forbes"])
+    @pytest.mark.parametrize(
+        "column, code, message",
+        [
+            ("u", 3, "user code 3 outside [0, 3)"),
+            ("u", -1, "user code -1 outside [0, 3)"),
+            ("i", 7, "last article code 7 outside [0, 7)"),
+            ("j", -2, "next article code -2 outside [0, 7)"),
+        ],
+    )
+    def test_out_of_range_code_raises_before_any_sweep(self, monkeypatch, trainer, column, code, message):
+        instances, content, hyper = self.problem()
+        columns = {name: np.array(getattr(instances, name)) for name in ("u", "i", "j", "target", "weight")}
+        columns["u"] %= 3
+        columns[column][1] = code
+        sweeps = []
+        monkeypatch.setattr(models, "_als_update", lambda *args, **kwargs: sweeps.append(args))
+        monkeypatch.setattr(models, "_sgd_epoch", lambda *args: sweeps.append(args))
+        with pytest.raises(ValueError) as err:
+            trainer(Instances(**columns), content, hyper, user_ids=["ua", "ub", "uc"])
+        assert str(err.value) == message
+        assert sweeps == []
+
+
 class TestAlsTraceFromTheUpdate:
     """Each half-sweep's trace entry is the full objective at the factors it leaves."""
 
@@ -493,8 +590,8 @@ class TestAlsTraceFromTheUpdate:
         seen = []
         update = models._als_update
 
-        def recording(target, groups, left, left_idx, right, right_idx, tt, cc, reg):
-            loss = update(target, groups, left, left_idx, right, right_idx, tt, cc, reg)
+        def recording(target, groups, left, left_idx, right, right_idx, tt, cc, reg, workspace=None):
+            loss = update(target, groups, left, left_idx, right, right_idx, tt, cc, reg, workspace)
             # half-sweeps run users, last, next: the target is U, X, then Y
             U, X, Y = [(target, left, right), (left, target, right), (left, right, target)][len(seen) % 3]
             model = zero_model(U.shape[0], X.shape[0], U.shape[1], m=1, hyper=hyper)
@@ -1105,7 +1202,7 @@ class TestPredict:
     def test_missing_candidate_raises(self):
         model = zero_model(1, 2, 2, m=2)
         features = dense_features(["n0", "n1"], np.zeros((2, 2)))
-        with pytest.raises(ValueError) as err:
+        with pytest.raises(MissingArticlesError) as err:
             predict(model, "u0", "n0", ["n1", "ghost"], features)
         assert "ghost" in str(err.value)
 
@@ -1263,7 +1360,7 @@ class TestRankingKernelMatchesScalarPredict:
         split.test = TripletSet([*split.test, Triplet("u0", "n1", "ghost", 1.0)])
         calls = []
         monkeypatch.setattr(models, "article_vectors", lambda *a: calls.append(a))
-        with pytest.raises(ValueError) as err:
+        with pytest.raises(MissingArticlesError) as err:
             rank_test_queries(model, split, features, 5)
         assert "ghost" in str(err.value)
         assert calls == []
@@ -1310,6 +1407,17 @@ class TestModelPersistence:
         with pytest.raises(FormatError) as err:
             load_model(path)
         assert str(err.value).startswith(str(path / filename) + ": shape %s" % (shape,))
+
+    @pytest.mark.parametrize("filename", ["U.npy", "X.npy", "Y.npy", "PsiX.npy", "PsiY.npy"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_matrix_is_named(self, tmp_path, filename, value):
+        path = self.saved_zero_model(tmp_path)
+        matrix = load_matrix(path / filename)
+        matrix[-1, 0] = value
+        save_matrix(matrix, path / filename)
+        with pytest.raises(FormatError) as err:
+            load_model(path)
+        assert str(err.value) == str(path / filename) + ": non-finite values"
 
     @pytest.mark.parametrize(
         "edit",

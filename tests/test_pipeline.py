@@ -138,6 +138,20 @@ class TestFeatureFiles:
         assert isinstance(loaded.matrix, CSRMatrix if kind == "tfidf" else np.ndarray)
         assert np.array_equal(loaded.rows(["c", "a"]) @ np.eye(4), self.TFIDF.toarray()[[2, 0]])
 
+    @pytest.mark.parametrize("kind", ["tfidf", "external"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_feature_values_are_rejected(self, tmp_path, kind, value):
+        base = str(tmp_path / kind)
+        data = np.array(self.TFIDF.data)
+        data[1] = value
+        matrix = CSRMatrix(data, self.TFIDF.indices, self.TFIDF.indptr, self.TFIDF.shape)
+        matrix = matrix if kind == "tfidf" else matrix.toarray()
+        save_features(FeatureMatrix(matrix, kind, {"a": 0, "b": 1, "c": 2}), base)
+        with pytest.raises(FormatError) as err:
+            load_features(base)
+        path = base + (".npz" if kind == "tfidf" else ".npy")
+        assert str(err.value) == path + ": non-finite feature values"
+
     def test_dense_tfidf_rows_are_rejected(self, tmp_path):
         base = str(tmp_path / "tfidf")
         save_features(FeatureMatrix(self.TFIDF.toarray(), "tfidf", {"a": 0, "b": 1, "c": 2}), base)
