@@ -52,15 +52,14 @@ class FeatureMatrix:
         return self.matrix.shape[1]
 
     def rows(self, article_ids):
-        """Rows in the given id order (a CSRMatrix for tfidf); an id without a row is a MissingArticlesError."""
+        """`matrix[positions]` of the ids in their order (a CSRMatrix for tfidf, an ndarray for
+        external); an id without a row is a MissingArticlesError."""
         index = self.row_index
         try:
             idx = [index[a] for a in article_ids]
         except KeyError:
             missing = [a for a in dict.fromkeys(article_ids) if a not in index]
             raise MissingArticlesError(missing, "%s feature matrix" % self.kind) from None
-        if isinstance(self.matrix, CSRMatrix):
-            return self.matrix.take_rows(idx)
         return self.matrix[idx]
 
 

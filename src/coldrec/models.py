@@ -419,7 +419,7 @@ def _check_training_inputs(instances, content, user_ids) -> int:
 
 
 def _materialize(content, mapping) -> np.ndarray:
-    return np.asarray(content @ mapping)
+    return content @ mapping
 
 
 def _als_sweeps(U, X, Y, instances: Instances, workspace, hyper, trace, label):
@@ -698,7 +698,7 @@ def article_vectors(model: FactorModel, article_ids, features, position: str) ->
     if stored_pos:
         out[stored_pos] = factors[stored_rows]
     if mapped_pos:
-        out[mapped_pos] = np.asarray(features.rows(mapped_ids) @ mapping)
+        out[mapped_pos] = features.rows(mapped_ids) @ mapping
     return out
 
 

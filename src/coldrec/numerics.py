@@ -1,21 +1,21 @@
 """Small linear-algebra core: CSR content rows, ridge solves and vector similarity.
 
 TF-IDF rows are held as a `CSRMatrix`: plain numpy arrays in compressed
-sparse row form, whose products sum in scipy.sparse's accumulation order.
-The content mappings of the models module are ridge fits against a fixed
-design, factored once per trainer by `ridge_factor`, which factors the
-smaller of the two Gram matrices: the n x n GG' + ridge*I when the design
-has fewer rows than columns and ridge > 0, else the k x k G'G + ridge*I.
-It factors with numpy's Cholesky and solves by a blocked triangular
-substitution that reads the factor where it lies, so a run imports no
-scipy at all. The batched ALS row update solves its small systems itself
-and falls back to `ridge_solve` only for rows whose normal matrix fails to
+sparse row form behind numpy's `A[rows]`, `A.T` and `A @ B`, whose products
+sum in scipy.sparse's accumulation order. `ridge_factor` forms the smaller
+ridge Gram of a dense or CSR design by those operators, once per trainer,
+factors it with numpy's Cholesky and solves by a blocked triangular
+substitution that reads the factor where it lies, so a run imports no scipy
+at all. The batched ALS row update solves its small systems itself and
+falls back to `ridge_solve` only for rows whose normal matrix fails to
 factor; `ridge_solve` is also its test oracle. The diversity metric reduces
 to `cosine_distance`. These kernels are kept in one place with strict input
 validation; the module opens no files.
 """
 
 from __future__ import annotations
+
+import weakref
 
 import numpy as np
 from numpy.linalg import cholesky
@@ -25,7 +25,7 @@ from .errors import SingularSystemError
 # Rows per diagonal block of the blocked triangular substitution in `ridge_factor`.
 SOLVE_BLOCK = 64
 
-# Products per chunk of a CSR Gram's pair buffer (and cells per output block).
+# Products per chunk of a CSR-by-CSR product's pair buffer (and cells per output block).
 GRAM_CHUNK = 1 << 18
 
 
@@ -33,16 +33,15 @@ class CSRMatrix:
     """Compressed sparse rows: row r holds data[indptr[r]:indptr[r+1]] at columns indices[...].
 
     `row` and `toarray` expect each column at most once per row, as
-    `features.transform` builds them. Every product sums the products of
-    stored values with `np.bincount`, listed so that each output entry sums
-    its terms in the order scipy.sparse does, which makes the results
-    bit-identical to scipy's:
-      - `self @ dense` and `transposed_matmul` in storage (row-ascending) order;
-      - `gram_columns` (G'G) by shared row, ascending;
-      - `gram_rows` (GG') by shared column, in storage order.
-    The bincount keys of the two matrix-vector products depend only on the
-    pattern and the operand's width, so they are built once per width and
-    kept: a design refit every iteration pays for them once.
+    `features.transform` builds them. `A[rows]` gathers rows by position.
+    `A.T` is the transpose, a CSRMatrix sorted stably by column once and
+    kept, so its rows list A's rows ascending; its own `.T` is `A`. `A @ B`,
+    for a dense or a CSRMatrix B, is dense: `np.bincount` sums each entry's
+    terms in the order A stores them, the order scipy.sparse uses, so
+    `A @ x`, `A.T @ x`, `A.T @ A` and `A @ A.T` are bit-identical to scipy's.
+    The bincount keys of `A @ dense` depend only on the pattern and the
+    operand's width, so they are kept per width: a design refit every
+    iteration pays for them once.
     """
 
     def __init__(self, data, indices, indptr, shape):
@@ -52,51 +51,48 @@ class CSRMatrix:
         self.shape = (int(shape[0]), int(shape[1]))
         self._value_rows = None
         self._keys: dict = {}
+        self._transpose = None
 
     @property
     def nnz(self) -> int:
         return int(self.data.size)
+
+    @property
+    def T(self) -> "CSRMatrix":
+        # a transpose points back through a weak reference, so the pair forms no cycle
+        transpose = self._transpose() if isinstance(self._transpose, weakref.ref) else self._transpose
+        if transpose is None:
+            order = np.argsort(self.indices, kind="stable")
+            indptr = np.concatenate(([0], np.cumsum(np.bincount(self.indices, minlength=self.shape[1]))))
+            transpose = CSRMatrix(self.data[order], self._row_of_values()[order], indptr, self.shape[::-1])
+            transpose._transpose = weakref.ref(self)
+            self._transpose = transpose
+        return transpose
 
     def _row_of_values(self) -> np.ndarray:
         if self._value_rows is None:
             self._value_rows = np.repeat(np.arange(self.shape[0]), np.diff(self.indptr))
         return self._value_rows
 
-    def _product_keys(self, by_column: bool, width):
-        """Output slot of every term of self @ X (rows) or self' @ X (columns), X of `width` columns."""
-        key = (by_column, width)
-        if key not in self._keys:
-            keys = self.indices if by_column else self._row_of_values()
-            if width is not None:
-                keys = (keys[:, None] * width + np.arange(width)).ravel()
-            self._keys[key] = keys
-        return self._keys[key]
-
-    def _accumulate(self, by_column: bool, operand, operand_rows) -> np.ndarray:
-        """Sum data[t] * operand[operand_rows[t]] into output row indices[t] (by_column) or t's row."""
-        size = self.shape[1] if by_column else self.shape[0]
-        width = None if operand.ndim == 1 else operand.shape[1]
-        terms = operand.take(operand_rows, axis=0)  # take and an in-place product: fewer copies than a[idx] * v
-        terms *= self.data if width is None else self.data[:, None]
-        keys = self._product_keys(by_column, width)
-        out = np.bincount(keys, weights=terms.ravel(), minlength=size if width is None else size * width)
-        return out if width is None else out.reshape(size, width)
-
     def __matmul__(self, other) -> np.ndarray:
-        """self @ other for a dense (m,) or (m x d) operand."""
-        other = np.asarray(other, dtype=np.float64)
+        """self @ other for a CSRMatrix or a dense (m,) or (m x d) operand."""
+        if not isinstance(other, CSRMatrix):
+            other = np.asarray(other, dtype=np.float64)
         if other.shape[0] != self.shape[1]:
             raise ValueError("matmul: %s @ %s" % (self.shape, other.shape))
-        return self._accumulate(False, other, self.indices)
+        if isinstance(other, CSRMatrix):
+            return _pair_gram(self, other)
+        width = None if other.ndim == 1 else other.shape[1]
+        if width not in self._keys:  # the output slot of every term
+            rows = self._row_of_values()
+            self._keys[width] = rows if width is None else (rows[:, None] * width + np.arange(width)).ravel()
+        terms = other.take(self.indices, axis=0)  # take and an in-place product: fewer copies than a[idx] * v
+        terms *= self.data if width is None else self.data[:, None]
+        size = self.shape[0] if width is None else self.shape[0] * width
+        out = np.bincount(self._keys[width], weights=terms.ravel(), minlength=size)
+        return out if width is None else out.reshape(self.shape[0], width)
 
-    def transposed_matmul(self, other) -> np.ndarray:
-        """self' @ other for a dense (n,) or (n x d) operand."""
-        other = np.asarray(other, dtype=np.float64)
-        if other.shape[0] != self.shape[0]:
-            raise ValueError("transposed matmul: %s' @ %s" % (self.shape, other.shape))
-        return self._accumulate(True, other, self._row_of_values())
-
-    def take_rows(self, rows) -> "CSRMatrix":
+    def __getitem__(self, rows) -> "CSRMatrix":
         """The rows at positions `rows`, in that order (repeats allowed)."""
         rows = np.asarray(rows, dtype=np.int64).reshape(-1)
         starts = self.indptr[rows]
@@ -117,22 +113,6 @@ class CSRMatrix:
         out[self._row_of_values(), self.indices] = self.data
         return out
 
-    def _by_column(self):
-        """(indptr, rows, values) of the transpose: columns in order, rows ascending within each."""
-        order = np.argsort(self.indices, kind="stable")
-        indptr = np.concatenate(([0], np.cumsum(np.bincount(self.indices, minlength=self.shape[1]))))
-        return indptr, self._row_of_values()[order], self.data[order]
-
-    def gram_columns(self) -> np.ndarray:
-        """G'G (m x m): entry (p, q) sums G[r, p] * G[r, q] over the rows r both share, ascending."""
-        col_ptr, col_rows, col_vals = self._by_column()
-        return _pair_gram(col_ptr, col_rows, col_vals, self.indptr, self.indices, self.data)
-
-    def gram_rows(self) -> np.ndarray:
-        """GG' (n x n): entry (i, r) sums G[i, p] * G[r, p] over the columns p both share, in row i's order."""
-        col_ptr, col_rows, col_vals = self._by_column()
-        return _pair_gram(self.indptr, self.indices, self.data, col_ptr, col_rows, col_vals)
-
 
 def _ranges(starts, lengths) -> np.ndarray:
     """The concatenated ranges starts[e] .. starts[e] + lengths[e] - 1, in order."""
@@ -140,34 +120,34 @@ def _ranges(starts, lengths) -> np.ndarray:
     return np.repeat(starts - (ends - lengths), lengths) + np.arange(ends[-1] if ends.size else 0)
 
 
-def _pair_gram(outer_ptr, outer_link, outer_vals, inner_ptr, inner_col, inner_vals) -> np.ndarray:
-    """Dense Gram whose row o sums outer_vals[e] * inner_vals[t] into column inner_col[t].
+def _pair_gram(outer: CSRMatrix, inner: CSRMatrix) -> np.ndarray:
+    """The dense product outer @ inner: row o sums outer[o, p] * inner[p, q] into column q.
 
-    e runs over row o's outer entries (outer_ptr[o]:outer_ptr[o+1]) in order,
-    and t over the inner entries of e's link (inner_ptr[link]:inner_ptr[link+1]),
-    so each output entry sums its terms in outer order. Output rows are
-    processed in chunks of about GRAM_CHUNK terms and GRAM_CHUNK cells; a
-    chunk holds whole rows, so no entry's sum crosses a chunk.
+    p runs over row o's stored entries in order, and q over the stored
+    entries of inner's row p, so each output entry sums its terms in outer's
+    storage order. Output rows are processed in chunks of about GRAM_CHUNK
+    terms and GRAM_CHUNK cells; a chunk holds whole rows, so no entry's sum
+    crosses a chunk.
     """
-    size = len(outer_ptr) - 1
-    lengths = inner_ptr[outer_link + 1] - inner_ptr[outer_link]
-    terms_before = np.concatenate(([0], np.cumsum(lengths)))[outer_ptr]
-    out = np.empty((size, size))
+    size, width = outer.shape[0], inner.shape[1]
+    lengths = inner.indptr[outer.indices + 1] - inner.indptr[outer.indices]
+    terms_before = np.concatenate(([0], np.cumsum(lengths)))[outer.indptr]
+    out = np.empty((size, width))
     stop = 0
     while stop < size:
         start = stop
         stop = int(np.searchsorted(terms_before, terms_before[start] + GRAM_CHUNK, side="right")) - 1
-        stop = min(max(stop, start + 1), start + max(1, GRAM_CHUNK // max(size, 1)), size)
-        lo, hi = outer_ptr[start], outer_ptr[stop]
+        stop = min(max(stop, start + 1), start + max(1, GRAM_CHUNK // max(width, 1)), size)
+        lo, hi = outer.indptr[start], outer.indptr[stop]
         counts = lengths[lo:hi]
-        pos = _ranges(inner_ptr[outer_link[lo:hi]], counts)
-        out_row = np.repeat(np.repeat(np.arange(stop - start), np.diff(outer_ptr[start : stop + 1])), counts)
+        pos = _ranges(inner.indptr[outer.indices[lo:hi]], counts)
+        out_row = np.repeat(np.repeat(np.arange(stop - start), np.diff(outer.indptr[start : stop + 1])), counts)
         block = np.bincount(
-            out_row * size + inner_col[pos],
-            weights=np.repeat(outer_vals[lo:hi], counts) * inner_vals[pos],
-            minlength=(stop - start) * size,
+            out_row * width + inner.indices[pos],
+            weights=np.repeat(outer.data[lo:hi], counts) * inner.data[pos],
+            minlength=(stop - start) * width,
         )
-        out[start:stop] = block.reshape(stop - start, size)
+        out[start:stop] = block.reshape(stop - start, width)
     return out
 
 
@@ -202,12 +182,7 @@ def ridge_factor(design, ridge: float):
     if not np.all(np.isfinite(design.data if csr else design)):
         raise ValueError("design contains non-finite values")
     dual = ridge > 0 and design.shape[0] < design.shape[1]
-    if csr:
-        gram = design.gram_rows() if dual else design.gram_columns()
-        transposed_matmul = design.transposed_matmul
-    else:
-        gram = design @ design.T if dual else design.T @ design
-        transposed_matmul = design.T.__matmul__
+    gram = design @ design.T if dual else design.T @ design
     # Ridge and jitter go onto the Gram's diagonal in place: cholesky
     # returns a new factor, so after a failure `gram` still holds the ridged system.
     k = gram.shape[0]
@@ -236,8 +211,8 @@ def ridge_factor(design, ridge: float):
         if design.shape[0] != targets.shape[0]:
             raise ValueError("design and targets row counts differ")
         if dual:
-            return transposed_matmul(substitute(targets))
-        return substitute(transposed_matmul(targets))
+            return design.T @ substitute(targets)
+        return substitute(design.T @ targets)
 
     return solve
 

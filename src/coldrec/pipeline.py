@@ -81,19 +81,24 @@ def save_streams(streams: dict[str, list[ClickEvent]], path) -> None:
 
 
 def load_streams(path) -> dict[str, list[ClickEvent]]:
-    """Read streams.tsv back into user -> events, both in file order."""
+    """Read streams.tsv back into user -> events, both in file order; a non-positive
+    timestamp, a negative rank or a user's event out of (timestamp, rank) order
+    is a ValueError naming the path and line, as a malformed line is."""
     events_by_user: dict[str, list[ClickEvent]] = {}
     for lineno, (user, news, ts, rank) in read_rows(path, 4):
         try:
-            timestamp, within = int(ts), int(rank)
+            key = (int(ts), int(rank))
         except ValueError:
-            raise ValueError(
-                "%s: line %d: timestamp and rank must be integers, got %r and %r"
-                % (path, lineno, ts, rank)
-            ) from None
-        events_by_user.setdefault(user, []).append(
-            ClickEvent(user=user, news=news, timestamp=timestamp, within_impression_rank=within)
-        )
+            raise ValueError("%s: line %d: timestamp and rank must be integers, got %r and %r"
+                             % (path, lineno, ts, rank)) from None
+        if key[0] <= 0 or key[1] < 0:
+            raise ValueError("%s: line %d: timestamp must be > 0 and rank >= 0, got %d and %d"
+                             % (path, lineno, *key))
+        events = events_by_user.setdefault(user, [])
+        if events and key < (events[-1].timestamp, events[-1].within_impression_rank):
+            raise ValueError("%s: line %d: user %s's events are out of (timestamp, rank) order"
+                             % (path, lineno, user))
+        events.append(ClickEvent(user, news, *key))
     return events_by_user
 
 
@@ -104,14 +109,20 @@ def save_popularity(popularity: dict[str, int], path) -> None:
 
 
 def load_popularity(path) -> dict[str, int]:
+    """Read popularity.tsv; a count that is not an integer >= 0, or an article
+    listed twice, is a ValueError naming the path and line."""
     popularity = {}
     for lineno, (article, count) in read_rows(path, 2):
         try:
-            popularity[article] = int(count)
+            clicks = int(count)
         except ValueError:
-            raise ValueError(
-                "%s: line %d: count must be an integer, got %r" % (path, lineno, count)
-            ) from None
+            raise ValueError("%s: line %d: count must be an integer, got %r"
+                             % (path, lineno, count)) from None
+        if clicks < 0:
+            raise ValueError("%s: line %d: count must be >= 0, got %d" % (path, lineno, clicks))
+        if article in popularity:
+            raise ValueError("%s: line %d: article %s is listed twice" % (path, lineno, article))
+        popularity[article] = clicks
     return popularity
 
 

@@ -486,6 +486,50 @@ class TestCliCommands:
         assert rc == 1
         assert err == "error: %s: non-finite values\n" % path
 
+    @pytest.mark.parametrize("case", ["negative_count", "repeated_article"])
+    def test_evaluate_rejects_a_popularity_file_its_writer_cannot_write(self, workspace, run_out, capsys, case):
+        out = "popularity_%s_out" % case
+        shutil.copytree(run_out[2], os.path.join(workspace, out))
+        path = os.path.join(workspace, out, "ingest", "popularity.tsv")
+        with open(path) as fh:
+            lines = fh.readlines()
+        article = lines[0].split("\t")[0]
+        if case == "negative_count":
+            lines[0] = "%s\t-100000\n" % article
+            expected = "line 1: count must be >= 0, got -100000"
+        else:
+            lines[1] = lines[0]
+            expected = "line 2: article %s is listed twice" % article
+        with open(path, "w") as fh:
+            fh.writelines(lines)
+        rc = main(["evaluate", "--config", write_config(workspace), "--out", out])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err == "error: %s: %s\n" % (path, expected)
+
+    @pytest.mark.parametrize("case", ["zero_timestamp", "negative_rank", "reversed_user"])
+    def test_triplets_rejects_streams_its_writer_cannot_write(self, workspace, run_out, capsys, case):
+        out = "streams_%s_out" % case
+        shutil.copytree(os.path.join(run_out[2], "ingest"), os.path.join(workspace, out, "ingest"))
+        path = os.path.join(workspace, out, "ingest", "streams.tsv")
+        with open(path) as fh:
+            rows = [line.rstrip("\n").split("\t") for line in fh]
+        if case == "reversed_user":  # the user with the most events, as in a reversed desk-run stream
+            user = max(dict.fromkeys(r[0] for r in rows), key=lambda u: sum(r[0] == u for r in rows))
+            spots = [n for n, r in enumerate(rows) if r[0] == user]
+            for n, row in zip(spots, [rows[n] for n in reversed(spots)]):
+                rows[n] = row
+            expected = "user %s's events are out of (timestamp, rank) order\n" % user
+        else:
+            rows[4][2:] = ["0", "0"] if case == "zero_timestamp" else [rows[4][2], "-1"]
+            expected = "line 5: timestamp must be > 0 and rank >= 0, got %s and %s\n" % tuple(rows[4][2:])
+        with open(path, "w") as fh:
+            fh.writelines("\t".join(r) + "\n" for r in rows)
+        rc = main(["triplets", "--config", write_config(workspace), "--out", out])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error: %s: line " % path) and err.endswith(expected)
+
     def test_train_names_the_train_articles_the_features_lack(self, workspace, run_out, capsys):
         out = os.path.join(workspace, "short_features_out")
         shutil.copytree(run_out[2], out)

@@ -6,6 +6,7 @@ import pytest
 
 from coldrec.errors import EmptyInputError, FormatError, MissingArticlesError
 from coldrec.features import (
+    FeatureMatrix,
     VectorizerConfig,
     fit_tfidf,
     load_external_embeddings,
@@ -13,6 +14,7 @@ from coldrec.features import (
     transform,
 )
 from coldrec.mind import Article
+from coldrec.numerics import CSRMatrix
 
 
 def catalog_from(docs):
@@ -161,6 +163,27 @@ class TestTransform:
             fm.rows(["D1", "N9", "D2", "N7", "N9"])
         assert err.value.missing == ["N9", "N7"]
         assert str(err.value) == "tfidf feature matrix is missing 2 article id(s): N9, N7"
+
+    @pytest.mark.parametrize("kind", ["tfidf", "external"])
+    def test_rows_index_either_kind_of_matrix_alike(self, kind):
+        catalog = catalog_from(ORACLE_DOCS)
+        tfidf = transform(fit_tfidf(catalog, NO_STOPWORDS), catalog)
+        matrix = tfidf.matrix if kind == "tfidf" else tfidf.matrix.toarray()
+        seen = []
+
+        class Recording:
+            shape = matrix.shape
+
+            def __getitem__(self, idx):
+                seen.append(idx)
+                return matrix[idx]
+
+        ids = ["D4", "D1", "D4", "D2"]
+        rows = FeatureMatrix(Recording(), kind, tfidf.row_index).rows(ids)
+        assert seen == [[3, 0, 3, 1]]
+        assert isinstance(rows, CSRMatrix if kind == "tfidf" else np.ndarray)
+        dense = rows.toarray() if kind == "tfidf" else rows
+        assert np.array_equal(dense, tfidf.matrix.toarray()[[3, 0, 3, 1]])
 
     def test_nonzero_rows_have_unit_norm(self):
         catalog = catalog_from(ORACLE_DOCS)

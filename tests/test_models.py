@@ -985,7 +985,7 @@ class TestForbesMatchesEagerOracle:
         assert 3 in set(instances.i.tolist()) | set(instances.j.tolist())
         if not dense:
             content = as_csr(content)
-            assert content.take_rows([3]).nnz == 0
+            assert content[[3]].nnz == 0
         rows = instance_rows(instances) + [Row(1, 3, 3, 1.0, 1.3)]
         self.assert_matches_eager(make_instances(rows), content, self.HYPER)
 

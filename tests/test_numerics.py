@@ -1,4 +1,6 @@
+import gc
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -53,13 +55,16 @@ class TestRidgeSolve:
             expected = normal_equations_oracle(design, targets, lam)
             assert np.linalg.norm(out - expected) / max(np.linalg.norm(expected), 1e-30) <= 1e-8
 
-    def test_sparse_design_matches_dense(self):
+    @pytest.mark.parametrize("shape", [(12, 4), (4, 12), (30, 90)], ids=["primal", "dual", "dual_wide"])
+    def test_sparse_design_matches_dense(self, monkeypatch, shape):
         rng = np.random.default_rng(5)
-        dense = rng.normal(size=(12, 4)) * (rng.random(size=(12, 4)) < 0.4)
-        targets = rng.normal(size=(12, 2))
+        dense = rng.normal(size=shape) * (rng.random(size=shape) < 0.4)
+        targets = rng.normal(size=(shape[0], 2))
+        calls = recorded_factorizations(monkeypatch)
         out_sparse = ridge_solve(as_csr(dense), targets, 0.3)
         out_dense = ridge_solve(dense, targets, 0.3)
-        np.testing.assert_allclose(out_sparse, out_dense, atol=1e-12)
+        assert [s.shape for s, _ in calls] == [(min(shape),) * 2] * 2
+        np.testing.assert_allclose(out_sparse, out_dense, rtol=1e-12, atol=0)
 
     def test_singular_at_zero_ridge_raises(self):
         design = np.array([[1.0, 1.0], [2.0, 2.0], [3.0, 3.0]])
@@ -305,7 +310,7 @@ class TestCSRMatrixMatchesScipy:
         ref, ours = csr_pair(sparse_dense(rng, shape, density))
         picks = [list(rng.integers(0, shape[0], size=2 * shape[0])), [0, 0], []] if shape[0] else [[]]
         for rows in picks:
-            taken = ours.take_rows(rows)
+            taken = ours[rows]
             expected = ref[rows] if rows else sparse.csr_matrix((0, shape[1]))
             assert taken.shape == expected.shape and taken.nnz == expected.nnz
             assert np.array_equal(taken.indptr, expected.indptr)
@@ -327,12 +332,12 @@ class TestCSRMatrixMatchesScipy:
             assert np.array_equal(out, ref @ operand)
 
     @pytest.mark.parametrize("width", [None, 1, 16])
-    def test_transposed_matmul(self, shape, density, width):
+    def test_matmul_by_the_transpose(self, shape, density, width):
         rng = np.random.default_rng(89)
         ref, ours = csr_pair(sparse_dense(rng, shape, density))
         operand = rng.normal(size=(shape[0],) if width is None else (shape[0], width))
         for _ in range(2):
-            out = ours.transposed_matmul(operand)
+            out = ours.T @ operand
             assert out.shape == (ref.T @ operand).shape
             assert np.array_equal(out, ref.T @ operand)
 
@@ -341,8 +346,26 @@ class TestCSRMatrixMatchesScipy:
         # small chunks split the pair buffer over many output-row blocks
         monkeypatch.setattr(numerics, "GRAM_CHUNK", chunk)
         ref, ours = csr_pair(sparse_dense(np.random.default_rng(97), shape, density))
-        assert np.array_equal(ours.gram_columns(), (ref.T @ ref).toarray())
-        assert np.array_equal(ours.gram_rows(), (ref @ ref.T).toarray())
+        assert np.array_equal(ours.T @ ours, (ref.T @ ref).toarray())
+        assert np.array_equal(ours @ ours.T, (ref @ ref.T).toarray())
+        # a product with another matrix, whose output is not square
+        ref_other, other = csr_pair(sparse_dense(np.random.default_rng(98), (shape[1], 5), 0.4))
+        assert np.array_equal(ours @ other, (ref @ ref_other).toarray())
+
+    def test_transpose_is_built_once_and_points_back(self, shape, density):
+        ref, ours = csr_pair(sparse_dense(np.random.default_rng(101), shape, density))
+        transpose = ours.T
+        assert transpose is ours.T and transpose.T is ours
+        assert transpose.shape == shape[::-1] and transpose.nnz == ref.nnz
+        assert np.array_equal(transpose.toarray(), ref.T.toarray())
+        # the pair forms no reference cycle: dropping both frees them without the collector
+        kept = weakref.ref(transpose)
+        gc.disable()
+        try:
+            del ours, transpose
+            assert kept() is None
+        finally:
+            gc.enable()
 
 
 def test_csr_matmul_rejects_a_mismatched_operand():
@@ -350,7 +373,11 @@ def test_csr_matmul_rejects_a_mismatched_operand():
     with pytest.raises(ValueError):
         ours @ np.ones(3)
     with pytest.raises(ValueError):
-        ours.transposed_matmul(np.ones((4, 2)))
+        ours.T @ np.ones((4, 2))
+    with pytest.raises(ValueError):
+        ours @ as_csr(np.ones((3, 2)))
+    with pytest.raises(ValueError):
+        ours.T @ ours.T
 
 
 class TestScore:

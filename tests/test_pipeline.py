@@ -35,6 +35,9 @@ class TestIngestLoaders:
                 r"streams\.tsv: line 2: timestamp and rank must be integers, got 'noon' and '0'",
             ),
             ("u1\tN1\t100\t1.5", r"streams\.tsv: line 2: timestamp and rank must be integers"),
+            ("u1\tN1\t0\t0", r"streams\.tsv: line 2: timestamp must be > 0 and rank >= 0, got 0 and 0"),
+            ("u2\tN1\t100\t-1", r"streams\.tsv: line 2: timestamp must be > 0 and rank >= 0, got 100 and -1"),
+            ("u1\tN1\t89\t3", r"streams\.tsv: line 2: user u1's events are out of \(timestamp, rank\) order"),
         ],
     )
     def test_load_streams_bad_line_names_the_line(self, tmp_path, line, message):
@@ -49,6 +52,8 @@ class TestIngestLoaders:
             ("N1", r"popularity\.tsv: line 2: expected 2 columns"),
             ("N1\t3\t4", r"popularity\.tsv: line 2: expected 2 columns"),
             ("N1\tmany", r"popularity\.tsv: line 2: count must be an integer, got 'many'"),
+            ("N1\t-100000", r"popularity\.tsv: line 2: count must be >= 0, got -100000"),
+            ("N0\t3", r"popularity\.tsv: line 2: article N0 is listed twice"),
         ],
     )
     def test_load_popularity_bad_line_names_the_line(self, tmp_path, line, message):
@@ -59,16 +64,19 @@ class TestIngestLoaders:
 
     def test_well_formed_files_load(self, tmp_path):
         streams = tmp_path / "streams.tsv"
-        streams.write_text("u1\tN0\t90\t0\nu1\tN1\t100\t1\n")
+        # an equal (timestamp, rank) is a tie the writer keeps in file order; another user's
+        # earlier event in between breaks no order
+        streams.write_text("u1\tN0\t90\t0\nu2\tN2\t50\t0\nu1\tN1\t100\t1\nu1\tN2\t100\t1\n")
         loaded = load_streams(streams)
-        assert list(loaded) == ["u1"]
+        assert list(loaded) == ["u1", "u2"]
         assert [(e.news, e.timestamp, e.within_impression_rank) for e in loaded["u1"]] == [
             ("N0", 90, 0),
             ("N1", 100, 1),
+            ("N2", 100, 1),
         ]
         popularity = tmp_path / "popularity.tsv"
-        popularity.write_text("N0\t2\nN1\t5\n")
-        assert load_popularity(popularity) == {"N0": 2, "N1": 5}
+        popularity.write_text("N0\t2\nN1\t5\nN2\t0\n")
+        assert load_popularity(popularity) == {"N0": 2, "N1": 5, "N2": 0}
 
 
 class TestIngestMessages:
