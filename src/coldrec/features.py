@@ -139,7 +139,7 @@ def load_external_embeddings(path, catalog: dict[str, Article]) -> FeatureMatrix
 
     Format: first line `#dim <m>`, then one `news_id<TAB>v1 v2 ... vm` line
     per article. Every catalog article must be present; rows for unknown ids
-    are ignored.
+    are ignored. An id listed twice is a FormatError naming the path and line.
     """
     vectors: dict[str, np.ndarray] = {}
     with open(path, "r", encoding="utf-8") as fh:
@@ -161,6 +161,8 @@ def load_external_embeddings(path, catalog: dict[str, Article]) -> FeatureMatrix
                 article_id, payload = line.split("\t", 1)
             except ValueError:
                 raise FormatError("%s: line %d: expected id<TAB>values" % (path, lineno)) from None
+            if article_id in vectors:
+                raise FormatError("%s: line %d: article %s is listed twice" % (path, lineno, article_id))
             fields = payload.split()
             if len(fields) != dim:
                 raise FormatError(

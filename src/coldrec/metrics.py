@@ -11,12 +11,14 @@ row of top candidate positions per query. The metrics reduce those arrays,
 summing in the order a per-query loop would. Results are a dict
 {(model, setting, k): {metric: value}}. Novelty is the self-information of
 an item's click popularity; diversity is the mean pairwise cosine distance
-of a recommendation list's TF-IDF rows.
+of a recommendation list's TF-IDF rows, computed for every K in one pass per
+query, so each pair's distance is computed once, not once per K.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import compress
 
 import numpy as np
 
@@ -82,27 +84,36 @@ def novelty_at_k(top, information, k: int) -> float:
     return float(_ordered_sum(per_query)) / max(1, len(per_query))
 
 
-def diversity_at_k(top, rows, k: int) -> float:
-    """Mean pairwise cosine distance over each query's first k top positions.
+def diversity_at_k(top, rows, ks) -> dict:
+    """{k: mean pairwise cosine distance over each query's first k top positions} for every k in `ks`.
 
-    `rows` is a CSRMatrix of TF-IDF rows, one per candidate position. Lists
-    with fewer than two items contribute 0. Diversity is always computed on
-    TF-IDF rows, even when the model was trained on external embeddings.
+    `rows` is a CSRMatrix of TF-IDF rows, one per candidate position. Each
+    query's list is read once, to its longest k, and each pair's distance is
+    computed once; every k sums its own pairs in p-major order, the bits of a
+    per-k loop. Lists with fewer than two items contribute 0. Diversity is
+    always computed on TF-IDF rows, even when the model was trained on
+    external embeddings.
     """
-    if k < 1:
+    per_query = {k: [] for k in ks}
+    if any(k < 1 for k in per_query):
         raise ValueError("k must be >= 1")
-    per_query = []
-    for head in np.asarray(top)[:, :k].tolist():
-        if len(head) < 2:
-            per_query.append(0.0)
-            continue
+    top = np.asarray(top)[:, : max(per_query, default=0)]
+    width = top.shape[1]
+    pairs = [(p, q) for p in range(width) for q in range(p + 1, width)]  # p-major
+    within = {k: [q < k for _, q in pairs] for k in per_query}  # the pairs of each k's prefix
+    for head in top.tolist():
         vectors = [rows.row(p) for p in head]
-        total = 0.0
-        for p in range(len(vectors)):
-            for q in range(p + 1, len(vectors)):
-                total += cosine_distance(vectors[p], vectors[q])
-        per_query.append(total / (len(head) * (len(head) - 1) // 2))
-    return sum(per_query) / max(1, len(per_query))
+        distances = [cosine_distance(vectors[p], vectors[q]) for p, q in pairs]
+        for k, values in per_query.items():
+            n = min(k, width)
+            if n < 2:
+                values.append(0.0)
+                continue
+            total = 0.0
+            for distance in compress(distances, within[k]):
+                total += distance
+            values.append(total / (n * (n - 1) // 2))
+    return {k: sum(values) / max(1, len(values)) for k, values in per_query.items()}
 
 
 def candidate_universe(split: DataSplit) -> list[str]:
@@ -147,7 +158,8 @@ def evaluate(model: FactorModel, split: DataSplit, features, popularity, ks, *, 
     Returns {(model kind, split kind, k): {metric: value}} for every k in `ks`.
     `features` drives the model's scoring and `tfidf_features`, which must be
     TF-IDF rows, the diversity metric. Ranks and top positions come from
-    `rank_test_queries`.
+    `rank_test_queries`. Diversity is computed for every k in one pass over
+    each query's top list, each pair's cosine distance once.
     """
     ks = sorted(set(int(k) for k in ks))
     if not ks or ks[0] < 1:
@@ -158,13 +170,13 @@ def evaluate(model: FactorModel, split: DataSplit, features, popularity, ks, *, 
         raise ValueError("diversity needs TF-IDF rows, got %r features" % tfidf_features.kind)
     ordered, ranks, top = rank_test_queries(model, split, features, max(ks))
     information = self_information(ordered, popularity)
-    rows = tfidf_features.rows(ordered)
+    diversity = diversity_at_k(top, tfidf_features.rows(ordered), ks)
     return {
         (model.kind, split.kind, k): {
             "map": map_at_k(ranks, k),
             "recall": recall_at_k(ranks, k),
             "novelty": novelty_at_k(top, information, k),
-            "diversity": diversity_at_k(top, rows, k),
+            "diversity": diversity[k],
         }
         for k in ks
     }

@@ -559,6 +559,8 @@ def _sgd_epoch(order, plan, S, m, lr, hyper):
     period = _fold_period((decay_x, decay_y))
     scale_x = scale_y = 1.0
     since_fold = 0
+    A = np.zeros((3, 3))  # the diagonal stays (0, 0, keep_user - 1); each update writes the rest
+    A[2, 2] = keep_user - 1.0
     for pos in order.tolist():
         rows, sel, weight, target = plan[pos]
         G = S.take(rows, axis=0)
@@ -579,13 +581,12 @@ def _sgd_epoch(order, plan, S, m, lr, hyper):
             since_fold = 0
         cx = c / new_x
         cy = c / new_y
-        A = np.array(
-            [
-                [0.0, cx * scale_y, cx],
-                [cy * scale_x, 0.0, cy],
-                [c * scale_x, c * scale_y, keep_user - 1.0],
-            ]
-        )
+        A[0, 1] = cx * scale_y
+        A[0, 2] = cx
+        A[1, 0] = cy * scale_x
+        A[1, 2] = cy
+        A[2, 0] = c * scale_x
+        A[2, 1] = c * scale_y
         G += sel.T.dot(A.dot(raw))
         S[rows] = G
         scale_x, scale_y = new_x, new_y

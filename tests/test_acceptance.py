@@ -229,9 +229,9 @@ def test_criterion_07_metric_unit_suite():
     # diversity closed forms, over TF-IDF rows held as a CSRMatrix
     same = as_csr([[3.0, 4.0], [3.0, 4.0]])
     orth = as_csr([[1.0, 0.0], [0.0, 1.0]])
-    ok &= diversity_at_k([[0, 1]], same, 10) == 0.0
-    ok &= diversity_at_k([[0, 1]], orth, 2) == 1.0
-    ok &= diversity_at_k([[0, 1]], orth, 1) == 0.0
+    ok &= diversity_at_k([[0, 1]], same, [10])[10] == 0.0
+    ok &= diversity_at_k([[0, 1]], orth, [2])[2] == 1.0
+    ok &= diversity_at_k([[0, 1]], orth, [1])[1] == 0.0
     # monotonicity over 20 random rank multisets
     rng = np.random.default_rng(123)
     for _ in range(20):

@@ -544,6 +544,20 @@ class TestCliCommands:
         assert rc == 1
         assert err == "error: tfidf feature matrix is missing 2 article id(s): %s\n" % ", ".join(dropped)
 
+    def test_featurize_rejects_an_embeddings_id_listed_twice(self, workspace, run_out, capsys):
+        out = "twice_embeddings_out"
+        shutil.copytree(os.path.join(run_out[2], "ingest"), os.path.join(workspace, out, "ingest"))
+        ids = list(load_features(os.path.join(run_out[2], "features", "tfidf")).row_index)
+        path = os.path.join(workspace, "twice_embeddings.tsv")
+        with open(path, "w") as fh:
+            fh.write("#dim 2\n")
+            fh.writelines("%s\t1.0 %d\n" % (a, n) for n, a in enumerate([*ids, ids[0]]))
+        config = write_config(workspace, features="external", extra_data='embeddings = "twice_embeddings.tsv"')
+        rc = main(["featurize", "--config", config, "--out", out])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err == "error: %s: line %d: article %s is listed twice\n" % (path, len(ids) + 2, ids[0])
+
     def test_failed_evaluate_keeps_the_earlier_metrics(self, workspace, run_out, capsys, monkeypatch):
         shutil.copytree(run_out[2], os.path.join(workspace, "failed_out"))
         config = write_config(workspace)

@@ -242,6 +242,14 @@ class TestExternalEmbeddings:
         with pytest.raises(FormatError):
             load_external_embeddings(path, catalog)
 
+    def test_id_listed_twice_is_format_error_naming_line_and_id(self, tmp_path):
+        catalog = catalog_from([("N1", "t", ""), ("N2", "t", "")])
+        path = tmp_path / "emb.tsv"
+        self.write_embeddings(path, 2, [("N1", [1, 2]), ("N2", [3, 4]), ("N1", [5, 6])])
+        with pytest.raises(FormatError) as err:
+            load_external_embeddings(path, catalog)
+        assert str(err.value) == "%s: line 4: article N1 is listed twice" % path
+
     def test_unknown_ids_ignored(self, tmp_path):
         catalog = catalog_from([("A1", "t", "")])
         path = tmp_path / "emb.tsv"

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import oracles
+from coldrec import metrics as metrics_mod
 from coldrec.errors import EmptyInputError
 from coldrec.features import FeatureMatrix
 from coldrec.metrics import (
@@ -138,20 +139,43 @@ class TestNoveltyAtK:
 class TestDiversityAtK:
     def test_identical_rows_zero(self):
         rows = as_csr([[3.0, 4.0], [3.0, 4.0], [3.0, 4.0]])
-        assert diversity_at_k([[0, 1, 2]], rows, 10) == 0.0
+        assert diversity_at_k([[0, 1, 2]], rows, [10])[10] == 0.0
 
     def test_orthogonal_unit_rows(self):
-        assert diversity_at_k([[0, 1]], as_csr(np.eye(2)), 2) == 1.0
+        assert diversity_at_k([[0, 1]], as_csr(np.eye(2)), [2])[2] == 1.0
 
     def test_k_one_is_zero_by_convention(self):
-        assert diversity_at_k([[0, 1]], as_csr(np.eye(2)), 1) == 0.0
+        assert diversity_at_k([[0, 1]], as_csr(np.eye(2)), [1])[1] == 0.0
 
     def test_zero_rows_use_distance_one(self):
-        assert diversity_at_k([[0, 1]], as_csr([[0.0, 0.0], [1.0, 0.0]]), 2) == 1.0
+        assert diversity_at_k([[0, 1]], as_csr([[0.0, 0.0], [1.0, 0.0]]), [2])[2] == 1.0
+
+    def test_every_k_from_one_list_with_zero_rows_and_shared_content(self):
+        rows = as_csr([[0.0, 0.0], [0.0, 0.0], [3.0, 4.0], [3.0, 4.0]])
+        top = np.array([[0, 1, 2, 3], [2, 3, 2, 3]])  # a zero row is at distance 1 from every row
+        assert diversity_at_k(top, rows, [1, 2, 3, 4]) == {1: 0.0, 2: 0.5, 3: 0.5, 4: (5 / 6) / 2}
+
+    def test_each_pair_distance_is_computed_once_for_all_ks(self, monkeypatch):
+        calls = []
+        distance = metrics_mod.cosine_distance
+
+        def counted(a, b):
+            calls.append(1)
+            return distance(a, b)
+
+        monkeypatch.setattr(metrics_mod, "cosine_distance", counted)
+        rng = np.random.default_rng(3)
+        rows = as_csr(rng.random((30, 4)))
+        for n, width in ((6, 20), (5, 4)):  # the second's lists are shorter than K_max
+            calls.clear()
+            diversity_at_k(rng.integers(0, 30, size=(n, width)), rows, (1, 2, 5, 10, 20))
+            assert len(calls) == n * width * (width - 1) // 2
 
     def test_k_must_be_positive(self):
         with pytest.raises(ValueError):
-            diversity_at_k([[0, 1]], as_csr(np.eye(2)), 0)
+            diversity_at_k([[0, 1]], as_csr(np.eye(2)), [0])
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            diversity_at_k([[0, 1]], as_csr(np.eye(2)), [5, 0])
 
 
 class TestArrayMetricsEqualScalarOracles:
@@ -171,7 +195,7 @@ class TestArrayMetricsEqualScalarOracles:
         popularity = {a: int(rng.integers(0, 6)) for a in ordered if rng.random() < 0.7}
         return ordered, ranks, top, features, popularity
 
-    @pytest.mark.parametrize("width", [0, 1, 2, 7])
+    @pytest.mark.parametrize("width", [0, 1, 2, 7, 20])
     def test_every_k_equals_the_oracles(self, width):
         rng = np.random.default_rng(17 + width)
         for queries in (1, 2, 9):
@@ -184,7 +208,9 @@ class TestArrayMetricsEqualScalarOracles:
                 assert map_at_k(ranks, k) == oracles.map_at_k(scalar_ranks(ranks), k)
                 assert recall_at_k(ranks, k) == oracles.recall_at_k(scalar_ranks(ranks), k)
                 assert novelty_at_k(top, information, k) == oracles.novelty_at_k(lists, popularity, total, k)
-                assert diversity_at_k(top, rows, k) == oracles.diversity_at_k(lists, features, k)
+                assert diversity_at_k(top, rows, [k])[k] == oracles.diversity_at_k(lists, features, k)
+            ks = (1, 2, 5, 10, 20)  # one call for every k, lists shorter than some
+            assert diversity_at_k(top, rows, ks) == {k: oracles.diversity_at_k(lists, features, k) for k in ks}
 
     def test_long_rank_arrays_sum_in_query_order(self):
         rng = np.random.default_rng(5)
