@@ -12,6 +12,7 @@ from __future__ import annotations
 import contextlib
 import json
 import os
+import re
 import zipfile
 import zlib
 
@@ -65,17 +66,34 @@ def read_json(path):
             raise FormatError("%s: not JSON: %s" % (path, exc)) from None
 
 
+def read_lines(path):
+    """Yield (line number, line without its newline) per line of a UTF-8 text file.
+
+    A byte sequence that is not UTF-8 is a FormatError naming the path and line.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            for lineno, line in enumerate(fh, start=1):
+                yield lineno, line.rstrip("\n")
+            return
+        except UnicodeDecodeError as exc:
+            reason = exc.reason
+    # the decoder fails a chunk at a time: find the line again, each bad byte escaped to U+DC80..U+DCFF
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+        lineno = next(n for n, line in enumerate(fh, start=1) if re.search("[\udc80-\udcff]", line))
+    raise FormatError("%s: line %d: not UTF-8: %s" % (path, lineno, reason))
+
+
 def read_rows(path, columns: int):
     """Yield (line number, fields) per line of a tab-separated artifact of `columns` fields.
 
-    A line with another number of fields is a ValueError naming the path and line.
+    A line with another number of fields is a FormatError naming the path and line.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            fields = line.rstrip("\n").split("\t")
-            if len(fields) != columns:
-                raise ValueError("%s: line %d: expected %d columns" % (path, lineno, columns))
-            yield lineno, fields
+    for lineno, line in read_lines(path):
+        fields = line.split("\t")
+        if len(fields) != columns:
+            raise FormatError("%s: line %d: expected %d columns" % (path, lineno, columns))
+        yield lineno, fields
 
 
 def save_matrix(values, path) -> None:

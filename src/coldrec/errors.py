@@ -17,7 +17,7 @@ class SingularSystemError(PipelineError):
     """A ridge system was singular and could not be factorized."""
 
 
-class FormatError(PipelineError):
+class FormatError(PipelineError, ValueError):
     """A persisted file did not match its declared layout."""
 
 

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._stopwords import ENGLISH_STOPWORDS
+from .artifacts import read_lines
 from .errors import EmptyInputError, FormatError, MissingArticlesError
 from .mind import Article
 from .numerics import CSRMatrix
@@ -142,39 +143,38 @@ def load_external_embeddings(path, catalog: dict[str, Article]) -> FeatureMatrix
     are ignored. An id listed twice is a FormatError naming the path and line.
     """
     vectors: dict[str, np.ndarray] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().rstrip("\n")
-        parts = header.split()
-        if len(parts) != 2 or parts[0] != "#dim":
-            raise FormatError("%s: first line must be '#dim <m>', got %r" % (path, header))
+    lines = read_lines(path)
+    header = next(lines, (1, ""))[1]
+    parts = header.split()
+    if len(parts) != 2 or parts[0] != "#dim":
+        raise FormatError("%s: first line must be '#dim <m>', got %r" % (path, header))
+    try:
+        dim = int(parts[1])
+    except ValueError:
+        raise FormatError("%s: bad dimension %r" % (path, parts[1])) from None
+    if dim < 1:
+        raise FormatError("%s: dimension must be >= 1" % path)
+    for lineno, line in lines:
+        if not line:
+            continue
         try:
-            dim = int(parts[1])
+            article_id, payload = line.split("\t", 1)
         except ValueError:
-            raise FormatError("%s: bad dimension %r" % (path, parts[1])) from None
-        if dim < 1:
-            raise FormatError("%s: dimension must be >= 1" % path)
-        for lineno, line in enumerate(fh, start=2):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            try:
-                article_id, payload = line.split("\t", 1)
-            except ValueError:
-                raise FormatError("%s: line %d: expected id<TAB>values" % (path, lineno)) from None
-            if article_id in vectors:
-                raise FormatError("%s: line %d: article %s is listed twice" % (path, lineno, article_id))
-            fields = payload.split()
-            if len(fields) != dim:
-                raise FormatError(
-                    "%s: line %d: expected %d values, got %d" % (path, lineno, dim, len(fields))
-                )
-            try:
-                vec = np.array([float(v) for v in fields], dtype=np.float64)
-            except ValueError:
-                raise FormatError("%s: line %d: unparseable value" % (path, lineno)) from None
-            if not np.all(np.isfinite(vec)):
-                raise FormatError("%s: line %d: non-finite value" % (path, lineno))
-            vectors[article_id] = vec
+            raise FormatError("%s: line %d: expected id<TAB>values" % (path, lineno)) from None
+        if article_id in vectors:
+            raise FormatError("%s: line %d: article %s is listed twice" % (path, lineno, article_id))
+        fields = payload.split()
+        if len(fields) != dim:
+            raise FormatError(
+                "%s: line %d: expected %d values, got %d" % (path, lineno, dim, len(fields))
+            )
+        try:
+            vec = np.array([float(v) for v in fields], dtype=np.float64)
+        except ValueError:
+            raise FormatError("%s: line %d: unparseable value" % (path, lineno)) from None
+        if not np.all(np.isfinite(vec)):
+            raise FormatError("%s: line %d: non-finite value" % (path, lineno))
+        vectors[article_id] = vec
     missing = [a for a in catalog if a not in vectors]
     if missing:
         raise MissingArticlesError(missing)

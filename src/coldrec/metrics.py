@@ -22,8 +22,8 @@ from itertools import compress
 
 import numpy as np
 
-from .artifacts import atomic_open
-from .errors import EmptyInputError
+from .artifacts import atomic_open, read_lines
+from .errors import EmptyInputError, FormatError
 from .models import FactorModel, score_queries
 # perfbench/tracing.py wraps metrics.predict and metrics.cosine_distance by name
 from .models import predict  # noqa: F401
@@ -201,34 +201,34 @@ def emit_curves(entries: dict, path) -> None:
 def load_curves(path) -> dict:
     """Read an emit_curves CSV back into {(model, setting, k): {metric: value}}.
 
-    A file with no rows after its header is a ValueError, and so is a
+    A file with no rows after its header is a FormatError, and so is a
     (model, setting, k) that lacks any of the four metrics, as a truncated
     file leaves it; the message names the key and its missing metrics.
     """
     entries: dict = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().rstrip("\n")
-        if header != "model,setting,k,metric,value":
-            raise ValueError("%s: unexpected header %r" % (path, header))
-        for lineno, line in enumerate(fh, start=2):
-            cols = line.rstrip("\n").split(",")
-            if len(cols) != 5:
-                raise ValueError("%s: line %d: expected 5 columns" % (path, lineno))
-            model_kind, setting, k_text, metric, value = cols
-            try:
-                k, number = int(k_text), float(value)
-            except ValueError:
-                raise ValueError(
-                    "%s: line %d: k must be an integer and value a number, got %r and %r"
-                    % (path, lineno, k_text, value)
-                ) from None
-            entries.setdefault((model_kind, setting, k), {})[metric] = number
+    lines = read_lines(path)
+    header = next(lines, (1, ""))[1]
+    if header != "model,setting,k,metric,value":
+        raise FormatError("%s: unexpected header %r" % (path, header))
+    for lineno, line in lines:
+        cols = line.split(",")
+        if len(cols) != 5:
+            raise FormatError("%s: line %d: expected 5 columns" % (path, lineno))
+        model_kind, setting, k_text, metric, value = cols
+        try:
+            k, number = int(k_text), float(value)
+        except ValueError:
+            raise FormatError(
+                "%s: line %d: k must be an integer and value a number, got %r and %r"
+                % (path, lineno, k_text, value)
+            ) from None
+        entries.setdefault((model_kind, setting, k), {})[metric] = number
     if not entries:
-        raise ValueError("%s: no metric rows" % path)
+        raise FormatError("%s: no metric rows" % path)
     for (model_kind, setting, k), values in entries.items():
         missing = [m for m in METRIC_NAMES if m not in values]
         if missing:
-            raise ValueError(
+            raise FormatError(
                 "%s: %s,%s,%d lacks metric rows: %s" % (path, model_kind, setting, k, ", ".join(missing))
             )
     return entries

@@ -7,9 +7,11 @@ column is space-separated `newsID-0` / `newsID-1` tokens. Timestamps use the
 MIND `M/D/YYYY H:MM:SS AM/PM` convention and are parsed as UTC epoch seconds.
 
 A catalog is a `dict[str, Article]`: news id -> article, in file order.
-Click streams are a `dict[str, list[ClickEvent]]`: user -> events, users in
-order of first appearance, each user's events sorted by (timestamp,
-within-impression rank) with ties kept in file order.
+Click streams are a `Clicks` record of aligned numpy columns, one row per
+click: `user` and `news` ids, `timestamp` and `rank` (the click's position
+among its impression's clicked tokens). Rows are grouped by user, users in the
+order of their first kept behaviors row whether or not that row holds a click,
+and each user's rows are sorted by (timestamp, rank) with ties in file order.
 """
 
 from __future__ import annotations
@@ -17,6 +19,11 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
+from typing import NamedTuple
+
+import numpy as np
+
+from .artifacts import read_lines
 
 _TIME_FORMAT = "%m/%d/%Y %I:%M:%S %p"
 _MAX_MESSAGES = 20
@@ -31,12 +38,24 @@ class Article:
     abstract: str
 
 
-@dataclass(frozen=True)
-class ClickEvent:
-    user: str
-    news: str
-    timestamp: int
-    within_impression_rank: int
+class Clicks(NamedTuple):
+    """Click streams as aligned columns: object arrays of ids, int64 arrays of numbers."""
+
+    user: np.ndarray
+    news: np.ndarray
+    timestamp: np.ndarray
+    rank: np.ndarray
+
+
+def group_clicks(user_order, user: list, news: list, timestamp: list, rank: list) -> Clicks:
+    """`Clicks` from per-click lists: rows grouped by user in the order of the distinct
+    ids `user_order`, each user's rows sorted by (timestamp, rank) with ties in list order."""
+    position = {u: k for k, u in enumerate(user_order)}
+    code = np.fromiter(map(position.__getitem__, user), np.int64, len(user))
+    timestamp, rank = np.array(timestamp, dtype=np.int64), np.array(rank, dtype=np.int64)
+    order = np.lexsort((rank, timestamp, code))  # stable: equal keys keep list order
+    ids = np.array(list(position), dtype=object)
+    return Clicks(ids[code[order]], np.array(news, dtype=object)[order], timestamp[order], rank[order])
 
 
 @dataclass
@@ -63,27 +82,19 @@ def parse_news(path) -> tuple[dict[str, Article], ValidationReport]:
     """
     catalog: dict[str, Article] = {}
     report = ValidationReport()
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            report.rows_read += 1
-            cols = line.split("\t")
-            if len(cols) < 5 or not cols[0]:
-                report.rows_skipped_malformed += 1
-                report.note("line %d: malformed news row" % lineno)
-                continue
-            if cols[0] in catalog:
-                report.duplicates_dropped += 1
-                report.note("line %d: duplicate article id %s" % (lineno, cols[0]))
-                continue
-            catalog[cols[0]] = Article(
-                id=cols[0],
-                category=cols[1],
-                subcategory=cols[2],
-                title=cols[3],
-                abstract=cols[4],
-            )
-            report.rows_kept += 1
+    for lineno, line in read_lines(path):
+        report.rows_read += 1
+        cols = line.split("\t")
+        if len(cols) < 5 or not cols[0]:
+            report.rows_skipped_malformed += 1
+            report.note("line %d: malformed news row" % lineno)
+            continue
+        if cols[0] in catalog:
+            report.duplicates_dropped += 1
+            report.note("line %d: duplicate article id %s" % (lineno, cols[0]))
+            continue
+        catalog[cols[0]] = Article(*cols[:5])
+        report.rows_kept += 1
     return catalog, report
 
 
@@ -92,81 +103,64 @@ def _parse_time(text: str) -> int:
     return int(stamp.replace(tzinfo=timezone.utc).timestamp())
 
 
-def parse_behaviors(path) -> tuple[dict[str, list[ClickEvent]], ValidationReport]:
+def parse_behaviors(path) -> tuple[Clicks, ValidationReport]:
     """Parse behaviors.tsv into click streams.
 
-    Each `newsID-1` token in the impressions column becomes a ClickEvent at
-    the impression timestamp, ranked by its position among that row's clicked
-    tokens; a user whose kept rows hold no click maps to an empty list. The
-    history column carries no per-click timestamps and yields no events (see
-    history_popularity for its tally). Rows with an unparseable timestamp or
-    fewer than 5 columns are skipped and counted; impression tokens without a
-    -0/-1 suffix are skipped and counted.
+    Each `newsID-1` token in the impressions column becomes a click at the
+    impression timestamp, ranked by its position among that row's clicked
+    tokens. The history column carries no per-click timestamps and yields no
+    clicks (see history_popularity for its tally). Rows with an unparseable
+    timestamp or fewer than 5 columns are skipped and counted; impression
+    tokens without a -0/-1 suffix are skipped and counted.
     """
     report = ValidationReport()
-    events_by_user: dict[str, list[ClickEvent]] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            report.rows_read += 1
-            cols = line.split("\t")
-            if len(cols) < 5:
-                report.rows_skipped_malformed += 1
-                report.note("line %d: malformed behaviors row" % lineno)
+    users: dict[str, None] = {}  # in order of first kept row
+    user, news, timestamp, rank = [], [], [], []
+    for lineno, line in read_lines(path):
+        report.rows_read += 1
+        cols = line.split("\t")
+        if len(cols) < 5:
+            report.rows_skipped_malformed += 1
+            report.note("line %d: malformed behaviors row" % lineno)
+            continue
+        row_user, time_text, impressions = cols[1], cols[2], cols[4]
+        try:
+            row_time = _parse_time(time_text)
+        except ValueError:
+            report.rows_skipped_malformed += 1
+            report.note("line %d: unparseable timestamp %r" % (lineno, time_text))
+            continue
+        if row_time <= 0:
+            report.rows_skipped_malformed += 1
+            report.note("line %d: non-positive timestamp" % lineno)
+            continue
+        report.rows_kept += 1
+        users.setdefault(row_user)
+        clicked_rank = 0
+        for token in impressions.split():
+            news_id, sep, label = token.rpartition("-")
+            if not sep or not news_id or label not in ("0", "1"):
+                report.tokens_skipped_malformed += 1
+                report.note("line %d: bad impression token %r" % (lineno, token))
                 continue
-            user, time_text, impressions = cols[1], cols[2], cols[4]
-            try:
-                timestamp = _parse_time(time_text)
-            except ValueError:
-                report.rows_skipped_malformed += 1
-                report.note("line %d: unparseable timestamp %r" % (lineno, time_text))
-                continue
-            if timestamp <= 0:
-                report.rows_skipped_malformed += 1
-                report.note("line %d: non-positive timestamp" % lineno)
-                continue
-            report.rows_kept += 1
-            clicked_rank = 0
-            bucket = events_by_user.setdefault(user, [])
-            for token in impressions.split():
-                news_id, sep, label = token.rpartition("-")
-                if not sep or not news_id or label not in ("0", "1"):
-                    report.tokens_skipped_malformed += 1
-                    report.note("line %d: bad impression token %r" % (lineno, token))
-                    continue
-                if label == "1":
-                    bucket.append(
-                        ClickEvent(
-                            user=user,
-                            news=news_id,
-                            timestamp=timestamp,
-                            within_impression_rank=clicked_rank,
-                        )
-                    )
-                    clicked_rank += 1
-    for events in events_by_user.values():
-        events.sort(key=lambda ev: (ev.timestamp, ev.within_impression_rank))
-    return events_by_user, report
+            if label == "1":
+                user.append(row_user)
+                news.append(news_id)
+                timestamp.append(row_time)
+                rank.append(clicked_rank)
+                clicked_rank += 1
+    return group_clicks(users, user, news, timestamp, rank), report
 
 
-def validate_clicks(
-    streams: dict[str, list[ClickEvent]], catalog: dict[str, Article]
-) -> tuple[dict[str, list[ClickEvent]], ValidationReport]:
-    """Drop click events whose article is absent from the catalog; drop emptied users.
-
-    The returned click streams keep the input's user and event order.
-    """
+def validate_clicks(clicks: Clicks, catalog: dict[str, Article]) -> tuple[Clicks, ValidationReport]:
+    """Drop clicks whose article is absent from the catalog; a user left with none
+    drops out. The kept rows keep their order."""
     report = ValidationReport()
-    kept_streams: dict[str, list[ClickEvent]] = {}
-    for user, events in streams.items():
-        kept = [ev for ev in events if ev.news in catalog]
-        dropped = len(events) - len(kept)
-        if dropped:
-            report.clicks_dropped_unknown_article += dropped
-            report.note("user %s: dropped %d click(s) on unknown articles" % (user, dropped))
-        if kept:
-            kept_streams[user] = kept
-    return kept_streams, report
+    known = np.array([news in catalog for news in clicks.news.tolist()], dtype=bool)
+    for user, dropped in Counter(clicks.user[~known].tolist()).items():
+        report.clicks_dropped_unknown_article += dropped
+        report.note("user %s: dropped %d click(s) on unknown articles" % (user, dropped))
+    return Clicks(*(column[known] for column in clicks)), report
 
 
 def history_popularity(path) -> dict[str, int]:
@@ -177,10 +171,8 @@ def history_popularity(path) -> dict[str, int]:
     novelty metric.
     """
     counts: Counter[str] = Counter()
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            cols = line.rstrip("\n").split("\t")
-            if len(cols) < 4:
-                continue
+    for _, line in read_lines(path):
+        cols = line.split("\t")
+        if len(cols) >= 4:
             counts.update(cols[3].split())
     return dict(counts)

@@ -10,6 +10,7 @@ through named substreams (split, init, negatives).
 from __future__ import annotations
 
 import os
+from collections import Counter
 
 import numpy as np
 
@@ -19,14 +20,7 @@ from .artifacts import (atomic_open, load_csr, load_matrix, read_json, read_rows
 from .config import RunConfig, derive_seed
 from .errors import FormatError
 from .features import FeatureMatrix, fit_tfidf, load_external_embeddings, transform
-from .mind import (
-    Article,
-    ClickEvent,
-    history_popularity,
-    parse_behaviors,
-    parse_news,
-    validate_clicks,
-)
+from .mind import Article, Clicks, group_clicks, history_popularity, parse_behaviors, parse_news, validate_clicks
 from .models import almm_train, forbes_train, load_model, oord_train, sample_negatives, save_model
 from .numerics import CSRMatrix
 from .splits import load_split, make_cold_split, make_warm_split, save_split
@@ -66,40 +60,43 @@ def save_catalog(catalog: dict[str, Article], path) -> None:
 def load_catalog(path) -> dict[str, Article]:
     catalog, report = parse_news(path)
     if report.rows_skipped_malformed or report.duplicates_dropped:
-        raise ValueError("%s: persisted catalog failed to round-trip cleanly" % path)
+        raise FormatError("%s: persisted catalog failed to round-trip cleanly" % path)
     return catalog
 
 
-def save_streams(streams: dict[str, list[ClickEvent]], path) -> None:
+def save_streams(clicks: Clicks, path) -> None:
     with atomic_open(path) as fh:
-        for events in streams.values():
-            for ev in events:
-                fh.write(
-                    "%s\t%s\t%d\t%d\n"
-                    % (ev.user, ev.news, ev.timestamp, ev.within_impression_rank)
-                )
+        fh.writelines("%s\t%s\t%d\t%d\n" % row for row in zip(*(column.tolist() for column in clicks)))
 
 
-def load_streams(path) -> dict[str, list[ClickEvent]]:
-    """Read streams.tsv back into user -> events, both in file order; a non-positive
-    timestamp, a negative rank or a user's event out of (timestamp, rank) order
-    is a ValueError naming the path and line, as a malformed line is."""
-    events_by_user: dict[str, list[ClickEvent]] = {}
-    for lineno, (user, news, ts, rank) in read_rows(path, 4):
+def load_streams(path) -> Clicks:
+    """Read streams.tsv back into click streams: users in order of first appearance, each
+    user's rows in file order. A non-positive timestamp, a negative rank or a user's row
+    out of (timestamp, rank) order is a FormatError naming the path and line, as a
+    malformed line is."""
+    last: dict[str, tuple[int, int]] = {}  # user -> (timestamp, rank) of its latest row
+    user, news, timestamp, rank = [], [], [], []
+    for lineno, (row_user, row_news, ts, row_rank) in read_rows(path, 4):
         try:
-            key = (int(ts), int(rank))
+            key = (int(ts), int(row_rank))
         except ValueError:
-            raise ValueError("%s: line %d: timestamp and rank must be integers, got %r and %r"
-                             % (path, lineno, ts, rank)) from None
+            raise FormatError("%s: line %d: timestamp and rank must be integers, got %r and %r"
+                              % (path, lineno, ts, row_rank)) from None
+        if max(key) >= 2**63:  # the columns are int64
+            raise FormatError("%s: line %d: timestamp and rank must be below 2**63, got %d and %d"
+                              % (path, lineno, *key))
         if key[0] <= 0 or key[1] < 0:
-            raise ValueError("%s: line %d: timestamp must be > 0 and rank >= 0, got %d and %d"
-                             % (path, lineno, *key))
-        events = events_by_user.setdefault(user, [])
-        if events and key < (events[-1].timestamp, events[-1].within_impression_rank):
-            raise ValueError("%s: line %d: user %s's events are out of (timestamp, rank) order"
-                             % (path, lineno, user))
-        events.append(ClickEvent(user, news, *key))
-    return events_by_user
+            raise FormatError("%s: line %d: timestamp must be > 0 and rank >= 0, got %d and %d"
+                              % (path, lineno, *key))
+        if key < last.setdefault(row_user, key):
+            raise FormatError("%s: line %d: user %s's events are out of (timestamp, rank) order"
+                              % (path, lineno, row_user))
+        last[row_user] = key
+        user.append(row_user)
+        news.append(row_news)
+        timestamp.append(key[0])
+        rank.append(key[1])
+    return group_clicks(last, user, news, timestamp, rank)
 
 
 def save_popularity(popularity: dict[str, int], path) -> None:
@@ -110,18 +107,18 @@ def save_popularity(popularity: dict[str, int], path) -> None:
 
 def load_popularity(path) -> dict[str, int]:
     """Read popularity.tsv; a count that is not an integer >= 0, or an article
-    listed twice, is a ValueError naming the path and line."""
+    listed twice, is a FormatError naming the path and line."""
     popularity = {}
     for lineno, (article, count) in read_rows(path, 2):
         try:
             clicks = int(count)
         except ValueError:
-            raise ValueError("%s: line %d: count must be an integer, got %r"
-                             % (path, lineno, count)) from None
+            raise FormatError("%s: line %d: count must be an integer, got %r"
+                              % (path, lineno, count)) from None
         if clicks < 0:
-            raise ValueError("%s: line %d: count must be >= 0, got %d" % (path, lineno, clicks))
+            raise FormatError("%s: line %d: count must be >= 0, got %d" % (path, lineno, clicks))
         if article in popularity:
-            raise ValueError("%s: line %d: article %s is listed twice" % (path, lineno, article))
+            raise FormatError("%s: line %d: article %s is listed twice" % (path, lineno, article))
         popularity[article] = clicks
     return popularity
 
@@ -188,19 +185,15 @@ def stage_ingest(cfg: RunConfig) -> dict:
     the validation messages (news, then behaviors, then clicks)."""
     out = _path(cfg, INGEST_DIR)
     catalog, news_report = parse_news(cfg.news_path)
-    raw_streams, beh_report = parse_behaviors(cfg.behaviors_path)
-    streams, click_report = validate_clicks(raw_streams, catalog)
+    raw_clicks, beh_report = parse_behaviors(cfg.behaviors_path)
+    clicks, click_report = validate_clicks(raw_clicks, catalog)
 
-    popularity = {}
-    for article, count in history_popularity(cfg.behaviors_path).items():
-        if article in catalog:
-            popularity[article] = popularity.get(article, 0) + count
-    for events in streams.values():
-        for ev in events:
-            popularity[ev.news] = popularity.get(ev.news, 0) + 1
+    history = history_popularity(cfg.behaviors_path)
+    popularity = Counter({article: count for article, count in history.items() if article in catalog})
+    popularity.update(clicks.news.tolist())
 
     save_catalog(catalog, os.path.join(out, "catalog.tsv"))
-    save_streams(streams, os.path.join(out, "streams.tsv"))
+    save_streams(clicks, os.path.join(out, "streams.tsv"))
     save_popularity(popularity, os.path.join(out, "popularity.tsv"))
     save_messages(
         (("news", news_report), ("behaviors", beh_report), ("clicks", click_report)),
@@ -217,16 +210,16 @@ def stage_ingest(cfg: RunConfig) -> dict:
         "behaviors_tokens_skipped_malformed": beh_report.tokens_skipped_malformed,
         "clicks_dropped_unknown_article": click_report.clicks_dropped_unknown_article,
         "articles": len(catalog),
-        "users_with_clicks": len(streams),
-        "clicks_kept": sum(len(events) for events in streams.values()),
+        "users_with_clicks": len(set(clicks.user.tolist())),
+        "clicks_kept": len(clicks.news),
         "popularity_total_clicks": sum(popularity.values()),
     }
 
 
 def stage_triplets(cfg: RunConfig) -> dict:
     """Build the transition tensor from persisted streams and persist the triplets."""
-    streams = load_streams(_path(cfg, INGEST_DIR, "streams.tsv"))
-    tensor = build_tensor(streams, cfg.window_seconds)
+    clicks = load_streams(_path(cfg, INGEST_DIR, "streams.tsv"))
+    tensor = build_tensor(clicks, cfg.window_seconds)
     triplets = build_triplets(tensor)
     save_triplets(triplets, _path(cfg, "triplets.tsv"))
     return {

@@ -15,13 +15,14 @@ consumers read the columns, and only iteration decodes `Triplet` rows.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from typing import NamedTuple
 
 import numpy as np
 
 from .artifacts import atomic_open, read_rows
-from .errors import EmptyInputError
-from .mind import ClickEvent
+from .errors import EmptyInputError, FormatError
+from .mind import Clicks
 
 DEFAULT_WINDOW_SECONDS = 1800
 
@@ -83,28 +84,22 @@ def _reindex(codes: np.ndarray, index: dict[str, int]):
 
 
 def build_tensor(
-    streams: dict[str, list[ClickEvent]], window_seconds: int = DEFAULT_WINDOW_SECONDS
+    clicks: Clicks, window_seconds: int = DEFAULT_WINDOW_SECONDS
 ) -> dict[tuple[str, str, str], int]:
     """Count qualifying consecutive click pairs for every user.
 
     Returns (user, last article, next article) -> count, keys in order of
-    first occurrence: users in stream order, then click order. Equal
-    timestamps (clicks inside one impression) have gap 0 and qualify, ordered
-    by within-impression rank. Self-transitions and pairs exceeding the window
-    contribute nothing but do not break the stream.
+    first occurrence over the rows. Equal timestamps (clicks inside one
+    impression) have gap 0 and qualify, ordered by rank. Self-transitions and
+    pairs exceeding the window contribute nothing but do not break the stream.
     """
     if window_seconds <= 0:
         raise ValueError("window_seconds must be positive, got %r" % window_seconds)
-    tensor: dict[tuple[str, str, str], int] = {}
-    for user, events in streams.items():
-        for prev, cur in zip(events, events[1:]):
-            if cur.timestamp - prev.timestamp > window_seconds:
-                continue
-            if prev.news == cur.news:
-                continue
-            key = (user, prev.news, cur.news)
-            tensor[key] = tensor.get(key, 0) + 1
-    return tensor
+    user, news = clicks.user, clicks.news
+    last = np.flatnonzero(
+        (user[1:] == user[:-1]) & (np.diff(clicks.timestamp) <= window_seconds) & (news[1:] != news[:-1])
+    )
+    return Counter(zip(user[last].tolist(), news[last].tolist(), news[last + 1].tolist()))
 
 
 def build_triplets(tensor: dict[tuple[str, str, str], int]) -> TripletSet:
@@ -134,11 +129,11 @@ def load_triplets(path) -> TripletSet:
         try:
             confidence = float(text)
         except ValueError:
-            raise ValueError(
+            raise FormatError(
                 "%s: line %d: confidence must be a number, got %r" % (path, lineno, text)
             ) from None
         if not 0.0 < confidence < math.inf:
-            raise ValueError(
+            raise FormatError(
                 "%s: line %d: confidence must be finite and > 0, got %s" % (path, lineno, text)
             )
         rows.append((user, last, nxt, confidence))

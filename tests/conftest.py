@@ -3,9 +3,22 @@ import os
 import numpy as np
 import pytest
 
+from coldrec.mind import Clicks
 from coldrec.transitions import Triplet, TripletSet
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
+
+
+def clicks_of(rows) -> Clicks:
+    """Clicks from (user, news, timestamp, rank) rows, kept in the given order."""
+    user, news, timestamp, rank = zip(*rows) if rows else ((), (), (), ())
+    return Clicks(np.array(user, dtype=object), np.array(news, dtype=object),
+                  np.array(timestamp, dtype=np.int64), np.array(rank, dtype=np.int64))
+
+
+def click_rows(clicks: Clicks) -> list:
+    """(user, news, timestamp, rank) per row of `clicks`, in row order."""
+    return list(zip(*(column.tolist() for column in clicks)))
 
 
 @pytest.fixture

@@ -1,6 +1,7 @@
 import gc
 import io
 import json
+import re
 import sys
 import warnings
 import zipfile
@@ -9,7 +10,8 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from coldrec.artifacts import atomic_open, load_csr, load_matrix, read_json, save_csr, save_matrix, write_json
+from coldrec.artifacts import (atomic_open, load_csr, load_matrix, read_json, read_lines, read_rows, save_csr, save_matrix,
+                               write_json)
 from coldrec.errors import FormatError
 from coldrec.numerics import CSRMatrix
 
@@ -318,3 +320,25 @@ def test_read_json_rejects_a_file_that_is_not_json(tmp_path, text):
     with pytest.raises(FormatError) as err:
         read_json(path)
     assert str(err.value).startswith("%s: not JSON: " % path)
+
+
+@pytest.mark.parametrize("bad_line", [1, 2, 5001])
+def test_read_lines_names_the_line_of_a_byte_that_is_not_utf8(tmp_path, bad_line):
+    # line 5001 lies past the decoder's first chunk, which fails lines after those it read
+    lines = ["row %d\tcafé\n" % n for n in range(1, 5003)]
+    path = tmp_path / "rows.tsv"
+    path.write_bytes("".join(lines).encode("utf-8").replace(
+        lines[bad_line - 1].encode("utf-8"), lines[bad_line - 1].encode("latin-1")))
+    read = []
+    with pytest.raises(FormatError, match=r"^%s: line %d: not UTF-8: " % (re.escape(str(path)), bad_line)):
+        read.extend(read_lines(path))
+    assert read == [(n, line.rstrip("\n")) for n, line in enumerate(lines[: len(read)], start=1)]
+
+
+def test_read_rows_splits_each_line_and_rejects_another_column_count(tmp_path):
+    path = tmp_path / "rows.tsv"
+    path.write_text("a\tb\nc\td\ne\n", encoding="utf-8")
+    rows = read_rows(path, 2)
+    assert [next(rows), next(rows)] == [(1, ["a", "b"]), (2, ["c", "d"])]
+    with pytest.raises(FormatError, match=r"rows\.tsv: line 3: expected 2 columns$"):
+        next(rows)

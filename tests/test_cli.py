@@ -558,6 +558,36 @@ class TestCliCommands:
         assert rc == 1
         assert err == "error: %s: line %d: article %s is listed twice\n" % (path, len(ids) + 2, ids[0])
 
+    @pytest.mark.parametrize(
+        "command, name",
+        [
+            ("ingest", "fx/news.tsv"),  # parse_news
+            ("ingest", "fx/behaviors.tsv"),  # parse_behaviors, then history_popularity
+            ("triplets", "out/ingest/streams.tsv"),  # load_streams
+            ("split", "out/triplets.tsv"),  # load_triplets
+            ("featurize", "out/ingest/catalog.tsv"),  # load_catalog
+            ("featurize", "fx/embeddings.tsv"),  # load_external_embeddings
+            ("evaluate", "out/ingest/popularity.tsv"),  # load_popularity
+            ("report", "out/metrics.csv"),  # load_curves
+        ],
+    )
+    def test_a_non_utf8_byte_is_an_error_naming_the_file_and_line(
+        self, workspace, run_out, tmp_path, capsys, command, name
+    ):
+        shutil.copytree(os.path.join(workspace, "fx"), tmp_path / "fx")
+        shutil.copytree(run_out[2], tmp_path / "out")
+        ids = load_features(os.path.join(run_out[2], "features", "tfidf")).row_index
+        (tmp_path / "fx" / "embeddings.tsv").write_text("#dim 2\n" + "".join("%s\t1.0 0.5\n" % a for a in ids))
+        path = tmp_path / name
+        lines = path.read_bytes().splitlines(keepends=True)
+        lines[1] = lines[1][:2] + b"\xff" + lines[1][2:]
+        path.write_bytes(b"".join(lines))
+        features = "external" if name.endswith("embeddings.tsv") else "tfidf"
+        text = CONFIG_TEMPLATE.format(model="all", features=features, extra_data='embeddings = "fx/embeddings.tsv"')
+        rc = main([command, "--config", config_at(tmp_path, text)])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: %s: line 2: not UTF-8: invalid start byte\n" % path
+
     def test_failed_evaluate_keeps_the_earlier_metrics(self, workspace, run_out, capsys, monkeypatch):
         shutil.copytree(run_out[2], os.path.join(workspace, "failed_out"))
         config = write_config(workspace)

@@ -21,10 +21,10 @@ class TestGenerateFixture:
         streams, beh_report = parse_behaviors(behaviors_path)
         assert beh_report.rows_skipped_malformed == 0
         assert beh_report.tokens_skipped_malformed == 0
-        assert len(streams) == 10
+        assert len(set(streams.user.tolist())) == 10
         validated, click_report = validate_clicks(streams, catalog)
         assert click_report.clicks_dropped_unknown_article == 0
-        assert len(validated) == 10
+        assert len(set(validated.user.tolist())) == 10
 
     def test_full_signal_transitions_stay_in_category(self, tmp_path):
         news_path, behaviors_path = generate_fixture(15, 40, 1.0, 3, tmp_path)

@@ -3,7 +3,7 @@ import pytest
 
 import oracles
 from coldrec import metrics as metrics_mod
-from coldrec.errors import EmptyInputError
+from coldrec.errors import EmptyInputError, FormatError
 from coldrec.features import FeatureMatrix
 from coldrec.metrics import (
     candidate_universe,
@@ -463,7 +463,7 @@ class TestEmitCurves:
     def test_load_bad_row_names_the_line(self, tmp_path, row, message):
         path = tmp_path / "curves.csv"
         path.write_text("model,setting,k,metric,value\nalmm,cold,10,recall,0.5\n%s\n" % row)
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(FormatError, match=message):
             load_curves(path)
 
     def test_load_incomplete_key_names_missing_metrics(self, tmp_path):
@@ -472,7 +472,7 @@ class TestEmitCurves:
         # header plus the first five rows, as a run killed mid-write leaves it
         lines = path.read_text().splitlines(keepends=True)
         path.write_text("".join(lines[:6]))
-        with pytest.raises(ValueError, match=r"curves\.csv: almm,cold,10 lacks metric rows: recall$"):
+        with pytest.raises(FormatError, match=r"curves\.csv: almm,cold,10 lacks metric rows: recall$"):
             load_curves(path)
 
     def test_format_summary_mentions_models_and_settings(self):

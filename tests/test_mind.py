@@ -2,19 +2,23 @@ import os
 
 import pytest
 
+from coldrec.errors import FormatError
 from coldrec.mind import (
     Article,
-    ClickEvent,
     history_popularity,
     parse_behaviors,
     parse_news,
     validate_clicks,
 )
 
-from conftest import DATA_DIR
+from conftest import DATA_DIR, click_rows, clicks_of
 
 NEWS_SMALL = os.path.join(DATA_DIR, "news_small.tsv")
 BEHAVIORS_SMALL = os.path.join(DATA_DIR, "behaviors_small.tsv")
+
+
+def news_of(clicks, user):
+    return clicks.news[clicks.user == user].tolist()
 
 
 def write_tsv(path, rows):
@@ -84,11 +88,10 @@ class TestParseBehaviors:
     def test_click_suffix_rule(self, tmp_path):
         path = tmp_path / "b.tsv"
         write_tsv(path, [("B1", "U1", "11/11/2019 9:00:00 AM", "", "N1-1 N2-0 N3-1")])
-        streams, _ = parse_behaviors(path)
-        assert len(streams) == 1
-        events = streams["U1"]
-        assert [(e.news, e.within_impression_rank) for e in events] == [("N1", 0), ("N3", 1)]
-        assert events[0].timestamp == events[1].timestamp
+        clicks, _ = parse_behaviors(path)
+        assert clicks.user.tolist() == ["U1", "U1"]
+        assert list(zip(clicks.news.tolist(), clicks.rank.tolist())) == [("N1", 0), ("N3", 1)]
+        assert clicks.timestamp[0] == clicks.timestamp[1]
 
     def test_rows_sorted_by_timestamp(self, tmp_path):
         path = tmp_path / "b.tsv"
@@ -99,12 +102,12 @@ class TestParseBehaviors:
                 ("B2", "U1", "11/11/2019 9:00:50 AM", "", "N2-1"),
             ],
         )
-        streams, _ = parse_behaviors(path)
-        assert [e.news for e in streams["U1"]] == ["N2", "N1"]
+        clicks, _ = parse_behaviors(path)
+        assert news_of(clicks, "U1") == ["N2", "N1"]
 
     def test_bundled_fixture_counts(self):
-        streams, report = parse_behaviors(BEHAVIORS_SMALL)
-        assert len(streams) == 3
+        clicks, report = parse_behaviors(BEHAVIORS_SMALL)
+        assert len(set(clicks.user.tolist())) == 3
         # independent oracle: brute-force count of `-1` tokens in the raw file
         expected_clicks = 0
         with open(BEHAVIORS_SMALL, encoding="utf-8") as fh:
@@ -112,16 +115,16 @@ class TestParseBehaviors:
                 impressions = line.rstrip("\n").split("\t")[4]
                 expected_clicks += sum(1 for tok in impressions.split() if tok.endswith("-1"))
         assert expected_clicks == 11  # hand count stored beside the fixture
-        assert sum(len(events) for events in streams.values()) == expected_clicks
+        assert len(clicks.news) == expected_clicks
         assert report.rows_read == 8
         assert report.rows_kept == 8
 
     def test_bundled_fixture_stream_order(self):
-        streams, _ = parse_behaviors(BEHAVIORS_SMALL)
+        clicks, _ = parse_behaviors(BEHAVIORS_SMALL)
         # U1's 8:45 click sorts before the 9:00 impression pair
-        assert [e.news for e in streams["U1"]] == ["N5", "N1", "N3", "N4"]
+        assert news_of(clicks, "U1") == ["N5", "N1", "N3", "N4"]
         # ranks break the tie inside the 9:30 impression for U2
-        assert [e.news for e in streams["U2"]] == ["N2", "N6", "N7", "N98"]
+        assert news_of(clicks, "U2") == ["N2", "N6", "N7", "N98"]
 
     def test_unparseable_timestamp_skips_row(self, tmp_path):
         path = tmp_path / "b.tsv"
@@ -132,25 +135,27 @@ class TestParseBehaviors:
                 ("B2", "U1", "11/11/2019 9:00:00 AM", "", "N2-1"),
             ],
         )
-        streams, report = parse_behaviors(path)
+        clicks, report = parse_behaviors(path)
         assert report.rows_skipped_malformed == 1
-        assert sum(len(events) for events in streams.values()) == 1
+        assert len(clicks.news) == 1
 
     def test_bad_token_skipped_and_counted(self, tmp_path):
         path = tmp_path / "b.tsv"
         write_tsv(path, [("B1", "U1", "11/11/2019 9:00:00 AM", "", "N1-1 garbage N2-9 N3-0")])
-        streams, report = parse_behaviors(path)
+        clicks, report = parse_behaviors(path)
         assert report.tokens_skipped_malformed == 2
-        assert sum(len(events) for events in streams.values()) == 1
+        assert len(clicks.news) == 1
 
     def test_conservation(self):
         _, report = parse_behaviors(BEHAVIORS_SMALL)
         assert report.rows_read == report.rows_kept + report.rows_skipped_malformed
 
     def test_streams_strictly_ordered(self):
-        streams, _ = parse_behaviors(BEHAVIORS_SMALL)
-        for events in streams.values():
-            keys = [(e.timestamp, e.within_impression_rank) for e in events]
+        rows = click_rows(parse_behaviors(BEHAVIORS_SMALL)[0])
+        users = [user for user, *_ in rows]
+        assert users == sorted(users, key=users.index)  # each user's rows are contiguous
+        for user in set(users):
+            keys = [(ts, rank) for u, _, ts, rank in rows if u == user]
             assert keys == sorted(keys)
 
 
@@ -159,29 +164,24 @@ class TestValidateClicks:
         return {i: Article(i, "c", "s", "t", "a") for i in ids}
 
     def _stream(self, user, *news_ids):
-        events = [
-            ClickEvent(user=user, news=n, timestamp=100 + k, within_impression_rank=0)
-            for k, n in enumerate(news_ids)
-        ]
-        return {user: events}
+        return clicks_of([(user, n, 100 + k, 0) for k, n in enumerate(news_ids)])
 
     def test_unknown_article_dropped(self):
-        streams, report = validate_clicks(
+        clicks, report = validate_clicks(
             self._stream("U1", "N1", "N_missing"), self._catalog("N1")
         )
-        assert len(streams) == 1
-        assert len(streams["U1"]) == 1
+        assert click_rows(clicks) == [("U1", "N1", 100, 0)]
         assert report.clicks_dropped_unknown_article == 1
 
     def test_all_known_is_identity(self):
         inputs = self._stream("U1", "N1", "N2")
-        streams, report = validate_clicks(inputs, self._catalog("N1", "N2"))
-        assert streams == inputs
+        clicks, report = validate_clicks(inputs, self._catalog("N1", "N2"))
+        assert click_rows(clicks) == click_rows(inputs)
         assert report.clicks_dropped_unknown_article == 0
 
     def test_emptied_user_dropped(self):
-        streams, _ = validate_clicks(self._stream("U1", "N_missing"), self._catalog("N1"))
-        assert streams == {}
+        clicks, _ = validate_clicks(self._stream("U1", "N_missing"), self._catalog("N1"))
+        assert click_rows(clicks) == []
 
     def test_planted_unknown_ids_in_fixture(self):
         catalog, _ = parse_news(NEWS_SMALL)
@@ -195,10 +195,16 @@ class TestValidateClicks:
         once, _ = validate_clicks(raw, catalog)
         twice, report = validate_clicks(once, catalog)
         assert report.clicks_dropped_unknown_article == 0
-        assert twice == once
+        assert click_rows(twice) == click_rows(once)
 
 
 class TestHistoryPopularity:
     def test_fixture_tallies(self):
         counts = history_popularity(BEHAVIORS_SMALL)
         assert counts == {"N1": 1, "N2": 3, "N3": 1, "N7": 1}
+
+    def test_a_byte_that_is_not_utf8_names_the_line(self, tmp_path):
+        path = tmp_path / "behaviors.tsv"
+        path.write_bytes(b"B1\tU1\t11/11/2019 9:00:00 AM\tN1\tN1-1\nB2\tU1\t11/11/2019 9:00:00 AM\tN\xff\tN1-1\n")
+        with pytest.raises(FormatError, match=r"behaviors\.tsv: line 2: not UTF-8: invalid start byte$"):
+            history_popularity(path)

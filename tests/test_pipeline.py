@@ -21,6 +21,8 @@ from coldrec.pipeline import (
     save_features,
 )
 
+from conftest import click_rows
+
 CONFIG_PATH = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "fixture.toml")
 
 
@@ -35,6 +37,10 @@ class TestIngestLoaders:
                 r"streams\.tsv: line 2: timestamp and rank must be integers, got 'noon' and '0'",
             ),
             ("u1\tN1\t100\t1.5", r"streams\.tsv: line 2: timestamp and rank must be integers"),
+            (
+                "u1\tN1\t9223372036854775808\t0",
+                r"streams\.tsv: line 2: timestamp and rank must be below 2\*\*63, got 9223372036854775808 and 0",
+            ),
             ("u1\tN1\t0\t0", r"streams\.tsv: line 2: timestamp must be > 0 and rank >= 0, got 0 and 0"),
             ("u2\tN1\t100\t-1", r"streams\.tsv: line 2: timestamp must be > 0 and rank >= 0, got 100 and -1"),
             ("u1\tN1\t89\t3", r"streams\.tsv: line 2: user u1's events are out of \(timestamp, rank\) order"),
@@ -43,7 +49,7 @@ class TestIngestLoaders:
     def test_load_streams_bad_line_names_the_line(self, tmp_path, line, message):
         path = tmp_path / "streams.tsv"
         path.write_text("u1\tN0\t90\t0\n%s\n" % line)
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(FormatError, match=message):
             load_streams(path)
 
     @pytest.mark.parametrize(
@@ -59,7 +65,7 @@ class TestIngestLoaders:
     def test_load_popularity_bad_line_names_the_line(self, tmp_path, line, message):
         path = tmp_path / "popularity.tsv"
         path.write_text("N0\t2\n%s\n" % line)
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(FormatError, match=message):
             load_popularity(path)
 
     def test_well_formed_files_load(self, tmp_path):
@@ -67,12 +73,11 @@ class TestIngestLoaders:
         # an equal (timestamp, rank) is a tie the writer keeps in file order; another user's
         # earlier event in between breaks no order
         streams.write_text("u1\tN0\t90\t0\nu2\tN2\t50\t0\nu1\tN1\t100\t1\nu1\tN2\t100\t1\n")
-        loaded = load_streams(streams)
-        assert list(loaded) == ["u1", "u2"]
-        assert [(e.news, e.timestamp, e.within_impression_rank) for e in loaded["u1"]] == [
-            ("N0", 90, 0),
-            ("N1", 100, 1),
-            ("N2", 100, 1),
+        assert click_rows(load_streams(streams)) == [
+            ("u1", "N0", 90, 0),
+            ("u1", "N1", 100, 1),
+            ("u1", "N2", 100, 1),
+            ("u2", "N2", 50, 0),
         ]
         popularity = tmp_path / "popularity.tsv"
         popularity.write_text("N0\t2\nN1\t5\nN2\t0\n")
@@ -101,6 +106,64 @@ class TestIngestMessages:
             "behaviors: line 1: bad impression token 'N3-x'",
             "clicks: user U2: dropped 1 click(s) on unknown articles",
         ]
+
+
+class TestParseOrder:
+    def test_streams_messages_and_triplets_keep_the_first_kept_row_order(self, tmp_path):
+        """U1's first kept row (line 1) has no click and U1 clicks only after U2 does,
+        yet U1's rows come first. U2's line-4 row is earlier than its line-2 row. Line 3
+        and line 8 tie on time, so their clicks interleave by rank, file order breaking
+        the ties. N8 and N9 are unknown, which empties U6; lines 5, 6 and 7 hold a bad
+        token, an unparseable time and a short row."""
+        news = tmp_path / "news.tsv"
+        news.write_text("".join("N%d\tnews\tworld\tTitle %d\tAbstract %d.\thttp://x/%d\n" % ((k,) * 4)
+                                for k in range(1, 6)))
+        behaviors = tmp_path / "behaviors.tsv"
+        behaviors.write_text(
+            "B1\tU1\t11/11/2019 9:00:00 AM\tN1\tN2-0 N3-0\n"
+            "B2\tU2\t11/11/2019 9:01:00 AM\t\tN1-1 N2-1\n"
+            "B3\tU1\t11/11/2019 9:05:00 AM\tN1 N2\tN3-1 N9-1 N2-1\n"
+            "B4\tU2\t11/11/2019 8:59:00 AM\t\tN4-1 N1-0\n"
+            "B5\tU3\t11/11/2019 9:10:00 AM\t\tN2-1 garbage N5-1\n"
+            "B6\tU4\tnot a time\t\tN1-1\n"
+            "B7\tU5\t11/11/2019 9:00:00 AM\n"
+            "B8\tU1\t11/11/2019 9:05:00 AM\t\tN4-1 N5-1\n"
+            "B9\tU6\t11/11/2019 9:20:00 AM\t\tN8-1\n"
+            "B10\tU2\t11/11/2019 11:00:00 AM\t\tN3-1 N1-1\n"
+        )
+        cfg = RunConfig(news_path=str(news), behaviors_path=str(behaviors), out_dir=str(tmp_path / "out"))
+        stage_ingest(cfg)
+        stage_triplets(cfg)
+        out = tmp_path / "out"
+        assert (out / "ingest" / "streams.tsv").read_bytes() == (
+            b"U1\tN3\t1573463100\t0\n"
+            b"U1\tN4\t1573463100\t0\n"
+            b"U1\tN5\t1573463100\t1\n"
+            b"U1\tN2\t1573463100\t2\n"
+            b"U2\tN4\t1573462740\t0\n"
+            b"U2\tN1\t1573462860\t0\n"
+            b"U2\tN2\t1573462860\t1\n"
+            b"U2\tN3\t1573470000\t0\n"
+            b"U2\tN1\t1573470000\t1\n"
+            b"U3\tN2\t1573463400\t0\n"
+            b"U3\tN5\t1573463400\t1\n"
+        )
+        assert (out / "ingest" / "messages.txt").read_bytes() == (
+            b"behaviors: line 5: bad impression token 'garbage'\n"
+            b"behaviors: line 6: unparseable timestamp 'not a time'\n"
+            b"behaviors: line 7: malformed behaviors row\n"
+            b"clicks: user U1: dropped 1 click(s) on unknown articles\n"
+            b"clicks: user U6: dropped 1 click(s) on unknown articles\n"
+        )
+        assert (out / "triplets.tsv").read_bytes() == (
+            b"U1\tN3\tN4\t1.1\n"
+            b"U1\tN4\tN5\t1.1\n"
+            b"U1\tN5\tN2\t1.1\n"
+            b"U2\tN4\tN1\t1.1\n"
+            b"U2\tN1\tN2\t1.1\n"
+            b"U2\tN3\tN1\t1.1\n"
+            b"U3\tN2\tN5\t1.1\n"
+        )
 
 
 class TestSetupArtifacts:

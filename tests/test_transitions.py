@@ -1,8 +1,10 @@
+from collections import namedtuple
+
 import numpy as np
 import pytest
 
-from coldrec.errors import EmptyInputError
-from coldrec.mind import ClickEvent
+from coldrec.errors import EmptyInputError, FormatError
+from coldrec.mind import Clicks
 from coldrec.transitions import (
     Triplet,
     TripletSet,
@@ -12,24 +14,24 @@ from coldrec.transitions import (
     save_triplets,
 )
 
+from conftest import clicks_of, click_rows
+
+Event = namedtuple("Event", "news timestamp within_impression_rank")
+
 
 def stream(user, *clicks):
     """Click streams of one user; clicks: (news, timestamp) or (news, timestamp, rank)
     tuples, already ordered."""
-    events = []
-    for click in clicks:
-        news, ts = click[0], click[1]
-        rank = click[2] if len(click) > 2 else 0
-        events.append(
-            ClickEvent(user=user, news=news, timestamp=ts, within_impression_rank=rank)
-        )
-    return {user: events}
+    return clicks_of([(user, click[0], click[1], click[2] if len(click) > 2 else 0) for click in clicks])
 
 
-def brute_force_tensor(streams, window_seconds):
-    """Independent enumerator: re-sorts each stream, then applies the three
-    transition criteria (immediately-before, gap <= window, distinct) to every
-    adjacent index pair."""
+def brute_force_tensor(clicks, window_seconds):
+    """Independent enumerator: collects each user's events, re-sorts them, then
+    applies the three transition criteria (immediately-before, gap <= window,
+    distinct) to every adjacent index pair."""
+    streams = {}
+    for user, news, ts, rank in click_rows(clicks):
+        streams.setdefault(user, []).append(Event(news, ts, rank))
     counts = {}
     for user, events in streams.items():
         ordered = sorted(events, key=lambda e: (e.timestamp, e.within_impression_rank))
@@ -55,7 +57,7 @@ def brute_force_triplets(tensor_entries):
 
 def random_log(rng):
     """Synthetic multi-user click log: <= 10 users, <= 50 clicks total."""
-    streams = {}
+    rows = []
     clicks_left = int(rng.integers(2, 51))
     n_users = int(rng.integers(1, 11))
     articles = ["N%d" % k for k in range(int(rng.integers(2, 9)))]
@@ -65,13 +67,11 @@ def random_log(rng):
         n_clicks = int(rng.integers(1, min(clicks_left, 12) + 1))
         clicks_left -= n_clicks
         ts = int(rng.integers(1, 1000))
-        events = []
         for k in range(n_clicks):
             # mix of tiny gaps, window-boundary gaps, and session breaks
             ts += int(rng.choice([0, 10, 600, 1800, 1801, 4000]))
-            events.append((articles[int(rng.integers(len(articles)))], ts, k))
-        streams.update(stream("U%d" % u, *events))
-    return streams
+            rows.append(("U%d" % u, articles[int(rng.integers(len(articles)))], ts, k))
+    return clicks_of(rows)
 
 
 class TestBuildTensor:
@@ -101,13 +101,15 @@ class TestBuildTensor:
 
     def test_bad_window_raises(self):
         with pytest.raises(ValueError):
-            build_tensor({}, 0)
+            build_tensor(clicks_of([]), 0)
 
     def test_stream_order_invariance(self):
         rng = np.random.default_rng(99)
-        streams = random_log(rng)
-        forward = build_tensor(streams, 1800)
-        backward = build_tensor(dict(reversed(streams.items())), 1800)
+        clicks = random_log(rng)
+        users = list(dict.fromkeys(clicks.user.tolist()))
+        reversed_users = np.concatenate([np.flatnonzero(clicks.user == user) for user in reversed(users)])
+        forward = build_tensor(clicks, 1800)
+        backward = build_tensor(Clicks(*(column[reversed_users] for column in clicks)), 1800)
         assert forward == backward
 
 
@@ -187,19 +189,19 @@ class TestTripletPersistence:
     def test_malformed_line_raises(self, tmp_path):
         path = tmp_path / "bad.tsv"
         path.write_text("u1\tA\tB\n")
-        with pytest.raises(ValueError):
+        with pytest.raises(FormatError):
             load_triplets(path)
 
     @pytest.mark.parametrize("confidence", ["nan", "inf", "-inf", "0", "0.0", "-1.5"])
     def test_bad_confidence_raises_naming_the_line(self, tmp_path, confidence):
         path = tmp_path / "train.tsv"
         path.write_text("u1\tA\tB\t1.1\nu1\tB\tC\t%s\n" % confidence)
-        with pytest.raises(ValueError, match=r"train\.tsv: line 2: confidence must be finite and > 0"):
+        with pytest.raises(FormatError, match=r"train\.tsv: line 2: confidence must be finite and > 0"):
             load_triplets(path)
 
     def test_non_numeric_confidence_raises_naming_the_line(self, tmp_path):
         path = tmp_path / "train.tsv"
         path.write_text("u1\tA\tB\t1.1\nu1\tB\tC\tabc\n")
         message = r"train\.tsv: line 2: confidence must be a number, got 'abc'"
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(FormatError, match=message):
             load_triplets(path)
