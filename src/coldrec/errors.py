@@ -28,7 +28,7 @@ class DivergenceError(PipelineError):
 class MissingArticlesError(PipelineError):
     """Article ids that an embedding file or a feature matrix lacks."""
 
-    def __init__(self, missing, source: str = "embedding file"):
+    def __init__(self, missing, source):
         self.missing = list(missing)
         super().__init__(
             "%s is missing %d article id(s): %s" % (source, len(self.missing), ", ".join(self.missing))

@@ -139,8 +139,9 @@ def load_external_embeddings(path, catalog: dict[str, Article]) -> FeatureMatrix
     """Load dense per-article vectors, aligned to catalog order.
 
     Format: first line `#dim <m>`, then one `news_id<TAB>v1 v2 ... vm` line
-    per article. Every catalog article must be present; rows for unknown ids
-    are ignored. An id listed twice is a FormatError naming the path and line.
+    per article. Every catalog article must be present, else a
+    MissingArticlesError names the path and the missing ids; rows for unknown
+    ids are ignored. An id listed twice is a FormatError naming the path and line.
     """
     vectors: dict[str, np.ndarray] = {}
     lines = read_lines(path)
@@ -177,7 +178,7 @@ def load_external_embeddings(path, catalog: dict[str, Article]) -> FeatureMatrix
         vectors[article_id] = vec
     missing = [a for a in catalog if a not in vectors]
     if missing:
-        raise MissingArticlesError(missing)
+        raise MissingArticlesError(missing, path)
     matrix = np.vstack([vectors[a] for a in catalog])
     row_index = {a: r for r, a in enumerate(catalog)}
     return FeatureMatrix(matrix=matrix, kind="external", row_index=row_index)

@@ -5,6 +5,8 @@ Both files are UTF-8 TSVs without a header row. news.tsv carries
 (impression id, user id, time, history, impressions) where the impressions
 column is space-separated `newsID-0` / `newsID-1` tokens. Timestamps use the
 MIND `M/D/YYYY H:MM:SS AM/PM` convention and are parsed as UTC epoch seconds.
+behaviors.tsv is read once, by `parse_behaviors`: one row rule decides which
+rows yield clicks and whose history ids are tallied for popularity.
 
 A catalog is a `dict[str, Article]`: news id -> article, in file order.
 Click streams are a `Clicks` record of aligned numpy columns, one row per
@@ -103,19 +105,22 @@ def _parse_time(text: str) -> int:
     return int(stamp.replace(tzinfo=timezone.utc).timestamp())
 
 
-def parse_behaviors(path) -> tuple[Clicks, ValidationReport]:
-    """Parse behaviors.tsv into click streams.
+def parse_behaviors(path) -> tuple[Clicks, Counter, ValidationReport]:
+    """Parse behaviors.tsv, its only reader, into click streams and a history tally.
 
     Each `newsID-1` token in the impressions column becomes a click at the
     impression timestamp, ranked by its position among that row's clicked
     tokens. The history column carries no per-click timestamps and yields no
-    clicks (see history_popularity for its tally). Rows with an unparseable
-    timestamp or fewer than 5 columns are skipped and counted; impression
-    tokens without a -0/-1 suffix are skipped and counted.
+    clicks; its ids are tallied into the returned Counter instead (see
+    history_popularity). Rows with fewer than 5 columns, an empty user id or
+    an unparseable or non-positive timestamp are skipped and counted, and
+    neither their clicks nor their history count; impression tokens without
+    a -0/-1 suffix are skipped and counted.
     """
     report = ValidationReport()
     users: dict[str, None] = {}  # in order of first kept row
     user, news, timestamp, rank = [], [], [], []
+    history: Counter[str] = Counter()
     for lineno, line in read_lines(path):
         report.rows_read += 1
         cols = line.split("\t")
@@ -124,6 +129,10 @@ def parse_behaviors(path) -> tuple[Clicks, ValidationReport]:
             report.note("line %d: malformed behaviors row" % lineno)
             continue
         row_user, time_text, impressions = cols[1], cols[2], cols[4]
+        if not row_user:
+            report.rows_skipped_malformed += 1
+            report.note("line %d: empty user id" % lineno)
+            continue
         try:
             row_time = _parse_time(time_text)
         except ValueError:
@@ -136,6 +145,7 @@ def parse_behaviors(path) -> tuple[Clicks, ValidationReport]:
             continue
         report.rows_kept += 1
         users.setdefault(row_user)
+        history.update(cols[3].split())
         clicked_rank = 0
         for token in impressions.split():
             news_id, sep, label = token.rpartition("-")
@@ -149,7 +159,7 @@ def parse_behaviors(path) -> tuple[Clicks, ValidationReport]:
                 timestamp.append(row_time)
                 rank.append(clicked_rank)
                 clicked_rank += 1
-    return group_clicks(users, user, news, timestamp, rank), report
+    return group_clicks(users, user, news, timestamp, rank), history, report
 
 
 def validate_clicks(clicks: Clicks, catalog: dict[str, Article]) -> tuple[Clicks, ValidationReport]:
@@ -163,16 +173,9 @@ def validate_clicks(clicks: Clicks, catalog: dict[str, Article]) -> tuple[Clicks
     return Clicks(*(column[known] for column in clicks)), report
 
 
-def history_popularity(path) -> dict[str, int]:
-    """Tally history-column article ids across behaviors.tsv.
-
-    History clicks carry no timestamps, so they never enter transition
-    building, but they count toward the popularity statistics consumed by the
-    novelty metric.
-    """
-    counts: Counter[str] = Counter()
-    for _, line in read_lines(path):
-        cols = line.split("\t")
-        if len(cols) >= 4:
-            counts.update(cols[3].split())
-    return dict(counts)
+def history_popularity(history: Counter, catalog: dict[str, Article], clicks: Clicks) -> Counter:
+    """Article popularity for the novelty metric: each catalog article's count in
+    the history tally of parse_behaviors (kept rows only) plus its kept clicks."""
+    popularity = Counter({article: count for article, count in history.items() if article in catalog})
+    popularity.update(clicks.news.tolist())
+    return popularity

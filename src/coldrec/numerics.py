@@ -15,8 +15,6 @@ validation; the module opens no files.
 
 from __future__ import annotations
 
-import weakref
-
 import numpy as np
 from numpy.linalg import cholesky
 
@@ -34,8 +32,9 @@ class CSRMatrix:
 
     `row` and `toarray` expect each column at most once per row, as
     `features.transform` builds them. `A[rows]` gathers rows by position.
-    `A.T` is the transpose, a CSRMatrix sorted stably by column once and
-    kept, so its rows list A's rows ascending; its own `.T` is `A`. `A @ B`,
+    `A.T` is the transpose, a new CSRMatrix sorted stably by column on each
+    access, so its rows list A's rows ascending; a caller that reuses it
+    holds it, as `ridge_factor` does. `A @ B`,
     for a dense or a CSRMatrix B, is dense: `np.bincount` sums each entry's
     terms in the order A stores them, the order scipy.sparse uses, so
     `A @ x`, `A.T @ x`, `A.T @ A` and `A @ A.T` are bit-identical to scipy's.
@@ -51,7 +50,6 @@ class CSRMatrix:
         self.shape = (int(shape[0]), int(shape[1]))
         self._value_rows = None
         self._keys: dict = {}
-        self._transpose = None
 
     @property
     def nnz(self) -> int:
@@ -59,15 +57,9 @@ class CSRMatrix:
 
     @property
     def T(self) -> "CSRMatrix":
-        # a transpose points back through a weak reference, so the pair forms no cycle
-        transpose = self._transpose() if isinstance(self._transpose, weakref.ref) else self._transpose
-        if transpose is None:
-            order = np.argsort(self.indices, kind="stable")
-            indptr = np.concatenate(([0], np.cumsum(np.bincount(self.indices, minlength=self.shape[1]))))
-            transpose = CSRMatrix(self.data[order], self._row_of_values()[order], indptr, self.shape[::-1])
-            transpose._transpose = weakref.ref(self)
-            self._transpose = transpose
-        return transpose
+        order = np.argsort(self.indices, kind="stable")
+        indptr = np.concatenate(([0], np.cumsum(np.bincount(self.indices, minlength=self.shape[1]))))
+        return CSRMatrix(self.data[order], self._row_of_values()[order], indptr, self.shape[::-1])
 
     def _row_of_values(self) -> np.ndarray:
         if self._value_rows is None:
@@ -182,7 +174,8 @@ def ridge_factor(design, ridge: float):
     if not np.all(np.isfinite(design.data if csr else design)):
         raise ValueError("design contains non-finite values")
     dual = ridge > 0 and design.shape[0] < design.shape[1]
-    gram = design @ design.T if dual else design.T @ design
+    transpose = design.T  # built once; a CSR transpose keeps its bincount keys across solves
+    gram = design @ transpose if dual else transpose @ design
     # Ridge and jitter go onto the Gram's diagonal in place: cholesky
     # returns a new factor, so after a failure `gram` still holds the ridged system.
     k = gram.shape[0]
@@ -211,8 +204,8 @@ def ridge_factor(design, ridge: float):
         if design.shape[0] != targets.shape[0]:
             raise ValueError("design and targets row counts differ")
         if dual:
-            return design.T @ substitute(targets)
-        return substitute(design.T @ targets)
+            return transpose @ substitute(targets)
+        return substitute(transpose @ targets)
 
     return solve
 

@@ -10,7 +10,6 @@ through named substreams (split, init, negatives).
 from __future__ import annotations
 
 import os
-from collections import Counter
 
 import numpy as np
 
@@ -185,12 +184,9 @@ def stage_ingest(cfg: RunConfig) -> dict:
     the validation messages (news, then behaviors, then clicks)."""
     out = _path(cfg, INGEST_DIR)
     catalog, news_report = parse_news(cfg.news_path)
-    raw_clicks, beh_report = parse_behaviors(cfg.behaviors_path)
+    raw_clicks, history, beh_report = parse_behaviors(cfg.behaviors_path)
     clicks, click_report = validate_clicks(raw_clicks, catalog)
-
-    history = history_popularity(cfg.behaviors_path)
-    popularity = Counter({article: count for article, count in history.items() if article in catalog})
-    popularity.update(clicks.news.tolist())
+    popularity = history_popularity(history, catalog, clicks)
 
     save_catalog(catalog, os.path.join(out, "catalog.tsv"))
     save_streams(clicks, os.path.join(out, "streams.tsv"))

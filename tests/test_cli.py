@@ -558,11 +558,32 @@ class TestCliCommands:
         assert rc == 1
         assert err == "error: %s: line %d: article %s is listed twice\n" % (path, len(ids) + 2, ids[0])
 
+    def test_ingest_popularity_leaves_out_the_history_of_skipped_rows(self, tmp_path):
+        fx = tmp_path / "fx"
+        fx.mkdir()
+        (fx / "news.tsv").write_text(
+            "".join("N%d\tnews\tworld\tTitle %d\tAbstract %d.\thttp://x/%d\n" % ((k,) * 4) for k in range(1, 6))
+        )
+        (fx / "behaviors.tsv").write_text(
+            "B1\tU1\t11/11/2019 9:00:00 AM\tN1\tN1-1 N2-1\n"
+            "B2\tU1\t11/11/2019 9:05:00 AM\tN3 N3\n"  # short row
+            "B3\tU2\tnot a time\tN4 N4 N4\tN1-1\n"
+            "B4\t\t11/11/2019 9:10:00 AM\tN5\tN2-1\n"  # empty user id
+        )
+        text = CONFIG_TEMPLATE.format(model="all", features="tfidf", extra_data="")
+        assert main(["ingest", "--config", config_at(tmp_path, text)]) == 0
+        assert (tmp_path / "out" / "ingest" / "popularity.tsv").read_text() == "N1\t2\nN2\t1\n"
+        assert (tmp_path / "out" / "ingest" / "messages.txt").read_text().splitlines() == [
+            "behaviors: line 2: malformed behaviors row",
+            "behaviors: line 3: unparseable timestamp 'not a time'",
+            "behaviors: line 4: empty user id",
+        ]
+
     @pytest.mark.parametrize(
         "command, name",
         [
             ("ingest", "fx/news.tsv"),  # parse_news
-            ("ingest", "fx/behaviors.tsv"),  # parse_behaviors, then history_popularity
+            ("ingest", "fx/behaviors.tsv"),  # parse_behaviors
             ("triplets", "out/ingest/streams.tsv"),  # load_streams
             ("split", "out/triplets.tsv"),  # load_triplets
             ("featurize", "out/ingest/catalog.tsv"),  # load_catalog

@@ -219,7 +219,8 @@ class TestExternalEmbeddings:
         self.write_embeddings(path, 2, [("A1", [1, 2])])
         with pytest.raises(MissingArticlesError) as err:
             load_external_embeddings(path, catalog)
-        assert "A2" in str(err.value)
+        assert err.value.missing == ["A2"]
+        assert str(err.value) == "%s is missing 1 article id(s): A2" % path
 
     def test_nan_value_is_format_error(self, tmp_path):
         catalog = catalog_from([("A1", "t", "")])

@@ -18,7 +18,7 @@ class TestGenerateFixture:
         assert len(catalog) == 30
         assert news_report.rows_skipped_malformed == 0
         assert news_report.duplicates_dropped == 0
-        streams, beh_report = parse_behaviors(behaviors_path)
+        streams, _, beh_report = parse_behaviors(behaviors_path)
         assert beh_report.rows_skipped_malformed == 0
         assert beh_report.tokens_skipped_malformed == 0
         assert len(set(streams.user.tolist())) == 10
@@ -29,7 +29,7 @@ class TestGenerateFixture:
     def test_full_signal_transitions_stay_in_category(self, tmp_path):
         news_path, behaviors_path = generate_fixture(15, 40, 1.0, 3, tmp_path)
         catalog, _ = parse_news(news_path)
-        streams, _ = parse_behaviors(behaviors_path)
+        streams, _, _ = parse_behaviors(behaviors_path)
         categories = category_map(catalog)
         tensor = build_tensor(streams, 1800)
         assert tensor
@@ -40,7 +40,7 @@ class TestGenerateFixture:
         # loose sanity bound, not a sharp statistical assertion
         news_path, behaviors_path = generate_fixture(30, 80, 0.0, 5, tmp_path)
         catalog, _ = parse_news(news_path)
-        streams, _ = parse_behaviors(behaviors_path)
+        streams, _, _ = parse_behaviors(behaviors_path)
         categories = category_map(catalog)
         tensor = build_tensor(streams, 1800)
         total = sum(tensor.values())

@@ -1,8 +1,8 @@
 import os
+from collections import Counter
 
 import pytest
 
-from coldrec.errors import FormatError
 from coldrec.mind import (
     Article,
     history_popularity,
@@ -88,7 +88,7 @@ class TestParseBehaviors:
     def test_click_suffix_rule(self, tmp_path):
         path = tmp_path / "b.tsv"
         write_tsv(path, [("B1", "U1", "11/11/2019 9:00:00 AM", "", "N1-1 N2-0 N3-1")])
-        clicks, _ = parse_behaviors(path)
+        clicks, _, _ = parse_behaviors(path)
         assert clicks.user.tolist() == ["U1", "U1"]
         assert list(zip(clicks.news.tolist(), clicks.rank.tolist())) == [("N1", 0), ("N3", 1)]
         assert clicks.timestamp[0] == clicks.timestamp[1]
@@ -102,12 +102,13 @@ class TestParseBehaviors:
                 ("B2", "U1", "11/11/2019 9:00:50 AM", "", "N2-1"),
             ],
         )
-        clicks, _ = parse_behaviors(path)
+        clicks, _, _ = parse_behaviors(path)
         assert news_of(clicks, "U1") == ["N2", "N1"]
 
     def test_bundled_fixture_counts(self):
-        clicks, report = parse_behaviors(BEHAVIORS_SMALL)
+        clicks, history, report = parse_behaviors(BEHAVIORS_SMALL)
         assert len(set(clicks.user.tolist())) == 3
+        assert history == {"N1": 1, "N2": 3, "N3": 1, "N7": 1}
         # independent oracle: brute-force count of `-1` tokens in the raw file
         expected_clicks = 0
         with open(BEHAVIORS_SMALL, encoding="utf-8") as fh:
@@ -120,7 +121,7 @@ class TestParseBehaviors:
         assert report.rows_kept == 8
 
     def test_bundled_fixture_stream_order(self):
-        clicks, _ = parse_behaviors(BEHAVIORS_SMALL)
+        clicks, _, _ = parse_behaviors(BEHAVIORS_SMALL)
         # U1's 8:45 click sorts before the 9:00 impression pair
         assert news_of(clicks, "U1") == ["N5", "N1", "N3", "N4"]
         # ranks break the tie inside the 9:30 impression for U2
@@ -135,19 +136,51 @@ class TestParseBehaviors:
                 ("B2", "U1", "11/11/2019 9:00:00 AM", "", "N2-1"),
             ],
         )
-        clicks, report = parse_behaviors(path)
+        clicks, _, report = parse_behaviors(path)
         assert report.rows_skipped_malformed == 1
         assert len(clicks.news) == 1
 
     def test_bad_token_skipped_and_counted(self, tmp_path):
         path = tmp_path / "b.tsv"
         write_tsv(path, [("B1", "U1", "11/11/2019 9:00:00 AM", "", "N1-1 garbage N2-9 N3-0")])
-        clicks, report = parse_behaviors(path)
+        clicks, _, report = parse_behaviors(path)
         assert report.tokens_skipped_malformed == 2
         assert len(clicks.news) == 1
 
+    def test_empty_user_id_skips_row(self, tmp_path):
+        path = tmp_path / "b.tsv"
+        write_tsv(
+            path,
+            [
+                ("B1", "", "11/11/2019 9:00:00 AM", "N1", "N2-1 N3-1"),
+                ("B2", "U1", "11/11/2019 9:05:00 AM", "N5", "N4-1"),
+            ],
+        )
+        clicks, history, report = parse_behaviors(path)
+        assert click_rows(clicks) == [("U1", "N4", 1573463100, 0)]
+        assert history == {"N5": 1}
+        assert report.rows_kept == 1
+        assert report.rows_skipped_malformed == 1
+        assert report.messages == ["line 1: empty user id"]
+
+    def test_history_tallied_over_kept_rows_only(self, tmp_path):
+        path = tmp_path / "b.tsv"
+        write_tsv(
+            path,
+            [
+                ("B1", "U1", "not a time", "N1 N1 N1", "N2-1"),
+                ("B2", "U1", "11/11/2019 9:00:00 AM", "N3"),
+                ("B3", "U1", "1/1/1970 12:00:00 AM", "N4", "N2-1"),
+                ("B4", "U2", "11/11/2019 9:00:00 AM", "N2 N5 N2", "N6-1"),
+                ("B5", "U2", "11/11/2019 9:05:00 AM", "", "N2-0"),
+            ],
+        )
+        _, history, report = parse_behaviors(path)
+        assert history == {"N2": 2, "N5": 1}
+        assert report.rows_skipped_malformed == 3
+
     def test_conservation(self):
-        _, report = parse_behaviors(BEHAVIORS_SMALL)
+        _, _, report = parse_behaviors(BEHAVIORS_SMALL)
         assert report.rows_read == report.rows_kept + report.rows_skipped_malformed
 
     def test_streams_strictly_ordered(self):
@@ -185,13 +218,13 @@ class TestValidateClicks:
 
     def test_planted_unknown_ids_in_fixture(self):
         catalog, _ = parse_news(NEWS_SMALL)
-        raw, _ = parse_behaviors(BEHAVIORS_SMALL)
+        raw, _, _ = parse_behaviors(BEHAVIORS_SMALL)
         _, report = validate_clicks(raw, catalog)
         assert report.clicks_dropped_unknown_article == 2
 
     def test_idempotent(self):
         catalog, _ = parse_news(NEWS_SMALL)
-        raw, _ = parse_behaviors(BEHAVIORS_SMALL)
+        raw, _, _ = parse_behaviors(BEHAVIORS_SMALL)
         once, _ = validate_clicks(raw, catalog)
         twice, report = validate_clicks(once, catalog)
         assert report.clicks_dropped_unknown_article == 0
@@ -199,12 +232,16 @@ class TestValidateClicks:
 
 
 class TestHistoryPopularity:
-    def test_fixture_tallies(self):
-        counts = history_popularity(BEHAVIORS_SMALL)
-        assert counts == {"N1": 1, "N2": 3, "N3": 1, "N7": 1}
+    def test_catalog_history_plus_kept_clicks(self):
+        catalog = {i: Article(i, "c", "s", "t", "a") for i in ("N1", "N2", "N3")}
+        history = Counter({"N1": 2, "N9": 4, "N3": 1})
+        clicks = clicks_of([("U1", "N1", 100, 0), ("U1", "N2", 100, 1), ("U2", "N1", 200, 0)])
+        assert history_popularity(history, catalog, clicks) == {"N1": 4, "N2": 1, "N3": 1}
 
-    def test_a_byte_that_is_not_utf8_names_the_line(self, tmp_path):
-        path = tmp_path / "behaviors.tsv"
-        path.write_bytes(b"B1\tU1\t11/11/2019 9:00:00 AM\tN1\tN1-1\nB2\tU1\t11/11/2019 9:00:00 AM\tN\xff\tN1-1\n")
-        with pytest.raises(FormatError, match=r"behaviors\.tsv: line 2: not UTF-8: invalid start byte$"):
-            history_popularity(path)
+    def test_bundled_fixture(self):
+        catalog, _ = parse_news(NEWS_SMALL)
+        raw, history, _ = parse_behaviors(BEHAVIORS_SMALL)
+        clicks, _ = validate_clicks(raw, catalog)
+        popularity = history_popularity(history, catalog, clicks)
+        # history {N1: 1, N2: 3, N3: 1, N7: 1} plus the 9 clicks on catalog articles
+        assert popularity == {"N1": 2, "N2": 4, "N3": 2, "N4": 1, "N5": 1, "N6": 1, "N7": 2, "N8": 1, "N9": 1}

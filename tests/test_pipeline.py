@@ -2,10 +2,12 @@ import hashlib
 import json
 import os
 import shutil
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from coldrec import mind
 from coldrec.config import RunConfig, load_config
 from coldrec.errors import FormatError
 from coldrec.features import FeatureMatrix
@@ -106,6 +108,21 @@ class TestIngestMessages:
             "behaviors: line 1: bad impression token 'N3-x'",
             "clicks: user U2: dropped 1 click(s) on unknown articles",
         ]
+
+
+class TestIngestReadsEachLogOnce:
+    def test_read_lines_calls_per_path(self, tmp_path, monkeypatch):
+        news, behaviors = generate_fixture(8, 30, 0.8, 1, tmp_path / "fx")
+        calls = Counter()
+        read_lines = mind.read_lines
+
+        def counted(path):
+            calls[str(path)] += 1
+            return read_lines(path)
+
+        monkeypatch.setattr(mind, "read_lines", counted)
+        stage_ingest(RunConfig(news_path=str(news), behaviors_path=str(behaviors), out_dir=str(tmp_path / "out")))
+        assert calls == {str(news): 1, str(behaviors): 1}
 
 
 class TestParseOrder:
