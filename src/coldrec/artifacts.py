@@ -2,14 +2,16 @@
 
 Every file a stage writes goes through `atomic_open`, so a stage that raises,
 or a process killed mid-write, leaves the previous file (or none) at the
-final path, never a truncated one. Dense matrices are `.npy` files; CSR
-matrices are `.npz` archives with the keys of scipy.sparse's `save_npz`, so
-either side can read what the other writes.
+final path, never a truncated one. Tab-separated rows go out through
+`write_rows` and come back through `read_rows`. Dense matrices are `.npy`
+files; CSR matrices are `.npz` archives with the keys of scipy.sparse's
+`save_npz`, so either side can read what the other writes.
 """
 
 from __future__ import annotations
 
 import contextlib
+import itertools
 import json
 import os
 import re
@@ -82,6 +84,19 @@ def read_lines(path):
     with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         lineno = next(n for n, line in enumerate(fh, start=1) if re.search("[\udc80-\udcff]", line))
     raise FormatError("%s: line %d: not UTF-8: %s" % (path, lineno, reason))
+
+
+def write_rows(path, rows) -> None:
+    """Write one line per row, its fields' `str()` joined by tabs: the inverse of read_rows.
+
+    Every row is a tuple as wide as the first; a float's `str()` reads back as the same float.
+    """
+    rows = iter(rows)
+    first = next(rows, None)
+    with atomic_open(path) as fh:
+        if first is not None:
+            line = "\t".join(["%s"] * len(first)) + "\n"  # %s formats a field as str() does
+            fh.writelines(line % row for row in itertools.chain([first], rows))
 
 
 def read_rows(path, columns: int):

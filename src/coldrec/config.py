@@ -51,12 +51,13 @@ class RunConfig:
     seed: int = DEFAULT_SEED
 
     def validate(self) -> None:
-        for path, required in (
-            (self.news_path, True),
-            (self.behaviors_path, True),
-            (self.embeddings_path, self.feature_kind == "external"),
-        ):
-            if required and (path is None or not os.path.exists(path)):
+        required = [self.news_path, self.behaviors_path]
+        if self.feature_kind == "external":
+            if self.embeddings_path is None:
+                raise ValueError('data.embeddings is required when features.kind is "external"')
+            required.append(self.embeddings_path)
+        for path in required:
+            if not os.path.exists(path):
                 raise FileNotFoundError("configured input does not exist: %s" % path)
         if self.feature_kind not in FEATURE_KINDS:
             raise ValueError("unknown feature kind %r" % self.feature_kind)

@@ -14,6 +14,9 @@ from datetime import datetime, timezone
 
 import numpy as np
 
+from .artifacts import write_rows
+from .mind import Article
+
 _BASE_EPOCH = int(datetime(2019, 11, 1, 6, 0, 0, tzinfo=timezone.utc).timestamp())
 
 _CATEGORY_VOCAB = {
@@ -86,22 +89,14 @@ def _make_articles(rng, n_articles):
             for _ in range(int(rng.integers(0, 3))):
                 abstract_words.append(_FILLER_WORDS[int(rng.integers(len(_FILLER_WORDS)))])
             abstract = " ".join(abstract_words)
-        articles.append(
-            {
-                "id": "N%04d" % idx,
-                "category": category,
-                "subcategory": subcategory,
-                "title": " ".join(title_words),
-                "abstract": abstract,
-            }
-        )
+        articles.append(Article("N%04d" % idx, category, subcategory, " ".join(title_words), abstract))
     return articles
 
 
 def _next_click(rng, last_pos, articles, by_category, content_signal):
     n = len(articles)
     if rng.random() < content_signal:
-        pool = by_category[articles[last_pos]["category"]]
+        pool = by_category[articles[last_pos].category]
         if len(pool) < 2:
             return int(rng.integers(n))
         while True:
@@ -129,7 +124,7 @@ def generate_fixture(n_users, n_articles, content_signal, seed, out_dir):
     articles = _make_articles(rng, n_articles)
     by_category: dict[str, list[int]] = {}
     for pos, art in enumerate(articles):
-        by_category.setdefault(art["category"], []).append(pos)
+        by_category.setdefault(art.category, []).append(pos)
 
     # Per user: sessions of 2-6 clicks with in-session gaps far below the
     # window and cross-session gaps far above it. ~15% of in-session steps
@@ -158,7 +153,7 @@ def generate_fixture(n_users, n_articles, content_signal, seed, out_dir):
                 clicked = [p for _, p in session[run_start:run_end]]
                 history_text = " ".join(clicked_history[-10:])
                 rows.append((session[run_start][0], user, history_text, clicked))
-                clicked_history.extend(articles[p]["id"] for p in clicked)
+                clicked_history.extend(articles[p].id for p in clicked)
                 run_start = run_end
             clock += int(rng.integers(2 * 3600, 9 * 3600))
 
@@ -168,12 +163,7 @@ def generate_fixture(n_users, n_articles, content_signal, seed, out_dir):
     news_path = os.path.join(out_dir, "news.tsv")
     behaviors_path = os.path.join(out_dir, "behaviors.tsv")
 
-    with open(news_path, "w", encoding="utf-8", newline="") as fh:
-        for art in articles:
-            fh.write(
-                "%s\t%s\t%s\t%s\t%s\n"
-                % (art["id"], art["category"], art["subcategory"], art["title"], art["abstract"])
-            )
+    write_rows(news_path, articles)
 
     with open(behaviors_path, "w", encoding="utf-8", newline="") as fh:
         for row_idx, (timestamp, user, history_text, clicked) in enumerate(rows, start=1):
@@ -185,7 +175,7 @@ def generate_fixture(n_users, n_articles, content_signal, seed, out_dir):
                     noise = int(rng.integers(n_articles))
                     if noise not in excluded:
                         excluded.add(noise)
-                        noise_tokens.append("%s-0" % articles[noise]["id"])
+                        noise_tokens.append("%s-0" % articles[noise].id)
                         break
             # interleave: clicked tokens keep their sequence order among themselves
             total = len(noise_tokens) + len(clicked)
@@ -195,7 +185,7 @@ def generate_fixture(n_users, n_articles, content_signal, seed, out_dir):
             click_at = 0
             for slot in range(total):
                 if click_at < len(clicked) and slot == click_slots[click_at]:
-                    tokens.append("%s-1" % articles[clicked[click_at]]["id"])
+                    tokens.append("%s-1" % articles[clicked[click_at]].id)
                     click_at += 1
                 else:
                     tokens.append(noise_tokens[noise_at])

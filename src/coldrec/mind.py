@@ -8,7 +8,8 @@ MIND `M/D/YYYY H:MM:SS AM/PM` convention and are parsed as UTC epoch seconds.
 behaviors.tsv is read once, by `parse_behaviors`: one row rule decides which
 rows yield clicks and whose history ids are tallied for popularity.
 
-A catalog is a `dict[str, Article]`: news id -> article, in file order.
+A catalog is a `dict[str, Article]`: news id -> article, in file order. An
+`Article` is a NamedTuple of the five kept columns, so a catalog's values are rows.
 Click streams are a `Clicks` record of aligned numpy columns, one row per
 click: `user` and `news` ids, `timestamp` and `rank` (the click's position
 among its impression's clicked tokens). Rows are grouped by user, users in the
@@ -31,8 +32,7 @@ _TIME_FORMAT = "%m/%d/%Y %I:%M:%S %p"
 _MAX_MESSAGES = 20
 
 
-@dataclass(frozen=True)
-class Article:
+class Article(NamedTuple):
     id: str
     category: str
     subcategory: str

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import metrics as metrics_mod
 from .artifacts import (atomic_open, load_csr, load_matrix, read_json, read_rows, save_csr, save_matrix,
-                        write_json)
+                        write_json, write_rows)
 from .config import RunConfig, derive_seed
 from .errors import FormatError
 from .features import FeatureMatrix, fit_tfidf, load_external_embeddings, transform
@@ -23,7 +23,7 @@ from .mind import Article, Clicks, group_clicks, history_popularity, parse_behav
 from .models import almm_train, forbes_train, load_model, oord_train, sample_negatives, save_model
 from .numerics import CSRMatrix
 from .splits import load_split, make_cold_split, make_warm_split, save_split
-from .transitions import build_tensor, build_triplets, load_triplets, save_triplets
+from .transitions import build_tensor, build_triplets, load_triplets
 
 _TRAINERS = {"almm": almm_train, "forbes": forbes_train, "oord": oord_train}
 
@@ -47,25 +47,17 @@ def metrics_path(cfg: RunConfig) -> str:
 # persistence helpers for stage intermediates
 # ---------------------------------------------------------------------------
 
-def save_catalog(catalog: dict[str, Article], path) -> None:
-    with atomic_open(path) as fh:
-        for art in catalog.values():
-            fh.write(
-                "%s\t%s\t%s\t%s\t%s\n"
-                % (art.id, art.category, art.subcategory, art.title, art.abstract)
-            )
-
-
 def load_catalog(path) -> dict[str, Article]:
-    catalog, report = parse_news(path)
-    if report.rows_skipped_malformed or report.duplicates_dropped:
-        raise FormatError("%s: persisted catalog failed to round-trip cleanly" % path)
+    """Read catalog.tsv; an empty or repeated article id is a FormatError naming the path and line."""
+    catalog: dict[str, Article] = {}
+    for lineno, fields in read_rows(path, 5):
+        article = Article(*fields)
+        if not article.id:
+            raise FormatError("%s: line %d: empty article id" % (path, lineno))
+        if article.id in catalog:
+            raise FormatError("%s: line %d: article %s is listed twice" % (path, lineno, article.id))
+        catalog[article.id] = article
     return catalog
-
-
-def save_streams(clicks: Clicks, path) -> None:
-    with atomic_open(path) as fh:
-        fh.writelines("%s\t%s\t%d\t%d\n" % row for row in zip(*(column.tolist() for column in clicks)))
 
 
 def load_streams(path) -> Clicks:
@@ -96,12 +88,6 @@ def load_streams(path) -> Clicks:
         timestamp.append(key[0])
         rank.append(key[1])
     return group_clicks(last, user, news, timestamp, rank)
-
-
-def save_popularity(popularity: dict[str, int], path) -> None:
-    with atomic_open(path) as fh:
-        for article in sorted(popularity):
-            fh.write("%s\t%d\n" % (article, popularity[article]))
 
 
 def load_popularity(path) -> dict[str, int]:
@@ -188,9 +174,9 @@ def stage_ingest(cfg: RunConfig) -> dict:
     clicks, click_report = validate_clicks(raw_clicks, catalog)
     popularity = history_popularity(history, catalog, clicks)
 
-    save_catalog(catalog, os.path.join(out, "catalog.tsv"))
-    save_streams(clicks, os.path.join(out, "streams.tsv"))
-    save_popularity(popularity, os.path.join(out, "popularity.tsv"))
+    write_rows(os.path.join(out, "catalog.tsv"), catalog.values())
+    write_rows(os.path.join(out, "streams.tsv"), zip(*(column.tolist() for column in clicks)))
+    write_rows(os.path.join(out, "popularity.tsv"), sorted(popularity.items()))
     save_messages(
         (("news", news_report), ("behaviors", beh_report), ("clicks", click_report)),
         os.path.join(out, "messages.txt"),
@@ -217,7 +203,7 @@ def stage_triplets(cfg: RunConfig) -> dict:
     clicks = load_streams(_path(cfg, INGEST_DIR, "streams.tsv"))
     tensor = build_tensor(clicks, cfg.window_seconds)
     triplets = build_triplets(tensor)
-    save_triplets(triplets, _path(cfg, "triplets.tsv"))
+    write_rows(_path(cfg, "triplets.tsv"), triplets)
     return {
         "transitions_observed": sum(tensor.values()),
         "triplets": len(triplets),

@@ -14,9 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .artifacts import read_json, write_json
+from .artifacts import read_json, write_json, write_rows
 from .errors import DegenerateSplitError, FormatError
-from .transitions import TripletSet, load_triplets, save_triplets
+from .transitions import TripletSet, load_triplets
 
 MANIFEST_NAME = "manifest.json"
 
@@ -90,8 +90,8 @@ def make_warm_split(triplet_set: TripletSet, test_fraction: float, seed: int) ->
 
 def save_split(split: DataSplit, dirpath, fraction: float | None = None) -> None:
     """Persist a split as two triplet TSVs plus a manifest."""
-    save_triplets(split.train, os.path.join(dirpath, "train.tsv"))
-    save_triplets(split.test, os.path.join(dirpath, "test.tsv"))
+    write_rows(os.path.join(dirpath, "train.tsv"), split.train)
+    write_rows(os.path.join(dirpath, "test.tsv"), split.test)
     manifest = {
         "kind": split.kind,
         "seed": split.seed,

@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .artifacts import atomic_open, read_rows
+from .artifacts import read_rows
 from .errors import EmptyInputError, FormatError
 from .mind import Clicks
 
@@ -114,13 +114,6 @@ def build_triplets(tensor: dict[tuple[str, str, str], int]) -> TripletSet:
     return TripletSet(
         (user, last, nxt, 1.0 + 0.1 * global_counts[(last, nxt)]) for (user, last, nxt) in tensor
     )
-
-
-def save_triplets(triplet_set: TripletSet, path) -> None:
-    """Dump one `user<TAB>i<TAB>j<TAB>confidence` line per triplet, confidence by repr."""
-    with atomic_open(path) as fh:
-        for t in triplet_set:
-            fh.write("%s\t%s\t%s\t%r\n" % t)
 
 
 def load_triplets(path) -> TripletSet:

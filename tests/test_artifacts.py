@@ -11,9 +11,11 @@ import pytest
 from scipy import sparse
 
 from coldrec.artifacts import (atomic_open, load_csr, load_matrix, read_json, read_lines, read_rows, save_csr, save_matrix,
-                               write_json)
+                               write_json, write_rows)
 from coldrec.errors import FormatError
+from coldrec.mind import Article
 from coldrec.numerics import CSRMatrix
+from coldrec.transitions import Triplet
 
 
 def saved_blob(tmp_path, values):
@@ -342,3 +344,25 @@ def test_read_rows_splits_each_line_and_rejects_another_column_count(tmp_path):
     assert [next(rows), next(rows)] == [(1, ["a", "b"]), (2, ["c", "d"])]
     with pytest.raises(FormatError, match=r"rows\.tsv: line 3: expected 2 columns$"):
         next(rows)
+
+
+@pytest.mark.parametrize(
+    "row, old_format",
+    [
+        (Article("N1", "news", "sports", "A title", ""), "%s\t%s\t%s\t%s\t%s\n"),  # catalog.tsv
+        (("U7", "N3", 1573463158, 2), "%s\t%s\t%d\t%d\n"),  # streams.tsv
+        (("N3", 12), "%s\t%d\n"),  # popularity.tsv
+        (Triplet("U7", "N1", "N3", 1.0 + 0.1 * 7), "%s\t%s\t%s\t%r\n"),  # triplets.tsv and split sides
+    ],
+)
+def test_write_rows_writes_the_bytes_of_each_artifact_format(tmp_path, row, old_format):
+    path = tmp_path / "rows.tsv"
+    write_rows(path, [row, row])
+    assert path.read_bytes() == (old_format % tuple(row)).encode("utf-8") * 2
+    assert list(read_rows(path, len(row))) == [(n, [str(field) for field in row]) for n in (1, 2)]
+
+
+def test_write_rows_of_no_rows_writes_an_empty_file(tmp_path):
+    path = tmp_path / "rows.tsv"
+    write_rows(path, iter(()))
+    assert path.read_bytes() == b""

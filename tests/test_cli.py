@@ -530,6 +530,26 @@ class TestCliCommands:
         assert rc == 1
         assert err.startswith("error: %s: line " % path) and err.endswith(expected)
 
+    @pytest.mark.parametrize("case", ["empty_id", "repeated_id"])
+    def test_featurize_rejects_a_catalog_its_writer_cannot_write(self, workspace, run_out, capsys, case):
+        out = "catalog_%s_out" % case
+        shutil.copytree(os.path.join(run_out[2], "ingest"), os.path.join(workspace, out, "ingest"))
+        path = os.path.join(workspace, out, "ingest", "catalog.tsv")
+        with open(path) as fh:
+            lines = fh.readlines()
+        if case == "empty_id":
+            lines[2] = "\t" + lines[2].split("\t", 1)[1]
+            expected = "line 3: empty article id"
+        else:
+            lines[2] = lines[0]
+            expected = "line 3: article %s is listed twice" % lines[0].split("\t")[0]
+        with open(path, "w") as fh:
+            fh.writelines(lines)
+        rc = main(["featurize", "--config", write_config(workspace), "--out", out])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err == "error: %s: %s\n" % (path, expected)
+
     def test_train_names_the_train_articles_the_features_lack(self, workspace, run_out, capsys):
         out = os.path.join(workspace, "short_features_out")
         shutil.copytree(run_out[2], out)
@@ -649,6 +669,20 @@ class TestCliCommands:
         err = capsys.readouterr().err
         assert rc == 1
         assert "nowhere" in err
+
+    @pytest.mark.parametrize(
+        "extra_data, message",
+        [
+            ("", 'data.embeddings is required when features.kind is "external"'),
+            ('embeddings = "absent.tsv"', "configured input does not exist: {workspace}/absent.tsv"),
+        ],
+    )
+    def test_external_features_name_a_missing_embeddings_input(self, workspace, capsys, extra_data, message):
+        config = write_config(workspace, extra_data=extra_data)
+        rc = main(["ingest", "--config", config, "--features", "external", "--out", "embeddings_out"])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: %s\n" % message.format(workspace=workspace)
+        assert not os.path.exists(os.path.join(workspace, "embeddings_out"))
 
     def test_single_model_override(self, workspace):
         config = write_config(workspace)

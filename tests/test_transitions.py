@@ -3,6 +3,7 @@ from collections import namedtuple
 import numpy as np
 import pytest
 
+from coldrec.artifacts import write_rows
 from coldrec.errors import EmptyInputError, FormatError
 from coldrec.mind import Clicks
 from coldrec.transitions import (
@@ -11,7 +12,6 @@ from coldrec.transitions import (
     build_tensor,
     build_triplets,
     load_triplets,
-    save_triplets,
 )
 
 from conftest import clicks_of, click_rows
@@ -172,7 +172,7 @@ class TestTripletPersistence:
         tensor = {("u1", "A", "B"): 2, ("u2", "A", "B"): 1, ("u1", "B", "C"): 1}
         tset = build_triplets(tensor)
         path = tmp_path / "triplets.tsv"
-        save_triplets(tset, path)
+        write_rows(path, tset)
         loaded = load_triplets(path)
         assert list(loaded) == list(tset)
         assert loaded.users == tset.users
@@ -183,7 +183,7 @@ class TestTripletPersistence:
         # shortest round-tripping repr keeps 1.0 + 0.1 * 7's trailing digits
         path = tmp_path / "triplets.tsv"
         rows = [Triplet("u1", "A", "B", 1.0 + 0.1 * 3), Triplet("u1", "B", "C", 1.0 + 0.1 * 7)]
-        save_triplets(TripletSet(rows), path)
+        write_rows(path, TripletSet(rows))
         assert path.read_text() == "u1\tA\tB\t1.3\nu1\tB\tC\t1.7000000000000002\n"
 
     def test_malformed_line_raises(self, tmp_path):
