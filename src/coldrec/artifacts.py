@@ -3,9 +3,10 @@
 Every file a stage writes goes through `atomic_open`, so a stage that raises,
 or a process killed mid-write, leaves the previous file (or none) at the
 final path, never a truncated one. Tab-separated rows go out through
-`write_rows` and come back through `read_rows`. Dense matrices are `.npy`
-files; CSR matrices are `.npz` archives with the keys of scipy.sparse's
-`save_npz`, so either side can read what the other writes.
+`write_rows` and come back through `read_rows`, typed by the columns each
+reader declares; JSON id lists come back through `id_positions`. Dense
+matrices are `.npy` files; CSR matrices are `.npz` archives with the keys of
+scipy.sparse's `save_npz`, so either side can read what the other writes.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import os
 import re
 import zipfile
 import zlib
+from collections import Counter
 
 import numpy as np
 
@@ -99,16 +101,42 @@ def write_rows(path, rows) -> None:
             fh.writelines(line % row for row in itertools.chain([first], rows))
 
 
-def read_rows(path, columns: int):
-    """Yield (line number, fields) per line of a tab-separated artifact of `columns` fields.
+def read_rows(path, columns: dict):
+    """Yield (line number, fields) per line of a tab-separated artifact; see parse_rows."""
+    return parse_rows(path, columns, read_lines(path), "\t")
 
-    A line with another number of fields is a FormatError naming the path and line.
+
+def parse_rows(path, columns: dict, lines, sep: str):
+    """Yield (line number, fields) per (line number, line) of `lines` from `path`, split at `sep`.
+
+    `columns` maps each column's name to its type (str, int or float), in column order, and each
+    field is converted by its type. Another number of fields, or a field its type rejects, is a
+    FormatError naming the path and line.
     """
-    for lineno, line in read_lines(path):
-        fields = line.split("\t")
-        if len(fields) != columns:
-            raise FormatError("%s: line %d: expected %d columns" % (path, lineno, columns))
+    width, typed = len(columns), [(n, kind) for n, kind in enumerate(columns.values()) if kind is not str]
+    for lineno, line in lines:
+        fields = line.split(sep)
+        if len(fields) != width:
+            raise FormatError("%s: line %d: expected %d columns" % (path, lineno, width))
+        try:
+            for n, kind in typed:
+                fields[n] = kind(fields[n])
+        except ValueError:  # n and kind are the rejected field's
+            raise FormatError("%s: line %d: %s must be %s, got %r" % (path, lineno, list(columns)[n],
+                              "an integer" if kind is int else "a number", fields[n])) from None
         yield lineno, fields
+
+
+def id_positions(ids, path, key: str) -> dict[str, int]:
+    """{id: position} of the id list persisted under `key` in the JSON file `path`; anything but a
+    list of distinct strings is a FormatError naming the path, the key and any repeated id."""
+    if not isinstance(ids, list) or not all(isinstance(a, str) for a in ids):
+        raise FormatError("%s: %s must be a list of ids" % (path, key))
+    positions = {a: p for p, a in enumerate(ids)}
+    if len(positions) < len(ids):
+        repeated = sorted(a for a, n in Counter(ids).items() if n > 1)
+        raise FormatError("%s: %s lists %s more than once" % (path, key, ", ".join(repeated)))
+    return positions
 
 
 def save_matrix(values, path) -> None:

@@ -9,6 +9,7 @@ spaced so that cross-session gaps always exceed the half-hour window.
 
 from __future__ import annotations
 
+import itertools
 import os
 from datetime import datetime, timezone
 
@@ -130,7 +131,7 @@ def generate_fixture(n_users, n_articles, content_signal, seed, out_dir):
     # window and cross-session gaps far above it. ~15% of in-session steps
     # share a timestamp with the previous click so the parsers' rank ordering
     # gets exercised.
-    rows = []  # (timestamp, user, history_text, clicked positions, row order hint)
+    rows = []  # (timestamp, user, history_text, clicked positions)
     for user_idx in range(n_users):
         user = "U%03d" % user_idx
         clock = _BASE_EPOCH + int(rng.integers(0, 72 * 3600))
@@ -145,53 +146,35 @@ def generate_fixture(n_users, n_articles, content_signal, seed, out_dir):
                 pos = _next_click(rng, pos, articles, by_category, content_signal)
                 session.append((clock, pos))
             # pack same-timestamp runs into a single impression row
-            run_start = 0
-            while run_start < len(session):
-                run_end = run_start + 1
-                while run_end < len(session) and session[run_end][0] == session[run_start][0]:
-                    run_end += 1
-                clicked = [p for _, p in session[run_start:run_end]]
-                history_text = " ".join(clicked_history[-10:])
-                rows.append((session[run_start][0], user, history_text, clicked))
+            for stamp, run in itertools.groupby(session, key=lambda click: click[0]):
+                clicked = [p for _, p in run]
+                rows.append((stamp, user, " ".join(clicked_history[-10:]), clicked))
                 clicked_history.extend(articles[p].id for p in clicked)
-                run_start = run_end
             clock += int(rng.integers(2 * 3600, 9 * 3600))
 
     rows.sort(key=lambda r: (r[0], r[1]))
 
-    os.makedirs(out_dir, exist_ok=True)
     news_path = os.path.join(out_dir, "news.tsv")
     behaviors_path = os.path.join(out_dir, "behaviors.tsv")
-
     write_rows(news_path, articles)
 
-    with open(behaviors_path, "w", encoding="utf-8", newline="") as fh:
-        for row_idx, (timestamp, user, history_text, clicked) in enumerate(rows, start=1):
-            excluded = set(clicked)
-            noise_tokens = []
-            for _ in range(int(rng.integers(3, 7))):
-                # bounded resampling: tiny universes may have no free article left
-                for _attempt in range(50):
-                    noise = int(rng.integers(n_articles))
-                    if noise not in excluded:
-                        excluded.add(noise)
-                        noise_tokens.append("%s-0" % articles[noise].id)
-                        break
-            # interleave: clicked tokens keep their sequence order among themselves
-            total = len(noise_tokens) + len(clicked)
-            click_slots = sorted(rng.choice(total, size=len(clicked), replace=False).tolist())
-            tokens = []
-            noise_at = 0
-            click_at = 0
-            for slot in range(total):
-                if click_at < len(clicked) and slot == click_slots[click_at]:
-                    tokens.append("%s-1" % articles[clicked[click_at]].id)
-                    click_at += 1
-                else:
-                    tokens.append(noise_tokens[noise_at])
-                    noise_at += 1
-            fh.write(
-                "R%05d\t%s\t%s\t%s\t%s\n"
-                % (row_idx, user, _format_time(timestamp), history_text, " ".join(tokens))
-            )
+    behaviors = []
+    for row_idx, (timestamp, user, history_text, clicked) in enumerate(rows, start=1):
+        excluded = set(clicked)
+        tokens = []
+        for _ in range(int(rng.integers(3, 7))):
+            # bounded resampling: tiny universes may have no free article left
+            for _attempt in range(50):
+                noise = int(rng.integers(n_articles))
+                if noise not in excluded:
+                    excluded.add(noise)
+                    tokens.append("%s-0" % articles[noise].id)
+                    break
+        # interleave: each click goes to its drawn slot, in slot order, so the
+        # clicked tokens keep their sequence order among themselves
+        slots = rng.choice(len(tokens) + len(clicked), size=len(clicked), replace=False).tolist()
+        for slot, pos in zip(sorted(slots), clicked):
+            tokens.insert(slot, "%s-1" % articles[pos].id)
+        behaviors.append(("R%05d" % row_idx, user, _format_time(timestamp), history_text, " ".join(tokens)))
+    write_rows(behaviors_path, behaviors)
     return news_path, behaviors_path

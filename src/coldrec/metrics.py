@@ -22,7 +22,7 @@ from itertools import compress
 
 import numpy as np
 
-from .artifacts import atomic_open, read_lines
+from .artifacts import atomic_open, parse_rows, read_lines
 from .errors import EmptyInputError, FormatError
 from .models import FactorModel, score_queries
 # perfbench/tracing.py wraps metrics.predict and metrics.cosine_distance by name
@@ -202,6 +202,7 @@ def load_curves(path) -> dict:
     """Read an emit_curves CSV back into {(model, setting, k): {metric: value}}.
 
     A file with no rows after its header is a FormatError, and so is a
+    (model, setting, k, metric) row listed twice, naming its line, or a
     (model, setting, k) that lacks any of the four metrics, as a truncated
     file leaves it; the message names the key and its missing metrics.
     """
@@ -210,19 +211,13 @@ def load_curves(path) -> dict:
     header = next(lines, (1, ""))[1]
     if header != "model,setting,k,metric,value":
         raise FormatError("%s: unexpected header %r" % (path, header))
-    for lineno, line in lines:
-        cols = line.split(",")
-        if len(cols) != 5:
-            raise FormatError("%s: line %d: expected 5 columns" % (path, lineno))
-        model_kind, setting, k_text, metric, value = cols
-        try:
-            k, number = int(k_text), float(value)
-        except ValueError:
-            raise FormatError(
-                "%s: line %d: k must be an integer and value a number, got %r and %r"
-                % (path, lineno, k_text, value)
-            ) from None
-        entries.setdefault((model_kind, setting, k), {})[metric] = number
+    columns = {"model": str, "setting": str, "k": int, "metric": str, "value": float}
+    for lineno, (model_kind, setting, k, metric, value) in parse_rows(path, columns, lines, ","):
+        values = entries.setdefault((model_kind, setting, k), {})
+        if metric in values:
+            raise FormatError("%s: line %d: %s,%s,%d,%s is listed twice"
+                              % (path, lineno, model_kind, setting, k, metric))
+        values[metric] = value
     if not entries:
         raise FormatError("%s: no metric rows" % path)
     for (model_kind, setting, k), values in entries.items():

@@ -52,7 +52,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .artifacts import load_matrix, read_json, save_matrix, write_json
+from .artifacts import id_positions, load_matrix, read_json, save_matrix, write_json
 from .errors import DivergenceError, EmptyInputError, FormatError, MissingArticlesError
 from .numerics import CSRMatrix, cho_solve_stacked, ridge_factor, ridge_solve
 from .transitions import TripletSet
@@ -780,12 +780,13 @@ def predict(model: FactorModel, user: str, last_article: str, candidates, featur
 
 
 def save_model(model: FactorModel, dirpath) -> None:
-    """Persist manifest.json plus the five factor/mapping matrices."""
+    """Persist manifest.json, which lists the user and article ids in row order, plus the
+    five factor/mapping matrices."""
     manifest = {
         "kind": model.kind,
         "hyperparams": asdict(model.hyper),
-        "users": model.users,
-        "articles": model.articles,
+        "users": sorted(model.users, key=model.users.get),
+        "articles": sorted(model.articles, key=model.articles.get),
         "loss_trace": model.loss_trace,
     }
     write_json(manifest, os.path.join(dirpath, MANIFEST_NAME))
@@ -794,7 +795,8 @@ def save_model(model: FactorModel, dirpath) -> None:
 
 
 def load_model(dirpath) -> FactorModel:
-    """Read a model directory; a matrix whose shape contradicts the manifest is a FormatError.
+    """Read a model directory; a kind outside MODEL_KINDS, an id list with a repeated id, or a
+    matrix whose shape contradicts the manifest is a FormatError.
 
     U must have one row per manifest user, X and Y one per manifest article,
     every matrix `latent_dim` columns, and PsiY the shape of PsiX, so a
@@ -808,13 +810,18 @@ def load_model(dirpath) -> FactorModel:
         model = FactorModel(
             kind=manifest["kind"],
             hyper=Hyperparams(**manifest["hyperparams"]),
-            users={str(k): int(v) for k, v in manifest["users"].items()},
-            articles={str(k): int(v) for k, v in manifest["articles"].items()},
+            users=id_positions(manifest["users"], manifest_path, "users"),
+            articles=id_positions(manifest["articles"], manifest_path, "articles"),
             loss_trace=[(str(a), float(b)) for a, b in manifest.get("loss_trace", [])],
             **matrices,
         )
+    except FormatError:  # an id list's own error already names the file and key
+        raise
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise FormatError("%s: malformed manifest: %r" % (manifest_path, exc)) from None
+    if model.kind not in MODEL_KINDS:
+        raise FormatError("%s: kind must be one of %s, got %r"
+                          % (manifest_path, ", ".join(MODEL_KINDS), model.kind))
     n_articles, m = len(model.articles), len(model.last_mapping)  # PsiY takes PsiX's rows
     rows = dict(user_factors=len(model.users), last_factors=n_articles, next_factors=n_articles,
                 last_mapping=m, next_mapping=m)

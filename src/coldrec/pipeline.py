@@ -14,8 +14,8 @@ import os
 import numpy as np
 
 from . import metrics as metrics_mod
-from .artifacts import (atomic_open, load_csr, load_matrix, read_json, read_rows, save_csr, save_matrix,
-                        write_json, write_rows)
+from .artifacts import (atomic_open, id_positions, load_csr, load_matrix, read_json, read_rows, save_csr,
+                        save_matrix, write_json, write_rows)
 from .config import RunConfig, derive_seed
 from .errors import FormatError
 from .features import FeatureMatrix, fit_tfidf, load_external_embeddings, transform
@@ -50,7 +50,7 @@ def metrics_path(cfg: RunConfig) -> str:
 def load_catalog(path) -> dict[str, Article]:
     """Read catalog.tsv; an empty or repeated article id is a FormatError naming the path and line."""
     catalog: dict[str, Article] = {}
-    for lineno, fields in read_rows(path, 5):
+    for lineno, fields in read_rows(path, dict.fromkeys(Article._fields, str)):
         article = Article(*fields)
         if not article.id:
             raise FormatError("%s: line %d: empty article id" % (path, lineno))
@@ -67,12 +67,9 @@ def load_streams(path) -> Clicks:
     malformed line is."""
     last: dict[str, tuple[int, int]] = {}  # user -> (timestamp, rank) of its latest row
     user, news, timestamp, rank = [], [], [], []
-    for lineno, (row_user, row_news, ts, row_rank) in read_rows(path, 4):
-        try:
-            key = (int(ts), int(row_rank))
-        except ValueError:
-            raise FormatError("%s: line %d: timestamp and rank must be integers, got %r and %r"
-                              % (path, lineno, ts, row_rank)) from None
+    columns = dict(zip(Clicks._fields, (str, str, int, int)))
+    for lineno, (row_user, row_news, ts, row_rank) in read_rows(path, columns):
+        key = (ts, row_rank)
         if max(key) >= 2**63:  # the columns are int64
             raise FormatError("%s: line %d: timestamp and rank must be below 2**63, got %d and %d"
                               % (path, lineno, *key))
@@ -85,8 +82,8 @@ def load_streams(path) -> Clicks:
         last[row_user] = key
         user.append(row_user)
         news.append(row_news)
-        timestamp.append(key[0])
-        rank.append(key[1])
+        timestamp.append(ts)
+        rank.append(row_rank)
     return group_clicks(last, user, news, timestamp, rank)
 
 
@@ -94,12 +91,7 @@ def load_popularity(path) -> dict[str, int]:
     """Read popularity.tsv; a count that is not an integer >= 0, or an article
     listed twice, is a FormatError naming the path and line."""
     popularity = {}
-    for lineno, (article, count) in read_rows(path, 2):
-        try:
-            clicks = int(count)
-        except ValueError:
-            raise FormatError("%s: line %d: count must be an integer, got %r"
-                              % (path, lineno, count)) from None
+    for lineno, (article, clicks) in read_rows(path, {"article": str, "count": int}):
         if clicks < 0:
             raise FormatError("%s: line %d: count must be >= 0, got %d" % (path, lineno, clicks))
         if article in popularity:
@@ -131,8 +123,7 @@ def load_features(base: str) -> FeatureMatrix:
         kind, dim, ids = meta["kind"], meta["dim"], meta["ids"]
     except (KeyError, TypeError) as exc:
         raise FormatError("%s: malformed meta file: %r" % (meta_path, exc)) from None
-    if not isinstance(ids, list) or not all(isinstance(a, str) for a in ids):
-        raise FormatError("%s: ids must be a list of article ids" % meta_path)
+    row_index = id_positions(ids, meta_path, "ids")
     path = base + ".npz"
     if os.path.exists(path):
         matrix = load_csr(path)
@@ -149,7 +140,6 @@ def load_features(base: str) -> FeatureMatrix:
     values = matrix.data if isinstance(matrix, CSRMatrix) else matrix
     if not np.isfinite(values).all():
         raise FormatError("%s: non-finite feature values" % path)
-    row_index = {a: r for r, a in enumerate(ids)}
     return FeatureMatrix(matrix=matrix, kind=kind, row_index=row_index)
 
 

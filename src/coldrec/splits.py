@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .artifacts import read_json, write_json, write_rows
+from .artifacts import id_positions, read_json, write_json, write_rows
 from .errors import DegenerateSplitError, FormatError
 from .transitions import TripletSet, load_triplets
 
@@ -110,9 +110,7 @@ def load_split(dirpath) -> DataSplit:
         kind, seed, holdout = manifest["kind"], manifest["seed"], manifest["holdout_articles"]
     except (KeyError, TypeError) as exc:
         raise FormatError("%s: malformed manifest: %r" % (manifest_path, exc)) from None
-    if not isinstance(holdout, list) or not all(isinstance(a, str) for a in holdout):
-        raise FormatError("%s: holdout_articles must be a list of article ids" % manifest_path)
-    holdout = set(holdout)
+    holdout = set(id_positions(holdout, manifest_path, "holdout_articles"))
     if kind not in ("warm", "cold"):
         raise FormatError("%s: kind must be 'warm' or 'cold', got %r" % (manifest_path, kind))
     train, test = (load_triplets(os.path.join(dirpath, side + ".tsv")) for side in ("train", "test"))

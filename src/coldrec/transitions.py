@@ -117,17 +117,13 @@ def build_triplets(tensor: dict[tuple[str, str, str], int]) -> TripletSet:
 
 
 def load_triplets(path) -> TripletSet:
+    """Read a triplet TSV; a confidence that is not a finite number > 0 is a FormatError
+    naming the path and line."""
     rows = []
-    for lineno, (user, last, nxt, text) in read_rows(path, 4):
-        try:
-            confidence = float(text)
-        except ValueError:
-            raise FormatError(
-                "%s: line %d: confidence must be a number, got %r" % (path, lineno, text)
-            ) from None
+    columns = dict(zip(Triplet._fields, (str, str, str, float)))
+    for lineno, (user, last, nxt, confidence) in read_rows(path, columns):
         if not 0.0 < confidence < math.inf:
-            raise FormatError(
-                "%s: line %d: confidence must be finite and > 0, got %s" % (path, lineno, text)
-            )
+            raise FormatError("%s: line %d: confidence must be finite and > 0, got %s"
+                              % (path, lineno, confidence))
         rows.append((user, last, nxt, confidence))
     return TripletSet(rows)

@@ -10,10 +10,10 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from coldrec.artifacts import (atomic_open, load_csr, load_matrix, read_json, read_lines, read_rows, save_csr, save_matrix,
-                               write_json, write_rows)
+from coldrec.artifacts import (atomic_open, id_positions, load_csr, load_matrix, read_json, read_lines, read_rows,
+                               save_csr, save_matrix, write_json, write_rows)
 from coldrec.errors import FormatError
-from coldrec.mind import Article
+from coldrec.mind import Article, Clicks
 from coldrec.numerics import CSRMatrix
 from coldrec.transitions import Triplet
 
@@ -337,32 +337,71 @@ def test_read_lines_names_the_line_of_a_byte_that_is_not_utf8(tmp_path, bad_line
     assert read == [(n, line.rstrip("\n")) for n, line in enumerate(lines[: len(read)], start=1)]
 
 
-def test_read_rows_splits_each_line_and_rejects_another_column_count(tmp_path):
+def test_read_rows_types_each_line_and_rejects_another_column_count(tmp_path):
     path = tmp_path / "rows.tsv"
-    path.write_text("a\tb\nc\td\ne\n", encoding="utf-8")
-    rows = read_rows(path, 2)
-    assert [next(rows), next(rows)] == [(1, ["a", "b"]), (2, ["c", "d"])]
-    with pytest.raises(FormatError, match=r"rows\.tsv: line 3: expected 2 columns$"):
+    path.write_text("a\t1\t0.5\nc\t2\t3\ne\t3\n", encoding="utf-8")
+    rows = read_rows(path, {"name": str, "count": int, "share": float})
+    assert [next(rows), next(rows)] == [(1, ["a", 1, 0.5]), (2, ["c", 2, 3.0])]
+    with pytest.raises(FormatError, match=r"rows\.tsv: line 3: expected 3 columns$"):
         next(rows)
 
 
 @pytest.mark.parametrize(
-    "row, old_format",
+    "line, message",
     [
-        (Article("N1", "news", "sports", "A title", ""), "%s\t%s\t%s\t%s\t%s\n"),  # catalog.tsv
-        (("U7", "N3", 1573463158, 2), "%s\t%s\t%d\t%d\n"),  # streams.tsv
-        (("N3", 12), "%s\t%d\n"),  # popularity.tsv
-        (Triplet("U7", "N1", "N3", 1.0 + 0.1 * 7), "%s\t%s\t%s\t%r\n"),  # triplets.tsv and split sides
+        ("a\t1.5\t0.5", r"line 2: count must be an integer, got '1\.5'$"),
+        ("a\t\t0.5", r"line 2: count must be an integer, got ''$"),
+        ("a\t1\thigh", r"line 2: share must be a number, got 'high'$"),
     ],
 )
-def test_write_rows_writes_the_bytes_of_each_artifact_format(tmp_path, row, old_format):
+def test_read_rows_names_the_line_and_column_of_a_field_its_type_rejects(tmp_path, line, message):
+    path = tmp_path / "rows.tsv"
+    path.write_text("a\t1\t0.5\n%s\n" % line, encoding="utf-8")
+    with pytest.raises(FormatError, match=r"^%s: %s" % (re.escape(str(path)), message)):
+        list(read_rows(path, {"name": str, "count": int, "share": float}))
+
+
+@pytest.mark.parametrize(
+    "row, old_format, columns",
+    [
+        (Article("N1", "news", "sports", "A title", ""), "%s\t%s\t%s\t%s\t%s\n",
+         dict.fromkeys(Article._fields, str)),  # catalog.tsv
+        (("U7", "N3", 1573463158, 2), "%s\t%s\t%d\t%d\n",
+         dict(zip(Clicks._fields, (str, str, int, int)))),  # streams.tsv
+        (("N3", 12), "%s\t%d\n", {"article": str, "count": int}),  # popularity.tsv
+        (Triplet("U7", "N1", "N3", 1.0 + 0.1 * 7), "%s\t%s\t%s\t%r\n",
+         dict(zip(Triplet._fields, (str, str, str, float)))),  # triplets.tsv and split sides
+    ],
+)
+def test_write_rows_writes_the_bytes_of_each_artifact_format(tmp_path, row, old_format, columns):
     path = tmp_path / "rows.tsv"
     write_rows(path, [row, row])
     assert path.read_bytes() == (old_format % tuple(row)).encode("utf-8") * 2
-    assert list(read_rows(path, len(row))) == [(n, [str(field) for field in row]) for n in (1, 2)]
+    assert list(read_rows(path, columns)) == [(n, list(row)) for n in (1, 2)]
 
 
 def test_write_rows_of_no_rows_writes_an_empty_file(tmp_path):
     path = tmp_path / "rows.tsv"
     write_rows(path, iter(()))
     assert path.read_bytes() == b""
+
+
+def test_id_positions_numbers_each_id_by_its_place_in_the_list():
+    assert id_positions(["N3", "N1", "N2"], "meta.json", "ids") == {"N3": 0, "N1": 1, "N2": 2}
+    assert id_positions([], "meta.json", "ids") == {}
+
+
+@pytest.mark.parametrize(
+    "ids, message",
+    [
+        ({"N1": 0, "N2": 1}, "meta.json: ids must be a list of ids"),  # the {id: index} form
+        ("N1", "meta.json: ids must be a list of ids"),
+        (None, "meta.json: ids must be a list of ids"),
+        (["N1", 7], "meta.json: ids must be a list of ids"),
+        (["N2", "N1", "N2", "N3", "N1"], "meta.json: ids lists N1, N2 more than once"),
+    ],
+)
+def test_id_positions_rejects_anything_but_a_list_of_distinct_strings(ids, message):
+    with pytest.raises(FormatError) as err:
+        id_positions(ids, "meta.json", "ids")
+    assert str(err.value) == message

@@ -449,18 +449,25 @@ class TestCliCommands:
         assert rc == 1
         assert err.startswith("error: %s: shape " % os.path.join(models_dir, "almm-cold", "X.npy"))
 
-    def test_evaluate_rejects_a_malformed_feature_meta_file(self, workspace, run_out, capsys):
-        shutil.copytree(run_out[2], os.path.join(workspace, "meta_out"))
-        meta_path = os.path.join(workspace, "meta_out", "features", "tfidf.meta.json")
+    @pytest.mark.parametrize("case", ["missing_ids", "repeated_id"])
+    def test_evaluate_rejects_a_malformed_feature_meta_file(self, workspace, run_out, capsys, case):
+        out = "meta_%s_out" % case
+        shutil.copytree(run_out[2], os.path.join(workspace, out))
+        meta_path = os.path.join(workspace, out, "features", "tfidf.meta.json")
         with open(meta_path) as fh:
             meta = json.load(fh)
-        del meta["ids"]
+        if case == "missing_ids":
+            del meta["ids"]
+            expected = "malformed meta file: KeyError('ids')"
+        else:  # used to surface as "feature matrix is missing 1 article id(s)", naming neither file nor repeat
+            meta["ids"][2] = meta["ids"][0]
+            expected = "ids lists %s more than once" % meta["ids"][0]
         with open(meta_path, "w") as fh:
             json.dump(meta, fh)
-        rc = main(["evaluate", "--config", write_config(workspace), "--out", "meta_out"])
+        rc = main(["evaluate", "--config", write_config(workspace), "--out", out])
         err = capsys.readouterr().err
         assert rc == 1
-        assert err.startswith("error: %s: " % meta_path)
+        assert err == "error: %s: %s\n" % (meta_path, expected)
 
     @pytest.mark.parametrize("cut", ["500_bytes", "half", "30_short"])
     def test_evaluate_rejects_a_truncated_feature_archive(self, workspace, run_out, capsys, cut):
@@ -485,6 +492,43 @@ class TestCliCommands:
         err = capsys.readouterr().err
         assert rc == 1
         assert err == "error: %s: non-finite values\n" % path
+
+    @pytest.mark.parametrize("case", ["repeated_user", "dict_form", "unknown_kind"])
+    def test_evaluate_rejects_a_model_manifest_its_writer_cannot_write(self, workspace, run_out, capsys, case):
+        out = "manifest_%s_out" % case
+        shutil.copytree(run_out[2], os.path.join(workspace, out))
+        path = os.path.join(workspace, out, "models", "almm-cold", "manifest.json")
+        with open(path) as fh:
+            manifest = json.load(fh)
+        users = manifest["users"]
+        if case == "repeated_user":
+            users[1] = users[0]
+            expected = "users lists %s more than once" % users[0]
+        elif case == "dict_form":  # the {id: row index} form, where nothing tied an index to a row
+            manifest["users"] = {user: row for row, user in enumerate(users)}
+            expected = "users must be a list of ids"
+        else:
+            manifest["kind"] = "foo"
+            expected = "kind must be one of almm, forbes, oord, got 'foo'"
+        with open(path, "w") as fh:
+            json.dump(manifest, fh)
+        rc = main(["evaluate", "--config", write_config(workspace), "--out", out])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err == "error: %s: %s\n" % (path, expected)
+
+    def test_report_rejects_a_metrics_row_listed_twice(self, workspace, run_out, capsys):
+        with open(os.path.join(run_out[2], "metrics.csv")) as fh:
+            lines = fh.readlines()
+        lines.insert(5, lines[2])
+        os.makedirs(os.path.join(workspace, "twice_metrics_out"))
+        path = os.path.join(workspace, "twice_metrics_out", "metrics.csv")
+        with open(path, "w") as fh:
+            fh.writelines(lines)
+        rc = main(["report", "--config", write_config(workspace), "--out", "twice_metrics_out"])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err == "error: %s: line 6: %s is listed twice\n" % (path, lines[2].rsplit(",", 1)[0])
 
     @pytest.mark.parametrize("case", ["negative_count", "repeated_article"])
     def test_evaluate_rejects_a_popularity_file_its_writer_cannot_write(self, workspace, run_out, capsys, case):

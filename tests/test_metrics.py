@@ -450,14 +450,9 @@ class TestEmitCurves:
         [
             ("almm,cold,10,map", r"curves\.csv: line 3: expected 5 columns$"),
             ("almm,cold,10,map,0.1,9", r"curves\.csv: line 3: expected 5 columns$"),
-            (
-                "almm,cold,ten,map,0.1",
-                r"curves\.csv: line 3: k must be an integer and value a number, got 'ten' and '0\.1'$",
-            ),
-            (
-                "almm,cold,10,map,high",
-                r"curves\.csv: line 3: k must be an integer and value a number, got '10' and 'high'$",
-            ),
+            ("almm,cold,ten,map,0.1", r"curves\.csv: line 3: k must be an integer, got 'ten'$"),
+            ("almm,cold,10,map,high", r"curves\.csv: line 3: value must be a number, got 'high'$"),
+            ("almm,cold,10,recall,0.6", r"curves\.csv: line 3: almm,cold,10,recall is listed twice$"),
         ],
     )
     def test_load_bad_row_names_the_line(self, tmp_path, row, message):

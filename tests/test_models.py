@@ -1376,6 +1376,8 @@ class TestModelPersistence:
             instances, content, hyper, user_ids=["ua", "ub"], article_ids=["n0", "n1", "n2", "n3"]
         )
         save_model(model, tmp_path / "model")
+        manifest = json.loads((tmp_path / "model" / "manifest.json").read_text(encoding="utf-8"))
+        assert (manifest["users"], manifest["articles"]) == (["ua", "ub"], ["n0", "n1", "n2", "n3"])
         loaded = load_model(tmp_path / "model")
         assert loaded.kind == model.kind
         assert loaded.users == model.users
@@ -1425,9 +1427,8 @@ class TestModelPersistence:
             lambda manifest: manifest.pop("kind"),
             lambda manifest: manifest.pop("articles"),
             lambda manifest: manifest["hyperparams"].update(latent_size=2),
-            lambda manifest: manifest.update(users=["u0", "u1", "u2"]),
         ],
-        ids=["missing kind", "missing articles", "unknown hyperparameter", "users not a mapping"],
+        ids=["missing kind", "missing articles", "unknown hyperparameter"],
     )
     def test_malformed_manifest_is_named(self, tmp_path, edit):
         path = self.saved_zero_model(tmp_path)
@@ -1437,3 +1438,23 @@ class TestModelPersistence:
         with pytest.raises(FormatError) as err:
             load_model(path)
         assert str(err.value).startswith(str(path / "manifest.json") + ": malformed manifest: ")
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            # the {id: row index} form, which nothing checked against the matrices
+            (lambda manifest: manifest.update(users={"u0": 0, "u1": 0, "u2": 10**6}), "users must be a list of ids"),
+            (lambda manifest: manifest.update(users=["u0", "u1", "u0"]), "users lists u0 more than once"),
+            (lambda manifest: manifest["articles"].__setitem__(4, "n1"), "articles lists n1 more than once"),
+            (lambda manifest: manifest.update(kind="foo"), "kind must be one of almm, forbes, oord, got 'foo'"),
+        ],
+        ids=["users in the dict form", "user listed twice", "article listed twice", "unknown kind"],
+    )
+    def test_manifest_id_lists_and_kind_are_checked(self, tmp_path, edit, message):
+        path = self.saved_zero_model(tmp_path)
+        manifest = json.loads((path / "manifest.json").read_text(encoding="utf-8"))
+        edit(manifest)
+        (path / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+        with pytest.raises(FormatError) as err:
+            load_model(path)
+        assert str(err.value) == "%s: %s" % (path / "manifest.json", message)

@@ -205,7 +205,16 @@ class TestLoadSplitErrors:
         with pytest.raises(FormatError) as err:
             load_split(dirpath)
         manifest = dirpath / "manifest.json"
-        assert str(err.value) == "%s: holdout_articles must be a list of article ids" % manifest
+        assert str(err.value) == "%s: holdout_articles must be a list of ids" % manifest
+
+    def test_holdout_article_listed_twice_is_named(self, tmp_path):
+        _, dirpath = self.saved(tmp_path, "cold")
+        self.edit_manifest(dirpath, lambda m: m["holdout_articles"].append(m["holdout_articles"][0]))
+        with pytest.raises(FormatError) as err:
+            load_split(dirpath)
+        manifest = json.loads((dirpath / "manifest.json").read_text())
+        assert str(err.value) == "%s: holdout_articles lists %s more than once" % (
+            dirpath / "manifest.json", manifest["holdout_articles"][0])
 
     def test_cold_train_side_referencing_a_holdout_article(self, tmp_path):
         split, dirpath = self.saved(tmp_path, "cold")
