@@ -1,9 +1,11 @@
-"""How a stage artifact reaches disk: whole, or not at all.
+"""How a run's files reach disk: whole, or not at all; outside this module,
+only the config reader opens a file.
 
-Every file a stage writes goes through `atomic_open`, so a stage that raises,
+Every file a run writes goes through `atomic_open`, so a stage that raises,
 or a process killed mid-write, leaves the previous file (or none) at the
-final path, never a truncated one. Tab-separated rows go out through
-`write_rows` and come back through `read_rows`, typed by the columns each
+final path, never a truncated one. `write_rows` writes every text output
+(the `.tsv` artifacts, `metrics.csv`, `run.log`, `ingest/messages.txt`);
+`read_rows` and `parse_rows` read rows back, typed by the columns each
 reader declares; JSON id lists come back through `id_positions`. Dense
 matrices are `.npy` files; CSR matrices are `.npz` archives with the keys of
 scipy.sparse's `save_npz`, so either side can read what the other writes.
@@ -54,6 +56,20 @@ def atomic_open(path, mode: str = "w"):
         raise
 
 
+TYPE_NAMES = {int: "an integer", float: "a number", bool: "a boolean", str: "a string",
+              list: "an array of integers"}
+
+
+def fits(value, kind) -> bool:
+    """Whether a value read from TOML or JSON fits a field of `kind`: a bool is not an int, an int
+    fits a float, and a list holds ints."""
+    if kind is list:
+        return isinstance(value, list) and all(fits(v, int) for v in value)
+    if kind is float:
+        return type(value) in (int, float)
+    return type(value) is kind
+
+
 def write_json(obj, path) -> None:
     """Write `obj` as indented, key-sorted JSON with a trailing newline."""
     with atomic_open(path) as fh:
@@ -88,8 +104,8 @@ def read_lines(path):
     raise FormatError("%s: line %d: not UTF-8: %s" % (path, lineno, reason))
 
 
-def write_rows(path, rows) -> None:
-    """Write one line per row, its fields' `str()` joined by tabs: the inverse of read_rows.
+def write_rows(path, rows, sep: str = "\t") -> None:
+    """Write one line per row, its fields' `str()` joined by `sep`: the inverse of parse_rows.
 
     Every row is a tuple as wide as the first; a float's `str()` reads back as the same float.
     """
@@ -97,7 +113,7 @@ def write_rows(path, rows) -> None:
     first = next(rows, None)
     with atomic_open(path) as fh:
         if first is not None:
-            line = "\t".join(["%s"] * len(first)) + "\n"  # %s formats a field as str() does
+            line = sep.join(["%s"] * len(first)) + "\n"  # %s formats a field as str() does
             fh.writelines(line % row for row in itertools.chain([first], rows))
 
 

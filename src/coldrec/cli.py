@@ -8,6 +8,7 @@ summary table, and `fixture` for the synthetic MIND-format generator.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from . import pipeline
@@ -33,7 +34,9 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
         default=None,
         help="override the configured feature kind",
     )
-    parser.add_argument("--out", default=None, help="override the output directory")
+    parser.add_argument(
+        "--out", default=None, help="override the output directory (relative to the working directory)"
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -76,7 +79,8 @@ def _dispatch(args) -> int:
         seed=args.seed,
         model=args.model,
         features=args.features,
-        out_dir=args.out,
+        # a relative --out is taken from the working directory; config paths from the config's
+        out_dir=None if args.out is None else os.path.abspath(args.out),
     )
     if args.command == "run":
         pipeline.run_pipeline(cfg)

@@ -18,6 +18,7 @@ import os
 import tomllib
 from dataclasses import dataclass, field, fields
 
+from .artifacts import TYPE_NAMES, fits
 from .features import VectorizerConfig
 from .models import MODEL_KINDS, Hyperparams
 from .transitions import DEFAULT_WINDOW_SECONDS
@@ -110,17 +111,6 @@ _KEYS = {
     **_record_keys("model", Hyperparams, {"negatives_per_positive": "negatives"}, skip=("seed",)),
 }
 _SECTIONS = {section for section, _ in _KEYS if section}
-_TYPE_NAMES = {int: "an integer", float: "a number", bool: "a boolean", str: "a string",
-               list: "an array of integers"}
-
-
-def _fits(value, kind) -> bool:
-    """Whether a TOML value fits a field of `kind`; bools are not ints, lists hold ints."""
-    if kind is list:
-        return isinstance(value, list) and all(_fits(v, int) for v in value)
-    if kind is float:
-        return type(value) in (int, float)
-    return type(value) is kind
 
 
 def _expand_kinds(value: str, all_token: str, known) -> list[str]:
@@ -159,8 +149,8 @@ def load_config(
         if (section, key) not in _KEYS:
             raise ValueError("%s: unknown key %s" % (path, dotted))
         owner, name, kind = _KEYS[section, key]
-        if not _fits(value, kind):
-            raise ValueError("%s: %s must be %s, got %r" % (path, dotted, _TYPE_NAMES[kind], value))
+        if not fits(value, kind):
+            raise ValueError("%s: %s must be %s, got %r" % (path, dotted, TYPE_NAMES[kind], value))
         values[owner][name] = float(value) if kind is float else value
     run = values[RunConfig]
     for key, name in (("news", "news_path"), ("behaviors", "behaviors_path")):

@@ -22,7 +22,7 @@ from itertools import compress
 
 import numpy as np
 
-from .artifacts import atomic_open, parse_rows, read_lines
+from .artifacts import parse_rows, read_lines, write_rows
 from .errors import EmptyInputError, FormatError
 from .models import FactorModel, score_queries
 # perfbench/tracing.py wraps metrics.predict and metrics.cosine_distance by name
@@ -31,6 +31,7 @@ from .numerics import cosine_distance
 from .splits import DataSplit
 
 METRIC_NAMES = ("map", "recall", "novelty", "diversity")
+_CURVE_COLUMNS = {"model": str, "setting": str, "k": int, "metric": str, "value": float}  # metrics.csv
 
 
 def _ordered_sum(values: np.ndarray) -> np.ndarray:
@@ -187,32 +188,39 @@ def emit_curves(entries: dict, path) -> None:
 
     Output bytes are deterministic for given `evaluate` results.
     """
-    rows = []
-    for (model_kind, setting, k), values in entries.items():
-        for metric in METRIC_NAMES:
-            rows.append((model_kind, setting, metric, int(k), values[metric]))
-    rows.sort(key=lambda r: (r[0], r[1], r[2], r[3]))
-    with atomic_open(path) as fh:
-        fh.write("model,setting,k,metric,value\n")
-        for model_kind, setting, metric, k, value in rows:
-            fh.write("%s,%s,%d,%s,%s\n" % (model_kind, setting, k, metric, str(value)))
+    rows = sorted(
+        ((model_kind, setting, int(k), metric, values[metric])
+         for (model_kind, setting, k), values in entries.items() for metric in METRIC_NAMES),
+        key=lambda r: (r[0], r[1], r[3], r[2]),
+    )
+    write_rows(path, [tuple(_CURVE_COLUMNS), *rows], sep=",")
 
 
 def load_curves(path) -> dict:
     """Read an emit_curves CSV back into {(model, setting, k): {metric: value}}.
 
-    A file with no rows after its header is a FormatError, and so is a
-    (model, setting, k, metric) row listed twice, naming its line, or a
-    (model, setting, k) that lacks any of the four metrics, as a truncated
-    file leaves it; the message names the key and its missing metrics.
+    A file with no rows after its header is a FormatError, and so is a row
+    with a k below 1, a metric outside METRIC_NAMES, a NaN or infinite value
+    or a negative map, recall or novelty, or a (model, setting, k, metric)
+    row listed twice, each naming its line, or a (model, setting, k) that
+    lacks any of the four metrics, as a truncated file leaves it; the message
+    names the key and its missing metrics.
     """
     entries: dict = {}
     lines = read_lines(path)
     header = next(lines, (1, ""))[1]
-    if header != "model,setting,k,metric,value":
+    if header != ",".join(_CURVE_COLUMNS):
         raise FormatError("%s: unexpected header %r" % (path, header))
-    columns = {"model": str, "setting": str, "k": int, "metric": str, "value": float}
-    for lineno, (model_kind, setting, k, metric, value) in parse_rows(path, columns, lines, ","):
+    for lineno, (model_kind, setting, k, metric, value) in parse_rows(path, _CURVE_COLUMNS, lines, ","):
+        if k < 1:
+            raise FormatError("%s: line %d: k must be >= 1, got %d" % (path, lineno, k))
+        if metric not in METRIC_NAMES:
+            raise FormatError("%s: line %d: metric must be one of %s, got %r"
+                              % (path, lineno, ", ".join(METRIC_NAMES), metric))
+        if not math.isfinite(value):
+            raise FormatError("%s: line %d: %s must be finite, got %r" % (path, lineno, metric, value))
+        if value < 0 and metric != "diversity":  # 1 - cos of two equal rows can round below 0
+            raise FormatError("%s: line %d: %s must be >= 0, got %r" % (path, lineno, metric, value))
         values = entries.setdefault((model_kind, setting, k), {})
         if metric in values:
             raise FormatError("%s: line %d: %s,%s,%d,%s is listed twice"

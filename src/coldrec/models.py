@@ -52,7 +52,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .artifacts import id_positions, load_matrix, read_json, save_matrix, write_json
+from .artifacts import TYPE_NAMES, fits, id_positions, load_matrix, read_json, save_matrix, write_json
 from .errors import DivergenceError, EmptyInputError, FormatError, MissingArticlesError
 from .numerics import CSRMatrix, cho_solve_stacked, ridge_factor, ridge_solve
 from .transitions import TripletSet
@@ -795,8 +795,9 @@ def save_model(model: FactorModel, dirpath) -> None:
 
 
 def load_model(dirpath) -> FactorModel:
-    """Read a model directory; a kind outside MODEL_KINDS, an id list with a repeated id, or a
-    matrix whose shape contradicts the manifest is a FormatError.
+    """Read a model directory; a kind outside MODEL_KINDS, a hyperparameter of another type than
+    its Hyperparams field (the config's rule: a bool is not an int, an int fits a float), an id
+    list with a repeated id, or a matrix whose shape contradicts the manifest is a FormatError.
 
     U must have one row per manifest user, X and Y one per manifest article,
     every matrix `latent_dim` columns, and PsiY the shape of PsiX, so a
@@ -807,15 +808,20 @@ def load_model(dirpath) -> FactorModel:
     manifest = read_json(manifest_path)
     matrices = {attr: load_matrix(os.path.join(dirpath, name)) for attr, name in _MATRIX_FILES.items()}
     try:
+        hyperparams = manifest["hyperparams"]
+        for key, default in asdict(Hyperparams()).items():
+            if key in hyperparams and not fits(hyperparams[key], type(default)):
+                raise FormatError("%s: hyperparams.%s must be %s, got %r"
+                                  % (manifest_path, key, TYPE_NAMES[type(default)], hyperparams[key]))
         model = FactorModel(
             kind=manifest["kind"],
-            hyper=Hyperparams(**manifest["hyperparams"]),
+            hyper=Hyperparams(**hyperparams),
             users=id_positions(manifest["users"], manifest_path, "users"),
             articles=id_positions(manifest["articles"], manifest_path, "articles"),
             loss_trace=[(str(a), float(b)) for a, b in manifest.get("loss_trace", [])],
             **matrices,
         )
-    except FormatError:  # an id list's own error already names the file and key
+    except FormatError:  # a hyperparameter's or id list's own error already names the file and key
         raise
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise FormatError("%s: malformed manifest: %r" % (manifest_path, exc)) from None

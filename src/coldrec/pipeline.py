@@ -14,15 +14,18 @@ import os
 import numpy as np
 
 from . import metrics as metrics_mod
-from .artifacts import (atomic_open, id_positions, load_csr, load_matrix, read_json, read_rows, save_csr,
-                        save_matrix, write_json, write_rows)
+from .artifacts import (id_positions, load_csr, load_matrix, read_json, read_rows, save_csr, save_matrix,
+                        write_json, write_rows)
 from .config import RunConfig, derive_seed
 from .errors import FormatError
 from .features import FeatureMatrix, fit_tfidf, load_external_embeddings, transform
 from .mind import Article, Clicks, group_clicks, history_popularity, parse_behaviors, parse_news, validate_clicks
-from .models import almm_train, forbes_train, load_model, oord_train, sample_negatives, save_model
+from .models import MANIFEST_NAME as MODEL_MANIFEST
+from .models import (FactorModel, almm_train, forbes_train, load_model, oord_train, sample_negatives,
+                     save_model)
 from .numerics import CSRMatrix
-from .splits import load_split, make_cold_split, make_warm_split, save_split
+from .splits import MANIFEST_NAME as SPLIT_MANIFEST
+from .splits import DataSplit, load_split, make_cold_split, make_warm_split, save_split
 from .transitions import build_tensor, build_triplets, load_triplets
 
 _TRAINERS = {"almm": almm_train, "forbes": forbes_train, "oord": oord_train}
@@ -147,14 +150,6 @@ def load_features(base: str) -> FeatureMatrix:
 # stages
 # ---------------------------------------------------------------------------
 
-def save_messages(reports, path) -> None:
-    """Write each (source, ValidationReport)'s messages, one `source: message` per line."""
-    with atomic_open(path) as fh:
-        for source, report in reports:
-            for message in report.messages:
-                fh.write("%s: %s\n" % (source, message))
-
-
 def stage_ingest(cfg: RunConfig) -> dict:
     """Parse and validate the raw logs; persist catalog, streams, popularity and
     the validation messages (news, then behaviors, then clicks)."""
@@ -167,10 +162,9 @@ def stage_ingest(cfg: RunConfig) -> dict:
     write_rows(os.path.join(out, "catalog.tsv"), catalog.values())
     write_rows(os.path.join(out, "streams.tsv"), zip(*(column.tolist() for column in clicks)))
     write_rows(os.path.join(out, "popularity.tsv"), sorted(popularity.items()))
-    save_messages(
-        (("news", news_report), ("behaviors", beh_report), ("clicks", click_report)),
-        os.path.join(out, "messages.txt"),
-    )
+    reports = (("news", news_report), ("behaviors", beh_report), ("clicks", click_report))
+    write_rows(os.path.join(out, "messages.txt"),
+               ((source, message) for source, report in reports for message in report.messages), sep=": ")
     return {
         "news_rows_read": news_report.rows_read,
         "news_rows_kept": news_report.rows_kept,
@@ -245,6 +239,25 @@ def _model_dir(cfg: RunConfig, model_kind: str, split_kind: str) -> str:
     return _path(cfg, MODELS_DIR, "%s-%s" % (model_kind, split_kind))
 
 
+def _of_kind(artifact, kind: str, manifest_path: str):
+    """`artifact` if its manifest names `kind`, the kind of the directory the stage asked for; a
+    split or model copied in from another kind's directory is a FormatError naming the manifest."""
+    if artifact.kind != kind:
+        raise FormatError("%s: kind must be %r for this directory, got %r"
+                          % (manifest_path, kind, artifact.kind))
+    return artifact
+
+
+def _load_split(cfg: RunConfig, split_kind: str) -> DataSplit:
+    dirpath = _path(cfg, SPLITS_DIR, split_kind)
+    return _of_kind(load_split(dirpath), split_kind, os.path.join(dirpath, SPLIT_MANIFEST))
+
+
+def _load_model(cfg: RunConfig, model_kind: str, split_kind: str) -> FactorModel:
+    dirpath = _model_dir(cfg, model_kind, split_kind)
+    return _of_kind(load_model(dirpath), model_kind, os.path.join(dirpath, MODEL_MANIFEST))
+
+
 def stage_train(cfg: RunConfig) -> dict:
     """Train every configured (model, split) pair on the split's train side.
 
@@ -254,7 +267,7 @@ def stage_train(cfg: RunConfig) -> dict:
     features = _model_features(cfg)
     counters: dict = {}
     for split_kind in cfg.split_kinds:
-        split = load_split(_path(cfg, SPLITS_DIR, split_kind))
+        split = _load_split(cfg, split_kind)
         train_set = split.train
         instances = sample_negatives(
             train_set,
@@ -291,7 +304,7 @@ def stage_evaluate(cfg: RunConfig) -> dict:
     entries: dict = {}
     counters: dict = {}
     for split_kind in cfg.split_kinds:
-        split = load_split(_path(cfg, SPLITS_DIR, split_kind))
+        split = _load_split(cfg, split_kind)
         # every model of a split trains on its train side, so these are per split;
         # the cold candidates are the test side's articles that train lacks
         trained, test = split.train, split.test
@@ -300,7 +313,7 @@ def stage_evaluate(cfg: RunConfig) -> dict:
         counters["evaluate_%s_unseen_user_queries" % split_kind] = int(unseen[test.u].sum())
         counters["evaluate_%s_cold_candidates" % split_kind] = len(test.articles.keys() - trained.articles)
         for model_kind in cfg.model_kinds:
-            model = load_model(_model_dir(cfg, model_kind, split_kind))
+            model = _load_model(cfg, model_kind, split_kind)
             results = metrics_mod.evaluate(
                 model, split, features, popularity, cfg.ks, tfidf_features=tfidf
             )
@@ -346,7 +359,5 @@ def run_pipeline(cfg: RunConfig) -> dict:
     counters: dict = {"seed": cfg.seed}
     for name, stage in _STAGES:
         counters.update(stage(cfg))
-    with atomic_open(_path(cfg, RUN_LOG_FILE)) as fh:
-        for key, value in counters.items():
-            fh.write("%s = %s\n" % (key, value))
+    write_rows(_path(cfg, RUN_LOG_FILE), counters.items(), sep=" = ")
     return counters

@@ -1,6 +1,8 @@
+import ast
 import gc
 import io
 import json
+import pathlib
 import re
 import sys
 import warnings
@@ -10,6 +12,7 @@ import numpy as np
 import pytest
 from scipy import sparse
 
+import coldrec
 from coldrec.artifacts import (atomic_open, id_positions, load_csr, load_matrix, read_json, read_lines, read_rows,
                                save_csr, save_matrix, write_json, write_rows)
 from coldrec.errors import FormatError
@@ -378,6 +381,42 @@ def test_write_rows_writes_the_bytes_of_each_artifact_format(tmp_path, row, old_
     write_rows(path, [row, row])
     assert path.read_bytes() == (old_format % tuple(row)).encode("utf-8") * 2
     assert list(read_rows(path, columns)) == [(n, list(row)) for n in (1, 2)]
+
+
+@pytest.mark.parametrize(
+    "rows, sep, text",
+    [
+        ([("model", "setting", "k", "metric", "value"), ("almm", "cold", 5, "map", 0.1 + 0.2)], ",",
+         "model,setting,k,metric,value\nalmm,cold,5,map,0.30000000000000004\n"),  # metrics.csv
+        ([("seed", 7), ("cold_almm_beats_oord_map_at_10", True)], " = ",
+         "seed = 7\ncold_almm_beats_oord_map_at_10 = True\n"),  # run.log
+        ([("behaviors", "line 2: malformed behaviors row")], ": ",
+         "behaviors: line 2: malformed behaviors row\n"),  # ingest/messages.txt
+    ],
+)
+def test_write_rows_joins_the_fields_by_the_separator(tmp_path, rows, sep, text):
+    path = tmp_path / "rows.txt"
+    write_rows(path, rows, sep=sep)
+    assert path.read_text(encoding="utf-8") == text
+
+
+def test_only_the_artifacts_module_opens_a_file():
+    """Every write goes through atomic_open in coldrec.artifacts; the config reader is the one other open."""
+    package = pathlib.Path(coldrec.__file__).parent
+    opens = []
+    for path in sorted(package.rglob("*.py")):
+        if path == package / "artifacts.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))  # open(), os.open(), ...
+            elif isinstance(node, ast.alias):
+                name = node.name.rsplit(".", 1)[-1]  # an import of atomic_open, say under another name
+            else:
+                continue
+            if name in ("open", "atomic_open"):
+                opens.append("%s:%d" % (path.relative_to(package), getattr(node, "lineno", 0)))
+    assert [site.split(":")[0] for site in opens] == ["config.py"], opens
 
 
 def test_write_rows_of_no_rows_writes_an_empty_file(tmp_path):

@@ -117,7 +117,7 @@ def run_out(workspace):
     """
     stdout = io.StringIO()
     with contextlib.redirect_stdout(stdout):
-        rc = main(["run", "--config", write_config(workspace), "--out", "run_out"])
+        rc = main(["run", "--config", write_config(workspace), "--out", os.path.join(workspace, "run_out")])
     return rc, stdout.getvalue(), os.path.join(workspace, "run_out")
 
 
@@ -295,6 +295,11 @@ class TestCliChoices:
 
 
 class TestCliCommands:
+    @pytest.fixture(autouse=True)
+    def in_workspace(self, workspace, monkeypatch):
+        """Run from the workspace, where the config lives, so a bare `--out` name lands beside it."""
+        monkeypatch.chdir(workspace)
+
     def test_fixture_subcommand(self, tmp_path, capsys):
         rc = main(
             ["fixture", "--users", "5", "--articles", "16", "--signal", "0.5",
@@ -493,7 +498,7 @@ class TestCliCommands:
         assert rc == 1
         assert err == "error: %s: non-finite values\n" % path
 
-    @pytest.mark.parametrize("case", ["repeated_user", "dict_form", "unknown_kind"])
+    @pytest.mark.parametrize("case", ["repeated_user", "dict_form", "unknown_kind", "float_latent_dim"])
     def test_evaluate_rejects_a_model_manifest_its_writer_cannot_write(self, workspace, run_out, capsys, case):
         out = "manifest_%s_out" % case
         shutil.copytree(run_out[2], os.path.join(workspace, out))
@@ -507,15 +512,77 @@ class TestCliCommands:
         elif case == "dict_form":  # the {id: row index} form, where nothing tied an index to a row
             manifest["users"] = {user: row for row, user in enumerate(users)}
             expected = "users must be a list of ids"
-        else:
+        elif case == "unknown_kind":
             manifest["kind"] = "foo"
             expected = "kind must be one of almm, forbes, oord, got 'foo'"
+        else:  # used to end in a TypeError traceback when scoring
+            manifest["hyperparams"]["latent_dim"] = 8.0
+            expected = "hyperparams.latent_dim must be an integer, got 8.0"
         with open(path, "w") as fh:
             json.dump(manifest, fh)
         rc = main(["evaluate", "--config", write_config(workspace), "--out", out])
         err = capsys.readouterr().err
         assert rc == 1
         assert err == "error: %s: %s\n" % (path, expected)
+
+    @pytest.mark.parametrize(
+        "directory, kind",
+        [(os.path.join("splits", "warm"), "cold"), (os.path.join("models", "almm-cold"), "oord")],
+        ids=["split", "model"],
+    )
+    def test_evaluate_rejects_a_manifest_of_another_kind_than_its_directory(
+        self, workspace, run_out, capsys, directory, kind
+    ):
+        # both used to exit 0, the directory's rows missing from metrics.csv
+        out = "other_kind_%s_out" % kind
+        shutil.copytree(run_out[2], os.path.join(workspace, out))
+        path = os.path.join(workspace, out, directory, "manifest.json")
+        with open(path) as fh:
+            manifest = json.load(fh)
+        expected, manifest["kind"] = manifest["kind"], kind
+        with open(path, "w") as fh:
+            json.dump(manifest, fh)
+        rc = main(["evaluate", "--config", write_config(workspace), "--out", out])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: %s: kind must be %r for this directory, got %r\n" % (
+            path, expected, kind)
+
+    @pytest.mark.parametrize(
+        "metric, field, value, expected",
+        [
+            ("map", 2, "0", "k must be >= 1, got 0"),
+            ("map", 3, "bogus", "metric must be one of map, recall, novelty, diversity, got 'bogus'"),
+            ("map", 4, "nan", "map must be finite, got nan"),
+            ("novelty", 4, "inf", "novelty must be finite, got inf"),
+            ("map", 4, "-3", "map must be >= 0, got -3.0"),
+            ("recall", 4, "-3", "recall must be >= 0, got -3.0"),
+            ("novelty", 4, "-3", "novelty must be >= 0, got -3.0"),
+        ],
+        ids=["k_0", "unknown_metric", "nan", "inf", "negative_map", "negative_recall", "negative_novelty"],
+    )
+    def test_report_rejects_a_metrics_value_its_writer_cannot_write(
+        self, workspace, run_out, capsys, metric, field, value, expected
+    ):
+        with open(os.path.join(run_out[2], "metrics.csv")) as fh:
+            lines = fh.readlines()
+        lineno = next(n for n, line in enumerate(lines, start=1) if line.split(",")[3] == metric)
+        fields = lines[lineno - 1].split(",")
+        fields[field] = value + "\n" * (field == 4)
+        lines[lineno - 1] = ",".join(fields)
+        out = "bad_metrics_%s_%d_%s_out" % (metric, field, value)
+        os.makedirs(os.path.join(workspace, out))
+        path = os.path.join(workspace, out, "metrics.csv")
+        with open(path, "w") as fh:
+            fh.writelines(lines)
+        rc = main(["report", "--config", write_config(workspace), "--out", out])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: %s: line %d: %s\n" % (path, lineno, expected)
+
+    def test_a_relative_out_is_taken_from_the_working_directory(self, workspace, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main(["ingest", "--config", write_config(workspace), "--out", "rel_out"]) == 0
+        assert os.path.exists(tmp_path / "rel_out" / "ingest" / "catalog.tsv")
+        assert not os.path.exists(os.path.join(workspace, "rel_out"))
 
     def test_report_rejects_a_metrics_row_listed_twice(self, workspace, run_out, capsys):
         with open(os.path.join(run_out[2], "metrics.csv")) as fh:

@@ -453,6 +453,14 @@ class TestEmitCurves:
             ("almm,cold,ten,map,0.1", r"curves\.csv: line 3: k must be an integer, got 'ten'$"),
             ("almm,cold,10,map,high", r"curves\.csv: line 3: value must be a number, got 'high'$"),
             ("almm,cold,10,recall,0.6", r"curves\.csv: line 3: almm,cold,10,recall is listed twice$"),
+            ("almm,cold,0,map,0.1", r"curves\.csv: line 3: k must be >= 1, got 0$"),
+            ("almm,cold,10,bogus,0.1",
+             r"curves\.csv: line 3: metric must be one of map, recall, novelty, diversity, got 'bogus'$"),
+            ("almm,cold,10,map,nan", r"curves\.csv: line 3: map must be finite, got nan$"),
+            ("almm,cold,10,novelty,inf", r"curves\.csv: line 3: novelty must be finite, got inf$"),
+            ("almm,cold,10,diversity,-inf", r"curves\.csv: line 3: diversity must be finite, got -inf$"),
+            ("almm,cold,10,map,-3", r"curves\.csv: line 3: map must be >= 0, got -3\.0$"),
+            ("almm,cold,10,novelty,-0.5", r"curves\.csv: line 3: novelty must be >= 0, got -0\.5$"),
         ],
     )
     def test_load_bad_row_names_the_line(self, tmp_path, row, message):
@@ -460,6 +468,13 @@ class TestEmitCurves:
         path.write_text("model,setting,k,metric,value\nalmm,cold,10,recall,0.5\n%s\n" % row)
         with pytest.raises(FormatError, match=message):
             load_curves(path)
+
+    def test_load_accepts_a_diversity_rounded_below_zero(self, tmp_path):
+        # 1 - cos of two equal rows can round to -2**-52
+        path = tmp_path / "curves.csv"
+        entries = {("almm", "cold", 2): {"map": 0.0, "recall": 0.0, "novelty": 1.0, "diversity": -(2.0**-52)}}
+        emit_curves(entries, path)
+        assert load_curves(path) == entries
 
     def test_load_incomplete_key_names_missing_metrics(self, tmp_path):
         path = tmp_path / "curves.csv"

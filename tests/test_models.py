@@ -1447,8 +1447,15 @@ class TestModelPersistence:
             (lambda manifest: manifest.update(users=["u0", "u1", "u0"]), "users lists u0 more than once"),
             (lambda manifest: manifest["articles"].__setitem__(4, "n1"), "articles lists n1 more than once"),
             (lambda manifest: manifest.update(kind="foo"), "kind must be one of almm, forbes, oord, got 'foo'"),
+            (lambda manifest: manifest["hyperparams"].update(latent_dim=2.0),
+             "hyperparams.latent_dim must be an integer, got 2.0"),
+            (lambda manifest: manifest["hyperparams"].update(iterations=True),
+             "hyperparams.iterations must be an integer, got True"),
+            (lambda manifest: manifest["hyperparams"].update(reg_user="0.1"),
+             "hyperparams.reg_user must be a number, got '0.1'"),
         ],
-        ids=["users in the dict form", "user listed twice", "article listed twice", "unknown kind"],
+        ids=["users in the dict form", "user listed twice", "article listed twice", "unknown kind",
+             "float latent_dim", "bool iterations", "string reg_user"],
     )
     def test_manifest_id_lists_and_kind_are_checked(self, tmp_path, edit, message):
         path = self.saved_zero_model(tmp_path)
@@ -1458,3 +1465,10 @@ class TestModelPersistence:
         with pytest.raises(FormatError) as err:
             load_model(path)
         assert str(err.value) == "%s: %s" % (path / "manifest.json", message)
+
+    def test_manifest_int_fits_a_float_hyperparameter(self, tmp_path):
+        path = self.saved_zero_model(tmp_path)
+        manifest = json.loads((path / "manifest.json").read_text(encoding="utf-8"))
+        manifest["hyperparams"]["reg_user"] = 1
+        (path / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+        assert load_model(path).hyper.reg_user == 1.0
