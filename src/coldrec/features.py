@@ -52,14 +52,14 @@ class FeatureMatrix:
     def dim(self) -> int:
         return self.matrix.shape[1]
 
-    def rows(self, article_ids):
+    def rows(self, ids):
         """`matrix[positions]` of the ids in their order (a CSRMatrix for tfidf, an ndarray for
         external); an id without a row is a MissingArticlesError."""
         index = self.row_index
         try:
-            idx = [index[a] for a in article_ids]
+            idx = [index[a] for a in ids]
         except KeyError:
-            missing = [a for a in dict.fromkeys(article_ids) if a not in index]
+            missing = [a for a in dict.fromkeys(ids) if a not in index]
             raise MissingArticlesError(missing, "%s feature matrix" % self.kind) from None
         return self.matrix[idx]
 

@@ -17,17 +17,19 @@ Three trainers share one `Instances` record of training instances from
 almm and oord run one ALS loop, `_als_train`, steered by the model kind
 alone. A half-sweep (`_als_update`) updates every row of one factor matrix
 with one stacked matmul per run length and returns the data loss it leaves.
-The instances' grouping by user, last and next row is a property of the
-`Instances` record (`Instances.groups`): computed once, shared by almm and
-oord on a split, and released with the record. Each ALS trainer call
-allocates one `_AlsWorkspace` and every half-sweep writes its size-n
-intermediates there, so no half-sweep allocates memory that grows with the
-number of instances. A half-sweep gathers with `np.take(..., mode="clip")`:
-with `out=`, numpy's default `mode="raise"` gathers into a temporary first.
-The range check therefore lives in `_check_training_inputs`, where all
-three trainers check every instance code against their factor rows before
-the first sweep. They draw their initial factors through `_init_factors`
-and build their model through `_factor_model`.
+A trainer takes (instances, content, hyper): the record carries the user
+and article id lists its codes index, content row k holds the features of
+`instances.articles[k]`, and the model's id maps come from the record. The
+instances' grouping by user, last and next row belongs to the record too
+(`Instances.groups`): computed once, shared by almm and oord on a split, and
+released with the record. Each ALS trainer call allocates one
+`_AlsWorkspace` and every half-sweep writes its size-n intermediates there,
+so no half-sweep allocates memory that grows with the number of instances.
+A half-sweep gathers with `np.take(..., mode="clip")`: with `out=`, numpy's
+default `mode="raise"` gathers into a temporary first. The range check
+therefore lives in `Instances`, which checks every code against its id list
+once, when the record is built. The trainers draw their initial factors
+through `_init_factors` and build their model through `_factor_model`.
 
 Prediction scores a candidate next article as the symmetric sum of the three
 pairwise inner products among the user vector, the last article's
@@ -103,9 +105,13 @@ class Hyperparams:
 
 @dataclass(frozen=True, eq=False)
 class Instances:
-    """Training instances as five aligned 1-d arrays; entry n of each is instance n.
+    """Training instances as five aligned 1-d arrays plus the id lists their codes index.
 
-    The columns are read-only copies: one record is shared by every trainer of a split.
+    Instance n is user users[u[n]], last article articles[i[n]] and candidate
+    next article articles[j[n]]. The columns are read-only copies and the id
+    lists tuples: one record is shared by every trainer of a split. Every
+    code is checked against its id list here, once per record, and a code
+    outside it is a ValueError naming the column, the code and the list size.
     """
 
     u: np.ndarray  # int64 dense user index
@@ -113,6 +119,8 @@ class Instances:
     j: np.ndarray  # int64 dense index of the candidate next article
     target: np.ndarray  # float64: 1 for observed transitions, 0 for sampled negatives
     weight: np.ndarray  # float64: confidence for positives, 1 for negatives
+    users: tuple  # user ids in user-code order: the rows of the user factors
+    articles: tuple  # article ids in article-code order: the rows of the content and article factors
 
     def __post_init__(self):
         dtypes = {"u": np.int64, "i": np.int64, "j": np.int64, "target": np.float64, "weight": np.float64}
@@ -123,6 +131,13 @@ class Instances:
         for name, column in columns.items():
             column.flags.writeable = False
             object.__setattr__(self, name, column)
+        for name in ("users", "articles"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
+        for name, codes, ids in (("user", self.u, self.users), ("last article", self.i, self.articles),
+                                 ("next article", self.j, self.articles)):
+            if codes.size and not 0 <= codes.min() <= codes.max() < len(ids):
+                low, high = int(codes.min()), int(codes.max())
+                raise ValueError("%s code %d outside [0, %d)" % (name, low if low < 0 else high, len(ids)))
 
     def __len__(self) -> int:
         return self.u.shape[0]
@@ -198,7 +213,8 @@ def sample_negatives(triplet_set: TripletSet, negatives_per_positive: int, seed:
 
     positive = triplet_set.j[source] == jj  # a negative's j' never equals its positive's j
     weight = np.where(positive, triplet_set.confidence[source], 1.0)
-    return Instances(u=triplet_set.u[source], i=triplet_set.i[source], j=jj, target=positive, weight=weight)
+    return Instances(u=triplet_set.u[source], i=triplet_set.i[source], j=jj, target=positive, weight=weight,
+                     users=triplet_set.users, articles=triplet_set.articles)
 
 
 def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -307,8 +323,8 @@ def _als_update(target, groups, left, left_idx, right, right_idx, tt, cc, reg, w
     a half-sweep allocates nothing that grows with the number of instances.
     The gathers use `mode="clip"`: under the default `mode="raise"` numpy
     gathers into a temporary and copies it to `out`, which made a take twice
-    as slow. Clipping never fires on valid codes: `_check_training_inputs`
-    checks every u/i/j code against its factor rows before the first sweep.
+    as slow. Clipping never fires on valid codes: `Instances` checks every
+    u/i/j code against its id list, and the factors have a row per id.
 
     The return value is sum_n c_n (e_n - w_row(n).g_n)^2, the weighted data
     loss with the updated rows, from the residuals already at hand: the
@@ -376,12 +392,8 @@ def _init_factors(rng: np.random.Generator, n_users: int, n_articles: int, dim: 
     return U, X, Y
 
 
-def _factor_model(kind, hyper, U, X, Y, last_mapping, next_mapping, trace, user_ids, article_ids):
-    """A trained model; missing ids default to "u<k>" per user row and "n<k>" per article row."""
-    if user_ids is None:
-        user_ids = ["u%d" % k for k in range(U.shape[0])]
-    if article_ids is None:
-        article_ids = ["n%d" % k for k in range(X.shape[0])]
+def _factor_model(kind, hyper, U, X, Y, last_mapping, next_mapping, trace, instances):
+    """A trained model whose id maps are the record's id lists, numbered in list order."""
     return FactorModel(
         kind=kind,
         hyper=hyper,
@@ -390,32 +402,20 @@ def _factor_model(kind, hyper, U, X, Y, last_mapping, next_mapping, trace, user_
         next_factors=Y,
         last_mapping=last_mapping,
         next_mapping=next_mapping,
-        users={a: k for k, a in enumerate(user_ids)},
-        articles={a: k for k, a in enumerate(article_ids)},
+        users={a: k for k, a in enumerate(instances.users)},
+        articles={a: k for k, a in enumerate(instances.articles)},
         loss_trace=trace,
     )
 
 
-def _check_training_inputs(instances, content, user_ids) -> int:
-    """The number of user rows, once the instances are non-empty and every code has its row.
-
-    There are len(user_ids) user rows, or max(u) + 1 without user_ids, and
-    one article row per content row. A code outside its rows is a ValueError
-    naming it, raised before any factor is drawn.
-    """
+def _check_training_inputs(instances, content) -> None:
+    """Raise, before any factor is drawn, on no instances or a content row count other than
+    the record's article count; `Instances` has already checked every code."""
     if not instances:
         raise EmptyInputError("no training instances")
-    n_articles = content.shape[0]
-    if n_articles < 1:
-        raise EmptyInputError("empty content matrix")
-    n_users = len(user_ids) if user_ids is not None else int(instances.u.max()) + 1
-    columns = (("user", instances.u, n_users), ("last article", instances.i, n_articles),
-               ("next article", instances.j, n_articles))
-    for name, codes, n_rows in columns:
-        low, high = int(codes.min()), int(codes.max())
-        if low < 0 or high >= n_rows:
-            raise ValueError("%s code %d outside [0, %d)" % (name, low if low < 0 else high, n_rows))
-    return n_users
+    if content.shape[0] != len(instances.articles):
+        raise ValueError("content has %d rows, expected one per article of the instances: %d"
+                         % (content.shape[0], len(instances.articles)))
 
 
 def _materialize(content, mapping) -> np.ndarray:
@@ -433,7 +433,7 @@ def _als_sweeps(U, X, Y, instances: Instances, workspace, hyper, trace, label):
     trace.append(("%s:next" % label, _regularized(data, U, X, Y, hyper)))
 
 
-def _als_train(kind, instances, content, hyper: Hyperparams, user_ids, article_ids) -> FactorModel:
+def _als_train(kind, instances, content, hyper: Hyperparams) -> FactorModel:
     """The ALS loop behind almm_train and oord_train; `kind` is "almm" or "oord".
 
     Both kinds validate, draw U, X, Y through _init_factors, factor the
@@ -448,9 +448,9 @@ def _als_train(kind, instances, content, hyper: Hyperparams, user_ids, article_i
     A non-finite last objective of an iteration raises DivergenceError.
     """
     hyper.validate()
-    n_users = _check_training_inputs(instances, content, user_ids)
+    _check_training_inputs(instances, content)
     rng = np.random.default_rng(hyper.seed)
-    U, X, Y = _init_factors(rng, n_users, content.shape[0], hyper.latent_dim)
+    U, X, Y = _init_factors(rng, len(instances.users), content.shape[0], hyper.latent_dim)
     max_rows = max(rows.size for _, _, rows, _ in instances.groups)
     workspace = _als_workspace(len(instances), hyper.latent_dim, max_rows)
     trace = [("init", _full_loss(U, X, Y, instances, hyper))]
@@ -471,10 +471,10 @@ def _als_train(kind, instances, content, hyper: Hyperparams, user_ids, article_i
     if kind == "oord":
         last_mapping = map_content(X)
         next_mapping = map_content(Y)
-    return _factor_model(kind, hyper, U, X, Y, last_mapping, next_mapping, trace, user_ids, article_ids)
+    return _factor_model(kind, hyper, U, X, Y, last_mapping, next_mapping, trace, instances)
 
 
-def almm_train(instances, content, hyper: Hyperparams, *, user_ids=None, article_ids=None) -> FactorModel:
+def almm_train(instances, content, hyper: Hyperparams) -> FactorModel:
     """Joint ALS + ridge mapping + refresh loop.
 
     Per iteration: (a) ALS half-sweeps over user, last-article and next-article
@@ -486,7 +486,7 @@ def almm_train(instances, content, hyper: Hyperparams, *, user_ids=None, article
     order U, X, Y; `instances` is the Instances record from sample_negatives,
     so the negatives arrive pre-sampled and stay fixed across iterations.
     """
-    return _als_train("almm", instances, content, hyper, user_ids, article_ids)
+    return _als_train("almm", instances, content, hyper)
 
 
 # Lazy weight decay keeps each mapping as scale * rows and folds the scale
@@ -602,7 +602,19 @@ def _forbes_objective(content, S, instances: Instances, hyper: Hyperparams) -> f
     return _regularized(_data_loss(U, X, Y, instances), U, last_mapping, next_mapping, hyper)
 
 
-def forbes_train(instances, content, hyper: Hyperparams, *, user_ids=None, article_ids=None) -> FactorModel:
+def _divergence_cause(content, lr) -> str:
+    """The cause a diverged forbes run can name: its largest content row norm^2, and lr times it.
+
+    An update moves the mapped vector x = a_i Psi_X by lr * err * |a_i|^2 * (U_u + y), so with
+    lr * norm^2 near 1 or above one step can overshoot the error it corrects.
+    """
+    squares = (CSRMatrix(content.data ** 2, content.indices, content.indptr, content.shape)
+               if isinstance(content, CSRMatrix) else np.square(content))
+    norm2 = float((squares @ np.ones(content.shape[1])).max())
+    return "largest content row norm^2 %.4g, lr * norm^2 %.4g" % (norm2, lr * norm2)
+
+
+def forbes_train(instances, content, hyper: Hyperparams) -> FactorModel:
     """Single-stage SGD with article vectors defined through the content mappings.
 
     Per instance, with x, y and the user vector evaluated before the updates
@@ -630,13 +642,14 @@ def forbes_train(instances, content, hyper: Hyperparams, *, user_ids=None, artic
     data loss plus reg_user ||U||^2 + reg_last ||Psi_X||^2 + reg_next ||Psi_Y||^2.
     A floating-point overflow or invalid operation inside an epoch, or a
     non-finite lr * err, raises DivergenceError naming that epoch, before any
-    non-finite value spreads.
+    non-finite value spreads, and the largest content row norm^2 with the
+    epoch's lr times it (`_divergence_cause`).
     """
     hyper.validate()
-    n_users = _check_training_inputs(instances, content, user_ids)
+    _check_training_inputs(instances, content)
     m = content.shape[1]
     rng = np.random.default_rng(hyper.seed)
-    U, last_init, next_init = _init_factors(rng, n_users, m, hyper.latent_dim)
+    U, last_init, next_init = _init_factors(rng, len(instances.users), m, hyper.latent_dim)
     S = np.concatenate((last_init, next_init, U))
     plan = _forbes_plan(instances, content)
 
@@ -649,19 +662,21 @@ def forbes_train(instances, content, hyper: Hyperparams, *, user_ids=None, artic
                 _sgd_epoch(order, plan, S, m, lr, hyper)
                 loss = _forbes_objective(content, S, instances, hyper)
         except FloatingPointError as exc:
-            raise DivergenceError("SGD diverged in epoch %d: %s" % (epoch, exc)) from None
+            cause = _divergence_cause(content, lr)
+            raise DivergenceError("SGD diverged in epoch %d: %s; %s" % (epoch, exc, cause)) from None
         if not np.isfinite(loss):
-            raise DivergenceError("non-finite objective after epoch %d" % epoch)
+            cause = _divergence_cause(content, lr)
+            raise DivergenceError("non-finite objective after epoch %d; %s" % (epoch, cause))
         trace.append(("epoch%d" % epoch, loss))
         lr *= hyper.sgd_decay
 
     last_mapping, next_mapping, U = S[:m], S[m : 2 * m], S[2 * m :]
     X = _materialize(content, last_mapping)
     Y = _materialize(content, next_mapping)
-    return _factor_model("forbes", hyper, U, X, Y, last_mapping, next_mapping, trace, user_ids, article_ids)
+    return _factor_model("forbes", hyper, U, X, Y, last_mapping, next_mapping, trace, instances)
 
 
-def oord_train(instances, content, hyper: Hyperparams, *, user_ids=None, article_ids=None) -> FactorModel:
+def oord_train(instances, content, hyper: Hyperparams) -> FactorModel:
     """Two-stage trainer: pure ALS without content, then post-hoc ridge mappings.
 
     Stage 1 is almm_train's loop (`_als_train`, with the same seeded init
@@ -671,11 +686,11 @@ def oord_train(instances, content, hyper: Hyperparams, *, user_ids=None, article
     trace only adds the "iter<k>:refresh" entries. Prediction for this kind
     always uses mapped features.
     """
-    return _als_train("oord", instances, content, hyper, user_ids, article_ids)
+    return _als_train("oord", instances, content, hyper)
 
 
-def article_vectors(model: FactorModel, article_ids, features, position: str) -> np.ndarray:
-    """Last- (`position="last"`) or next-position vectors of `article_ids`, one row each.
+def article_vectors(model: FactorModel, ids, features, position: str) -> np.ndarray:
+    """Last- (`position="last"`) or next-position vectors of the article `ids`, one row each.
 
     Stored factors for trained articles (almm/forbes); content-mapped vectors,
     from one `features.rows(ids) @ mapping`, for cold articles and for every
@@ -685,10 +700,10 @@ def article_vectors(model: FactorModel, article_ids, features, position: str) ->
         "last": (model.last_factors, model.last_mapping),
         "next": (model.next_factors, model.next_mapping),
     }[position]
-    out = np.empty((len(article_ids), model.hyper.latent_dim))
+    out = np.empty((len(ids), model.hyper.latent_dim))
     stored_pos, stored_rows = [], []
     mapped_pos, mapped_ids = [], []
-    for pos, article in enumerate(article_ids):
+    for pos, article in enumerate(ids):
         idx = None if model.kind == "oord" else model.articles.get(article)
         if idx is None:
             mapped_pos.append(pos)

@@ -279,17 +279,9 @@ def stage_train(cfg: RunConfig) -> dict:
         counters["train_%s_negatives_shortfall" % split_kind] = (
             len(train_set) * (cfg.hyper.negatives_per_positive + 1) - len(instances)
         )
-        article_ids = list(train_set.articles)
-        content = features.rows(article_ids)
-        user_ids = list(train_set.users)
+        content = features.rows(instances.articles)
         for model_kind in cfg.model_kinds:
-            model = _TRAINERS[model_kind](
-                instances,
-                content,
-                cfg.hyper,
-                user_ids=user_ids,
-                article_ids=article_ids,
-            )
+            model = _TRAINERS[model_kind](instances, content, cfg.hyper)
             save_model(model, _model_dir(cfg, model_kind, split_kind))
             if model.loss_trace:
                 counters["train_%s_%s_final_loss" % (model_kind, split_kind)] = model.loss_trace[-1][1]

@@ -110,21 +110,20 @@ def scalar_sample_negatives(triplet_set, negatives_per_positive, seed):
     return instances
 
 
-def eager_forbes(instances, content, hyper, n_users=None):
+def eager_forbes(instances, content, hyper):
     """Reference forbes trainer: the per-instance loop with eager weight decay.
 
     Same init draws, per-epoch permutation and learning-rate decay as
     forbes_train; each update decays both full mappings and adds the
-    outer-product terms row by row. U has n_users rows (default: max user
-    index + 1). Returns (U, Psi_X, Psi_Y).
+    outer-product terms row by row. U has one row per id in the record's
+    `users`. Returns (U, Psi_X, Psi_Y).
     """
+    n_users = len(instances.users)
     instances = instance_rows(instances)
     dim = hyper.latent_dim
     m = content.shape[1]
     rng = np.random.default_rng(hyper.seed)
     scale = 0.1 / np.sqrt(dim)
-    if n_users is None:
-        n_users = max(inst.u for inst in instances) + 1
     U = rng.normal(0.0, scale, size=(n_users, dim))
     last_mapping = rng.normal(0.0, scale, size=(m, dim))
     next_mapping = rng.normal(0.0, scale, size=(m, dim))

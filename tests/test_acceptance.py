@@ -106,7 +106,8 @@ def test_criterion_03_als_monotonicity():
         n_users = int(rng.integers(2, 5))
         n_articles = int(rng.integers(3, 6))
         dim = int(rng.integers(1, 5))
-        instances = make_instances(random_rows(rng, n_users, n_articles, int(rng.integers(3, 9)))[:20])
+        rows = random_rows(rng, n_users, n_articles, int(rng.integers(3, 9)))[:20]
+        instances = make_instances(rows, n_users, n_articles)
         content = rng.normal(size=(n_articles, 3))
         hyper = Hyperparams(latent_dim=dim, refresh_blend=0.0, iterations=4, seed=trial)
         model = almm_train(instances, content, hyper)

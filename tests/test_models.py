@@ -1,12 +1,13 @@
 import json
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from coldrec import models, numerics
 from coldrec.artifacts import load_matrix, save_matrix
-from coldrec.errors import DivergenceError, FormatError, MissingArticlesError, SingularSystemError
+from coldrec.errors import DivergenceError, EmptyInputError, FormatError, MissingArticlesError, SingularSystemError
 from coldrec.features import FeatureMatrix
 from coldrec.metrics import candidate_universe, rank_test_queries
 from coldrec.models import (
@@ -51,9 +52,18 @@ def make_triplets(rows):
     return TripletSet([Triplet(u, i, j, c) for u, i, j, c in rows])
 
 
-def make_instances(rows):
-    """An Instances record from (u, i, j, target, weight) row tuples."""
-    return Instances(*zip(*rows))
+def ids(prefix, n):
+    """The n ids "<prefix>0" .. "<prefix><n - 1>"."""
+    return ["%s%d" % (prefix, k) for k in range(n)]
+
+
+def make_instances(rows, n_users=None, n_articles=None):
+    """An Instances record from (u, i, j, target, weight) row tuples, indexing the ids "u<k>" of
+    n_users users and "n<k>" of n_articles articles (by default, up to the largest code)."""
+    u, i, j, target, weight = zip(*rows)
+    n_users = max(u) + 1 if n_users is None else n_users
+    n_articles = max(i + j) + 1 if n_articles is None else n_articles
+    return Instances(u, i, j, target, weight, ids("u", n_users), ids("n", n_articles))
 
 
 def random_rows(rng, n_users, n_articles, n_positives, negatives=1):
@@ -76,8 +86,8 @@ def random_rows(rng, n_users, n_articles, n_positives, negatives=1):
 
 
 def random_instances(rng, n_users, n_articles, n_positives, negatives=1):
-    """random_rows as an Instances record."""
-    return make_instances(random_rows(rng, n_users, n_articles, n_positives, negatives))
+    """random_rows as an Instances record over n_users users and n_articles articles."""
+    return make_instances(random_rows(rng, n_users, n_articles, n_positives, negatives), n_users, n_articles)
 
 
 def zero_model(n_users, n_articles, dim, m, kind="almm", hyper=None):
@@ -187,20 +197,54 @@ class TestSampleNegativesMatchesScalarDraws:
 class TestInstances:
     def test_misaligned_columns_raise(self):
         with pytest.raises(ValueError, match="one length"):
-            Instances(u=[0, 1], i=[0, 1], j=[1, 2], target=[1.0, 0.0], weight=[1.0])
+            Instances(u=[0, 1], i=[0, 1], j=[1, 2], target=[1.0, 0.0], weight=[1.0], users=["a", "b"],
+                      articles=["x", "y", "z"])
 
     def test_non_1d_columns_raise(self):
         with pytest.raises(ValueError, match="1-d"):
-            Instances(u=[[0]], i=[[0]], j=[[1]], target=[[1.0]], weight=[[1.0]])
+            Instances(u=[[0]], i=[[0]], j=[[1]], target=[[1.0]], weight=[[1.0]], users=["a"], articles=["x", "y"])
 
     def test_columns_are_read_only_copies(self):
         weight = np.array([1.3, 1.0])
-        instances = Instances(u=[0, 0], i=[0, 0], j=[1, 2], target=[1.0, 0.0], weight=weight)
+        users, articles = ["a"], ["x", "y", "z"]
+        instances = Instances(u=[0, 0], i=[0, 0], j=[1, 2], target=[1.0, 0.0], weight=weight, users=users,
+                              articles=articles)
         with pytest.raises(ValueError):
             instances.weight[0] = 2.0
         weight[0] = 2.0
+        users.append("b")
         assert instances.weight.tolist() == [1.3, 1.0]
         assert instances.u.dtype == np.int64 and instances.target.dtype == np.float64
+        assert (instances.users, instances.articles) == (("a",), ("x", "y", "z"))
+
+    @pytest.mark.parametrize(
+        "column, code, message",
+        [
+            ("u", 3, "user code 3 outside [0, 3)"),
+            ("u", -1, "user code -1 outside [0, 3)"),
+            ("i", 7, "last article code 7 outside [0, 7)"),
+            ("j", -2, "next article code -2 outside [0, 7)"),
+        ],
+    )
+    def test_code_outside_its_id_list_raises_when_built(self, column, code, message):
+        columns = {"u": [0, 1, 2], "i": [0, 3, 6], "j": [1, 4, 5], "target": [1.0, 0.0, 1.0], "weight": [1.0] * 3}
+        columns[column][1] = code
+        with pytest.raises(ValueError) as err:
+            Instances(**columns, users=ids("u", 3), articles=ids("n", 7))
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("trainer", [almm_train, oord_train, forbes_train], ids=["almm", "oord", "forbes"])
+    def test_empty_record_builds_and_no_trainer_takes_it(self, trainer):
+        instances = Instances(u=[], i=[], j=[], target=[], weight=[], users=[], articles=["x"])
+        assert len(instances) == 0 and instances.users == ()
+        with pytest.raises(EmptyInputError, match="no training instances"):
+            trainer(instances, np.ones((1, 2)), Hyperparams(latent_dim=2))
+
+    def test_sampled_record_carries_the_train_side_ids(self):
+        triplets = make_triplets([("u", "A", "B", 1.3), ("v", "B", "C", 1.1)])
+        instances = sample_negatives(triplets, 1, 0)
+        assert instances.users == ("u", "v")
+        assert instances.articles == ("A", "B", "C")
 
     def test_sampled_record_is_read_only(self):
         triplets = make_triplets([("u", "A", "B", 1.3), ("u", "B", "C", 1.1)])
@@ -551,34 +595,25 @@ class TestAlsWorkspaceAndSharedGroups:
         first = oord_train(instances, content, hyper)
         almm_train(instances, content, hyper)
         again = oord_train(instances, content, hyper)
-        fresh = oord_train(Instances(instances.u, instances.i, instances.j, instances.target, instances.weight),
-                           content, hyper)
+        fresh = oord_train(Instances(instances.u, instances.i, instances.j, instances.target, instances.weight,
+                                     instances.users, instances.articles), content, hyper)
         for model in (again, fresh):
             for attr in ("user_factors", "last_factors", "next_factors", "last_mapping", "next_mapping"):
                 assert getattr(model, attr).tobytes() == getattr(first, attr).tobytes()
             assert model.loss_trace == first.loss_trace
 
     @pytest.mark.parametrize("trainer", [almm_train, oord_train, forbes_train], ids=["almm", "oord", "forbes"])
-    @pytest.mark.parametrize(
-        "column, code, message",
-        [
-            ("u", 3, "user code 3 outside [0, 3)"),
-            ("u", -1, "user code -1 outside [0, 3)"),
-            ("i", 7, "last article code 7 outside [0, 7)"),
-            ("j", -2, "next article code -2 outside [0, 7)"),
-        ],
-    )
-    def test_out_of_range_code_raises_before_any_sweep(self, monkeypatch, trainer, column, code, message):
+    @pytest.mark.parametrize("rows", [6, 8])
+    def test_content_rows_other_than_the_articles_raise_before_any_sweep(self, monkeypatch, trainer, rows):
         instances, content, hyper = self.problem()
-        columns = {name: np.array(getattr(instances, name)) for name in ("u", "i", "j", "target", "weight")}
-        columns["u"] %= 3
-        columns[column][1] = code
+        assert len(instances.articles) == 7
+        content = np.vstack((content, content))[:rows]
         sweeps = []
         monkeypatch.setattr(models, "_als_update", lambda *args, **kwargs: sweeps.append(args))
         monkeypatch.setattr(models, "_sgd_epoch", lambda *args: sweeps.append(args))
         with pytest.raises(ValueError) as err:
-            trainer(Instances(**columns), content, hyper, user_ids=["ua", "ub", "uc"])
-        assert str(err.value) == message
+            trainer(instances, content, hyper)
+        assert str(err.value) == "content has %d rows, expected one per article of the instances: 7" % rows
         assert sweeps == []
 
 
@@ -703,7 +738,8 @@ class TestAlmmTrain:
             n_users = int(rng.integers(2, 5))
             n_articles = int(rng.integers(3, 6))
             dim = int(rng.integers(1, 5))
-            instances = make_instances(random_rows(rng, n_users, n_articles, int(rng.integers(3, 10)))[:20])
+            rows = random_rows(rng, n_users, n_articles, int(rng.integers(3, 10)))[:20]
+            instances = make_instances(rows, n_users, n_articles)
             content = rng.normal(size=(n_articles, 3))
             hyper = Hyperparams(
                 latent_dim=dim, refresh_blend=0.0, iterations=3, seed=trial
@@ -779,7 +815,7 @@ class TestForbesTrain:
         instances = random_instances(rng, 2, 4, 3)
         content = rng.normal(size=(4, 3))
         hyper = Hyperparams(latent_dim=2, sgd_lr=0.0, sgd_epochs=4, seed=17)
-        model = forbes_train(instances, content, hyper, user_ids=["u0", "u1"])
+        model = forbes_train(instances, content, hyper)
         # reconstruct the documented init draws: U, then Psi_X, then Psi_Y
         init = np.random.default_rng(17)
         scale = 0.1 / np.sqrt(2)
@@ -904,6 +940,24 @@ class TestForbesTrain:
             with pytest.raises(DivergenceError, match="SGD diverged in epoch 1: non-finite step"):
                 forbes_train(instances, content, hyper)
 
+    @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "csr"])
+    def test_divergence_names_the_largest_row_norm(self, sparse):
+        # 64-d rows of a category centroid plus unit noise (median norm^2 about 121), as
+        # perfbench's embeddings are: at sgd_lr 0.01 forbes diverges in epoch 1
+        rng = np.random.default_rng(1)
+        centroids = rng.normal(size=(4, 64))
+        content = centroids[rng.integers(4, size=30)] + rng.normal(size=(30, 64))
+        instances = random_instances(rng, 5, 30, 20, negatives=4)
+        norm2 = np.einsum("ij,ij->i", content, content)
+        assert 110 < np.median(norm2) < 130
+        hyper = Hyperparams(latent_dim=8, sgd_lr=0.01, sgd_epochs=3, seed=1)
+        with pytest.raises(DivergenceError) as err:
+            forbes_train(instances, as_csr(content) if sparse else content, hyper)
+        message = str(err.value)
+        assert message.startswith("SGD diverged in epoch 1: ")
+        cause = "; largest content row norm^2 %.4g, lr * norm^2 %.4g" % (norm2.max(), 0.01 * norm2.max())
+        assert message.endswith(cause)
+
     def test_deterministic(self):
         rng = np.random.default_rng(44)
         instances = random_instances(rng, 2, 4, 4)
@@ -952,17 +1006,16 @@ class TestForbesMatchesEagerOracle:
         instances, content = self.problem(7, dense)
         params = dict(latent_dim=3, sgd_lr=0.05, sgd_decay=0.9, sgd_epochs=6, seed=4)
         hyper = Hyperparams(**{**params, **overrides})
-        model = forbes_train(instances, content, hyper, user_ids=["u0", "u1", "u2"])
+        model = forbes_train(instances, content, hyper)
         U, psi_x, psi_y = eager_forbes(instances, content, hyper)
         np.testing.assert_allclose(model.user_factors, U, rtol=1e-10)
         np.testing.assert_allclose(model.last_mapping, psi_x, rtol=1e-10)
         np.testing.assert_allclose(model.next_mapping, psi_y, rtol=1e-10)
 
     @staticmethod
-    def assert_matches_eager(instances, content, hyper, n_users=None):
-        user_ids = None if n_users is None else ["u%d" % k for k in range(n_users)]
-        model = forbes_train(instances, content, hyper, user_ids=user_ids)
-        U, psi_x, psi_y = eager_forbes(instances, content, hyper, n_users=n_users)
+    def assert_matches_eager(instances, content, hyper):
+        model = forbes_train(instances, content, hyper)
+        U, psi_x, psi_y = eager_forbes(instances, content, hyper)
         np.testing.assert_allclose(model.user_factors, U, rtol=1e-10)
         np.testing.assert_allclose(model.last_mapping, psi_x, rtol=1e-10)
         np.testing.assert_allclose(model.next_mapping, psi_y, rtol=1e-10)
@@ -976,7 +1029,7 @@ class TestForbesMatchesEagerOracle:
         instances, content = self.problem(7, dense)
         rows = instance_rows(instances)
         rows += [Row(0, 2, 2, 1.0, 1.2), Row(1, 4, 4, 1.0, 1.1), Row(2, 2, 2, 0.0, 1.0), Row(0, 5, 5, 0.0, 1.0)]
-        self.assert_matches_eager(make_instances(rows), content, self.HYPER)
+        self.assert_matches_eager(make_instances(rows, 3, 6), content, self.HYPER)
 
     @pytest.mark.parametrize("dense", [False, True], ids=["sparse", "dense"])
     def test_all_zero_content_row(self, dense):
@@ -987,13 +1040,13 @@ class TestForbesMatchesEagerOracle:
             content = as_csr(content)
             assert content[[3]].nnz == 0
         rows = instance_rows(instances) + [Row(1, 3, 3, 1.0, 1.3)]
-        self.assert_matches_eager(make_instances(rows), content, self.HYPER)
+        self.assert_matches_eager(make_instances(rows, 3, 6), content, self.HYPER)
 
     @pytest.mark.parametrize("dense", [False, True], ids=["sparse", "dense"])
     def test_users_without_instances_keep_their_init_draws(self, dense):
         instances, content = self.problem(7, dense)
         assert int(instances.u.max()) == 2
-        model = self.assert_matches_eager(instances, content, self.HYPER, n_users=6)
+        model = self.assert_matches_eager(replace(instances, users=ids("u", 6)), content, self.HYPER)
         init = np.random.default_rng(self.HYPER.seed).normal(0.0, 0.1 / np.sqrt(3), size=(6, 3))
         np.testing.assert_array_equal(model.user_factors[3:], init[3:])
         assert not np.array_equal(model.user_factors[:3], init[:3])
@@ -1129,9 +1182,9 @@ class TestOordTrain:
         instances = random_instances(rng, 2, 4, 4)
         content = rng.normal(size=(4, 3))
         hyper = Hyperparams(latent_dim=2, iterations=2, seed=4)
-        ids = ["n%d" % k for k in range(4)]
-        model = oord_train(instances, content, hyper, article_ids=ids)
-        features = dense_features(ids, content)
+        assert instances.articles == ("n0", "n1", "n2", "n3")
+        model = oord_train(instances, content, hyper)
+        features = dense_features(instances.articles, content)
         x = article_vectors(model, ["n1"], features, "last")[0]
         y = article_vectors(model, ["n1"], features, "next")[0]
         np.testing.assert_allclose(x, content[1] @ model.last_mapping, atol=1e-12)
@@ -1157,9 +1210,8 @@ class TestPredict:
         features = FeatureMatrix(full, "tfidf", {"n%d" % k: k for k in range(4)})
         content = features.rows(["n0", "n1", "n2"])
         hyper = Hyperparams(latent_dim=2, refresh_blend=1.0, iterations=2, seed=6)
-        model = almm_train(
-            instances, content, hyper, user_ids=["u0", "u1"], article_ids=["n0", "n1", "n2"]
-        )
+        assert instances.articles == ("n0", "n1", "n2")
+        model = almm_train(instances, content, hyper)
         y_cold = article_vectors(model, ["n3"], features, "next")[0]
         np.testing.assert_array_equal(y_cold, model.next_factors[1])
 
@@ -1217,9 +1269,8 @@ class TestPredict:
         instances = random_instances(rng, 2, 3, 3)
         content = rng.normal(size=(3, 4))
         hyper = Hyperparams(latent_dim=2, iterations=2, seed=7)
-        model = almm_train(
-            instances, content, hyper, user_ids=["u0", "u1"], article_ids=["n0", "n1", "n2"]
-        )
+        assert instances.articles == ("n0", "n1", "n2")
+        model = almm_train(instances, content, hyper)
         full = np.vstack([content, rng.normal(size=(1, 4))])
         features = dense_features(["n0", "n1", "n2", "cold"], full)
         x = article_vectors(model, ["cold"], features, "last")[0]
@@ -1251,15 +1302,10 @@ class TestRankingKernelMatchesScalarPredict:
         matrix = content if dense else as_csr(content)
         features = FeatureMatrix(matrix, "external" if dense else "tfidf", {a: r for r, a in enumerate(ids)})
         instances = random_instances(rng, len(cls.USERS), len(cls.TRAINED), 14, negatives=2)
+        instances = replace(instances, users=cls.USERS, articles=cls.TRAINED)
         hyper = Hyperparams(latent_dim=3, iterations=3, sgd_epochs=3, seed=5)
         trainer = {"almm": almm_train, "forbes": forbes_train, "oord": oord_train}[kind]
-        model = trainer(
-            instances,
-            features.rows(cls.TRAINED),
-            hyper,
-            user_ids=cls.USERS,
-            article_ids=cls.TRAINED,
-        )
+        model = trainer(instances, features.rows(cls.TRAINED), hyper)
         train = [("u0", "n%d" % k, "n%d" % (k + 1)) for k in range(7)]
         test = [
             ("u0", "n1", "c0"),  # cold relevant item, tied with trained n2
@@ -1372,9 +1418,7 @@ class TestModelPersistence:
         instances = random_instances(rng, 2, 4, 4)
         content = rng.normal(size=(4, 3))
         hyper = Hyperparams(latent_dim=2, iterations=2, seed=2)
-        model = almm_train(
-            instances, content, hyper, user_ids=["ua", "ub"], article_ids=["n0", "n1", "n2", "n3"]
-        )
+        model = almm_train(replace(instances, users=["ua", "ub"]), content, hyper)
         save_model(model, tmp_path / "model")
         manifest = json.loads((tmp_path / "model" / "manifest.json").read_text(encoding="utf-8"))
         assert (manifest["users"], manifest["articles"]) == (["ua", "ub"], ["n0", "n1", "n2", "n3"])

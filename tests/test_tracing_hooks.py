@@ -13,25 +13,31 @@ import ast
 import importlib
 import importlib.util
 import os
+import sys
 
 import pytest
 
 from coldrec import pipeline
 from coldrec.config import SPLIT_KINDS, load_config
 from coldrec.fixture import generate_fixture
+from coldrec.models import Instances
 from coldrec.splits import load_split, make_cold_split, save_split
+from coldrec.transitions import TripletSet
 
 from conftest import synthetic_triplet_set
 
 PERFBENCH_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench")
-TRACING_PATH = os.path.join(PERFBENCH_DIR, "tracing.py")
 
 
-def load_tracing():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING_PATH)
+def load_perfbench(name):
+    spec = importlib.util.spec_from_file_location("perfbench_" + name, os.path.join(PERFBENCH_DIR, name + ".py"))
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def load_tracing():
+    return load_perfbench("tracing")
 
 
 def parse_perfbench(name):
@@ -129,3 +135,60 @@ def test_loaded_split_sides_iterate_as_named_rows_in_file_order(tmp_path):
         assert len(side) == len(columns) > 0
         rows = [(t.user, t.last_article, t.next_article, t.confidence) for t in side]
         assert rows == [(u, i, j, float(c)) for u, i, j, c in columns]
+
+
+def test_layers_notes_read_the_arguments_the_pipeline_passes(tmp_path, monkeypatch):
+    """perfbench's per-call size notes index positional arguments: sample_negatives'
+    (train side, negatives per positive, seed) and a trainer's (instances, content, hyper).
+    Each noted name is wrapped where tracing.py wraps it, featurize and train run on a small
+    fixture, and every recorded call is fed to its note."""
+    monkeypatch.setitem(sys.modules, "tracing", load_tracing())  # layers.py imports it by bare name
+    notes = load_perfbench("layers").notes()
+    generate_fixture(12, 40, 0.8, 3, str(tmp_path / "fx"))
+    config = tmp_path / "run.toml"
+    config.write_text(
+        '[data]\nnews = "fx/news.tsv"\nbehaviors = "fx/behaviors.tsv"\n'
+        '[model]\nkind = "all"\nlatent_dim = 4\niterations = 2\nsgd_epochs = 3\nnegatives = 2\n'
+    )
+    cfg = load_config(str(config), out_dir="out")
+    for _, stage in pipeline._STAGES[:3]:  # ingest, triplets, split
+        stage(cfg)
+    calls = []
+
+    def recording(name, fn):
+        def wrapper(*args, **kwargs):
+            result = fn(*args, **kwargs)
+            calls.append((name, args, kwargs, result))
+            return result
+
+        return wrapper
+
+    for module_name, attr, name in load_tracing().SPANNED:
+        if name in notes:
+            owner = importlib.import_module(module_name)
+            if "[" in attr:
+                container, key = attr[:-1].split("[")
+                table = getattr(owner, container)
+                monkeypatch.setitem(table, key, recording(name, table[key]))
+            else:
+                monkeypatch.setattr(owner, attr, recording(name, getattr(owner, attr)))
+    pipeline.stage_featurize(cfg)
+    pipeline.stage_train(cfg)
+
+    assert {name for name, _, _, _ in calls} == set(notes)
+    sampled = {}
+    for name, args, kwargs, result in calls:
+        note = notes[name](args, kwargs, result)
+        if name == "models.sample_negatives":
+            assert isinstance(args[0], TripletSet) and args[1] == cfg.hyper.negatives_per_positive
+            assert isinstance(result, Instances)
+            assert note == (len(args[0]) * (1 + args[1]), len(result))
+            sampled[id(result)] = result
+        elif name == "models.forbes_train":
+            instances, content, hyper = args
+            assert kwargs == {} and id(instances) in sampled and hyper is cfg.hyper
+            assert content.shape[0] == len(instances.articles)
+            assert note == len(instances) * 3
+        else:
+            assert note == (result.matrix.nnz, result.matrix.shape[0])
+    assert len(sampled) == len(SPLIT_KINDS)
