@@ -21,8 +21,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from datetime import date, datetime, timezone
-from functools import lru_cache
+from datetime import datetime, timezone
 from typing import NamedTuple
 
 import numpy as np
@@ -30,8 +29,6 @@ import numpy as np
 from .artifacts import read_lines
 
 _TIME_FORMAT = "%m/%d/%Y %I:%M:%S %p"
-_MERIDIEM_HOURS = {"AM": 0, "PM": 12}  # strptime's %p in the C locale, which no coldrec code changes
-_EPOCH_ORDINAL = date(1970, 1, 1).toordinal()
 _MAX_MESSAGES = 20
 
 
@@ -103,52 +100,8 @@ def parse_news(path) -> tuple[dict[str, Article], ValidationReport]:
     return catalog, report
 
 
-@lru_cache(maxsize=1024)
-def _epoch_day(text: str) -> int | None:
-    """Days from 1970-01-01 to an `M/D/YYYY` date in ASCII digits; None for any other string."""
-    fields = text.split("/")
-    if len(fields) != 3 or not all(f.isascii() and f.isdigit() for f in fields):
-        return None
-    month, day, year = fields
-    if len(month) > 2 or len(day) > 2 or len(year) != 4:
-        return None
-    try:
-        return date(int(year), int(month), int(day)).toordinal() - _EPOCH_ORDINAL
-    except ValueError:  # Feb 30, month 13, year 0, ...
-        return None
-
-
-def _clock_seconds(clock: str, meridiem: str) -> int | None:
-    """Seconds after midnight of an `H:MM:SS` clock in ASCII digits and an upper-case AM or PM;
-    None for any other pair."""
-    fields = clock.split(":")
-    if meridiem not in _MERIDIEM_HOURS or len(fields) != 3:
-        return None
-    hour, minute, second = fields
-    digits = hour + minute + second
-    if not (0 < len(hour) <= 2 and len(minute) == len(second) == 2 and digits.isascii() and digits.isdigit()):
-        return None
-    hour, minute, second = int(hour), int(minute), int(second)
-    if not (1 <= hour <= 12 and minute < 60 and second < 60):
-        return None
-    return 3600 * (hour % 12 + _MERIDIEM_HOURS[meridiem]) + 60 * minute + second
-
-
 def _parse_time(text: str) -> int:
-    """UTC epoch seconds of `text.strip()` read with `_TIME_FORMAT`; a ValueError if strptime rejects it.
-
-    The canonical MIND form, `M/D/YYYY H:MM:SS AM|PM` in ASCII digits with single spaces, is
-    read from a cached day number plus the clock fields. Every other string (lower-case am,
-    doubled whitespace, a space-padded day, one-digit minutes, non-ASCII digits) goes to
-    `datetime.strptime`, so acceptance and values are strptime's.
-    """
-    text = text.strip()
-    fields = text.split(" ")
-    if len(fields) == 3:
-        day, seconds = _epoch_day(fields[0]), _clock_seconds(fields[1], fields[2])
-        if day is not None and seconds is not None:
-            return 86400 * day + seconds
-    stamp = datetime.strptime(text, _TIME_FORMAT)
+    stamp = datetime.strptime(text.strip(), _TIME_FORMAT)
     return int(stamp.replace(tzinfo=timezone.utc).timestamp())
 
 

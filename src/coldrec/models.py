@@ -111,7 +111,8 @@ class Instances:
     next article articles[j[n]]. The columns are read-only copies and the id
     lists tuples: one record is shared by every trainer of a split. Every
     code is checked against its id list here, once per record, and a code
-    outside it is a ValueError naming the column, the code and the list size.
+    outside it is a ValueError naming the column, the code and the list size;
+    an id list that repeats an id is a ValueError too.
     """
 
     u: np.ndarray  # int64 dense user index
@@ -132,7 +133,10 @@ class Instances:
             column.flags.writeable = False
             object.__setattr__(self, name, column)
         for name in ("users", "articles"):
-            object.__setattr__(self, name, tuple(getattr(self, name)))
+            ids = tuple(getattr(self, name))
+            if len(set(ids)) != len(ids):
+                raise ValueError("%s repeat an id: %d ids, %d distinct" % (name, len(ids), len(set(ids))))
+            object.__setattr__(self, name, ids)
         for name, codes, ids in (("user", self.u, self.users), ("last article", self.i, self.articles),
                                  ("next article", self.j, self.articles)):
             if codes.size and not 0 <= codes.min() <= codes.max() < len(ids):
@@ -602,18 +606,6 @@ def _forbes_objective(content, S, instances: Instances, hyper: Hyperparams) -> f
     return _regularized(_data_loss(U, X, Y, instances), U, last_mapping, next_mapping, hyper)
 
 
-def _divergence_cause(content, lr) -> str:
-    """The cause a diverged forbes run can name: its largest content row norm^2, and lr times it.
-
-    An update moves the mapped vector x = a_i Psi_X by lr * err * |a_i|^2 * (U_u + y), so with
-    lr * norm^2 near 1 or above one step can overshoot the error it corrects.
-    """
-    squares = (CSRMatrix(content.data ** 2, content.indices, content.indptr, content.shape)
-               if isinstance(content, CSRMatrix) else np.square(content))
-    norm2 = float((squares @ np.ones(content.shape[1])).max())
-    return "largest content row norm^2 %.4g, lr * norm^2 %.4g" % (norm2, lr * norm2)
-
-
 def forbes_train(instances, content, hyper: Hyperparams) -> FactorModel:
     """Single-stage SGD with article vectors defined through the content mappings.
 
@@ -640,10 +632,10 @@ def forbes_train(instances, content, hyper: Hyperparams) -> FactorModel:
 
     After every epoch ("epoch<k>", objective) joins loss_trace: the weighted
     data loss plus reg_user ||U||^2 + reg_last ||Psi_X||^2 + reg_next ||Psi_Y||^2.
-    A floating-point overflow or invalid operation inside an epoch, or a
-    non-finite lr * err, raises DivergenceError naming that epoch, before any
-    non-finite value spreads, and the largest content row norm^2 with the
-    epoch's lr times it (`_divergence_cause`).
+    A floating-point overflow or invalid operation inside an epoch, a
+    non-finite lr * err or a non-finite objective raises DivergenceError
+    naming that epoch, before any non-finite value spreads, and the largest
+    content row norm^2 with the epoch's lr times it.
     """
     hyper.validate()
     _check_training_inputs(instances, content)
@@ -661,12 +653,15 @@ def forbes_train(instances, content, hyper: Hyperparams) -> FactorModel:
             with np.errstate(over="raise", invalid="raise"):
                 _sgd_epoch(order, plan, S, m, lr, hyper)
                 loss = _forbes_objective(content, S, instances, hyper)
+                if not np.isfinite(loss):
+                    raise FloatingPointError("non-finite objective %g" % loss)
         except FloatingPointError as exc:
-            cause = _divergence_cause(content, lr)
-            raise DivergenceError("SGD diverged in epoch %d: %s; %s" % (epoch, exc, cause)) from None
-        if not np.isfinite(loss):
-            cause = _divergence_cause(content, lr)
-            raise DivergenceError("non-finite objective after epoch %d; %s" % (epoch, cause))
+            # a step moves x = a_i Psi_X by lr * err * |a_i|^2 * (U_u + y): near lr * |a_i|^2 = 1 it overshoots
+            squares = (CSRMatrix(content.data ** 2, content.indices, content.indptr, content.shape)
+                       if isinstance(content, CSRMatrix) else np.square(content))
+            norm2 = float((squares @ np.ones(m)).max())
+            raise DivergenceError("SGD diverged in epoch %d: %s; largest content row norm^2 %.4g, lr * norm^2 %.4g"
+                                  % (epoch, exc, norm2, lr * norm2)) from None
         trace.append(("epoch%d" % epoch, loss))
         lr *= hyper.sgd_decay
 

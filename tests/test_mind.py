@@ -1,12 +1,8 @@
 import os
 from collections import Counter
-from datetime import datetime, timezone
 
-import numpy as np
 import pytest
 
-from coldrec import mind
-from coldrec.fixture import generate_fixture
 from coldrec.mind import (
     Article,
     history_popularity,
@@ -194,85 +190,6 @@ class TestParseBehaviors:
         for user in set(users):
             keys = [(ts, rank) for u, _, ts, rank in rows if u == user]
             assert keys == sorted(keys)
-
-
-def strptime_reading(text):
-    """What `mind._parse_time` must return for `text`: strptime's epoch seconds, or ValueError."""
-    try:
-        stamp = datetime.strptime(text.strip(), "%m/%d/%Y %I:%M:%S %p")
-    except ValueError:
-        return ValueError
-    return int(stamp.replace(tzinfo=timezone.utc).timestamp())
-
-
-def parse_time_reading(text):
-    try:
-        return mind._parse_time(text)
-    except ValueError:
-        return ValueError
-
-
-class TestParseTimeMatchesStrptime:
-    """The canonical-form fast path of `_parse_time` against `datetime.strptime` on every string."""
-
-    EDGES = [
-        "11/15/2019 8:55:22 AM", "01/05/2019 08:05:03 PM", "12/31/1969 11:59:59 PM", "1/1/1970 12:00:00 AM",
-        "1/1/2019 12:00:00 AM", "1/1/2019 12:00:00 PM", "1/1/2019 12:59:59 AM", "1/1/2019 11:59:59 PM",
-        "11/15/2019 8:55:60 AM", "11/15/2019 8:55:61 AM", "11/15/2019 8:60:00 AM",
-        "2/29/2020 1:00:00 PM", "2/29/2019 1:00:00 PM", "2/30/2020 1:00:00 PM", "4/31/2019 1:00:00 PM",
-        "13/1/2019 1:00:00 AM", "0/1/2019 1:00:00 AM", "1/0/2019 1:00:00 AM", "1/1/0000 1:00:00 AM",
-        "1/1/0001 1:00:00 AM", "12/31/9999 11:59:59 PM", "1/1/19 1:00:00 AM", "1/1/20190 1:00:00 AM",
-        "1/1/2019 0:00:00 AM", "1/1/2019 00:00:00 AM", "1/1/2019 13:00:00 PM", "1/1/2019 1:0:0 AM",
-        "1/1/2019 1:00:00 am", "1/1/2019 1:00:00 pm", "1/1/2019 1:00:00 Pm", "1/1/2019 1:00:00 A.M.",
-        "1/ 1/2019 1:00:00 AM", " 1/1/2019 1:00:00 AM", "1/1/2019 1:00:00 AM \n", "1/1/2019  1:00:00 AM",
-        "1/1/2019 1:00:00  AM", "1/1/2019\t1:00:00 AM", "1/1/2019\u00a01:00:00 AM", "1/1/2019 1:00:00",
-        "\u0661/1/2019 1:00:00 AM", "1/1/\u0662\u0660\u0661\u0669 1:00:00 AM", "1/1/2019 \u0661:00:00 AM",
-        "1/1/2019 1:\u0660\u0660:00 AM", "1/1/2019 1:00:\uff10\uff10 AM", "+1/1/2019 1:00:00 AM",
-        "1/1/2019 1:00:00 AM extra", "", "not a time", "1/1/2019 1:00:00:00 AM", "1//2019 1:00:00 AM",
-    ]
-
-    def test_edge_cases(self):
-        for text in self.EDGES:
-            assert parse_time_reading(text) == strptime_reading(text), repr(text)
-        assert any(strptime_reading(text) is ValueError for text in self.EDGES)
-        assert any(strptime_reading(text) is not ValueError for text in self.EDGES)
-
-    def test_fuzzed_strings(self):
-        rng = np.random.default_rng(2019)
-        parts = [
-            [" ", "", " \t"],  # leading whitespace
-            ["1", "01", "9", "10", "12", "13", "0", "00", "2", " 2", "\u0662", "012"],  # month
-            ["/", "-", "//"],
-            ["1", "01", "28", "29", "30", "31", "32", "0", " 5", "\u0663", "005"],  # day
-            ["/"],
-            ["2019", "2020", "2100", "1900", "1969", "0000", "0001", "9999", "19", "20190", "\u0662019"],  # year
-            [" ", "  ", "\t", "\u00a0"],
-            ["1", "01", "9", "11", "12", "13", "0", "00", "\u0667", "001"],  # hour
-            [":"],
-            ["00", "05", "59", "60", "5", "\u0665\u0669", "005"],  # minute
-            [":", "."],
-            ["00", "07", "59", "60", "61", "7", "\u0665\u0669", "005"],  # second
-            [" ", "  ", "\u2003"],
-            ["AM", "PM", "am", "pm", "Am", "XM", "A", ""],  # meridiem
-            ["", " ", "\n", " x"],  # trailing
-        ]
-        weights = [np.array([16.0] + [1.0] * (len(options) - 1)) for options in parts]
-        checked = fast = 0
-        for _ in range(6000):
-            text = "".join(options[rng.choice(len(options), p=w / w.sum())] for options, w in zip(parts, weights))
-            want = strptime_reading(text)
-            assert parse_time_reading(text) == want, repr(text)
-            checked += 1
-            fast += want is not ValueError
-        assert fast > checked // 10
-
-    def test_every_time_of_a_generated_fixture(self, tmp_path):
-        _, behaviors = generate_fixture(40, 120, 0.8, 5, str(tmp_path))
-        with open(behaviors, encoding="utf-8") as fh:
-            times = [line.split("\t")[2] for line in fh]
-        assert len(times) > 100
-        for text in times:
-            assert mind._parse_time(text) == strptime_reading(text), repr(text)
 
 
 class TestValidateClicks:

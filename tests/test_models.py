@@ -233,6 +233,20 @@ class TestInstances:
             Instances(**columns, users=ids("u", 3), articles=ids("n", 7))
         assert str(err.value) == message
 
+    @pytest.mark.parametrize(
+        "users, articles, message",
+        [
+            (["a", "a"], ["x", "y", "z"], "users repeat an id: 2 ids, 1 distinct"),
+            (["a", "b"], ["x", "y", "x"], "articles repeat an id: 3 ids, 2 distinct"),
+        ],
+    )
+    def test_repeated_id_raises_when_built(self, users, articles, message):
+        # a repeated id would train factor rows that the model's id map cannot all name
+        with pytest.raises(ValueError) as err:
+            Instances(u=[0, 1, 0], i=[0, 1, 2], j=[1, 2, 0], target=[1.0] * 3, weight=[1.0] * 3, users=users,
+                      articles=articles)
+        assert str(err.value) == message
+
     @pytest.mark.parametrize("trainer", [almm_train, oord_train, forbes_train], ids=["almm", "oord", "forbes"])
     def test_empty_record_builds_and_no_trainer_takes_it(self, trainer):
         instances = Instances(u=[], i=[], j=[], target=[], weight=[], users=[], articles=["x"])
