@@ -56,7 +56,9 @@ import numpy as np
 
 from .artifacts import TYPE_NAMES, fits, id_positions, load_matrix, read_json, save_matrix, write_json
 from .errors import DivergenceError, EmptyInputError, FormatError, MissingArticlesError
-from .numerics import CSRMatrix, cho_solve_stacked, ridge_factor, ridge_solve
+from .numerics import CSRMatrix, cho_solve_stacked, ridge_cholesky, ridge_factor
+# perfbench/tracing.py wraps models.ridge_solve by name; no run calls it (ROADMAP item 5(b))
+from .numerics import ridge_solve  # noqa: F401
 from .transitions import TripletSet
 
 MODEL_KINDS = ("almm", "forbes", "oord")
@@ -305,7 +307,7 @@ def _als_workspace(n: int, dim: int, max_rows: int) -> _AlsWorkspace:
                          systems=np.empty((max_rows, dim, dim)))
 
 
-def _als_update(target, groups, left, left_idx, right, right_idx, tt, cc, reg, workspace=None) -> float:
+def _als_update(target, groups, left, left_idx, right, right_idx, tt, cc, reg, workspace) -> float:
     """Closed-form row update for one factor matrix, all rows at once; returns its data loss.
 
     Row r minimizes sum_n c_n (t_n - w.(left_n + right_n) - left_n.right_n)^2
@@ -318,13 +320,15 @@ def _als_update(target, groups, left, left_idx, right, right_idx, tt, cc, reg, w
     its normal matrices are one stacked matmul over (rows, length, d) views
     of that block, with no per-row loop. The right-hand sides are one
     `np.add.reduceat`, and every row is factored by one stacked Cholesky.
-    Rows whose normal matrix fails to factor go through `ridge_solve`, which
-    keeps its jitter retry and SingularSystemError. No row reads the matrix
-    being updated, so this equals solving the rows one by one.
+    When that fails, each row's normal matrix is factored by
+    `ridge_cholesky`, the one rule for a ridge system that fails to factor
+    (a jitter retry, or SingularSystemError); either way every row is
+    solved by one `cho_solve_stacked`. No row reads the matrix being
+    updated, so this equals solving the rows one by one.
 
     Every size-n intermediate lives in `workspace`, which `_als_train`
-    allocates once per call (one is allocated here when none is given), so
-    a half-sweep allocates nothing that grows with the number of instances.
+    allocates once per call (`_als_workspace`), so a half-sweep allocates
+    nothing that grows with the number of instances.
     The gathers use `mode="clip"`: under the default `mode="raise"` numpy
     gathers into a temporary and copies it to `out`, which made a take twice
     as slow. Clipping never fires on valid codes: `Instances` checks every
@@ -339,8 +343,6 @@ def _als_update(target, groups, left, left_idx, right, right_idx, tt, cc, reg, w
     if rows.size == 0:
         return 0.0
     n, dim = order.size, target.shape[1]
-    if workspace is None:
-        workspace = _als_workspace(n, dim, rows.size)
     index, fitted = workspace.index[:n], workspace.fitted[:n]
     lf = np.take(left, np.take(left_idx, order, out=index, mode="clip"), axis=0,
                  out=workspace.left[:n], mode="clip")
@@ -360,23 +362,11 @@ def _als_update(target, groups, left, left_idx, right, right_idx, tt, cc, reg, w
     systems[:, diag, diag] += reg
     rhs = np.add.reduceat(np.multiply(weighted, resid[:, None], out=rf), bounds, axis=0)
 
-    solved = np.ones(rows.size, dtype=bool)
     try:
         chol = np.linalg.cholesky(systems)
     except np.linalg.LinAlgError:
-        chol = np.empty_like(systems)
-        for k in range(rows.size):
-            try:
-                chol[k] = np.linalg.cholesky(systems[k])
-            except np.linalg.LinAlgError:
-                solved[k] = False
-                chol[k] = np.eye(dim)  # placeholder; the row is re-solved below
+        chol = np.stack([ridge_cholesky(system, reg) for system in systems])
     solution = cho_solve_stacked(chol, rhs)
-    ends = np.append(bounds[1:], n)
-    for k in np.flatnonzero(~solved):
-        lo, hi = bounds[k], ends[k]
-        w = np.sqrt(conf[lo:hi])
-        solution[k] = ridge_solve(design[lo:hi] * w[:, None], resid[lo:hi] * w, reg)
     target[rows] = solution
 
     for members, span, length in buckets:

@@ -4,13 +4,16 @@ TF-IDF rows are held as a `CSRMatrix`: plain numpy arrays in compressed
 sparse row form behind numpy's `A[rows]`, `A.T` and `A @ B`, whose products
 sum in scipy.sparse's accumulation order. `ridge_factor` forms the smaller
 ridge Gram of a dense or CSR design by those operators, once per trainer,
-factors it with numpy's Cholesky and solves by a blocked triangular
-substitution that reads the factor where it lies, so a run imports no scipy
-at all. The batched ALS row update solves its small systems itself and
-falls back to `ridge_solve` only for rows whose normal matrix fails to
-factor; `ridge_solve` is also its test oracle. The diversity metric reduces
-to `cosine_distance`. These kernels are kept in one place with strict input
-validation; the module opens no files.
+factors it and solves by a blocked triangular substitution that reads the
+factor where it lies, so a run imports no scipy at all. The batched ALS row
+update factors its small systems with one stacked Cholesky and solves them
+with `cho_solve_stacked`. One rule factors a ridge system that fails to:
+`ridge_cholesky`, numpy's Cholesky retried once with a trace-scaled jitter,
+which `ridge_factor` calls and the ALS update calls per row when its stacked
+Cholesky fails. `ridge_solve`, the one-shot form of `ridge_factor`, is the
+tests' oracle. The diversity metric reduces to `cosine_distance`. These
+kernels are kept in one place with strict input validation; the module
+opens no files.
 """
 
 from __future__ import annotations
@@ -158,13 +161,8 @@ def ridge_factor(design, ridge: float):
     Gammerman & Vovk, ICML 1998). Otherwise, and always at ridge = 0, the
     k x k Gram G'G + ridge*I is factored.
 
-    The Gram is factored by numpy's Cholesky, and `solve` substitutes through
-    the factor in blocks of SOLVE_BLOCK rows (`_blocked_substitution`).
-
-    On a Cholesky failure with ridge > 0 the factorization of that system is
-    retried once with a trace-scaled jitter of 1e-10 added to the diagonal
-    (near-singular normal matrices from sparse feature blocks); at ridge = 0
-    a failure raises SingularSystemError immediately.
+    The ridged Gram is factored by `ridge_cholesky`, and `solve` substitutes
+    through the factor in blocks of SOLVE_BLOCK rows (`_blocked_substitution`).
     """
     if ridge < 0:
         raise ValueError("ridge must be >= 0, got %r" % ridge)
@@ -176,26 +174,8 @@ def ridge_factor(design, ridge: float):
     dual = ridge > 0 and design.shape[0] < design.shape[1]
     transpose = design.T  # built once; a CSR transpose keeps its bincount keys across solves
     gram = design @ transpose if dual else transpose @ design
-    # Ridge and jitter go onto the Gram's diagonal in place: cholesky
-    # returns a new factor, so after a failure `gram` still holds the ridged system.
-    k = gram.shape[0]
-    jitter = 1e-10 * np.trace(gram) / max(k, 1)
-    gram.flat[:: k + 1] += ridge
-    try:
-        lower = cholesky(gram)
-    except np.linalg.LinAlgError:
-        if ridge <= 0:
-            raise SingularSystemError(
-                "normal matrix is singular and no ridge was applied"
-            ) from None
-        gram.flat[:: k + 1] += jitter
-        try:
-            lower = cholesky(gram)
-        except np.linalg.LinAlgError:
-            raise SingularSystemError(
-                "normal matrix stayed singular after jitter retry"
-            ) from None
-    substitute = _blocked_substitution(lower)
+    gram.flat[:: gram.shape[0] + 1] += ridge
+    substitute = _blocked_substitution(ridge_cholesky(gram, ridge))
 
     def solve(targets) -> np.ndarray:
         targets = np.asarray(targets, dtype=np.float64)
@@ -208,6 +188,29 @@ def ridge_factor(design, ridge: float):
         return substitute(transpose @ targets)
 
     return solve
+
+
+def ridge_cholesky(system: np.ndarray, ridge: float) -> np.ndarray:
+    """The lower Cholesky factor of `system`, a k x k Gram with `ridge` already on its diagonal.
+
+    The one rule for a ridge system that fails to factor, shared by
+    `ridge_factor` and the ALS half-sweep: with ridge > 0 it is retried once
+    with 1e-10 * trace(Gram) / k added to the diagonal in place, the Gram's
+    trace taken as trace(system) - k * ridge (near-singular normal matrices
+    from sparse feature blocks). At ridge = 0, or when the retry fails too,
+    it raises SingularSystemError.
+    """
+    try:
+        return cholesky(system)
+    except np.linalg.LinAlgError:
+        if ridge <= 0:
+            raise SingularSystemError("normal matrix is singular and no ridge was applied") from None
+    k = system.shape[0]
+    system.flat[:: k + 1] += 1e-10 * (np.trace(system) - k * ridge) / k
+    try:
+        return cholesky(system)
+    except np.linalg.LinAlgError:
+        raise SingularSystemError("normal matrix stayed singular after jitter retry") from None
 
 
 def _blocked_substitution(lower: np.ndarray):

@@ -17,6 +17,7 @@ from collections import namedtuple
 import numpy as np
 from scipy import sparse
 
+from coldrec import numerics
 from coldrec.models import FactorModel, Instances, _full_loss
 from coldrec.numerics import CSRMatrix, cosine_distance
 
@@ -25,6 +26,24 @@ def as_csr(matrix) -> CSRMatrix:
     """A CSRMatrix over the data, indices and indptr of scipy.sparse.csr_matrix(matrix)."""
     ref = sparse.csr_matrix(matrix)
     return CSRMatrix(ref.data, ref.indices, ref.indptr, ref.shape)
+
+
+def recorded_factorizations(monkeypatch):
+    """Patch numerics.cholesky to record (copy of the system, factor or None) per call."""
+    calls = []
+
+    def recording(a):
+        system = np.array(a)
+        try:
+            factor = np.linalg.cholesky(a)
+        except np.linalg.LinAlgError:
+            calls.append((system, None))
+            raise
+        calls.append((system, factor))
+        return factor
+
+    monkeypatch.setattr(numerics, "cholesky", recording)
+    return calls
 
 
 def score(user_vec, last_vec, next_vec) -> float:

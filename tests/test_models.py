@@ -39,6 +39,7 @@ from oracles import (
     forbes_objective_oracle,
     instance_rows,
     objective,
+    recorded_factorizations,
     scalar_predict,
     scalar_ranks,
     scalar_sample_negatives,
@@ -341,6 +342,13 @@ def per_row_als_oracle(target, rows_of, left, left_idx, right, right_idx, tt, cc
     return out
 
 
+def als_update(target, rows_of, left, left_idx, right, right_idx, tt, cc, reg):
+    """_als_update over the rows `rows_of` names, grouped by _group_rows, through a workspace of its own."""
+    groups = _group_rows(rows_of)
+    workspace = models._als_workspace(rows_of.size, target.shape[1], groups[2].size)
+    return _als_update(target, groups, left, left_idx, right, right_idx, tt, cc, reg, workspace)
+
+
 class TestBatchedAlsUpdate:
     def test_matches_per_row_ridge_solve(self):
         rng = np.random.default_rng(71)
@@ -360,14 +368,14 @@ class TestBatchedAlsUpdate:
             reg = float(rng.uniform(0.01, 1.0))
             target = rng.normal(size=(8, dim))
             expected = per_row_als_oracle(target, rows_of, left, left_idx, right, right_idx, tt, cc, reg)
-            _als_update(target, _group_rows(rows_of), left, left_idx, right, right_idx, tt, cc, reg)
+            als_update(target, rows_of, left, left_idx, right, right_idx, tt, cc, reg)
             np.testing.assert_allclose(target, expected, rtol=0, atol=1e-10)
 
     def test_rank_deficient_row_falls_back_to_jitter(self, monkeypatch):
         # g = (1, 1, 0) with confidence 1 for the single instance of row 1: at a
         # ridge below rounding its normal matrix is exactly singular, so the
-        # stacked Cholesky fails and ridge_solve's jitter retry solves that
-        # row; row 0 stays on the batched path
+        # stacked Cholesky fails, each row's system goes through ridge_cholesky,
+        # and only row 1's takes the jitter retry
         left = np.array([[0.5, 0.5, 0.0]])
         right = np.array([[0.5, 0.5, 0.0], [0.3, -0.2, 0.9], [-0.7, 0.4, 0.1], [0.2, 0.8, -0.5]])
         rows_of = np.array([0, 1, 0, 0])
@@ -377,15 +385,14 @@ class TestBatchedAlsUpdate:
         cc = np.array([1.5, 1.0, 1.0, 1.0])
         target = np.zeros((2, 3))
         expected = per_row_als_oracle(target, rows_of, left, left_idx, right, right_idx, tt, cc, 1e-30)
-        fallback_rows = []
-
-        def recording(design, targets, ridge):
-            fallback_rows.append(design.shape[0])
-            return ridge_solve(design, targets, ridge)
-
-        monkeypatch.setattr(models, "ridge_solve", recording)
-        _als_update(target, _group_rows(rows_of), left, left_idx, right, right_idx, tt, cc, 1e-30)
-        assert fallback_rows == [1]
+        calls = recorded_factorizations(monkeypatch)
+        als_update(target, rows_of, left, left_idx, right, right_idx, tt, cc, 1e-30)
+        g = np.array([1.0, 1.0, 0.0])
+        singular = np.outer(g, g) + 1e-30 * np.eye(3)
+        failed = [k for k, (_, factor) in enumerate(calls) if factor is None]
+        assert len(calls) == 3 and len(failed) == 1  # each row once, then row 1's retry
+        assert np.array_equal(calls[failed[0]][0], singular)
+        assert np.array_equal(calls[failed[0] + 1][0], singular + 1e-10 * 2.0 / 3 * np.eye(3))
         np.testing.assert_allclose(target, expected, rtol=1e-10)
 
     def test_rank_deficient_row_at_zero_reg_raises(self):
@@ -393,10 +400,7 @@ class TestBatchedAlsUpdate:
         right = np.array([[0.5, 0.5, 0.0]])
         zeros = np.zeros(1, dtype=np.int64)
         with pytest.raises(SingularSystemError):
-            _als_update(
-                np.zeros((1, 3)), _group_rows(zeros), left, zeros, right, zeros,
-                np.ones(1), np.ones(1), 0.0,
-            )
+            als_update(np.zeros((1, 3)), zeros, left, zeros, right, zeros, np.ones(1), np.ones(1), 0.0)
 
 
 def per_row_group_rows(indices):
@@ -524,7 +528,7 @@ class TestBucketedAlsUpdateMatchesPerRowLoop:
             groups = per_row_group_rows(rows_of)
             per_row_als_update(want, groups, left, left_idx, right, right_idx, tt, cc, reg)
             got = start.copy()
-            loss = _als_update(got, _group_rows(rows_of), left, left_idx, right, right_idx, tt, cc, reg)
+            loss = als_update(got, rows_of, left, left_idx, right, right_idx, tt, cc, reg)
             assert np.array_equal(got, want)
             lf, rf = left[left_idx], right[right_idx]
             resid = tt - np.einsum("nd,nd->n", lf, rf)
@@ -535,10 +539,8 @@ class TestBucketedAlsUpdateMatchesPerRowLoop:
     def test_no_instances_leaves_target(self):
         target = np.arange(6.0).reshape(3, 2)
         empty = np.zeros(0, dtype=np.int64)
-        loss = _als_update(
-            target, _group_rows(empty), np.ones((2, 2)), empty, np.ones((2, 2)), empty,
-            np.zeros(0), np.zeros(0), 0.1,
-        )
+        loss = als_update(target, empty, np.ones((2, 2)), empty, np.ones((2, 2)), empty,
+                          np.zeros(0), np.zeros(0), 0.1)
         assert loss == 0.0
         assert np.array_equal(target, np.arange(6.0).reshape(3, 2))
 
@@ -578,7 +580,7 @@ class TestAlsWorkspaceAndSharedGroups:
             want = start.copy()
             per_row_als_update(want, per_row_group_rows(rows_of), left, left_idx, right, right_idx, tt, cc, reg)
             alone = start.copy()
-            loss = _als_update(alone, _group_rows(rows_of), left, left_idx, right, right_idx, tt, cc, reg)
+            loss = als_update(alone, rows_of, left, left_idx, right, right_idx, tt, cc, reg)
             got = start.copy()
             shared = _als_update(got, _group_rows(rows_of), left, left_idx, right, right_idx, tt, cc, reg,
                                  workspace=workspace)

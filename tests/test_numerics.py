@@ -9,7 +9,7 @@ from coldrec import numerics
 from coldrec.errors import SingularSystemError
 from coldrec.numerics import cosine_distance, ridge_factor, ridge_solve
 
-from oracles import as_csr, score
+from oracles import as_csr, recorded_factorizations, score
 
 
 def normal_equations_oracle(design, targets, ridge):
@@ -135,24 +135,6 @@ class TestRidgeFactor:
             np.testing.assert_array_equal(solve(targets), ridge_solve(design, targets, 0.2))
 
 
-def recorded_factorizations(monkeypatch):
-    """Patch numerics.cholesky to record (copy of the system, factor or None) per call."""
-    calls = []
-
-    def recording(a):
-        system = np.array(a)
-        try:
-            factor = np.linalg.cholesky(a)
-        except np.linalg.LinAlgError:
-            calls.append((system, None))
-            raise
-        calls.append((system, factor))
-        return factor
-
-    monkeypatch.setattr(numerics, "cholesky", recording)
-    return calls
-
-
 class TestRidgeFactorPaths:
     @pytest.mark.parametrize("as_sparse", [False, True])
     def test_primal_factor_equals_identity_sum(self, monkeypatch, as_sparse):
@@ -215,6 +197,40 @@ class TestRidgeFactorPaths:
         except SingularSystemError:
             assert ridge == 0.0
         assert [s.shape for s, _ in calls] == [(size, size)]
+
+
+class TestRidgeCholesky:
+    """The one rule for a ridge system: its factor, one jitter retry at ridge > 0, or SingularSystemError."""
+
+    def test_definite_system_is_factored_once(self, monkeypatch):
+        system = np.array([[4.0, 2.0], [2.0, 3.0]])
+        calls = recorded_factorizations(monkeypatch)
+        assert np.array_equal(numerics.ridge_cholesky(system.copy(), 0.5), np.linalg.cholesky(system))
+        assert len(calls) == 1
+
+    def test_retry_adds_the_trace_scaled_jitter_in_place(self, monkeypatch):
+        # a rank-2 Gram under a ridge below rounding: the first Cholesky fails
+        gram = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 2.0]])
+        system = gram + 1e-300 * np.eye(3)
+        calls = recorded_factorizations(monkeypatch)
+        lower = numerics.ridge_cholesky(system, 1e-300)
+        retried = gram + 1e-300 * np.eye(3) + 1e-10 * np.trace(gram) / 3 * np.eye(3)
+        assert [factor is None for _, factor in calls] == [True, False]
+        assert np.array_equal(calls[1][0], retried)
+        assert np.array_equal(system, retried)
+        assert np.array_equal(lower, np.linalg.cholesky(retried))
+
+    def test_singular_system_at_zero_ridge_raises_without_retry(self, monkeypatch):
+        calls = recorded_factorizations(monkeypatch)
+        with pytest.raises(SingularSystemError, match="^normal matrix is singular and no ridge was applied$"):
+            numerics.ridge_cholesky(np.ones((2, 2)), 0.0)
+        assert len(calls) == 1
+
+    def test_indefinite_system_stays_singular_after_the_retry(self, monkeypatch):
+        calls = recorded_factorizations(monkeypatch)
+        with pytest.raises(SingularSystemError, match="^normal matrix stayed singular after jitter retry$"):
+            numerics.ridge_cholesky(np.array([[1.1, 2.0], [2.0, 1.1]]), 0.1)
+        assert len(calls) == 2
 
 
 class TestBlockedSubstitution:
