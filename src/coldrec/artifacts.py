@@ -118,8 +118,16 @@ def write_rows(path, rows, sep: str = "\t") -> None:
 
 
 def read_rows(path, columns: dict):
-    """Yield (line number, fields) per line of a tab-separated artifact; see parse_rows."""
-    return parse_rows(path, columns, read_lines(path), "\t")
+    """Yield (line number, fields) per line of a tab-separated artifact; see parse_rows.
+
+    A run never writes one of these artifacts empty, so a file with no rows is a
+    FormatError naming the path.
+    """
+    rows = parse_rows(path, columns, read_lines(path), "\t")
+    first = next(rows, None)
+    if first is None:
+        raise FormatError("%s: no rows" % path)
+    return itertools.chain([first], rows)
 
 
 def parse_rows(path, columns: dict, lines, sep: str):

@@ -57,7 +57,7 @@ import numpy as np
 from .artifacts import TYPE_NAMES, fits, id_positions, load_matrix, read_json, save_matrix, write_json
 from .errors import DivergenceError, EmptyInputError, FormatError, MissingArticlesError
 from .numerics import CSRMatrix, cho_solve_stacked, ridge_cholesky, ridge_factor
-# perfbench/tracing.py wraps models.ridge_solve by name; no run calls it (ROADMAP item 5(b))
+# perfbench/tracing.py wraps models.ridge_solve by name; no run calls it
 from .numerics import ridge_solve  # noqa: F401
 from .transitions import TripletSet
 

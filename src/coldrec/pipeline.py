@@ -65,9 +65,9 @@ def load_catalog(path) -> dict[str, Article]:
 
 def load_streams(path) -> Clicks:
     """Read streams.tsv back into click streams: users in order of first appearance, each
-    user's rows in file order. A non-positive timestamp, a negative rank or a user's row
-    out of (timestamp, rank) order is a FormatError naming the path and line, as a
-    malformed line is."""
+    user's rows in file order. An empty user or article id, a non-positive timestamp, a
+    negative rank or a user's row out of (timestamp, rank) order is a FormatError naming
+    the path and line, as a malformed line is."""
     last: dict[str, tuple[int, int]] = {}  # user -> (timestamp, rank) of its latest row
     user, news, timestamp, rank = [], [], [], []
     columns = dict(zip(Clicks._fields, (str, str, int, int)))
@@ -87,12 +87,15 @@ def load_streams(path) -> Clicks:
         news.append(row_news)
         timestamp.append(ts)
         rank.append(row_rank)
+    if "" in last or "" in news:
+        lineno = next(n for n, ids in enumerate(zip(user, news), start=1) if "" in ids)
+        raise FormatError("%s: line %d: empty user or article id" % (path, lineno))
     return group_clicks(last, user, news, timestamp, rank)
 
 
 def load_popularity(path) -> dict[str, int]:
-    """Read popularity.tsv; a count that is not an integer >= 0, or an article
-    listed twice, is a FormatError naming the path and line."""
+    """Read popularity.tsv; a count that is not an integer >= 0, an empty article id
+    or an article listed twice is a FormatError naming the path and line."""
     popularity = {}
     for lineno, (article, clicks) in read_rows(path, {"article": str, "count": int}):
         if clicks < 0:
@@ -100,6 +103,8 @@ def load_popularity(path) -> dict[str, int]:
         if article in popularity:
             raise FormatError("%s: line %d: article %s is listed twice" % (path, lineno, article))
         popularity[article] = clicks
+    if "" in popularity:  # row k is line k + 1: no article is listed twice
+        raise FormatError("%s: line %d: empty article id" % (path, list(popularity).index("") + 1))
     return popularity
 
 
@@ -231,21 +236,22 @@ def stage_featurize(cfg: RunConfig) -> dict:
     return counters
 
 
-def _model_features(cfg: RunConfig) -> FeatureMatrix:
-    return load_features(_feature_base(cfg, cfg.feature_kind))
-
-
 def _model_dir(cfg: RunConfig, model_kind: str, split_kind: str) -> str:
     return _path(cfg, MODELS_DIR, "%s-%s" % (model_kind, split_kind))
 
 
 def _of_kind(artifact, kind: str, manifest_path: str):
-    """`artifact` if its manifest names `kind`, the kind of the directory the stage asked for; a
-    split or model copied in from another kind's directory is a FormatError naming the manifest."""
+    """`artifact` if its manifest names `kind`, the kind of the path the stage asked for; a split,
+    model or feature matrix copied in from another kind's path is a FormatError naming the manifest."""
     if artifact.kind != kind:
-        raise FormatError("%s: kind must be %r for this directory, got %r"
+        raise FormatError("%s: kind must be %r for this path, got %r"
                           % (manifest_path, kind, artifact.kind))
     return artifact
+
+
+def _load_features(cfg: RunConfig, kind: str) -> FeatureMatrix:
+    base = _feature_base(cfg, kind)
+    return _of_kind(load_features(base), kind, base + ".meta.json")
 
 
 def _load_split(cfg: RunConfig, split_kind: str) -> DataSplit:
@@ -264,7 +270,7 @@ def stage_train(cfg: RunConfig) -> dict:
     All models of one split share the same instance set (positives plus
     negatives sampled once from the `negatives` substream).
     """
-    features = _model_features(cfg)
+    features = _load_features(cfg, cfg.feature_kind)
     counters: dict = {}
     for split_kind in cfg.split_kinds:
         split = _load_split(cfg, split_kind)
@@ -290,8 +296,8 @@ def stage_train(cfg: RunConfig) -> dict:
 
 def stage_evaluate(cfg: RunConfig) -> dict:
     """Evaluate every trained (model, split) pair and emit metrics.csv."""
-    features = _model_features(cfg)
-    tfidf = features if cfg.feature_kind == "tfidf" else load_features(_feature_base(cfg, "tfidf"))
+    features = _load_features(cfg, cfg.feature_kind)
+    tfidf = features if cfg.feature_kind == "tfidf" else _load_features(cfg, "tfidf")
     popularity = load_popularity(_path(cfg, INGEST_DIR, "popularity.tsv"))
     entries: dict = {}
     counters: dict = {}

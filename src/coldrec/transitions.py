@@ -117,8 +117,9 @@ def build_triplets(tensor: dict[tuple[str, str, str], int]) -> TripletSet:
 
 
 def load_triplets(path) -> TripletSet:
-    """Read a triplet TSV; a confidence that is not a finite number > 0 is a FormatError
-    naming the path and line."""
+    """Read a triplet TSV; a confidence that is not a finite number > 0, an empty user or
+    article id, or a (user, last, next) row listed twice is a FormatError naming the path
+    and line."""
     rows = []
     columns = dict(zip(Triplet._fields, (str, str, str, float)))
     for lineno, (user, last, nxt, confidence) in read_rows(path, columns):
@@ -126,4 +127,17 @@ def load_triplets(path) -> TripletSet:
             raise FormatError("%s: line %d: confidence must be finite and > 0, got %s"
                               % (path, lineno, confidence))
         rows.append((user, last, nxt, confidence))
-    return TripletSet(rows)
+    triplets = TripletSet(rows)
+    if "" in triplets.users or "" in triplets.articles:
+        lineno = next(n for n, row in enumerate(rows, start=1) if "" in row[:3])
+        raise FormatError("%s: line %d: empty user or article id" % (path, lineno))
+    # one int64 key per row, below len(rows)**2 + len(rows): user code, then the (last, next) pair's rank
+    _, pair = np.unique(triplets.i * len(triplets.articles) + triplets.j, return_inverse=True)
+    key = triplets.u * len(triplets) + pair
+    order = np.argsort(key, kind="stable")  # a repeat sorts right after the rows it repeats
+    repeats = order[1:][key[order[1:]] == key[order[:-1]]]
+    if repeats.size:
+        lineno = int(repeats.min()) + 1
+        raise FormatError("%s: line %d: triplet (%s, %s, %s) is listed twice"
+                          % (path, lineno, *rows[lineno - 1][:3]))
+    return triplets

@@ -544,7 +544,7 @@ class TestCliCommands:
             json.dump(manifest, fh)
         rc = main(["evaluate", "--config", write_config(workspace), "--out", out])
         assert rc == 1
-        assert capsys.readouterr().err == "error: %s: kind must be %r for this directory, got %r\n" % (
+        assert capsys.readouterr().err == "error: %s: kind must be %r for this path, got %r\n" % (
             path, expected, kind)
 
     @pytest.mark.parametrize(
@@ -660,6 +660,52 @@ class TestCliCommands:
         err = capsys.readouterr().err
         assert rc == 1
         assert err == "error: %s: %s\n" % (path, expected)
+
+    @pytest.mark.parametrize(
+        "artifact, damage, stage, expected",
+        [
+            ("ingest/catalog.tsv", "empty", "featurize", "no rows"),
+            ("ingest/streams.tsv", "empty", "triplets", "no rows"),
+            ("ingest/popularity.tsv", "empty", "evaluate", "no rows"),
+            ("triplets.tsv", "empty", "split", "no rows"),
+            ("splits/cold/train.tsv", "empty", "train", "no rows"),
+            ("splits/warm/test.tsv", "empty", "evaluate", "no rows"),
+            ("ingest/streams.tsv", 0, "triplets", "line 1: empty user or article id"),
+            ("ingest/streams.tsv", 1, "triplets", "line 1: empty user or article id"),
+            ("triplets.tsv", 0, "split", "line 1: empty user or article id"),
+            ("triplets.tsv", 2, "split", "line 1: empty user or article id"),
+            ("splits/warm/train.tsv", 1, "train", "line 1: empty user or article id"),
+            ("splits/cold/test.tsv", 0, "evaluate", "line 1: empty user or article id"),
+            ("ingest/popularity.tsv", 0, "evaluate", "line 1: empty article id"),
+            ("triplets.tsv", "double", "split", "line 2: triplet ({0}, {1}, {2}) is listed twice"),
+            ("splits/cold/train.tsv", "double", "train", "line 2: triplet ({0}, {1}, {2}) is listed twice"),
+            ("features/tfidf.meta.json", "kind", "train", "kind must be 'tfidf' for this path, got 'x'"),
+            ("features/tfidf.meta.json", "kind", "evaluate", "kind must be 'tfidf' for this path, got 'x'"),
+        ],
+    )
+    def test_a_damaged_artifact_is_an_error_naming_it(self, workspace, run_out, capsys, artifact, damage, stage,
+                                                      expected):
+        # damage: "empty" the file, "double" its first line, blank field k of its first line, or
+        # retype a meta file's "kind"; each of these used to exit 0 or fail without naming a file
+        out = "damaged_%s_%s_%s_out" % (artifact.replace("/", "_"), damage, stage)
+        shutil.copytree(run_out[2], os.path.join(workspace, out))
+        path = os.path.join(workspace, out, *artifact.split("/"))
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+        first = lines[0].split("\t")
+        if damage == "empty":
+            lines = []
+        elif damage == "double":
+            lines.insert(1, lines[0])
+        elif damage == "kind":
+            lines = [json.dumps(dict(json.loads("".join(lines)), kind="x"))]
+        else:
+            lines[0] = "\t".join(first[:damage] + [""] + first[damage + 1:])
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.writelines(lines)
+        rc = main([stage, "--config", write_config(workspace), "--out", out])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: %s: %s\n" % (path, expected.format(*first))
 
     def test_train_names_the_train_articles_the_features_lack(self, workspace, run_out, capsys):
         out = os.path.join(workspace, "short_features_out")

@@ -205,3 +205,17 @@ class TestTripletPersistence:
         message = r"train\.tsv: line 2: confidence must be a number, got 'abc'"
         with pytest.raises(FormatError, match=message):
             load_triplets(path)
+
+    def test_first_row_repeating_an_earlier_one_is_named(self, tmp_path):
+        # line 4 repeats line 2 and line 5 line 1; the same pair for another user, or the
+        # reversed move, is no repeat
+        path = tmp_path / "train.tsv"
+        path.write_text("u1\tA\tB\t1.1\nu2\tA\tB\t1.1\nu1\tB\tA\t1.1\nu2\tA\tB\t1.2\nu1\tA\tB\t1.1\n")
+        with pytest.raises(FormatError, match=r"^.*train\.tsv: line 4: triplet \(u2, A, B\) is listed twice$"):
+            load_triplets(path)
+
+    def test_distinct_rows_with_shared_codes_load(self, tmp_path):
+        path = tmp_path / "train.tsv"
+        rows = ["%s\t%s\t%s\t1.1\n" % (u, a, b) for u in ("u1", "u2") for a in "ABC" for b in "ABC" if a != b]
+        path.write_text("".join(rows))
+        assert len(load_triplets(path)) == 12
