@@ -8,7 +8,8 @@ against `eager_forbes`), negatives are drawn in batches (checked
 against `scalar_sample_negatives`), and the metrics reduce integer rank and
 top-position arrays (checked against the per-query loops `map_at_k`,
 `recall_at_k`, `novelty_at_k` and `diversity_at_k`, which take ranks with
-None for a missing one and top lists of article ids).
+None for a missing one and top lists of article ids). `recorded_factorizations`
+records every Cholesky that `numerics.ridge_cholesky` attempts.
 """
 
 import math
