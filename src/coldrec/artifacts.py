@@ -16,6 +16,7 @@ from __future__ import annotations
 import contextlib
 import itertools
 import json
+import operator
 import os
 import re
 import zipfile
@@ -117,38 +118,60 @@ def write_rows(path, rows, sep: str = "\t") -> None:
             fh.writelines(line % row for row in itertools.chain([first], rows))
 
 
-def read_rows(path, columns: dict):
+class ID(str):
+    """The column type of an id in `parse_rows`: a string that must not be empty."""
+
+
+def read_rows(path, columns: dict, key=()):
     """Yield (line number, fields) per line of a tab-separated artifact; see parse_rows.
 
     A run never writes one of these artifacts empty, so a file with no rows is a
     FormatError naming the path.
     """
-    rows = parse_rows(path, columns, read_lines(path), "\t")
+    rows = parse_rows(path, columns, read_lines(path), "\t", key)
     first = next(rows, None)
     if first is None:
         raise FormatError("%s: no rows" % path)
     return itertools.chain([first], rows)
 
 
-def parse_rows(path, columns: dict, lines, sep: str):
+def parse_rows(path, columns: dict, lines, sep: str, key=()):
     """Yield (line number, fields) per (line number, line) of `lines` from `path`, split at `sep`.
 
-    `columns` maps each column's name to its type (str, int or float), in column order, and each
-    field is converted by its type. Another number of fields, or a field its type rejects, is a
+    `columns` maps each column's name to its type (ID, str, int or float), in column order, and
+    each field is converted by its type. Another number of fields, an empty ID field, a field its
+    type rejects, or a row whose values in the `key` columns repeat an earlier row's is a
     FormatError naming the path and line.
     """
-    width, typed = len(columns), [(n, kind) for n, kind in enumerate(columns.values()) if kind is not str]
+    names, kinds = list(columns), list(columns.values())
+    ids = [n for n, kind in enumerate(kinds) if kind is ID]
+    typed = [(n, kind) for n, kind in enumerate(kinds) if kind not in (str, ID)]
+    keyed, seen = operator.itemgetter(*map(names.index, key)) if key else None, set()
     for lineno, line in lines:
         fields = line.split(sep)
-        if len(fields) != width:
-            raise FormatError("%s: line %d: expected %d columns" % (path, lineno, width))
+        if len(fields) != len(names):
+            raise FormatError("%s: line %d: expected %d columns" % (path, lineno, len(names)))
+        empty = [names[n] for n in ids if not fields[n]] if "" in fields else ()
+        if empty:
+            raise FormatError("%s: line %d: %s must not be empty" % (path, lineno, empty[0]))
         try:
             for n, kind in typed:
                 fields[n] = kind(fields[n])
         except ValueError:  # n and kind are the rejected field's
-            raise FormatError("%s: line %d: %s must be %s, got %r" % (path, lineno, list(columns)[n],
+            raise FormatError("%s: line %d: %s must be %s, got %r" % (path, lineno, names[n],
                               "an integer" if kind is int else "a number", fields[n])) from None
+        if keyed:
+            value = keyed(fields)
+            if value in seen:
+                raise listed_twice(path, lineno, key, [fields[names.index(name)] for name in key])
+            seen.add(value)
         yield lineno, fields
+
+
+def listed_twice(path, lineno: int, key, values) -> FormatError:
+    """The FormatError of a row whose `values` in the `key` columns repeat an earlier row's."""
+    named = ", ".join("%s %s" % pair for pair in zip(key, values))
+    return FormatError("%s: line %d: %s is listed twice" % (path, lineno, named))
 
 
 def id_positions(ids, path, key: str) -> dict[str, int]:

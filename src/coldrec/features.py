@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._stopwords import ENGLISH_STOPWORDS
-from .artifacts import read_lines
+from .artifacts import ID, parse_rows, read_lines
 from .errors import EmptyInputError, FormatError, MissingArticlesError
 from .mind import Article
 from .numerics import CSRMatrix
@@ -141,7 +141,8 @@ def load_external_embeddings(path, catalog: dict[str, Article]) -> FeatureMatrix
     Format: first line `#dim <m>`, then one `news_id<TAB>v1 v2 ... vm` line
     per article. Every catalog article must be present, else a
     MissingArticlesError names the path and the missing ids; rows for unknown
-    ids are ignored. An id listed twice is a FormatError naming the path and line.
+    ids are ignored and blank lines skipped. An empty id or one listed twice is a
+    FormatError naming the path and line.
     """
     vectors: dict[str, np.ndarray] = {}
     lines = read_lines(path)
@@ -155,15 +156,8 @@ def load_external_embeddings(path, catalog: dict[str, Article]) -> FeatureMatrix
         raise FormatError("%s: bad dimension %r" % (path, parts[1])) from None
     if dim < 1:
         raise FormatError("%s: dimension must be >= 1" % path)
-    for lineno, line in lines:
-        if not line:
-            continue
-        try:
-            article_id, payload = line.split("\t", 1)
-        except ValueError:
-            raise FormatError("%s: line %d: expected id<TAB>values" % (path, lineno)) from None
-        if article_id in vectors:
-            raise FormatError("%s: line %d: article %s is listed twice" % (path, lineno, article_id))
+    rows = parse_rows(path, {"id": ID, "values": str}, (row for row in lines if row[1]), "\t", key=("id",))
+    for lineno, (article_id, payload) in rows:
         fields = payload.split()
         if len(fields) != dim:
             raise FormatError(

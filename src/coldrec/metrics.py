@@ -211,7 +211,8 @@ def load_curves(path) -> dict:
     header = next(lines, (1, ""))[1]
     if header != ",".join(_CURVE_COLUMNS):
         raise FormatError("%s: unexpected header %r" % (path, header))
-    for lineno, (model_kind, setting, k, metric, value) in parse_rows(path, _CURVE_COLUMNS, lines, ","):
+    rows = parse_rows(path, _CURVE_COLUMNS, lines, ",", key=("model", "setting", "k", "metric"))
+    for lineno, (model_kind, setting, k, metric, value) in rows:
         if k < 1:
             raise FormatError("%s: line %d: k must be >= 1, got %d" % (path, lineno, k))
         if metric not in METRIC_NAMES:
@@ -221,11 +222,7 @@ def load_curves(path) -> dict:
             raise FormatError("%s: line %d: %s must be finite, got %r" % (path, lineno, metric, value))
         if value < 0 and metric != "diversity":  # 1 - cos of two equal rows can round below 0
             raise FormatError("%s: line %d: %s must be >= 0, got %r" % (path, lineno, metric, value))
-        values = entries.setdefault((model_kind, setting, k), {})
-        if metric in values:
-            raise FormatError("%s: line %d: %s,%s,%d,%s is listed twice"
-                              % (path, lineno, model_kind, setting, k, metric))
-        values[metric] = value
+        entries.setdefault((model_kind, setting, k), {})[metric] = value
     if not entries:
         raise FormatError("%s: no metric rows" % path)
     for (model_kind, setting, k), values in entries.items():

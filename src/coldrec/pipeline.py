@@ -14,7 +14,7 @@ import os
 import numpy as np
 
 from . import metrics as metrics_mod
-from .artifacts import (id_positions, load_csr, load_matrix, read_json, read_rows, save_csr, save_matrix,
+from .artifacts import (ID, id_positions, load_csr, load_matrix, read_json, read_rows, save_csr, save_matrix,
                         write_json, write_rows)
 from .config import RunConfig, derive_seed
 from .errors import FormatError
@@ -52,15 +52,8 @@ def metrics_path(cfg: RunConfig) -> str:
 
 def load_catalog(path) -> dict[str, Article]:
     """Read catalog.tsv; an empty or repeated article id is a FormatError naming the path and line."""
-    catalog: dict[str, Article] = {}
-    for lineno, fields in read_rows(path, dict.fromkeys(Article._fields, str)):
-        article = Article(*fields)
-        if not article.id:
-            raise FormatError("%s: line %d: empty article id" % (path, lineno))
-        if article.id in catalog:
-            raise FormatError("%s: line %d: article %s is listed twice" % (path, lineno, article.id))
-        catalog[article.id] = article
-    return catalog
+    columns = {**dict.fromkeys(Article._fields, str), "id": ID}
+    return {fields[0]: Article(*fields) for _, fields in read_rows(path, columns, key=("id",))}
 
 
 def load_streams(path) -> Clicks:
@@ -70,7 +63,7 @@ def load_streams(path) -> Clicks:
     the path and line, as a malformed line is."""
     last: dict[str, tuple[int, int]] = {}  # user -> (timestamp, rank) of its latest row
     user, news, timestamp, rank = [], [], [], []
-    columns = dict(zip(Clicks._fields, (str, str, int, int)))
+    columns = dict(zip(Clicks._fields, (ID, ID, int, int)))
     for lineno, (row_user, row_news, ts, row_rank) in read_rows(path, columns):
         key = (ts, row_rank)
         if max(key) >= 2**63:  # the columns are int64
@@ -87,9 +80,6 @@ def load_streams(path) -> Clicks:
         news.append(row_news)
         timestamp.append(ts)
         rank.append(row_rank)
-    if "" in last or "" in news:
-        lineno = next(n for n, ids in enumerate(zip(user, news), start=1) if "" in ids)
-        raise FormatError("%s: line %d: empty user or article id" % (path, lineno))
     return group_clicks(last, user, news, timestamp, rank)
 
 
@@ -97,14 +87,10 @@ def load_popularity(path) -> dict[str, int]:
     """Read popularity.tsv; a count that is not an integer >= 0, an empty article id
     or an article listed twice is a FormatError naming the path and line."""
     popularity = {}
-    for lineno, (article, clicks) in read_rows(path, {"article": str, "count": int}):
+    for lineno, (article, clicks) in read_rows(path, {"article": ID, "count": int}, key=("article",)):
         if clicks < 0:
             raise FormatError("%s: line %d: count must be >= 0, got %d" % (path, lineno, clicks))
-        if article in popularity:
-            raise FormatError("%s: line %d: article %s is listed twice" % (path, lineno, article))
         popularity[article] = clicks
-    if "" in popularity:  # row k is line k + 1: no article is listed twice
-        raise FormatError("%s: line %d: empty article id" % (path, list(popularity).index("") + 1))
     return popularity
 
 
@@ -298,11 +284,16 @@ def stage_evaluate(cfg: RunConfig) -> dict:
     """Evaluate every trained (model, split) pair and emit metrics.csv."""
     features = _load_features(cfg, cfg.feature_kind)
     tfidf = features if cfg.feature_kind == "tfidf" else _load_features(cfg, "tfidf")
-    popularity = load_popularity(_path(cfg, INGEST_DIR, "popularity.tsv"))
+    popularity_path = _path(cfg, INGEST_DIR, "popularity.tsv")
+    popularity = load_popularity(popularity_path)
     entries: dict = {}
     counters: dict = {}
     for split_kind in cfg.split_kinds:
         split = _load_split(cfg, split_kind)
+        unlisted = (split.train.articles.keys() | split.test.articles.keys()) - popularity.keys()
+        if unlisted:  # every triplet article has clicks, so popularity.tsv lists it
+            raise FormatError("%s: missing %d article id(s) of the %s split: %s"
+                              % (popularity_path, len(unlisted), split_kind, ", ".join(sorted(unlisted))))
         # every model of a split trains on its train side, so these are per split;
         # the cold candidates are the test side's articles that train lacks
         trained, test = split.train, split.test

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .artifacts import id_positions, read_json, write_json, write_rows
+from .artifacts import TYPE_NAMES, fits, id_positions, read_json, write_json, write_rows
 from .errors import DegenerateSplitError, FormatError
 from .transitions import TripletSet, load_triplets
 
@@ -88,8 +88,8 @@ def make_warm_split(triplet_set: TripletSet, test_fraction: float, seed: int) ->
     return DataSplit(train=train, test=test, holdout_articles=set(), kind="warm", seed=seed)
 
 
-def save_split(split: DataSplit, dirpath, fraction: float | None = None) -> None:
-    """Persist a split as two triplet TSVs plus a manifest."""
+def save_split(split: DataSplit, dirpath, fraction: float) -> None:
+    """Persist a split as two triplet TSVs plus a manifest that records the split's fraction."""
     write_rows(os.path.join(dirpath, "train.tsv"), split.train)
     write_rows(os.path.join(dirpath, "test.tsv"), split.test)
     manifest = {
@@ -107,12 +107,19 @@ def load_split(dirpath) -> DataSplit:
     manifest_path = os.path.join(dirpath, MANIFEST_NAME)
     manifest = read_json(manifest_path)
     try:
-        kind, seed, holdout = manifest["kind"], manifest["seed"], manifest["holdout_articles"]
+        kind, seed, fraction = manifest["kind"], manifest["seed"], manifest["fraction"]
+        holdout = manifest["holdout_articles"]
     except (KeyError, TypeError) as exc:
         raise FormatError("%s: malformed manifest: %r" % (manifest_path, exc)) from None
+    for name, value, of_kind in (("seed", seed, int), ("fraction", fraction, float)):
+        if not fits(value, of_kind):
+            raise FormatError("%s: %s must be %s, got %r" % (manifest_path, name, TYPE_NAMES[of_kind], value))
     holdout = set(id_positions(holdout, manifest_path, "holdout_articles"))
     if kind not in ("warm", "cold"):
         raise FormatError("%s: kind must be 'warm' or 'cold', got %r" % (manifest_path, kind))
+    if kind == "warm" and holdout:
+        raise FormatError("%s: a warm split holds out no articles, got %s"
+                          % (manifest_path, ", ".join(sorted(holdout))))
     train, test = (load_triplets(os.path.join(dirpath, side + ".tsv")) for side in ("train", "test"))
     if kind == "cold":
         stray, problem = holdout & train.articles.keys(), "holdout articles on the train side"
@@ -120,4 +127,11 @@ def load_split(dirpath) -> DataSplit:
         stray, problem = test.articles.keys() - train.articles.keys(), "test articles not trained on"
     if stray:
         raise FormatError("%s: %s split: %s: %s" % (dirpath, kind, problem, ", ".join(sorted(stray))))
+    if kind == "cold":
+        held = np.zeros(len(test.articles), dtype=bool)
+        held[[code for a, code in test.articles.items() if a in holdout]] = True
+        untouched = np.flatnonzero(~(held[test.i] | held[test.j]))
+        if untouched.size:
+            raise FormatError("%s: cold split: line %d of test.tsv touches no holdout article"
+                              % (manifest_path, untouched[0] + 1))
     return DataSplit(train=train, test=test, holdout_articles=holdout, kind=kind, seed=seed)

@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .artifacts import read_rows
+from .artifacts import ID, listed_twice, read_rows
 from .errors import EmptyInputError, FormatError
 from .mind import Clicks
 
@@ -118,19 +118,20 @@ def build_triplets(tensor: dict[tuple[str, str, str], int]) -> TripletSet:
 
 def load_triplets(path) -> TripletSet:
     """Read a triplet TSV; a confidence that is not a finite number > 0, an empty user or
-    article id, or a (user, last, next) row listed twice is a FormatError naming the path
-    and line."""
+    article id, a row whose last and next articles are equal, or a (user, last, next) row
+    listed twice is a FormatError naming the path and line."""
     rows = []
-    columns = dict(zip(Triplet._fields, (str, str, str, float)))
+    columns = dict(zip(Triplet._fields, (ID, ID, ID, float)))
     for lineno, (user, last, nxt, confidence) in read_rows(path, columns):
         if not 0.0 < confidence < math.inf:
             raise FormatError("%s: line %d: confidence must be finite and > 0, got %s"
                               % (path, lineno, confidence))
         rows.append((user, last, nxt, confidence))
     triplets = TripletSet(rows)
-    if "" in triplets.users or "" in triplets.articles:
-        lineno = next(n for n, row in enumerate(rows, start=1) if "" in row[:3])
-        raise FormatError("%s: line %d: empty user or article id" % (path, lineno))
+    same = np.flatnonzero(triplets.i == triplets.j)  # build_tensor counts no self-transition
+    if same.size:
+        raise FormatError("%s: line %d: last_article and next_article are both %s"
+                          % (path, same[0] + 1, rows[same[0]][1]))
     # one int64 key per row, below len(rows)**2 + len(rows): user code, then the (last, next) pair's rank
     _, pair = np.unique(triplets.i * len(triplets.articles) + triplets.j, return_inverse=True)
     key = triplets.u * len(triplets) + pair
@@ -138,6 +139,5 @@ def load_triplets(path) -> TripletSet:
     repeats = order[1:][key[order[1:]] == key[order[:-1]]]
     if repeats.size:
         lineno = int(repeats.min()) + 1
-        raise FormatError("%s: line %d: triplet (%s, %s, %s) is listed twice"
-                          % (path, lineno, *rows[lineno - 1][:3]))
+        raise listed_twice(path, lineno, Triplet._fields[:3], rows[lineno - 1][:3])
     return triplets

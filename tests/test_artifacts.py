@@ -13,8 +13,8 @@ import pytest
 from scipy import sparse
 
 import coldrec
-from coldrec.artifacts import (atomic_open, id_positions, load_csr, load_matrix, read_json, read_lines, read_rows,
-                               save_csr, save_matrix, write_json, write_rows)
+from coldrec.artifacts import (ID, atomic_open, id_positions, load_csr, load_matrix, parse_rows, read_json, read_lines,
+                               read_rows, save_csr, save_matrix, write_json, write_rows)
 from coldrec.errors import FormatError
 from coldrec.mind import Article, Clicks
 from coldrec.numerics import CSRMatrix
@@ -364,16 +364,38 @@ def test_read_rows_names_the_line_and_column_of_a_field_its_type_rejects(tmp_pat
         list(read_rows(path, {"name": str, "count": int, "share": float}))
 
 
+ROW_COLUMNS = {"id": ID, "note": str, "count": int}
+
+
+@pytest.mark.parametrize(
+    "lines, key, message",
+    [
+        (["a\tx\t1", "\tx\t2"], (), r"line 2: id must not be empty$"),
+        (["a\tx\t1", "b\tx\t2", "a\ty\t3"], ("id",), r"line 3: id a is listed twice$"),
+        (["a\tx\t1", "a\tx\t2", "a\ty\t01"], ("id", "count"), r"line 3: id a, count 1 is listed twice$"),
+    ],
+    ids=["empty id", "repeated id", "repeated typed key"],
+)
+def test_parse_rows_names_the_line_of_an_empty_id_or_a_repeated_key(lines, key, message):
+    with pytest.raises(FormatError, match=r"^rows\.tsv: " + message):
+        list(parse_rows("rows.tsv", ROW_COLUMNS, enumerate(lines, start=1), "\t", key))
+
+
+def test_parse_rows_keeps_an_empty_str_field():  # a catalog abstract may be empty
+    rows = parse_rows("rows.tsv", ROW_COLUMNS, enumerate(["a\t\t1", "b\t\t1"], start=1), "\t", ("id",))
+    assert list(rows) == [(1, ["a", "", 1]), (2, ["b", "", 1])]
+
+
 @pytest.mark.parametrize(
     "row, old_format, columns",
     [
         (Article("N1", "news", "sports", "A title", ""), "%s\t%s\t%s\t%s\t%s\n",
-         dict.fromkeys(Article._fields, str)),  # catalog.tsv
+         {**dict.fromkeys(Article._fields, str), "id": ID}),  # catalog.tsv
         (("U7", "N3", 1573463158, 2), "%s\t%s\t%d\t%d\n",
-         dict(zip(Clicks._fields, (str, str, int, int)))),  # streams.tsv
-        (("N3", 12), "%s\t%d\n", {"article": str, "count": int}),  # popularity.tsv
+         dict(zip(Clicks._fields, (ID, ID, int, int)))),  # streams.tsv
+        (("N3", 12), "%s\t%d\n", {"article": ID, "count": int}),  # popularity.tsv
         (Triplet("U7", "N1", "N3", 1.0 + 0.1 * 7), "%s\t%s\t%s\t%r\n",
-         dict(zip(Triplet._fields, (str, str, str, float)))),  # triplets.tsv and split sides
+         dict(zip(Triplet._fields, (ID, ID, ID, float)))),  # triplets.tsv and split sides
     ],
 )
 def test_write_rows_writes_the_bytes_of_each_artifact_format(tmp_path, row, old_format, columns):

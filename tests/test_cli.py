@@ -540,8 +540,12 @@ class TestCliCommands:
         with open(path) as fh:
             manifest = json.load(fh)
         expected, manifest["kind"] = manifest["kind"], kind
-        with open(path, "w") as fh:
-            json.dump(manifest, fh)
+        if directory.startswith("splits"):  # a warm split relabelled cold breaks the cold invariant first
+            shutil.rmtree(os.path.dirname(path))
+            shutil.copytree(os.path.join(workspace, out, "splits", kind), os.path.dirname(path))
+        else:
+            with open(path, "w") as fh:
+                json.dump(manifest, fh)
         rc = main(["evaluate", "--config", write_config(workspace), "--out", out])
         assert rc == 1
         assert capsys.readouterr().err == "error: %s: kind must be %r for this path, got %r\n" % (
@@ -595,7 +599,8 @@ class TestCliCommands:
         rc = main(["report", "--config", write_config(workspace), "--out", "twice_metrics_out"])
         err = capsys.readouterr().err
         assert rc == 1
-        assert err == "error: %s: line 6: %s is listed twice\n" % (path, lines[2].rsplit(",", 1)[0])
+        assert err == "error: %s: line 6: model %s, setting %s, k %s, metric %s is listed twice\n" % (
+            path, *lines[2].split(",")[:4])
 
     @pytest.mark.parametrize("case", ["negative_count", "repeated_article"])
     def test_evaluate_rejects_a_popularity_file_its_writer_cannot_write(self, workspace, run_out, capsys, case):
@@ -617,6 +622,22 @@ class TestCliCommands:
         err = capsys.readouterr().err
         assert rc == 1
         assert err == "error: %s: %s\n" % (path, expected)
+
+    def test_evaluate_names_the_split_articles_popularity_lacks(self, workspace, run_out, capsys):
+        # a popularity.tsv cut to 3 lines used to exit 0, each unlisted article's novelty that of one click
+        out = "short_popularity_out"
+        shutil.copytree(run_out[2], os.path.join(workspace, out))
+        path = os.path.join(workspace, out, "ingest", "popularity.tsv")
+        with open(path) as fh:
+            lines = fh.readlines()[:3]
+        with open(path, "w") as fh:
+            fh.writelines(lines)
+        warm = load_split(os.path.join(run_out[2], "splits", "warm"))  # the first split evaluated
+        unlisted = sorted(set(candidate_universe(warm)) - {line.split("\t")[0] for line in lines})
+        rc = main(["evaluate", "--config", write_config(workspace), "--out", out])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: %s: missing %d article id(s) of the warm split: %s\n" % (
+            path, len(unlisted), ", ".join(unlisted))
 
     @pytest.mark.parametrize("case", ["zero_timestamp", "negative_rank", "reversed_user"])
     def test_triplets_rejects_streams_its_writer_cannot_write(self, workspace, run_out, capsys, case):
@@ -650,10 +671,10 @@ class TestCliCommands:
             lines = fh.readlines()
         if case == "empty_id":
             lines[2] = "\t" + lines[2].split("\t", 1)[1]
-            expected = "line 3: empty article id"
+            expected = "line 3: id must not be empty"
         else:
             lines[2] = lines[0]
-            expected = "line 3: article %s is listed twice" % lines[0].split("\t")[0]
+            expected = "line 3: id %s is listed twice" % lines[0].split("\t")[0]
         with open(path, "w") as fh:
             fh.writelines(lines)
         rc = main(["featurize", "--config", write_config(workspace), "--out", out])
@@ -670,42 +691,63 @@ class TestCliCommands:
             ("triplets.tsv", "empty", "split", "no rows"),
             ("splits/cold/train.tsv", "empty", "train", "no rows"),
             ("splits/warm/test.tsv", "empty", "evaluate", "no rows"),
-            ("ingest/streams.tsv", 0, "triplets", "line 1: empty user or article id"),
-            ("ingest/streams.tsv", 1, "triplets", "line 1: empty user or article id"),
-            ("triplets.tsv", 0, "split", "line 1: empty user or article id"),
-            ("triplets.tsv", 2, "split", "line 1: empty user or article id"),
-            ("splits/warm/train.tsv", 1, "train", "line 1: empty user or article id"),
-            ("splits/cold/test.tsv", 0, "evaluate", "line 1: empty user or article id"),
-            ("ingest/popularity.tsv", 0, "evaluate", "line 1: empty article id"),
-            ("triplets.tsv", "double", "split", "line 2: triplet ({0}, {1}, {2}) is listed twice"),
-            ("splits/cold/train.tsv", "double", "train", "line 2: triplet ({0}, {1}, {2}) is listed twice"),
+            ("ingest/catalog.tsv", 0, "featurize", "line 1: id must not be empty"),
+            ("ingest/streams.tsv", 0, "triplets", "line 1: user must not be empty"),
+            ("ingest/streams.tsv", 1, "triplets", "line 1: news must not be empty"),
+            ("triplets.tsv", 0, "split", "line 1: user must not be empty"),
+            ("triplets.tsv", 2, "split", "line 1: next_article must not be empty"),
+            ("splits/warm/train.tsv", 1, "train", "line 1: last_article must not be empty"),
+            ("splits/cold/test.tsv", 0, "evaluate", "line 1: user must not be empty"),
+            ("ingest/popularity.tsv", 0, "evaluate", "line 1: article must not be empty"),
+            ("embeddings.tsv", 0, "featurize", "line 2: id must not be empty"),
+            ("ingest/catalog.tsv", "double", "featurize", "line 2: id {0} is listed twice"),
+            ("ingest/popularity.tsv", "double", "evaluate", "line 2: article {0} is listed twice"),
+            ("triplets.tsv", "double", "split", "line 2: user {0}, last_article {1}, next_article {2} is listed twice"),
+            ("splits/cold/train.tsv", "double", "train",
+             "line 2: user {0}, last_article {1}, next_article {2} is listed twice"),
+            ("metrics.csv", "double", "report", "line 3: model {0}, setting {1}, k {2}, metric {3} is listed twice"),
+            ("embeddings.tsv", "double", "featurize", "line 3: id {0} is listed twice"),
+            ("triplets.tsv", "self", "split", "line 1: last_article and next_article are both {1}"),
+            ("splits/cold/test.tsv", "self", "evaluate", "line 1: last_article and next_article are both {1}"),
             ("features/tfidf.meta.json", "kind", "train", "kind must be 'tfidf' for this path, got 'x'"),
             ("features/tfidf.meta.json", "kind", "evaluate", "kind must be 'tfidf' for this path, got 'x'"),
         ],
     )
     def test_a_damaged_artifact_is_an_error_naming_it(self, workspace, run_out, capsys, artifact, damage, stage,
                                                       expected):
-        # damage: "empty" the file, "double" its first line, blank field k of its first line, or
-        # retype a meta file's "kind"; each of these used to exit 0 or fail without naming a file
+        # damage: "empty" the file, "double" its first row, blank field k of its first row, make that
+        # row's next article its last ("self"), or retype a meta file's "kind"; each of these used to
+        # exit 0 or fail without naming a file
         out = "damaged_%s_%s_%s_out" % (artifact.replace("/", "_"), damage, stage)
         shutil.copytree(run_out[2], os.path.join(workspace, out))
         path = os.path.join(workspace, out, *artifact.split("/"))
+        config = write_config(workspace)
+        if artifact == "embeddings.tsv":  # an input, not an artifact: one row per catalog article
+            ids = list(load_features(os.path.join(run_out[2], "features", "tfidf")).row_index)
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write("#dim 2\n")
+                fh.writelines("%s\t1.0 %d\n" % (a, n) for n, a in enumerate(ids))
+            config = write_config(workspace, features="external", extra_data='embeddings = "%s"' % path)
         with open(path, encoding="utf-8") as fh:
             lines = fh.readlines()
-        first = lines[0].split("\t")
+        sep = "," if artifact.endswith(".csv") else "\t"
+        row = 1 if artifact in ("metrics.csv", "embeddings.tsv") else 0  # the first row after a header
+        fields = lines[row].split(sep)
         if damage == "empty":
             lines = []
         elif damage == "double":
-            lines.insert(1, lines[0])
+            lines.insert(row + 1, lines[row])
+        elif damage == "self":
+            lines[row] = sep.join(fields[:2] + fields[1:2] + fields[3:])
         elif damage == "kind":
             lines = [json.dumps(dict(json.loads("".join(lines)), kind="x"))]
         else:
-            lines[0] = "\t".join(first[:damage] + [""] + first[damage + 1:])
+            lines[row] = sep.join(fields[:damage] + [""] + fields[damage + 1:])
         with open(path, "w", encoding="utf-8") as fh:
             fh.writelines(lines)
-        rc = main([stage, "--config", write_config(workspace), "--out", out])
+        rc = main([stage, "--config", config, "--out", out])
         assert rc == 1
-        assert capsys.readouterr().err == "error: %s: %s\n" % (path, expected.format(*first))
+        assert capsys.readouterr().err == "error: %s: %s\n" % (path, expected.format(*fields))
 
     def test_train_names_the_train_articles_the_features_lack(self, workspace, run_out, capsys):
         out = os.path.join(workspace, "short_features_out")
@@ -733,7 +775,7 @@ class TestCliCommands:
         rc = main(["featurize", "--config", config, "--out", out])
         err = capsys.readouterr().err
         assert rc == 1
-        assert err == "error: %s: line %d: article %s is listed twice\n" % (path, len(ids) + 2, ids[0])
+        assert err == "error: %s: line %d: id %s is listed twice\n" % (path, len(ids) + 2, ids[0])
 
     def test_ingest_popularity_leaves_out_the_history_of_skipped_rows(self, tmp_path):
         fx = tmp_path / "fx"

@@ -249,7 +249,7 @@ class TestExternalEmbeddings:
         self.write_embeddings(path, 2, [("N1", [1, 2]), ("N2", [3, 4]), ("N1", [5, 6])])
         with pytest.raises(FormatError) as err:
             load_external_embeddings(path, catalog)
-        assert str(err.value) == "%s: line 4: article N1 is listed twice" % path
+        assert str(err.value) == "%s: line 4: id N1 is listed twice" % path
 
     def test_unknown_ids_ignored(self, tmp_path):
         catalog = catalog_from([("A1", "t", "")])

@@ -452,7 +452,8 @@ class TestEmitCurves:
             ("almm,cold,10,map,0.1,9", r"curves\.csv: line 3: expected 5 columns$"),
             ("almm,cold,ten,map,0.1", r"curves\.csv: line 3: k must be an integer, got 'ten'$"),
             ("almm,cold,10,map,high", r"curves\.csv: line 3: value must be a number, got 'high'$"),
-            ("almm,cold,10,recall,0.6", r"curves\.csv: line 3: almm,cold,10,recall is listed twice$"),
+            ("almm,cold,10,recall,0.6",
+             r"curves\.csv: line 3: model almm, setting cold, k 10, metric recall is listed twice$"),
             ("almm,cold,0,map,0.1", r"curves\.csv: line 3: k must be >= 1, got 0$"),
             ("almm,cold,10,bogus,0.1",
              r"curves\.csv: line 3: metric must be one of map, recall, novelty, diversity, got 'bogus'$"),

@@ -224,6 +224,48 @@ class TestLoadSplitErrors:
             load_split(dirpath)
         assert str(err.value) == "%s: cold split: holdout articles on the train side: %s" % (dirpath, trained)
 
+    def test_cold_test_triplet_touching_no_holdout_article(self, tmp_path):
+        # an emptied holdout list used to load, and evaluate to exit 0
+        _, dirpath = self.saved(tmp_path, "cold")
+        self.edit_manifest(dirpath, lambda m: m.update(holdout_articles=[]))
+        with pytest.raises(FormatError) as err:
+            load_split(dirpath)
+        assert str(err.value) == "%s: cold split: line 1 of test.tsv touches no holdout article" % (
+            dirpath / "manifest.json")
+
+    def test_warm_manifest_listing_holdout_articles(self, tmp_path):
+        split, dirpath = self.saved(tmp_path, "warm")
+        article = next(iter(split.test)).next_article
+        self.edit_manifest(dirpath, lambda m: m.update(holdout_articles=[article]))
+        with pytest.raises(FormatError) as err:
+            load_split(dirpath)
+        assert str(err.value) == "%s: a warm split holds out no articles, got %s" % (
+            dirpath / "manifest.json", article)
+
+    @pytest.mark.parametrize(
+        "field, value, expected",
+        [
+            ("seed", "7", "seed must be an integer, got '7'"),
+            ("seed", True, "seed must be an integer, got True"),
+            ("seed", 7.0, "seed must be an integer, got 7.0"),
+            ("fraction", "0.1", "fraction must be a number, got '0.1'"),
+            ("fraction", None, "fraction must be a number, got None"),
+            ("fraction", False, "fraction must be a number, got False"),
+        ],
+    )
+    def test_seed_and_fraction_of_another_json_type(self, tmp_path, field, value, expected):
+        _, dirpath = self.saved(tmp_path, "cold")
+        self.edit_manifest(dirpath, lambda m: m.update({field: value}))
+        with pytest.raises(FormatError) as err:
+            load_split(dirpath)
+        assert str(err.value) == "%s: %s" % (dirpath / "manifest.json", expected)
+
+    def test_manifest_without_fraction(self, tmp_path):
+        _, dirpath = self.saved(tmp_path, "warm")
+        self.edit_manifest(dirpath, lambda m: m.pop("fraction"))
+        with pytest.raises(FormatError, match=r"manifest\.json: malformed manifest: KeyError\('fraction'\)"):
+            load_split(dirpath)
+
     def test_warm_test_article_absent_from_train(self, tmp_path):
         split = DataSplit(
             train=tset(("u1", "A", "B", 1.1)),

@@ -211,7 +211,15 @@ class TestTripletPersistence:
         # reversed move, is no repeat
         path = tmp_path / "train.tsv"
         path.write_text("u1\tA\tB\t1.1\nu2\tA\tB\t1.1\nu1\tB\tA\t1.1\nu2\tA\tB\t1.2\nu1\tA\tB\t1.1\n")
-        with pytest.raises(FormatError, match=r"^.*train\.tsv: line 4: triplet \(u2, A, B\) is listed twice$"):
+        with pytest.raises(FormatError,
+                           match=r"^.*train\.tsv: line 4: user u2, last_article A, next_article B is listed twice$"):
+            load_triplets(path)
+
+    def test_a_self_transition_is_named(self, tmp_path):
+        # build_tensor counts no self-transition; evaluating one moved metrics.csv without an error
+        path = tmp_path / "train.tsv"
+        path.write_text("u1\tA\tB\t1.1\nu1\tB\tB\t1.1\nu2\tC\tC\t1.1\n")
+        with pytest.raises(FormatError, match=r"^.*train\.tsv: line 2: last_article and next_article are both B$"):
             load_triplets(path)
 
     def test_distinct_rows_with_shared_codes_load(self, tmp_path):
