@@ -6,7 +6,8 @@ or a process killed mid-write, leaves the previous file (or none) at the
 final path, never a truncated one. `write_rows` writes every text output
 (the `.tsv` artifacts, `metrics.csv`, `run.log`, `ingest/messages.txt`);
 `read_rows` and `parse_rows` read rows back, typed by the columns each
-reader declares; JSON id lists come back through `id_positions`. Dense
+reader declares; `read_manifest` reads a JSON manifest, typed by the fields
+its reader declares, its id lists through `id_positions`. Dense
 matrices are `.npy` files; CSR matrices are `.npz` archives with the keys of
 scipy.sparse's `save_npz`, so either side can read what the other writes.
 """
@@ -85,6 +86,41 @@ def read_json(path):
             return json.load(fh)
         except ValueError as exc:
             raise FormatError("%s: not JSON: %s" % (path, exc)) from None
+
+
+def read_manifest(path, fields: dict, kinds, kind=None) -> dict:
+    """The fields of the JSON manifest `path`, read by check_fields: a string `kind` and those of
+    `fields`. Its kind must be one of `kinds`, and `kind` when the caller gives the kind its path holds."""
+    manifest = check_fields(read_json(path), {"kind": str, **fields}, path)
+    if manifest["kind"] not in kinds:
+        raise FormatError("%s: kind must be one of %s, got %r" % (path, ", ".join(kinds), manifest["kind"]))
+    if kind is not None and manifest["kind"] != kind:
+        raise FormatError("%s: kind must be %r for this path, got %r" % (path, kind, manifest["kind"]))
+    return manifest
+
+
+def check_fields(obj, fields: dict, path, prefix: str = "") -> dict:
+    """The values of `obj`, a JSON object with exactly the keys of `fields`, each checked by its kind:
+    a type the value must `fit`, a dict of a nested object's fields, or a reader called as
+    reader(value, path, key) that returns the value to keep (id_positions). Anything else is a
+    FormatError naming `path` and the key, dotted below `prefix`."""
+    if not isinstance(obj, dict):
+        raise FormatError("%s: %s must be a JSON object" % (path, prefix[:-1] or "the file"))
+    unknown, missing = obj.keys() - fields.keys(), fields.keys() - obj.keys()
+    if unknown or missing:
+        raise FormatError("%s: %s key %s%s" % (path, "unknown" if unknown else "missing", prefix,
+                                               min(unknown or missing)))
+    values = {}
+    for key, kind in fields.items():
+        name, value = prefix + key, obj[key]
+        if isinstance(kind, dict):
+            value = check_fields(value, kind, path, name + ".")
+        elif not isinstance(kind, type):
+            value = kind(value, path, name)
+        elif not fits(value, kind):
+            raise FormatError("%s: %s must be %s, got %r" % (path, name, TYPE_NAMES[kind], value))
+        values[key] = value
+    return values
 
 
 def read_lines(path):

@@ -21,10 +21,10 @@ from dataclasses import dataclass, field, fields
 from .artifacts import TYPE_NAMES, fits
 from .features import VectorizerConfig
 from .models import MODEL_KINDS, Hyperparams
+from .splits import SPLIT_KINDS
 from .transitions import DEFAULT_WINDOW_SECONDS
 
 DEFAULT_SEED = 42
-SPLIT_KINDS = ("warm", "cold")
 FEATURE_KINDS = ("tfidf", "external")
 
 

@@ -54,7 +54,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .artifacts import TYPE_NAMES, fits, id_positions, load_matrix, read_json, save_matrix, write_json
+from .artifacts import fits, id_positions, load_matrix, read_manifest, save_matrix, write_json
 from .errors import DivergenceError, EmptyInputError, FormatError, MissingArticlesError
 from .numerics import CSRMatrix, cho_solve_stacked, ridge_cholesky, ridge_factor
 # perfbench/tracing.py wraps models.ridge_solve by name; no run calls it
@@ -97,8 +97,9 @@ class Hyperparams:
             raise ValueError("refresh_blend must be in [0, 1]")
         if self.negatives_per_positive < 1:
             raise ValueError("negatives_per_positive must be >= 1")
-        if self.iterations < 1 or self.sgd_epochs < 1:
-            raise ValueError("iterations and sgd_epochs must be >= 1")
+        for name in ("iterations", "sgd_epochs"):
+            if getattr(self, name) < 1:
+                raise ValueError("%s must be >= 1" % name)
         if not 0.0 <= self.sgd_lr < math.inf:
             raise ValueError("sgd_lr must be finite and >= 0")
         if not 0.0 < self.sgd_decay <= 1.0:
@@ -794,10 +795,24 @@ def save_model(model: FactorModel, dirpath) -> None:
         save_matrix(getattr(model, attr), os.path.join(dirpath, filename))
 
 
-def load_model(dirpath) -> FactorModel:
-    """Read a model directory; a kind outside MODEL_KINDS, a hyperparameter of another type than
-    its Hyperparams field (the config's rule: a bool is not an int, an int fits a float), an id
-    list with a repeated id, or a matrix whose shape contradicts the manifest is a FormatError.
+def _loss_trace(pairs, path, key: str) -> list:
+    """The (stage label, objective value) pairs of a model manifest's `key`; anything but a list
+    of [string, finite number] pairs is a FormatError naming the path and key."""
+    if not (isinstance(pairs, list) and all(
+            isinstance(p, list) and len(p) == 2 and fits(p[0], str) and fits(p[1], float)
+            and -math.inf < p[1] < math.inf for p in pairs)):
+        raise FormatError("%s: %s must be a list of [label, finite number] pairs" % (path, key))
+    return [tuple(p) for p in pairs]
+
+
+_MANIFEST_FIELDS = {"hyperparams": {key: type(default) for key, default in asdict(Hyperparams()).items()},
+                    "users": id_positions, "articles": id_positions, "loss_trace": _loss_trace}
+
+
+def load_model(dirpath, kind: str | None = None) -> FactorModel:
+    """Read a model directory; a manifest that read_manifest rejects (its kind, when given, is the
+    kind the caller expects), a hyperparameter outside its range (Hyperparams.validate), or a
+    matrix whose shape contradicts the manifest is a FormatError.
 
     U must have one row per manifest user, X and Y one per manifest article,
     every matrix `latent_dim` columns, and PsiY the shape of PsiX, so a
@@ -805,29 +820,14 @@ def load_model(dirpath) -> FactorModel:
     A NaN or infinite value in any matrix is a FormatError naming its file.
     """
     manifest_path = os.path.join(dirpath, MANIFEST_NAME)
-    manifest = read_json(manifest_path)
-    matrices = {attr: load_matrix(os.path.join(dirpath, name)) for attr, name in _MATRIX_FILES.items()}
+    manifest = read_manifest(manifest_path, _MANIFEST_FIELDS, MODEL_KINDS, kind)
+    hyper = Hyperparams(**manifest.pop("hyperparams"))
     try:
-        hyperparams = manifest["hyperparams"]
-        for key, default in asdict(Hyperparams()).items():
-            if key in hyperparams and not fits(hyperparams[key], type(default)):
-                raise FormatError("%s: hyperparams.%s must be %s, got %r"
-                                  % (manifest_path, key, TYPE_NAMES[type(default)], hyperparams[key]))
-        model = FactorModel(
-            kind=manifest["kind"],
-            hyper=Hyperparams(**hyperparams),
-            users=id_positions(manifest["users"], manifest_path, "users"),
-            articles=id_positions(manifest["articles"], manifest_path, "articles"),
-            loss_trace=[(str(a), float(b)) for a, b in manifest.get("loss_trace", [])],
-            **matrices,
-        )
-    except FormatError:  # a hyperparameter's or id list's own error already names the file and key
-        raise
-    except (KeyError, TypeError, ValueError, AttributeError) as exc:
-        raise FormatError("%s: malformed manifest: %r" % (manifest_path, exc)) from None
-    if model.kind not in MODEL_KINDS:
-        raise FormatError("%s: kind must be one of %s, got %r"
-                          % (manifest_path, ", ".join(MODEL_KINDS), model.kind))
+        hyper.validate()
+    except ValueError as exc:
+        raise FormatError("%s: hyperparams.%s" % (manifest_path, exc)) from None
+    matrices = {attr: load_matrix(os.path.join(dirpath, name)) for attr, name in _MATRIX_FILES.items()}
+    model = FactorModel(hyper=hyper, **manifest, **matrices)
     n_articles, m = len(model.articles), len(model.last_mapping)  # PsiY takes PsiX's rows
     rows = dict(user_factors=len(model.users), last_factors=n_articles, next_factors=n_articles,
                 last_mapping=m, next_mapping=m)

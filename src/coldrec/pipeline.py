@@ -14,18 +14,15 @@ import os
 import numpy as np
 
 from . import metrics as metrics_mod
-from .artifacts import (ID, id_positions, load_csr, load_matrix, read_json, read_rows, save_csr, save_matrix,
+from .artifacts import (ID, id_positions, load_csr, load_matrix, read_manifest, read_rows, save_csr, save_matrix,
                         write_json, write_rows)
-from .config import RunConfig, derive_seed
+from .config import FEATURE_KINDS, RunConfig, derive_seed
 from .errors import FormatError
 from .features import FeatureMatrix, fit_tfidf, load_external_embeddings, transform
 from .mind import Article, Clicks, group_clicks, history_popularity, parse_behaviors, parse_news, validate_clicks
-from .models import MANIFEST_NAME as MODEL_MANIFEST
-from .models import (FactorModel, almm_train, forbes_train, load_model, oord_train, sample_negatives,
-                     save_model)
+from .models import almm_train, forbes_train, load_model, oord_train, sample_negatives, save_model
 from .numerics import CSRMatrix
-from .splits import MANIFEST_NAME as SPLIT_MANIFEST
-from .splits import DataSplit, load_split, make_cold_split, make_warm_split, save_split
+from .splits import load_split, make_cold_split, make_warm_split, save_split
 from .transitions import build_tensor, build_triplets, load_triplets
 
 _TRAINERS = {"almm": almm_train, "forbes": forbes_train, "oord": oord_train}
@@ -107,17 +104,13 @@ def save_features(features: FeatureMatrix, base: str) -> None:
         save_matrix(features.matrix, base + ".npy")
 
 
-def load_features(base: str) -> FeatureMatrix:
-    """Read what save_features wrote; a malformed meta file, a matrix whose shape
-    contradicts it, tfidf rows in a dense `.npy`, or a NaN or infinite feature
-    value is a FormatError naming the path."""
+def load_features(base: str, kind: str | None = None) -> FeatureMatrix:
+    """Read what save_features wrote; a meta file that read_manifest rejects (its kind, when
+    given, is the kind the caller expects), a matrix whose shape contradicts it, tfidf rows in a
+    dense `.npy`, or a NaN or infinite feature value is a FormatError naming the path."""
     meta_path = base + ".meta.json"
-    meta = read_json(meta_path)
-    try:
-        kind, dim, ids = meta["kind"], meta["dim"], meta["ids"]
-    except (KeyError, TypeError) as exc:
-        raise FormatError("%s: malformed meta file: %r" % (meta_path, exc)) from None
-    row_index = id_positions(ids, meta_path, "ids")
+    meta = read_manifest(meta_path, {"dim": int, "ids": id_positions}, FEATURE_KINDS, kind)
+    kind, dim, row_index = meta["kind"], meta["dim"], meta["ids"]
     path = base + ".npz"
     if os.path.exists(path):
         matrix = load_csr(path)
@@ -126,7 +119,7 @@ def load_features(base: str) -> FeatureMatrix:
         matrix = load_matrix(path)
         if kind == "tfidf":  # TF-IDF rows are sparse; diversity reads them as a CSRMatrix
             raise FormatError("%s: tfidf features must be a csr .npz archive" % path)
-    expected = (len(ids), dim)
+    expected = (len(row_index), dim)
     if tuple(matrix.shape) != expected:
         raise FormatError(
             "%s: shape %s contradicts %s (%d ids, dim %r)" % (path, tuple(matrix.shape), meta_path, *expected)
@@ -226,40 +219,16 @@ def _model_dir(cfg: RunConfig, model_kind: str, split_kind: str) -> str:
     return _path(cfg, MODELS_DIR, "%s-%s" % (model_kind, split_kind))
 
 
-def _of_kind(artifact, kind: str, manifest_path: str):
-    """`artifact` if its manifest names `kind`, the kind of the path the stage asked for; a split,
-    model or feature matrix copied in from another kind's path is a FormatError naming the manifest."""
-    if artifact.kind != kind:
-        raise FormatError("%s: kind must be %r for this path, got %r"
-                          % (manifest_path, kind, artifact.kind))
-    return artifact
-
-
-def _load_features(cfg: RunConfig, kind: str) -> FeatureMatrix:
-    base = _feature_base(cfg, kind)
-    return _of_kind(load_features(base), kind, base + ".meta.json")
-
-
-def _load_split(cfg: RunConfig, split_kind: str) -> DataSplit:
-    dirpath = _path(cfg, SPLITS_DIR, split_kind)
-    return _of_kind(load_split(dirpath), split_kind, os.path.join(dirpath, SPLIT_MANIFEST))
-
-
-def _load_model(cfg: RunConfig, model_kind: str, split_kind: str) -> FactorModel:
-    dirpath = _model_dir(cfg, model_kind, split_kind)
-    return _of_kind(load_model(dirpath), model_kind, os.path.join(dirpath, MODEL_MANIFEST))
-
-
 def stage_train(cfg: RunConfig) -> dict:
     """Train every configured (model, split) pair on the split's train side.
 
     All models of one split share the same instance set (positives plus
     negatives sampled once from the `negatives` substream).
     """
-    features = _load_features(cfg, cfg.feature_kind)
+    features = load_features(_feature_base(cfg, cfg.feature_kind), cfg.feature_kind)
     counters: dict = {}
     for split_kind in cfg.split_kinds:
-        split = _load_split(cfg, split_kind)
+        split = load_split(_path(cfg, SPLITS_DIR, split_kind), split_kind)
         train_set = split.train
         instances = sample_negatives(
             train_set,
@@ -282,14 +251,14 @@ def stage_train(cfg: RunConfig) -> dict:
 
 def stage_evaluate(cfg: RunConfig) -> dict:
     """Evaluate every trained (model, split) pair and emit metrics.csv."""
-    features = _load_features(cfg, cfg.feature_kind)
-    tfidf = features if cfg.feature_kind == "tfidf" else _load_features(cfg, "tfidf")
+    features = load_features(_feature_base(cfg, cfg.feature_kind), cfg.feature_kind)
+    tfidf = features if cfg.feature_kind == "tfidf" else load_features(_feature_base(cfg, "tfidf"), "tfidf")
     popularity_path = _path(cfg, INGEST_DIR, "popularity.tsv")
     popularity = load_popularity(popularity_path)
     entries: dict = {}
     counters: dict = {}
     for split_kind in cfg.split_kinds:
-        split = _load_split(cfg, split_kind)
+        split = load_split(_path(cfg, SPLITS_DIR, split_kind), split_kind)
         unlisted = (split.train.articles.keys() | split.test.articles.keys()) - popularity.keys()
         if unlisted:  # every triplet article has clicks, so popularity.tsv lists it
             raise FormatError("%s: missing %d article id(s) of the %s split: %s"
@@ -302,7 +271,7 @@ def stage_evaluate(cfg: RunConfig) -> dict:
         counters["evaluate_%s_unseen_user_queries" % split_kind] = int(unseen[test.u].sum())
         counters["evaluate_%s_cold_candidates" % split_kind] = len(test.articles.keys() - trained.articles)
         for model_kind in cfg.model_kinds:
-            model = _load_model(cfg, model_kind, split_kind)
+            model = load_model(_model_dir(cfg, model_kind, split_kind), model_kind)
             results = metrics_mod.evaluate(
                 model, split, features, popularity, cfg.ks, tfidf_features=tfidf
             )

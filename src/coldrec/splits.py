@@ -14,11 +14,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .artifacts import TYPE_NAMES, fits, id_positions, read_json, write_json, write_rows
+from .artifacts import id_positions, read_manifest, write_json, write_rows
 from .errors import DegenerateSplitError, FormatError
 from .transitions import TripletSet, load_triplets
 
 MANIFEST_NAME = "manifest.json"
+SPLIT_KINDS = ("warm", "cold")
+_MANIFEST_FIELDS = {"seed": int, "fraction": float, "holdout_articles": id_positions}
 
 
 @dataclass
@@ -101,22 +103,13 @@ def save_split(split: DataSplit, dirpath, fraction: float) -> None:
     write_json(manifest, os.path.join(dirpath, MANIFEST_NAME))
 
 
-def load_split(dirpath) -> DataSplit:
-    """Read a split directory; a bad manifest, or a side that breaks the split's
-    invariant (see the split makers), is a FormatError naming the path."""
+def load_split(dirpath, kind: str | None = None) -> DataSplit:
+    """Read a split directory; a manifest that read_manifest rejects (its kind, when given, is the
+    kind the caller expects), or a side that breaks the split's invariant (see the split makers),
+    is a FormatError naming the path."""
     manifest_path = os.path.join(dirpath, MANIFEST_NAME)
-    manifest = read_json(manifest_path)
-    try:
-        kind, seed, fraction = manifest["kind"], manifest["seed"], manifest["fraction"]
-        holdout = manifest["holdout_articles"]
-    except (KeyError, TypeError) as exc:
-        raise FormatError("%s: malformed manifest: %r" % (manifest_path, exc)) from None
-    for name, value, of_kind in (("seed", seed, int), ("fraction", fraction, float)):
-        if not fits(value, of_kind):
-            raise FormatError("%s: %s must be %s, got %r" % (manifest_path, name, TYPE_NAMES[of_kind], value))
-    holdout = set(id_positions(holdout, manifest_path, "holdout_articles"))
-    if kind not in ("warm", "cold"):
-        raise FormatError("%s: kind must be 'warm' or 'cold', got %r" % (manifest_path, kind))
+    manifest = read_manifest(manifest_path, _MANIFEST_FIELDS, SPLIT_KINDS, kind)
+    kind, seed, holdout = manifest["kind"], manifest["seed"], set(manifest["holdout_articles"])
     if kind == "warm" and holdout:
         raise FormatError("%s: a warm split holds out no articles, got %s"
                           % (manifest_path, ", ".join(sorted(holdout))))

@@ -13,8 +13,9 @@ import pytest
 from scipy import sparse
 
 import coldrec
-from coldrec.artifacts import (ID, atomic_open, id_positions, load_csr, load_matrix, parse_rows, read_json, read_lines,
-                               read_rows, save_csr, save_matrix, write_json, write_rows)
+from coldrec.artifacts import (ID, atomic_open, check_fields, id_positions, load_csr, load_matrix, parse_rows,
+                               read_json, read_lines, read_manifest, read_rows, save_csr, save_matrix, write_json,
+                               write_rows)
 from coldrec.errors import FormatError
 from coldrec.mind import Article, Clicks
 from coldrec.numerics import CSRMatrix
@@ -466,3 +467,79 @@ def test_id_positions_rejects_anything_but_a_list_of_distinct_strings(ids, messa
     with pytest.raises(FormatError) as err:
         id_positions(ids, "meta.json", "ids")
     assert str(err.value) == message
+
+
+# a manifest's fields as a reader declares them: a type, a nested object's fields, or a reader
+MANIFEST_FIELDS = {"seed": int, "fraction": float, "ids": id_positions, "hyper": {"dim": int, "on": bool}}
+MANIFEST = {"kind": "cold", "seed": 7, "fraction": 0.1, "ids": ["N2", "N1"], "hyper": {"dim": 4, "on": True}}
+
+
+def write_manifest(tmp_path, manifest):
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(manifest), encoding="utf-8")
+    return path
+
+
+def test_read_manifest_returns_each_field_as_its_kind_reads_it(tmp_path):
+    path = write_manifest(tmp_path, MANIFEST)
+    expected = {**MANIFEST, "ids": {"N2": 0, "N1": 1}}
+    assert read_manifest(path, MANIFEST_FIELDS, ("warm", "cold")) == expected
+    assert read_manifest(path, MANIFEST_FIELDS, ("warm", "cold"), "cold") == expected
+
+
+def test_read_manifest_takes_an_int_where_a_float_is_declared(tmp_path):
+    path = write_manifest(tmp_path, {**MANIFEST, "fraction": 1})
+    assert read_manifest(path, MANIFEST_FIELDS, ("cold",))["fraction"] == 1
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        ({"extra": 1}, "unknown key extra"),
+        ({"seed": None}, "missing key seed"),
+        ({"hyper": {"dim": 4}}, "missing key hyper.on"),
+        ({"hyper": {"dim": 4, "on": True, "off": False}}, "unknown key hyper.off"),
+        ({"hyper": [4, True]}, "hyper must be a JSON object"),
+        ({"kind": None}, "missing key kind"),
+        ({"kind": 1}, "kind must be a string, got 1"),
+        ({"kind": "lukewarm"}, "kind must be one of warm, cold, got 'lukewarm'"),
+        ({"seed": 7.0}, "seed must be an integer, got 7.0"),
+        ({"seed": True}, "seed must be an integer, got True"),
+        ({"seed": "7"}, "seed must be an integer, got '7'"),
+        ({"fraction": False}, "fraction must be a number, got False"),
+        ({"hyper": {"dim": 4, "on": 1}}, "hyper.on must be a boolean, got 1"),
+        ({"ids": ["N1", "N1"]}, "ids lists N1 more than once"),
+        ({"ids": {"N1": 0}}, "ids must be a list of ids"),
+    ],
+    ids=["unknown key", "missing key", "missing nested key", "unknown nested key", "nested array", "missing kind",
+         "int kind", "unknown kind", "float seed", "bool seed", "string seed", "bool fraction", "int bool",
+         "repeated id", "id dict"],
+)
+def test_read_manifest_names_the_path_and_key_it_rejects(tmp_path, change, message):
+    manifest = {key: value for key, value in {**MANIFEST, **change}.items() if value is not None}
+    path = write_manifest(tmp_path, manifest)
+    with pytest.raises(FormatError) as err:
+        read_manifest(path, MANIFEST_FIELDS, ("warm", "cold"))
+    assert str(err.value) == "%s: %s" % (path, message)
+
+
+@pytest.mark.parametrize("document", [[MANIFEST], "cold", None, 7])
+def test_read_manifest_rejects_a_document_that_is_not_an_object(tmp_path, document):
+    path = write_manifest(tmp_path, document)
+    with pytest.raises(FormatError) as err:
+        read_manifest(path, MANIFEST_FIELDS, ("cold",))
+    assert str(err.value) == "%s: the file must be a JSON object" % path
+
+
+def test_read_manifest_rejects_a_kind_the_caller_did_not_ask_for(tmp_path):
+    path = write_manifest(tmp_path, MANIFEST)
+    with pytest.raises(FormatError) as err:
+        read_manifest(path, MANIFEST_FIELDS, ("warm", "cold"), "warm")
+    assert str(err.value) == "%s: kind must be 'warm' for this path, got 'cold'" % path
+
+
+def test_check_fields_passes_a_reader_the_dotted_key():
+    calls = []
+    fields = {"outer": {"inner": lambda value, path, key: calls.append((value, path, key)) or value * 2}}
+    assert check_fields({"outer": {"inner": 3}}, fields, "m.json") == {"outer": {"inner": 6}}
+    assert calls == [(3, "m.json", "outer.inner")]

@@ -1,6 +1,7 @@
 import argparse
 import contextlib
 import errno
+import functools
 import io
 import json
 import os
@@ -463,7 +464,7 @@ class TestCliCommands:
             meta = json.load(fh)
         if case == "missing_ids":
             del meta["ids"]
-            expected = "malformed meta file: KeyError('ids')"
+            expected = "missing key ids"
         else:  # used to surface as "feature matrix is missing 1 article id(s)", naming neither file nor repeat
             meta["ids"][2] = meta["ids"][0]
             expected = "ids lists %s more than once" % meta["ids"][0]
@@ -709,15 +710,42 @@ class TestCliCommands:
             ("embeddings.tsv", "double", "featurize", "line 3: id {0} is listed twice"),
             ("triplets.tsv", "self", "split", "line 1: last_article and next_article are both {1}"),
             ("splits/cold/test.tsv", "self", "evaluate", "line 1: last_article and next_article are both {1}"),
-            ("features/tfidf.meta.json", "kind", "train", "kind must be 'tfidf' for this path, got 'x'"),
-            ("features/tfidf.meta.json", "kind", "evaluate", "kind must be 'tfidf' for this path, got 'x'"),
+            ("features/tfidf.meta.json", 'kind="x"', "train", "kind must be one of tfidf, external, got 'x'"),
+            ("features/tfidf.meta.json", 'kind="x"', "evaluate", "kind must be one of tfidf, external, got 'x'"),
+            ("features/tfidf.meta.json", 'kind="external"', "evaluate",
+             "kind must be 'tfidf' for this path, got 'external'"),
+            ("features/tfidf.meta.json", "array", "train", "the file must be a JSON object"),
+            ("features/tfidf.meta.json", "extra=1", "evaluate", "unknown key extra"),
+            ("features/tfidf.meta.json", "-dim", "train", "missing key dim"),
+            ("features/tfidf.meta.json", "dim=4.0", "evaluate", "dim must be an integer, got 4.0"),
+            ("features/tfidf.meta.json", "kind=1", "train", "kind must be a string, got 1"),
+            ("splits/cold/manifest.json", "array", "train", "the file must be a JSON object"),
+            ("splits/cold/manifest.json", "extra=1", "evaluate", "unknown key extra"),
+            ("splits/warm/manifest.json", "-seed", "train", "missing key seed"),
+            ("splits/cold/manifest.json", 'seed="7"', "evaluate", "seed must be an integer, got '7'"),
+            ("splits/warm/manifest.json", "kind=1", "evaluate", "kind must be a string, got 1"),
+            ("models/almm-cold/manifest.json", "array", "evaluate", "the file must be a JSON object"),
+            ("models/almm-cold/manifest.json", "extra=1", "evaluate", "unknown key extra"),
+            ("models/almm-cold/manifest.json", "-loss_trace", "evaluate", "missing key loss_trace"),
+            ("models/almm-cold/manifest.json", "kind=1", "evaluate", "kind must be a string, got 1"),
+            ("models/oord-warm/manifest.json", "-hyperparams.seed", "evaluate", "missing key hyperparams.seed"),
+            ("models/almm-cold/manifest.json", "hyperparams.extra=1", "evaluate", "unknown key hyperparams.extra"),
+            ("models/almm-cold/manifest.json", "hyperparams.reg_user=-1.0", "evaluate",
+             "hyperparams.reg_user must be finite and >= 0"),
+            ("models/forbes-cold/manifest.json", "hyperparams.latent_dim=0", "evaluate",
+             "hyperparams.latent_dim must be >= 1"),
+            ("models/almm-cold/manifest.json", 'loss_trace=[["init"]]', "evaluate",
+             "loss_trace must be a list of [label, finite number] pairs"),
+            ("models/almm-cold/manifest.json", 'loss_trace=[["init", "nan"]]', "evaluate",
+             "loss_trace must be a list of [label, finite number] pairs"),
         ],
     )
     def test_a_damaged_artifact_is_an_error_naming_it(self, workspace, run_out, capsys, artifact, damage, stage,
                                                       expected):
         # damage: "empty" the file, "double" its first row, blank field k of its first row, make that
-        # row's next article its last ("self"), or retype a meta file's "kind"; each of these used to
-        # exit 0 or fail without naming a file
+        # row's next article its last ("self"); or, of a JSON manifest, nest it in an "array", delete
+        # "-<key>" or set "<key>=<JSON value>", a dotted key naming a hyperparameter; each must be one
+        # error line naming the file
         out = "damaged_%s_%s_%s_out" % (artifact.replace("/", "_"), damage, stage)
         shutil.copytree(run_out[2], os.path.join(workspace, out))
         path = os.path.join(workspace, out, *artifact.split("/"))
@@ -739,8 +767,18 @@ class TestCliCommands:
             lines.insert(row + 1, lines[row])
         elif damage == "self":
             lines[row] = sep.join(fields[:2] + fields[1:2] + fields[3:])
-        elif damage == "kind":
-            lines = [json.dumps(dict(json.loads("".join(lines)), kind="x"))]
+        elif artifact.endswith(".json"):
+            doc = json.loads("".join(lines))
+            if damage == "array":
+                doc = [doc]
+            else:
+                *parents, key = damage.lstrip("-").split("=")[0].split(".")
+                owner = functools.reduce(dict.__getitem__, parents, doc)
+                if damage.startswith("-"):
+                    del owner[key]
+                else:
+                    owner[key] = json.loads(damage.split("=", 1)[1])
+            lines = [json.dumps(doc)]
         else:
             lines[row] = sep.join(fields[:damage] + [""] + fields[damage + 1:])
         with open(path, "w", encoding="utf-8") as fh:

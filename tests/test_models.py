@@ -1482,22 +1482,22 @@ class TestModelPersistence:
         assert str(err.value) == str(path / filename) + ": non-finite values"
 
     @pytest.mark.parametrize(
-        "edit",
+        "edit, message",
         [
-            lambda manifest: manifest.pop("kind"),
-            lambda manifest: manifest.pop("articles"),
-            lambda manifest: manifest["hyperparams"].update(latent_size=2),
+            (lambda manifest: manifest.pop("kind"), "missing key kind"),
+            (lambda manifest: manifest.pop("articles"), "missing key articles"),
+            (lambda manifest: manifest["hyperparams"].update(latent_size=2), "unknown key hyperparams.latent_size"),
         ],
         ids=["missing kind", "missing articles", "unknown hyperparameter"],
     )
-    def test_malformed_manifest_is_named(self, tmp_path, edit):
+    def test_malformed_manifest_is_named(self, tmp_path, edit, message):
         path = self.saved_zero_model(tmp_path)
         manifest = json.loads((path / "manifest.json").read_text(encoding="utf-8"))
         edit(manifest)
         (path / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
         with pytest.raises(FormatError) as err:
             load_model(path)
-        assert str(err.value).startswith(str(path / "manifest.json") + ": malformed manifest: ")
+        assert str(err.value) == "%s: %s" % (path / "manifest.json", message)
 
     @pytest.mark.parametrize(
         "edit, message",
@@ -1513,9 +1513,21 @@ class TestModelPersistence:
              "hyperparams.iterations must be an integer, got True"),
             (lambda manifest: manifest["hyperparams"].update(reg_user="0.1"),
              "hyperparams.reg_user must be a number, got '0.1'"),
+            (lambda manifest: manifest["hyperparams"].update(reg_user=-1.0),
+             "hyperparams.reg_user must be finite and >= 0"),
+            (lambda manifest: manifest["hyperparams"].update(latent_dim=0), "hyperparams.latent_dim must be >= 1"),
+            (lambda manifest: manifest.update(loss_trace=[["init", "nan"]]),
+             "loss_trace must be a list of [label, finite number] pairs"),
+            (lambda manifest: manifest.update(loss_trace=[["init", float("nan")]]),
+             "loss_trace must be a list of [label, finite number] pairs"),
+            (lambda manifest: manifest.update(loss_trace=[["init", 1.0, 2.0]]),
+             "loss_trace must be a list of [label, finite number] pairs"),
+            (lambda manifest: manifest.update(loss_trace=[[1, 1.0]]),
+             "loss_trace must be a list of [label, finite number] pairs"),
         ],
         ids=["users in the dict form", "user listed twice", "article listed twice", "unknown kind",
-             "float latent_dim", "bool iterations", "string reg_user"],
+             "float latent_dim", "bool iterations", "string reg_user", "negative reg_user", "zero latent_dim",
+             "string loss", "nan loss", "loss triple", "int label"],
     )
     def test_manifest_id_lists_and_kind_are_checked(self, tmp_path, edit, message):
         path = self.saved_zero_model(tmp_path)

@@ -189,13 +189,13 @@ class TestLoadSplitErrors:
     def test_manifest_without_kind(self, tmp_path):
         _, dirpath = self.saved(tmp_path, "cold")
         self.edit_manifest(dirpath, lambda m: m.pop("kind"))
-        with pytest.raises(FormatError, match=r"manifest\.json: malformed manifest: KeyError\('kind'\)"):
+        with pytest.raises(FormatError, match=r"manifest\.json: missing key kind$"):
             load_split(dirpath)
 
     def test_manifest_with_unknown_kind(self, tmp_path):
         _, dirpath = self.saved(tmp_path, "warm")
         self.edit_manifest(dirpath, lambda m: m.update(kind="lukewarm"))
-        with pytest.raises(FormatError, match=r"manifest\.json: kind must be 'warm' or 'cold', got 'lukewarm'"):
+        with pytest.raises(FormatError, match=r"manifest\.json: kind must be one of warm, cold, got 'lukewarm'$"):
             load_split(dirpath)
 
     @pytest.mark.parametrize("holdout", ["N0000", None, {"N0000": 1}, ["N0000", 7]])
@@ -263,7 +263,7 @@ class TestLoadSplitErrors:
     def test_manifest_without_fraction(self, tmp_path):
         _, dirpath = self.saved(tmp_path, "warm")
         self.edit_manifest(dirpath, lambda m: m.pop("fraction"))
-        with pytest.raises(FormatError, match=r"manifest\.json: malformed manifest: KeyError\('fraction'\)"):
+        with pytest.raises(FormatError, match=r"manifest\.json: missing key fraction$"):
             load_split(dirpath)
 
     def test_warm_test_article_absent_from_train(self, tmp_path):
