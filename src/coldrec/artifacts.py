@@ -1,13 +1,13 @@
-"""How a run's files reach disk: whole, or not at all; outside this module,
-only the config reader opens a file.
+"""What a run writes, and how its files reach disk: whole, or not at all;
+outside this module, only the config reader opens a file.
 
-Every file a run writes goes through `atomic_open`, so a stage that raises,
-or a process killed mid-write, leaves the previous file (or none) at the
-final path, never a truncated one. `write_rows` writes every text output
-(the `.tsv` artifacts, `metrics.csv`, `run.log`, `ingest/messages.txt`);
-`read_rows` and `parse_rows` read rows back, typed by the columns each
-reader declares; `read_manifest` reads a JSON manifest, typed by the fields
-its reader declares, its id lists through `id_positions`. Dense
+`RUN_FILES` lists every file a run writes, with the stage that writes it and
+the stages that read it back. Each is written through `atomic_open`, so a
+stage that raises, or a process killed mid-write, leaves the previous file
+(or none) at the final path, never a truncated one. `write_rows` writes every
+text output; `read_rows` and `parse_rows` read rows back, typed by the
+columns each reader declares; `read_manifest` reads a JSON manifest, typed by
+the fields its reader declares, its id lists through `id_positions`. Dense
 matrices are `.npy` files; CSR matrices are `.npz` archives with the keys of
 scipy.sparse's `save_npz`, so either side can read what the other writes.
 """
@@ -23,6 +23,7 @@ import re
 import zipfile
 import zlib
 from collections import Counter
+from typing import NamedTuple
 
 import numpy as np
 
@@ -36,6 +37,57 @@ _CSR_KEYS = ("data", "indices", "indptr", "shape", "format")
 # open the file themselves: np.load given a path leaves it open when the zip
 # directory is unreadable.
 _UNREADABLE = (ValueError, EOFError, zipfile.BadZipFile, zlib.error)
+
+
+class RunFile(NamedTuple):
+    """A file a run writes: its path below the output directory (parts joined by `/`), the stage that
+    writes it (`run` for run.log), and the stages, or `report`, that read it back."""
+    path: str
+    writer: str
+    readers: tuple | dict
+
+
+_SPLIT_READERS = ("train", "evaluate")  # load_split reads all three files of a split
+_MODEL_READERS = ("evaluate",)
+# Every run fits TF-IDF, whose rows diversity reads, but only a run on TF-IDF features trains on them
+_TFIDF_READERS = {"tfidf": ("train", "evaluate"), "external": ("evaluate",)}
+_EXTERNAL_READERS = {"external": ("train", "evaluate")}
+
+# Every file a run writes, by name. `{split}` and `{model}` stand for each configured split and model
+# kind. A features file's readers are given by the configured feature kind: a run on a kind they do
+# not list does not write the file. The model matrices are named by their FactorModel fields.
+RUN_FILES = {
+    "catalog": RunFile("ingest/catalog.tsv", "ingest", ("featurize",)),
+    "streams": RunFile("ingest/streams.tsv", "ingest", ("triplets",)),
+    "popularity": RunFile("ingest/popularity.tsv", "ingest", ("evaluate",)),
+    "messages": RunFile("ingest/messages.txt", "ingest", ()),
+    "triplets": RunFile("triplets.tsv", "triplets", ("split",)),
+    "split_train": RunFile("splits/{split}/train.tsv", "split", _SPLIT_READERS),
+    "split_test": RunFile("splits/{split}/test.tsv", "split", _SPLIT_READERS),
+    "split_manifest": RunFile("splits/{split}/manifest.json", "split", _SPLIT_READERS),
+    "tfidf_meta": RunFile("features/tfidf.meta.json", "featurize", _TFIDF_READERS),
+    "tfidf_rows": RunFile("features/tfidf.npz", "featurize", _TFIDF_READERS),
+    "external_meta": RunFile("features/external.meta.json", "featurize", _EXTERNAL_READERS),
+    "external_rows": RunFile("features/external.npy", "featurize", _EXTERNAL_READERS),
+    "model_manifest": RunFile("models/{model}-{split}/manifest.json", "train", _MODEL_READERS),
+    "user_factors": RunFile("models/{model}-{split}/U.npy", "train", _MODEL_READERS),
+    "last_factors": RunFile("models/{model}-{split}/X.npy", "train", _MODEL_READERS),
+    "next_factors": RunFile("models/{model}-{split}/Y.npy", "train", _MODEL_READERS),
+    "last_mapping": RunFile("models/{model}-{split}/PsiX.npy", "train", _MODEL_READERS),
+    "next_mapping": RunFile("models/{model}-{split}/PsiY.npy", "train", _MODEL_READERS),
+    "metrics": RunFile("metrics.csv", "evaluate", ("report",)),
+    "run_log": RunFile("run.log", "run", ()),
+}
+
+
+def run_path(out_dir, name: str, **fields) -> str:
+    """The path below `out_dir` of RUN_FILES[name], its placeholders filled from `fields`."""
+    return os.path.join(out_dir, *RUN_FILES[name].path.format(**fields).split("/"))
+
+
+def file_name(name: str) -> str:
+    """The last part of RUN_FILES[name]'s path: the file's name in the directory a loader is given."""
+    return RUN_FILES[name].path.rsplit("/", 1)[-1]
 
 
 @contextlib.contextmanager

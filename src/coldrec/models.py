@@ -54,7 +54,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .artifacts import fits, id_positions, load_matrix, read_manifest, save_matrix, write_json
+from .artifacts import file_name, fits, id_positions, load_matrix, read_manifest, save_matrix, write_json
 from .errors import DivergenceError, EmptyInputError, FormatError, MissingArticlesError
 from .numerics import CSRMatrix, cho_solve_stacked, ridge_cholesky, ridge_factor
 # perfbench/tracing.py wraps models.ridge_solve by name; no run calls it
@@ -62,14 +62,8 @@ from .numerics import ridge_solve  # noqa: F401
 from .transitions import TripletSet
 
 MODEL_KINDS = ("almm", "forbes", "oord")
-MANIFEST_NAME = "manifest.json"
-_MATRIX_FILES = {
-    "user_factors": "U.npy",
-    "last_factors": "X.npy",
-    "next_factors": "Y.npy",
-    "last_mapping": "PsiX.npy",
-    "next_mapping": "PsiY.npy",
-}
+# the FactorModel fields save_model writes, each to the RUN_FILES entry of its name
+_MATRICES = ("user_factors", "last_factors", "next_factors", "last_mapping", "next_mapping")
 
 
 @dataclass
@@ -790,9 +784,9 @@ def save_model(model: FactorModel, dirpath) -> None:
         "articles": sorted(model.articles, key=model.articles.get),
         "loss_trace": model.loss_trace,
     }
-    write_json(manifest, os.path.join(dirpath, MANIFEST_NAME))
-    for attr, filename in _MATRIX_FILES.items():
-        save_matrix(getattr(model, attr), os.path.join(dirpath, filename))
+    write_json(manifest, os.path.join(dirpath, file_name("model_manifest")))
+    for attr in _MATRICES:
+        save_matrix(getattr(model, attr), os.path.join(dirpath, file_name(attr)))
 
 
 def _loss_trace(pairs, path, key: str) -> list:
@@ -819,20 +813,21 @@ def load_model(dirpath, kind: str | None = None) -> FactorModel:
     directory mixed from two runs fails here rather than scoring silently.
     A NaN or infinite value in any matrix is a FormatError naming its file.
     """
-    manifest_path = os.path.join(dirpath, MANIFEST_NAME)
+    manifest_path = os.path.join(dirpath, file_name("model_manifest"))
     manifest = read_manifest(manifest_path, _MANIFEST_FIELDS, MODEL_KINDS, kind)
     hyper = Hyperparams(**manifest.pop("hyperparams"))
     try:
         hyper.validate()
     except ValueError as exc:
         raise FormatError("%s: hyperparams.%s" % (manifest_path, exc)) from None
-    matrices = {attr: load_matrix(os.path.join(dirpath, name)) for attr, name in _MATRIX_FILES.items()}
+    paths = {attr: os.path.join(dirpath, file_name(attr)) for attr in _MATRICES}
+    matrices = {attr: load_matrix(path) for attr, path in paths.items()}
     model = FactorModel(hyper=hyper, **manifest, **matrices)
     n_articles, m = len(model.articles), len(model.last_mapping)  # PsiY takes PsiX's rows
     rows = dict(user_factors=len(model.users), last_factors=n_articles, next_factors=n_articles,
                 last_mapping=m, next_mapping=m)
-    for attr, name in _MATRIX_FILES.items():
-        path, matrix = os.path.join(dirpath, name), matrices[attr]
+    for attr, path in paths.items():
+        matrix = matrices[attr]
         shape, expected = matrix.shape, (rows[attr], model.hyper.latent_dim)
         if shape != expected:
             raise FormatError("%s: shape %s, expected %s" % (path, shape, expected))

@@ -14,8 +14,8 @@ import os
 import numpy as np
 
 from . import metrics as metrics_mod
-from .artifacts import (ID, id_positions, load_csr, load_matrix, read_manifest, read_rows, save_csr, save_matrix,
-                        write_json, write_rows)
+from .artifacts import (ID, RUN_FILES, file_name, id_positions, load_csr, load_matrix, read_manifest, read_rows,
+                        run_path, save_csr, save_matrix, write_json, write_rows)
 from .config import FEATURE_KINDS, RunConfig, derive_seed
 from .errors import FormatError
 from .features import FeatureMatrix, fit_tfidf, load_external_embeddings, transform
@@ -27,20 +27,25 @@ from .transitions import build_tensor, build_triplets, load_triplets
 
 _TRAINERS = {"almm": almm_train, "forbes": forbes_train, "oord": oord_train}
 
-INGEST_DIR = "ingest"
-SPLITS_DIR = "splits"
-FEATURES_DIR = "features"
-MODELS_DIR = "models"
-METRICS_FILE = "metrics.csv"
-RUN_LOG_FILE = "run.log"
-
-
-def _path(cfg: RunConfig, *parts) -> str:
-    return os.path.join(cfg.out_dir, *parts)
+# the run directory's top-level directories and run.log, as perfbench builds paths from them
+INGEST_DIR, SPLITS_DIR, FEATURES_DIR, MODELS_DIR = (
+    RUN_FILES[name].path.split("/")[0] for name in ("catalog", "split_manifest", "tfidf_meta", "model_manifest")
+)
+RUN_LOG_FILE = RUN_FILES["run_log"].path
+# A features file is its base, `features/<kind>`, plus a suffix from the table: every kind's meta file
+# takes TF-IDF's, sparse rows (TF-IDF's) an `.npz` and dense rows (external embeddings) an `.npy`.
+_META, _SPARSE, _DENSE = (
+    "." + file_name(name).split(".", 1)[1] for name in ("tfidf_meta", "tfidf_rows", "external_rows")
+)
 
 
 def metrics_path(cfg: RunConfig) -> str:
-    return _path(cfg, METRICS_FILE)
+    return run_path(cfg.out_dir, "metrics")
+
+
+def _dir(cfg: RunConfig, name: str, **fields) -> str:
+    """The directory of RUN_FILES[name] in the run directory: the one its loader is given."""
+    return os.path.dirname(run_path(cfg.out_dir, name, **fields))
 
 
 # ---------------------------------------------------------------------------
@@ -91,31 +96,27 @@ def load_popularity(path) -> dict[str, int]:
     return popularity
 
 
-def _feature_base(cfg: RunConfig, kind: str) -> str:
-    return _path(cfg, FEATURES_DIR, kind)
-
-
 def save_features(features: FeatureMatrix, base: str) -> None:
     meta = {"kind": features.kind, "dim": features.dim, "ids": list(features.row_index)}
-    write_json(meta, base + ".meta.json")
+    write_json(meta, base + _META)
     if isinstance(features.matrix, CSRMatrix):
-        save_csr(features.matrix, base + ".npz")
+        save_csr(features.matrix, base + _SPARSE)
     else:
-        save_matrix(features.matrix, base + ".npy")
+        save_matrix(features.matrix, base + _DENSE)
 
 
 def load_features(base: str, kind: str | None = None) -> FeatureMatrix:
     """Read what save_features wrote; a meta file that read_manifest rejects (its kind, when
     given, is the kind the caller expects), a matrix whose shape contradicts it, tfidf rows in a
     dense `.npy`, or a NaN or infinite feature value is a FormatError naming the path."""
-    meta_path = base + ".meta.json"
+    meta_path = base + _META
     meta = read_manifest(meta_path, {"dim": int, "ids": id_positions}, FEATURE_KINDS, kind)
     kind, dim, row_index = meta["kind"], meta["dim"], meta["ids"]
-    path = base + ".npz"
+    path = base + _SPARSE
     if os.path.exists(path):
         matrix = load_csr(path)
     else:
-        path = base + ".npy"
+        path = base + _DENSE
         matrix = load_matrix(path)
         if kind == "tfidf":  # TF-IDF rows are sparse; diversity reads them as a CSRMatrix
             raise FormatError("%s: tfidf features must be a csr .npz archive" % path)
@@ -137,17 +138,16 @@ def load_features(base: str, kind: str | None = None) -> FeatureMatrix:
 def stage_ingest(cfg: RunConfig) -> dict:
     """Parse and validate the raw logs; persist catalog, streams, popularity and
     the validation messages (news, then behaviors, then clicks)."""
-    out = _path(cfg, INGEST_DIR)
     catalog, news_report = parse_news(cfg.news_path)
     raw_clicks, history, beh_report = parse_behaviors(cfg.behaviors_path)
     clicks, click_report = validate_clicks(raw_clicks, catalog)
     popularity = history_popularity(history, catalog, clicks)
 
-    write_rows(os.path.join(out, "catalog.tsv"), catalog.values())
-    write_rows(os.path.join(out, "streams.tsv"), zip(*(column.tolist() for column in clicks)))
-    write_rows(os.path.join(out, "popularity.tsv"), sorted(popularity.items()))
+    write_rows(run_path(cfg.out_dir, "catalog"), catalog.values())
+    write_rows(run_path(cfg.out_dir, "streams"), zip(*(column.tolist() for column in clicks)))
+    write_rows(run_path(cfg.out_dir, "popularity"), sorted(popularity.items()))
     reports = (("news", news_report), ("behaviors", beh_report), ("clicks", click_report))
-    write_rows(os.path.join(out, "messages.txt"),
+    write_rows(run_path(cfg.out_dir, "messages"),
                ((source, message) for source, report in reports for message in report.messages), sep=": ")
     return {
         "news_rows_read": news_report.rows_read,
@@ -168,10 +168,10 @@ def stage_ingest(cfg: RunConfig) -> dict:
 
 def stage_triplets(cfg: RunConfig) -> dict:
     """Build the transition tensor from persisted streams and persist the triplets."""
-    clicks = load_streams(_path(cfg, INGEST_DIR, "streams.tsv"))
+    clicks = load_streams(run_path(cfg.out_dir, "streams"))
     tensor = build_tensor(clicks, cfg.window_seconds)
     triplets = build_triplets(tensor)
-    write_rows(_path(cfg, "triplets.tsv"), triplets)
+    write_rows(run_path(cfg.out_dir, "triplets"), triplets)
     return {
         "transitions_observed": sum(tensor.values()),
         "triplets": len(triplets),
@@ -182,7 +182,7 @@ def stage_triplets(cfg: RunConfig) -> dict:
 
 def stage_split(cfg: RunConfig) -> dict:
     """Cut the configured warm/cold splits from the persisted triplets."""
-    triplets = load_triplets(_path(cfg, "triplets.tsv"))
+    triplets = load_triplets(run_path(cfg.out_dir, "triplets"))
     split_seed = derive_seed(cfg.seed, "split")
     counters: dict = {}
     for kind in cfg.split_kinds:
@@ -192,7 +192,7 @@ def stage_split(cfg: RunConfig) -> dict:
         else:
             split = make_warm_split(triplets, cfg.warm_fraction, split_seed)
             fraction = cfg.warm_fraction
-        save_split(split, _path(cfg, SPLITS_DIR, kind), fraction)
+        save_split(split, _dir(cfg, "split_manifest", split=kind), fraction)
         for side_name, side in (("train", split.train), ("test", split.test)):
             counters["split_%s_%s_users" % (kind, side_name)] = len(side.users)
             counters["split_%s_%s_items" % (kind, side_name)] = len(side.articles)
@@ -203,20 +203,16 @@ def stage_split(cfg: RunConfig) -> dict:
 
 def stage_featurize(cfg: RunConfig) -> dict:
     """Fit TF-IDF on the persisted catalog (always) and ingest external embeddings if configured."""
-    catalog = load_catalog(_path(cfg, INGEST_DIR, "catalog.tsv"))
+    catalog = load_catalog(run_path(cfg.out_dir, "catalog"))
     vectorizer = fit_tfidf(catalog, cfg.vectorizer)
     tfidf = transform(vectorizer, catalog)
-    save_features(tfidf, _feature_base(cfg, "tfidf"))
+    save_features(tfidf, os.path.join(cfg.out_dir, FEATURES_DIR, tfidf.kind))
     counters = {"tfidf_vocabulary": tfidf.dim}
     if cfg.feature_kind == "external":
         external = load_external_embeddings(cfg.embeddings_path, catalog)
-        save_features(external, _feature_base(cfg, "external"))
+        save_features(external, os.path.join(cfg.out_dir, FEATURES_DIR, external.kind))
         counters["external_dim"] = external.dim
     return counters
-
-
-def _model_dir(cfg: RunConfig, model_kind: str, split_kind: str) -> str:
-    return _path(cfg, MODELS_DIR, "%s-%s" % (model_kind, split_kind))
 
 
 def stage_train(cfg: RunConfig) -> dict:
@@ -225,10 +221,10 @@ def stage_train(cfg: RunConfig) -> dict:
     All models of one split share the same instance set (positives plus
     negatives sampled once from the `negatives` substream).
     """
-    features = load_features(_feature_base(cfg, cfg.feature_kind), cfg.feature_kind)
+    features = load_features(os.path.join(cfg.out_dir, FEATURES_DIR, cfg.feature_kind), cfg.feature_kind)
     counters: dict = {}
     for split_kind in cfg.split_kinds:
-        split = load_split(_path(cfg, SPLITS_DIR, split_kind), split_kind)
+        split = load_split(_dir(cfg, "split_manifest", split=split_kind), split_kind)
         train_set = split.train
         instances = sample_negatives(
             train_set,
@@ -243,7 +239,7 @@ def stage_train(cfg: RunConfig) -> dict:
         content = features.rows(instances.articles)
         for model_kind in cfg.model_kinds:
             model = _TRAINERS[model_kind](instances, content, cfg.hyper)
-            save_model(model, _model_dir(cfg, model_kind, split_kind))
+            save_model(model, _dir(cfg, "model_manifest", model=model_kind, split=split_kind))
             if model.loss_trace:
                 counters["train_%s_%s_final_loss" % (model_kind, split_kind)] = model.loss_trace[-1][1]
     return counters
@@ -251,14 +247,15 @@ def stage_train(cfg: RunConfig) -> dict:
 
 def stage_evaluate(cfg: RunConfig) -> dict:
     """Evaluate every trained (model, split) pair and emit metrics.csv."""
-    features = load_features(_feature_base(cfg, cfg.feature_kind), cfg.feature_kind)
-    tfidf = features if cfg.feature_kind == "tfidf" else load_features(_feature_base(cfg, "tfidf"), "tfidf")
-    popularity_path = _path(cfg, INGEST_DIR, "popularity.tsv")
+    features_dir = os.path.join(cfg.out_dir, FEATURES_DIR)
+    features = load_features(os.path.join(features_dir, cfg.feature_kind), cfg.feature_kind)
+    tfidf = features if cfg.feature_kind == "tfidf" else load_features(os.path.join(features_dir, "tfidf"), "tfidf")
+    popularity_path = run_path(cfg.out_dir, "popularity")
     popularity = load_popularity(popularity_path)
     entries: dict = {}
     counters: dict = {}
     for split_kind in cfg.split_kinds:
-        split = load_split(_path(cfg, SPLITS_DIR, split_kind), split_kind)
+        split = load_split(_dir(cfg, "split_manifest", split=split_kind), split_kind)
         unlisted = (split.train.articles.keys() | split.test.articles.keys()) - popularity.keys()
         if unlisted:  # every triplet article has clicks, so popularity.tsv lists it
             raise FormatError("%s: missing %d article id(s) of the %s split: %s"
@@ -271,7 +268,7 @@ def stage_evaluate(cfg: RunConfig) -> dict:
         counters["evaluate_%s_unseen_user_queries" % split_kind] = int(unseen[test.u].sum())
         counters["evaluate_%s_cold_candidates" % split_kind] = len(test.articles.keys() - trained.articles)
         for model_kind in cfg.model_kinds:
-            model = load_model(_model_dir(cfg, model_kind, split_kind), model_kind)
+            model = load_model(_dir(cfg, "model_manifest", model=model_kind, split=split_kind), model_kind)
             results = metrics_mod.evaluate(
                 model, split, features, popularity, cfg.ks, tfidf_features=tfidf
             )
@@ -279,7 +276,7 @@ def stage_evaluate(cfg: RunConfig) -> dict:
                 for metric in metrics_mod.METRIC_NAMES:
                     counters["%s_%s_%s_at_%d" % (metric, mk, sk, k)] = values[metric]
             entries.update(results)
-    metrics_mod.emit_curves(entries, _path(cfg, METRICS_FILE))
+    metrics_mod.emit_curves(entries, metrics_path(cfg))
     counters.update(_cold_start_comparison(entries))
     return counters
 
@@ -317,5 +314,5 @@ def run_pipeline(cfg: RunConfig) -> dict:
     counters: dict = {"seed": cfg.seed}
     for name, stage in _STAGES:
         counters.update(stage(cfg))
-    write_rows(_path(cfg, RUN_LOG_FILE), counters.items(), sep=" = ")
+    write_rows(run_path(cfg.out_dir, "run_log"), counters.items(), sep=" = ")
     return counters

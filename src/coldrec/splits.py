@@ -14,11 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .artifacts import id_positions, read_manifest, write_json, write_rows
+from .artifacts import file_name, id_positions, read_manifest, write_json, write_rows
 from .errors import DegenerateSplitError, FormatError
 from .transitions import TripletSet, load_triplets
 
-MANIFEST_NAME = "manifest.json"
 SPLIT_KINDS = ("warm", "cold")
 _MANIFEST_FIELDS = {"seed": int, "fraction": float, "holdout_articles": id_positions}
 
@@ -92,28 +91,28 @@ def make_warm_split(triplet_set: TripletSet, test_fraction: float, seed: int) ->
 
 def save_split(split: DataSplit, dirpath, fraction: float) -> None:
     """Persist a split as two triplet TSVs plus a manifest that records the split's fraction."""
-    write_rows(os.path.join(dirpath, "train.tsv"), split.train)
-    write_rows(os.path.join(dirpath, "test.tsv"), split.test)
+    write_rows(os.path.join(dirpath, file_name("split_train")), split.train)
+    write_rows(os.path.join(dirpath, file_name("split_test")), split.test)
     manifest = {
         "kind": split.kind,
         "seed": split.seed,
         "fraction": fraction,
         "holdout_articles": sorted(split.holdout_articles),
     }
-    write_json(manifest, os.path.join(dirpath, MANIFEST_NAME))
+    write_json(manifest, os.path.join(dirpath, file_name("split_manifest")))
 
 
 def load_split(dirpath, kind: str | None = None) -> DataSplit:
     """Read a split directory; a manifest that read_manifest rejects (its kind, when given, is the
     kind the caller expects), or a side that breaks the split's invariant (see the split makers),
     is a FormatError naming the path."""
-    manifest_path = os.path.join(dirpath, MANIFEST_NAME)
+    manifest_path = os.path.join(dirpath, file_name("split_manifest"))
     manifest = read_manifest(manifest_path, _MANIFEST_FIELDS, SPLIT_KINDS, kind)
     kind, seed, holdout = manifest["kind"], manifest["seed"], set(manifest["holdout_articles"])
     if kind == "warm" and holdout:
         raise FormatError("%s: a warm split holds out no articles, got %s"
                           % (manifest_path, ", ".join(sorted(holdout))))
-    train, test = (load_triplets(os.path.join(dirpath, side + ".tsv")) for side in ("train", "test"))
+    train, test = (load_triplets(os.path.join(dirpath, file_name(side))) for side in ("split_train", "split_test"))
     if kind == "cold":
         stray, problem = holdout & train.articles.keys(), "holdout articles on the train side"
     else:
@@ -125,6 +124,6 @@ def load_split(dirpath, kind: str | None = None) -> DataSplit:
         held[[code for a, code in test.articles.items() if a in holdout]] = True
         untouched = np.flatnonzero(~(held[test.i] | held[test.j]))
         if untouched.size:
-            raise FormatError("%s: cold split: line %d of test.tsv touches no holdout article"
-                              % (manifest_path, untouched[0] + 1))
+            raise FormatError("%s: cold split: line %d of %s touches no holdout article"
+                              % (manifest_path, untouched[0] + 1, file_name("split_test")))
     return DataSplit(train=train, test=test, holdout_articles=holdout, kind=kind, seed=seed)

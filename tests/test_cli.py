@@ -686,12 +686,6 @@ class TestCliCommands:
     @pytest.mark.parametrize(
         "artifact, damage, stage, expected",
         [
-            ("ingest/catalog.tsv", "empty", "featurize", "no rows"),
-            ("ingest/streams.tsv", "empty", "triplets", "no rows"),
-            ("ingest/popularity.tsv", "empty", "evaluate", "no rows"),
-            ("triplets.tsv", "empty", "split", "no rows"),
-            ("splits/cold/train.tsv", "empty", "train", "no rows"),
-            ("splits/warm/test.tsv", "empty", "evaluate", "no rows"),
             ("ingest/catalog.tsv", 0, "featurize", "line 1: id must not be empty"),
             ("ingest/streams.tsv", 0, "triplets", "line 1: user must not be empty"),
             ("ingest/streams.tsv", 1, "triplets", "line 1: news must not be empty"),
@@ -742,10 +736,10 @@ class TestCliCommands:
     )
     def test_a_damaged_artifact_is_an_error_naming_it(self, workspace, run_out, capsys, artifact, damage, stage,
                                                       expected):
-        # damage: "empty" the file, "double" its first row, blank field k of its first row, make that
-        # row's next article its last ("self"); or, of a JSON manifest, nest it in an "array", delete
-        # "-<key>" or set "<key>=<JSON value>", a dotted key naming a hyperparameter; each must be one
-        # error line naming the file
+        # damage: "double" the first row, blank field k of the first row, make that row's next
+        # article its last ("self"); or, of a JSON manifest, nest it in an "array", delete "-<key>" or
+        # set "<key>=<JSON value>", a dotted key naming a hyperparameter; each must be one error line
+        # naming the file (test_run_files empties every file each stage reads)
         out = "damaged_%s_%s_%s_out" % (artifact.replace("/", "_"), damage, stage)
         shutil.copytree(run_out[2], os.path.join(workspace, out))
         path = os.path.join(workspace, out, *artifact.split("/"))
@@ -761,9 +755,7 @@ class TestCliCommands:
         sep = "," if artifact.endswith(".csv") else "\t"
         row = 1 if artifact in ("metrics.csv", "embeddings.tsv") else 0  # the first row after a header
         fields = lines[row].split(sep)
-        if damage == "empty":
-            lines = []
-        elif damage == "double":
+        if damage == "double":
             lines.insert(row + 1, lines[row])
         elif damage == "self":
             lines[row] = sep.join(fields[:2] + fields[1:2] + fields[3:])
