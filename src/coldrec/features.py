@@ -52,16 +52,19 @@ class FeatureMatrix:
     def dim(self) -> int:
         return self.matrix.shape[1]
 
-    def rows(self, ids):
-        """`matrix[positions]` of the ids in their order (a CSRMatrix for tfidf, an ndarray for
-        external); an id without a row is a MissingArticlesError."""
+    def positions(self, ids) -> list[int]:
+        """The row of each of the ids (a sequence), in their order; ids without a row are a
+        MissingArticlesError naming each once, in order of first appearance."""
         index = self.row_index
         try:
-            idx = [index[a] for a in ids]
+            return [index[a] for a in ids]
         except KeyError:
             missing = [a for a in dict.fromkeys(ids) if a not in index]
             raise MissingArticlesError(missing, "%s feature matrix" % self.kind) from None
-        return self.matrix[idx]
+
+    def rows(self, ids):
+        """`matrix[positions(ids)]`: a CSRMatrix for tfidf, an ndarray for external."""
+        return self.matrix[self.positions(ids)]
 
 
 def tokenize(text: str, min_token_len: int = DEFAULT_MIN_TOKEN_LEN, stopwords=None):

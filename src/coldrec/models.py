@@ -55,7 +55,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .artifacts import file_name, fits, id_positions, load_matrix, read_manifest, save_matrix, write_json
-from .errors import DivergenceError, EmptyInputError, FormatError, MissingArticlesError
+from .errors import DivergenceError, EmptyInputError, FormatError
 from .numerics import CSRMatrix, cho_solve_stacked, ridge_cholesky, ridge_factor
 # perfbench/tracing.py wraps models.ridge_solve by name; no run calls it
 from .numerics import ridge_solve  # noqa: F401
@@ -732,16 +732,13 @@ def score_queries(model: FactorModel, users, articles, u, i, candidates, feature
     with ties in tie order.
 
     Every listed article and every candidate must have a feature row;
-    otherwise MissingArticlesError names the missing ones, before any
-    scoring, as `FeatureMatrix.rows` does.
+    otherwise `FeatureMatrix.positions` raises its MissingArticlesError
+    before any scoring.
     """
     articles, candidates = list(articles), list(candidates)
     if not candidates:
         raise ValueError("candidates must be non-empty")
-    missing = {a for a in articles if a not in features.row_index}
-    missing.update(a for a in candidates if a not in features.row_index)
-    if missing:
-        raise MissingArticlesError(sorted(missing), "feature matrix")
+    features.positions(articles + candidates)
     ordered = _tie_order(model, candidates)
     next_t = article_vectors(model, ordered, features, "next").T
     user_rows = _user_vectors(model, users)

@@ -32,11 +32,12 @@ INGEST_DIR, SPLITS_DIR, FEATURES_DIR, MODELS_DIR = (
     RUN_FILES[name].path.split("/")[0] for name in ("catalog", "split_manifest", "tfidf_meta", "model_manifest")
 )
 RUN_LOG_FILE = RUN_FILES["run_log"].path
-# A features file is its base, `features/<kind>`, plus a suffix from the table: every kind's meta file
-# takes TF-IDF's, sparse rows (TF-IDF's) an `.npz` and dense rows (external embeddings) an `.npy`.
-_META, _SPARSE, _DENSE = (
-    "." + file_name(name).split(".", 1)[1] for name in ("tfidf_meta", "tfidf_rows", "external_rows")
-)
+# A features file is its base, `features/<kind>`, plus the suffix of its file in the table. Every kind's
+# meta file takes TF-IDF's; a kind's rows file (TF-IDF's a csr `.npz`, external embeddings' a dense `.npy`)
+# takes its own, and is written and read by that file's writer and reader.
+_META = "." + file_name("tfidf_meta").split(".", 1)[1]
+_ROWS = {kind: ("." + file_name(kind + "_rows").split(".", 1)[1], save, load)
+         for kind, save, load in (("tfidf", save_csr, load_csr), ("external", save_matrix, load_matrix))}
 
 
 def metrics_path(cfg: RunConfig) -> str:
@@ -99,27 +100,21 @@ def load_popularity(path) -> dict[str, int]:
 def save_features(features: FeatureMatrix, base: str) -> None:
     meta = {"kind": features.kind, "dim": features.dim, "ids": list(features.row_index)}
     write_json(meta, base + _META)
-    if isinstance(features.matrix, CSRMatrix):
-        save_csr(features.matrix, base + _SPARSE)
-    else:
-        save_matrix(features.matrix, base + _DENSE)
+    suffix, save, _ = _ROWS[features.kind]
+    save(features.matrix, base + suffix)
 
 
 def load_features(base: str, kind: str | None = None) -> FeatureMatrix:
-    """Read what save_features wrote; a meta file that read_manifest rejects (its kind, when
-    given, is the kind the caller expects), a matrix whose shape contradicts it, tfidf rows in a
-    dense `.npy`, or a NaN or infinite feature value is a FormatError naming the path."""
+    """Read what save_features wrote: the meta file, then the rows file of the kind it names, by
+    that file's reader. A meta file that read_manifest rejects (its kind, when given, is the kind
+    the caller expects), a matrix whose shape contradicts it, or a NaN or infinite feature value
+    is a FormatError naming the path."""
     meta_path = base + _META
     meta = read_manifest(meta_path, {"dim": int, "ids": id_positions}, FEATURE_KINDS, kind)
     kind, dim, row_index = meta["kind"], meta["dim"], meta["ids"]
-    path = base + _SPARSE
-    if os.path.exists(path):
-        matrix = load_csr(path)
-    else:
-        path = base + _DENSE
-        matrix = load_matrix(path)
-        if kind == "tfidf":  # TF-IDF rows are sparse; diversity reads them as a CSRMatrix
-            raise FormatError("%s: tfidf features must be a csr .npz archive" % path)
+    suffix, _, load = _ROWS[kind]
+    path = base + suffix
+    matrix = load(path)
     expected = (len(row_index), dim)
     if tuple(matrix.shape) != expected:
         raise FormatError(

@@ -105,20 +105,21 @@ def save_split(split: DataSplit, dirpath, fraction: float) -> None:
 def load_split(dirpath, kind: str | None = None) -> DataSplit:
     """Read a split directory; a manifest that read_manifest rejects (its kind, when given, is the
     kind the caller expects), or a side that breaks the split's invariant (see the split makers),
-    is a FormatError naming the path."""
+    is a FormatError naming the file: train.tsv when it lacks a test article or holds a holdout one."""
     manifest_path = os.path.join(dirpath, file_name("split_manifest"))
     manifest = read_manifest(manifest_path, _MANIFEST_FIELDS, SPLIT_KINDS, kind)
     kind, seed, holdout = manifest["kind"], manifest["seed"], set(manifest["holdout_articles"])
     if kind == "warm" and holdout:
         raise FormatError("%s: a warm split holds out no articles, got %s"
                           % (manifest_path, ", ".join(sorted(holdout))))
-    train, test = (load_triplets(os.path.join(dirpath, file_name(side))) for side in ("split_train", "split_test"))
+    train_path = os.path.join(dirpath, file_name("split_train"))
+    train, test = load_triplets(train_path), load_triplets(os.path.join(dirpath, file_name("split_test")))
     if kind == "cold":
         stray, problem = holdout & train.articles.keys(), "holdout articles on the train side"
     else:
         stray, problem = test.articles.keys() - train.articles.keys(), "test articles not trained on"
     if stray:
-        raise FormatError("%s: %s split: %s: %s" % (dirpath, kind, problem, ", ".join(sorted(stray))))
+        raise FormatError("%s: %s split: %s: %s" % (train_path, kind, problem, ", ".join(sorted(stray))))
     if kind == "cold":
         held = np.zeros(len(test.articles), dtype=bool)
         held[[code for a, code in test.articles.items() if a in holdout]] = True

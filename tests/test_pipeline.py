@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from coldrec import mind
+from coldrec.artifacts import save_csr, save_matrix, write_json
 from coldrec.config import RunConfig, load_config
 from coldrec.errors import FormatError
 from coldrec.features import FeatureMatrix
@@ -238,11 +239,21 @@ class TestFeatureFiles:
         assert str(err.value) == path + ": non-finite feature values"
 
     def test_dense_tfidf_rows_are_rejected(self, tmp_path):
+        # a TF-IDF meta file reads its rows from `tfidf.npz` only: a dense `tfidf.npy` beside it is not read
         base = str(tmp_path / "tfidf")
-        save_features(FeatureMatrix(self.TFIDF.toarray(), "tfidf", {"a": 0, "b": 1, "c": 2}), base)
-        with pytest.raises(FormatError) as err:
+        write_json({"kind": "tfidf", "dim": 4, "ids": ["a", "b", "c"]}, base + ".meta.json")
+        save_matrix(self.TFIDF.toarray(), base + ".npy")
+        with pytest.raises(FileNotFoundError) as err:
             load_features(base)
-        assert str(err.value) == base + ".npy: tfidf features must be a csr .npz archive"
+        assert err.value.filename == base + ".npz"
+
+    def test_external_rows_are_read_from_the_npy_beside_a_stray_npz(self, tmp_path):
+        base = str(tmp_path / "external")
+        save_features(FeatureMatrix(self.TFIDF.toarray(), "external", {"a": 0, "b": 1, "c": 2}), base)
+        save_csr(CSRMatrix([], [], [0, 0], (1, 1)), base + ".npz")
+        loaded = load_features(base)
+        assert isinstance(loaded.matrix, np.ndarray)
+        assert np.array_equal(loaded.matrix, self.TFIDF.toarray())
 
     @pytest.mark.parametrize("kind", ["tfidf", "external"])
     @pytest.mark.parametrize("meta_change", [{"dim": 5}, {"ids": ["a", "b"]}], ids=["dim", "ids"])

@@ -3,6 +3,7 @@
 A desk run writes exactly the table's files for its config, each stage writes
 exactly the entries listed under it and reads no file that does not list it as
 a reader, an emptied file is an error naming it in every stage that reads it,
+a file cut short or a matrix holding a NaN is no error or one naming it there,
 the README's output tree is the table, and no other string in the package
 names a run file.
 """
@@ -20,7 +21,7 @@ import numpy as np
 import pytest
 
 import coldrec
-from coldrec.artifacts import RUN_FILES
+from coldrec.artifacts import RUN_FILES, load_csr, load_matrix, save_csr, save_matrix
 from coldrec.cli import main
 from coldrec.config import FEATURE_KINDS
 from coldrec.fixture import generate_fixture
@@ -161,6 +162,46 @@ def test_an_emptied_file_is_an_error_naming_it(configs, runs, tmp_path, capsys, 
     else:
         assert err.startswith("error: %s: " % emptied) and err.count("\n") == 1, err
     assert "Traceback" not in err
+
+
+def write_nan(path):
+    """Write one NaN into the `.npy` matrix or csr `.npz` archive at `path`, in place."""
+    if path.suffix == ".npz":
+        matrix = load_csr(path)
+        matrix.data[0] = np.nan
+        save_csr(matrix, path)
+    else:
+        matrix = load_matrix(path)
+        matrix[0, 0] = np.nan
+        save_matrix(matrix, path)
+
+
+DAMAGE = {
+    "half": lambda path: path.write_bytes(path.read_bytes()[: path.stat().st_size // 2]),
+    "all_but_last_byte": lambda path: path.write_bytes(path.read_bytes()[:-1]),
+    "nan": write_nan,
+}
+DAMAGE_SWEEP = [
+    case + (damage,)
+    for case in SWEEP
+    for damage in DAMAGE
+    if damage != "nan" or case[1].endswith((".npy", ".npz"))
+]
+
+
+@pytest.mark.parametrize("kind, path, stage, damage", DAMAGE_SWEEP, ids=["-".join(case) for case in DAMAGE_SWEEP])
+def test_a_damaged_file_is_no_error_or_one_error_naming_it(configs, runs, tmp_path, capsys, kind, path, stage,
+                                                           damage):
+    # a file cut short may still parse (a tsv cut at a line end); a NaN in a matrix never loads
+    shutil.copytree(runs[kind], tmp_path, dirs_exist_ok=True)
+    damaged = tmp_path / path
+    DAMAGE[damage](damaged)
+    rc = run(stage, configs[kind], tmp_path)
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert rc == 1 if damage == "nan" else rc in (0, 1)
+    if rc == 1:
+        assert err.startswith("error: %s: " % damaged) and err.count("\n") == 1, err
 
 
 def readme_tree():

@@ -222,7 +222,8 @@ class TestLoadSplitErrors:
         self.edit_manifest(dirpath, lambda m: m["holdout_articles"].append(trained))
         with pytest.raises(FormatError) as err:
             load_split(dirpath)
-        assert str(err.value) == "%s: cold split: holdout articles on the train side: %s" % (dirpath, trained)
+        assert str(err.value) == "%s: cold split: holdout articles on the train side: %s" % (
+            dirpath / "train.tsv", trained)
 
     def test_cold_test_triplet_touching_no_holdout_article(self, tmp_path):
         # an emptied holdout list used to load, and evaluate to exit 0
@@ -277,4 +278,5 @@ class TestLoadSplitErrors:
         save_split(split, tmp_path / "warm", 0.2)
         with pytest.raises(FormatError) as err:
             load_split(tmp_path / "warm")
-        assert str(err.value) == "%s: warm split: test articles not trained on: ghost" % (tmp_path / "warm")
+        assert str(err.value) == "%s: warm split: test articles not trained on: ghost" % (
+            tmp_path / "warm" / "train.tsv")
